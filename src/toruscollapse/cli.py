@@ -323,8 +323,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a domain error (ValueError, which covers
+    CollapseError and EnumerationLimitError) ends it with one line on
+    stderr and exit code 2."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        print(f"toruscollapse {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,9 +6,14 @@ half-open interval (a, b] with the original mass plus the net flux
 J(a) - J(b), where J(v) is the largest positive excess of first-layer mass
 over second-layer mass among closed intervals ending at v.
 
-The flux at every refined-grid position is computed two ways: an O(B^2)
-candidate enumeration (the defining supremum) and an O(B) cyclic
-prefix/suffix-minimum pass; the test suite holds them equal.
+For measures, every step works on one grid: the pair is merged once
+(measures.merge_pair) into the sorted breakpoints and atom locations of
+both, with each measure's cell density and atom mass aligned to it.  The
+signed prefix masses of rho1 - rho2 on that grid give the flux at every
+grid position in one cyclic prefix/suffix-minimum pass (an O(B^2)
+enumeration of the defining supremum is kept as its oracle), the flux's
+positive set and the mass each of its intervals deposits, and the
+collapsed measure cell by cell.
 """
 
 from __future__ import annotations
@@ -16,10 +21,20 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lattice import OrderedTuple, PointConfig, TorusConfig
-from .measures import ONE, ZERO, TorusMeasure, cyc_len, frac
+from .measures import (
+    ONE,
+    ZERO,
+    PairGrid,
+    TorusMeasure,
+    cyc_len,
+    cyclic_runs,
+    frac,
+    merge_pair,
+    refined_cells,
+)
 
 
 class CollapseError(ValueError):
@@ -136,43 +151,20 @@ def collapse_discrete_flux(
             raise RuntimeError("flux ledger produced a non-binary occupancy")
         bits.append(v)
     result = TorusConfig(bits)
+    positive = [j > 0 for j in J]
+    full = all(positive)
+    runs = () if full else cyclic_runs(positive)
     profile = FluxProfile(
         domain="discrete",
         positions=tuple(range(n)),
         values=tuple(Fraction(j) for j in J),
         slopes=None,
-        intervals=_discrete_positive_runs(J),
-        full_torus=all(j > 0 for j in J),
+        intervals=tuple(
+            JInterval(Fraction(i), Fraction((i + length) % n), True, ZERO) for i, length in runs
+        ),
+        full_torus=full,
     )
     return result, profile
-
-
-def _discrete_positive_runs(J: Sequence[int]) -> tuple["JInterval", ...]:
-    n = len(J)
-    if all(j > 0 for j in J) or not any(j > 0 for j in J):
-        return ()
-    start = next(i for i in range(n) if J[i] == 0)
-    runs = []
-    i = 0
-    while i < n:
-        j = (start + i) % n
-        if J[j] == 0:
-            i += 1
-            continue
-        length = 0
-        while J[(j + length) % n] > 0:
-            length += 1
-        runs.append(
-            JInterval(
-                lo=Fraction(j),
-                hi=Fraction((j + length) % n),
-                left_closed=True,
-                mass_delta=ZERO,
-            )
-        )
-        i += length
-    runs.sort(key=lambda r: r.lo)
-    return tuple(runs)
 
 
 def collapse_discrete(eta1: TorusConfig, eta2: TorusConfig) -> TorusConfig:
@@ -296,10 +288,6 @@ class FluxProfile:
         slope = self.slopes[j] if self.slopes else ZERO
         return max(ZERO, self.values[j] + slope * seg)
 
-    def gamma_interval(self, a, b) -> Fraction:
-        """gamma((a, b]) = J(b) - J(a)."""
-        return self.at(b) - self.at(a)
-
     def gamma_total(self) -> Fraction:
         """Total mass of gamma as the cyclic sum of continuous increments
         and jumps; zero for any flux profile."""
@@ -312,42 +300,47 @@ class FluxProfile:
         return total
 
 
-def _refined_grid(rho1: TorusMeasure, rho2: TorusMeasure) -> list[Fraction]:
-    grid = set(rho1.breakpoints) | set(rho2.breakpoints)
-    grid |= {a.at for a in rho1.atoms} | {a.at for a in rho2.atoms}
-    return sorted(grid)
+class _Sigma(NamedTuple):
+    """The signed measure sigma = rho1 - rho2 on a pair's merged grid: cell
+    densities, atoms, cell lengths, prefix masses s[j] = sigma((0, grid[j]])
+    and the total mass."""
+
+    dens: list[Fraction]
+    atom: list[Fraction]
+    lens: list[Fraction]
+    s: list[Fraction]
+    total: Fraction
 
 
-def _sigma_data(rho1, rho2, grid):
-    """Cellwise density difference, atom difference, cell lengths, prefix
-    masses s[j] = sigma((grid[0], grid[j]]) and the total signed mass."""
-    n = len(grid)
-    dens = [rho1.density_at(p) - rho2.density_at(p) for p in grid]
-    atom = [rho1.atom_at(p) - rho2.atom_at(p) for p in grid]
-    lens = [(grid[j + 1] if j + 1 < n else ONE) - grid[j] for j in range(n)]
+def _sigma_data(pair: PairGrid) -> _Sigma:
+    dens = [a - b for a, b in zip(pair.dens1, pair.dens2)]
+    atom = [a - b for a, b in zip(pair.atom1, pair.atom2)]
+    lens = pair.lens
+    n = len(dens)
     s = [ZERO] * n
     acc = ZERO
     for j in range(1, n):
         acc += dens[j - 1] * lens[j - 1] + atom[j]
         s[j] = acc
     total = acc + dens[n - 1] * lens[n - 1] + atom[0]
-    return dens, atom, lens, s, total
+    return _Sigma(dens, atom, lens, s, total)
 
 
 def flux_values_direct(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[Fraction, ...]:
-    """J at every refined-grid position by full candidate enumeration.
+    """J at every merged-grid position by full candidate enumeration: the
+    O(B^2) oracle for flux_values_fast.
 
     The supremum over interval left ends is attained among closed and
     left-open starts at grid positions; interior starts are dominated.
     """
-    grid = _refined_grid(rho1, rho2)
-    n = len(grid)
-    _, atom, _, s, total = _sigma_data(rho1, rho2, grid)
+    sig = _sigma_data(merge_pair(rho1, rho2))
+    s, atom = sig.s, sig.atom
+    n = len(s)
     out = []
     for j in range(n):
         best = ZERO
         for i in range(n):
-            wrap = total if i > j else ZERO
+            wrap = sig.total if i > j else ZERO
             e_closed = s[j] - s[i] + atom[i] + wrap
             if e_closed > best:
                 best = e_closed
@@ -359,10 +352,12 @@ def flux_values_direct(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[Fraction
 
 def flux_values_fast(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[Fraction, ...]:
     """Same values as flux_values_direct in one prefix/suffix-minimum pass."""
-    grid = _refined_grid(rho1, rho2)
-    n = len(grid)
-    _, atom, _, s, total = _sigma_data(rho1, rho2, grid)
-    pots = [min(s[i], s[i] - atom[i]) for i in range(n)]
+    return _fast_values(_sigma_data(merge_pair(rho1, rho2)))
+
+
+def _fast_values(sig: _Sigma) -> tuple[Fraction, ...]:
+    s, n = sig.s, len(sig.s)
+    pots = [min(s[i], s[i] - sig.atom[i]) for i in range(n)]
     pref = []
     m = pots[0]
     for i in range(n):
@@ -377,112 +372,93 @@ def flux_values_fast(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[Fraction, 
     for j in range(n):
         best = s[j] - pref[j]
         if suf[j] is not None:
-            best = max(best, s[j] + total - suf[j])
+            best = max(best, s[j] + sig.total - suf[j])
         out.append(max(ZERO, best))
     return tuple(out)
 
 
-def _assemble_intervals(grid, values, slopes, lens):
-    """Maximal intervals of {J > 0} from grid values and cell slopes.
+def _positive_ends(grid, values, sig: _Sigma) -> list[Fraction | None]:
+    """Per cell, where {J > 0} that starts at the cell's left end stops:
+    None when J vanishes on the open cell, else the exact root of the
+    affine flux inside the cell or, when there is none, the cell's edge."""
+    ends: list[Fraction | None] = []
+    for g, v, slope, length in zip(grid, values, sig.dens, sig.lens):
+        edge = g + length
+        root = g + v / -slope if v > 0 and slope < 0 else edge
+        ends.append(min(root, edge) if v > 0 or slope > 0 else None)
+    return ends
 
-    Returns (components, full_torus); components are (lo, hi, left_closed)
-    with hi exclusive (a grid position or an exact in-cell root of J).
+
+def _positive_intervals(grid, values, ends, sig: _Sigma) -> tuple[tuple[JInterval, ...], bool]:
+    """Maximal intervals of {J > 0} with their excess masses, and whether
+    {J > 0} is the whole torus.
+
+    Cell j is cut into three items: the point grid[j], the open stretch up
+    to ends[j], and the stretch from there to the next grid position
+    (positive only when ends[j] is the edge).  An interval is a maximal
+    cyclic run of positive items; it is left-closed when it starts at a
+    point and ends at ends[c] of the cell c holding its last item.
     """
     n = len(grid)
-    covers_right = [False] * n  # J > 0 just right of grid[j]
-    reaches_end = [False] * n  # J > 0 just left of the next grid position
-    root_of: dict[int, Fraction] = {}
+    mask = []
     for j in range(n):
-        end = grid[j] + lens[j]
-        if values[j] > 0:
-            covers_right[j] = True
-            if slopes[j] < 0:
-                root = grid[j] + values[j] / (-slopes[j])
-                if root < end:
-                    root_of[j] = root % 1
-                else:
-                    reaches_end[j] = True
-            else:
-                reaches_end[j] = True
-        elif slopes[j] > 0:
-            covers_right[j] = True
-            reaches_end[j] = True
-    if not any(covers_right):
-        return (), False
-    if all(v > 0 for v in values) and all(reaches_end):
+        mask += [values[j] > 0, ends[j] is not None, ends[j] == grid[j] + sig.lens[j]]
+    if all(mask):
         return (), True
-    j0 = next(
-        j for j in range(n) if not (reaches_end[(j - 1) % n] and values[j] > 0)
-    )
-    comps = []
-    open_comp = None  # (lo, left_closed)
-    for idx in range(n):
-        j = (j0 + idx) % n
-        if open_comp is not None and not values[j] > 0:
-            comps.append((open_comp[0], grid[j], open_comp[1]))
-            open_comp = None
-        if open_comp is None and covers_right[j]:
-            open_comp = (grid[j], values[j] > 0)
-        if open_comp is not None and not reaches_end[j]:
-            comps.append((open_comp[0], root_of[j], open_comp[1]))
-            open_comp = None
-    if open_comp is not None:
-        comps.append((open_comp[0], grid[j0], open_comp[1]))
-    return tuple(comps), False
+    intervals = []
+    for start, length in cyclic_runs(mask):
+        i, c = start // 3, (start + length - 1) % (3 * n) // 3
+        left_closed = start % 3 == 0
+        # sigma of the open interval (grid[i], ends[c]), then the left end
+        excess = sig.s[c] + sig.dens[c] * (ends[c] - grid[c]) - sig.s[i]
+        if start + length > 3 * n:
+            excess += sig.total
+        if left_closed:
+            excess += sig.atom[i]
+        intervals.append(JInterval(grid[i], ends[c] % 1, left_closed, excess))
+    return tuple(intervals), False
 
 
-def flux_profile(
-    rho1: TorusMeasure, rho2: TorusMeasure, method: str = "fast"
-) -> FluxProfile:
-    """Flux profile of a pair of measures with nondecreasing masses.
-
-    Interval left boundaries sit on the refined grid; right boundaries are
-    grid positions or exact in-cell roots of the affine flux.  An interval
-    is left-closed exactly when J is positive at its left boundary.  The
-    positive set can be the full torus only when the masses are equal.
-    """
-    if rho1.total_mass > rho2.total_mass:
-        raise CollapseError("first measure has more mass")
-    grid = _refined_grid(rho1, rho2)
-    dens, _, lens, _, _ = _sigma_data(rho1, rho2, grid)
-    values = (
-        flux_values_direct(rho1, rho2)
-        if method == "direct"
-        else flux_values_fast(rho1, rho2)
-    )
-    comps, full = _assemble_intervals(grid, values, dens, lens)
-    if full and rho1.total_mass < rho2.total_mass:
+def _flux_profile(pair: PairGrid) -> tuple[FluxProfile, list[Fraction | None]]:
+    """Flux profile of a merged pair, with the positive end of each cell."""
+    sig = _sigma_data(pair)
+    values = _fast_values(sig)
+    ends = _positive_ends(pair.grid, values, sig)
+    intervals, full = _positive_intervals(pair.grid, values, ends, sig)
+    if full and sig.total < 0:
         raise RuntimeError(
             "positive-flux set covers the torus despite strictly smaller "
             "first mass; flux computation is inconsistent"
         )
-    intervals = []
-    for lo, hi, left_closed in comps:
-        d1 = _interval_mass_typed(rho1, lo, hi, left_closed)
-        d2 = _interval_mass_typed(rho2, lo, hi, left_closed)
-        intervals.append(JInterval(lo, hi, left_closed, d1 - d2))
-    intervals.sort(key=lambda r: r.lo)
-    return FluxProfile(
+    profile = FluxProfile(
         domain="measure",
-        positions=tuple(grid),
-        values=tuple(values),
-        slopes=tuple(dens),
-        intervals=tuple(intervals),
+        positions=tuple(pair.grid),
+        values=values,
+        slopes=tuple(sig.dens),
+        intervals=intervals,
         full_torus=full,
     )
+    return profile, ends
 
 
-def _interval_mass_typed(rho: TorusMeasure, lo, hi, left_closed: bool) -> Fraction:
-    """Mass of [lo, hi) or (lo, hi); hi == lo encodes (lo, lo + 1)."""
-    mass = rho.interval_mass(lo, hi) - rho.atom_at(hi)
-    if left_closed:
-        mass += rho.atom_at(lo)
-    return mass
+def _ordered_pair(rho1: TorusMeasure, rho2: TorusMeasure) -> PairGrid:
+    if rho1.total_mass > rho2.total_mass:
+        raise CollapseError("first measure has more mass")
+    return merge_pair(rho1, rho2)
 
 
-def collapse_measure(
-    rho1: TorusMeasure, rho2: TorusMeasure, method: str = "fast"
-) -> tuple[TorusMeasure, FluxProfile]:
+def flux_profile(rho1: TorusMeasure, rho2: TorusMeasure) -> FluxProfile:
+    """Flux profile of a pair of measures with nondecreasing masses.
+
+    Interval left boundaries sit on the merged grid; right boundaries are
+    grid positions or exact in-cell roots of the affine flux.  An interval
+    is left-closed exactly when J is positive at its left boundary.  The
+    positive set can be the full torus only when the masses are equal.
+    """
+    return _flux_profile(_ordered_pair(rho1, rho2))[0]
+
+
+def collapse_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasure, FluxProfile]:
     """Collapse rho1 onto rho2: the unique measure charging every (a, b]
     with rho1's mass plus J(a) - J(b).
 
@@ -490,36 +466,25 @@ def collapse_measure(
     rho1's; flux jumps down deposit atoms.  The result is positive, keeps
     rho1's total mass and is dominated by rho2.
     """
-    profile = flux_profile(rho1, rho2, method=method)
-    grid = list(profile.positions)
-    n = len(grid)
-    values = profile.values
-    slopes = profile.slopes
-
+    pair = _ordered_pair(rho1, rho2)
+    profile, ends = _flux_profile(pair)
     bps: list[Fraction] = []
     dens: list[Fraction] = []
-    for j in range(n):
-        start = grid[j]
-        end = grid[j + 1] if j + 1 < n else ONE
-        d1 = rho1.density_at(start)
-        d2 = rho2.density_at(start)
-        if values[j] > 0 and slopes[j] < 0:
-            root = start + values[j] / (-slopes[j])
-            if root < end:
-                bps.extend([start, root])
-                dens.extend([d2, d1])
-                continue
-        bps.append(start)
-        dens.append(d2 if values[j] > 0 or slopes[j] > 0 else d1)
-
     atoms: dict[Fraction, Fraction] = {}
-    for j in range(n):
-        jump = values[j] - profile.left_limit(grid[j])
-        mass = rho1.atom_at(grid[j]) - jump
+    for j, (start, end, edge) in enumerate(zip(pair.grid, ends, pair.grid[1:] + [ONE])):
+        bps.append(start)
+        if end is None:
+            dens.append(pair.dens1[j])
+        else:
+            dens.append(pair.dens2[j])
+            if end < edge:
+                bps.append(end)
+                dens.append(pair.dens1[j])
+        mass = pair.atom1[j] - (profile.values[j] - profile.left_limit(start))
         if mass < 0:
             raise RuntimeError("collapse produced a negative atom")
         if mass > 0:
-            atoms[grid[j]] = mass
+            atoms[start] = mass
 
     result = TorusMeasure(bps, dens, atoms.items())
     if result.total_mass != rho1.total_mass:
@@ -537,18 +502,13 @@ def collapse_measure_representation(
     """
     if profile.full_torus:
         raise ValueError("representation requires a nonfull positive-flux set")
-    cuts = {ZERO} | set(rho1.breakpoints) | set(rho2.breakpoints)
-    for iv in profile.intervals:
-        cuts.add(iv.lo)
-        cuts.add(iv.hi)
-    grid = sorted(cuts)
-    dens = []
-    for j, b in enumerate(grid):
-        nxt = grid[j + 1] if j + 1 < len(grid) else ONE
-        mid = (b + nxt) / 2
-        inside = any(cyc_len(iv.lo, mid) < iv.span() for iv in profile.intervals)
-        src = rho2 if inside else rho1
-        dens.append(src.density_at(mid))
+    cuts = [*rho1.breakpoints, *rho2.breakpoints]
+    cuts += [p for iv in profile.intervals for p in (iv.lo, iv.hi)]
+    grid, dens = [], []
+    for lo, _, mid in refined_cells(cuts):
+        inside = any(iv.contains(mid) for iv in profile.intervals)
+        grid.append(lo)
+        dens.append((rho2 if inside else rho1).density_at(mid))
     atoms: dict[Fraction, Fraction] = {}
     for a in rho1.atoms:
         if not any(iv.contains(a.at) for iv in profile.intervals):

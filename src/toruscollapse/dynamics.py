@@ -28,7 +28,6 @@ from .lattice import (
 )
 from .measures import TorusMeasure
 
-MAX_STATES = 10**7
 MAX_SOLVE_STATES = 4000
 
 
@@ -185,10 +184,7 @@ def tasep_state_frequencies(
 def _multiset_states(n: int, counts: Sequence[int]) -> list[tuple[int, ...]]:
     from .lattice import enumerate_label_vectors
 
-    states = list(enumerate_label_vectors(n, counts))
-    if len(states) > MAX_STATES:
-        raise ValueError("state space exceeds the enumeration cap")
-    return states
+    return list(enumerate_label_vectors(n, counts))
 
 
 def _solve_stationary_int(rates: list[list[int]]) -> list[Fraction]:

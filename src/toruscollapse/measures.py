@@ -124,26 +124,13 @@ class TorusMeasure:
         Pieces are half-open [lo, hi) and may wrap through 0; overlapping
         pieces add their densities.
         """
-        cuts = {ZERO}
-        pieces = []
-        for lo, hi, d in cells:
-            lo, hi, d = frac(lo) % 1, frac(hi) % 1, frac(d)
-            cuts.add(lo)
-            cuts.add(hi)
-            pieces.append((lo, hi, d))
-        grid = sorted(cuts)
-        dens = []
-        for i, b in enumerate(grid):
-            nxt = grid[i + 1] if i + 1 < len(grid) else ONE
-            mid = (b + nxt) / 2
-            val = ZERO
-            for lo, hi, d in pieces:
-                if lo == hi:
-                    continue
-                if cyc_len(lo, mid) < cyc_len(lo, hi):
-                    val += d
-            dens.append(val)
-        return cls(grid, dens, atoms)
+        pieces = [(frac(lo) % 1, frac(hi) % 1, frac(d)) for lo, hi, d in cells]
+        refined = refined_cells(x for lo, hi, _ in pieces for x in (lo, hi))
+        dens = [
+            sum((d for lo, hi, d in pieces if cyc_len(lo, mid) < cyc_len(lo, hi)), ZERO)
+            for _, _, mid in refined
+        ]
+        return cls([lo for lo, _, _ in refined], dens, atoms)
 
     @classmethod
     def indicator(cls, lo, hi, height=1) -> "TorusMeasure":
@@ -241,9 +228,6 @@ class TorusMeasure:
             return self.atom_at(a)
         return self.interval_mass(a, b) + self.atom_at(a)
 
-    def arc_mass(self, arc: ClosedArc) -> Fraction:
-        return self.closed_mass(arc.lo, arc.hi)
-
     # ---- arithmetic ------------------------------------------------------
 
     def scale(self, c) -> "TorusMeasure":
@@ -259,12 +243,12 @@ class TorusMeasure:
         )
 
     def add(self, other: "TorusMeasure") -> "TorusMeasure":
-        grid = sorted(set(self.breakpoints) | set(other.breakpoints))
-        dens = [self.density_at(b) + other.density_at(b) for b in grid]
-        masses: dict[Fraction, Fraction] = {}
-        for a in list(self.atoms) + list(other.atoms):
-            masses[a.at] = masses.get(a.at, ZERO) + a.mass
-        return TorusMeasure(grid, dens, masses.items())
+        pair = merge_pair(self, other)
+        return TorusMeasure(
+            pair.grid,
+            [a + b for a, b in zip(pair.dens1, pair.dens2)],
+            [(p, a + b) for p, a, b in zip(pair.grid, pair.atom1, pair.atom2) if a + b > 0],
+        )
 
     def __add__(self, other):
         return self.add(other)
@@ -287,27 +271,89 @@ class TorusMeasure:
         )
 
 
-def common_refinement(*rhos: TorusMeasure) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Shared breakpoint grid and per-measure density per refined cell."""
-    grid = sorted(set().union(*(r.breakpoints for r in rhos)))
-    dens = [[r.density_at(b) for b in grid] for r in rhos]
-    return grid, dens
+class PairGrid(NamedTuple):
+    """Two measures on their merged grid: every breakpoint and atom location
+    of either, sorted from 0.  dens*[j] is the density on the cell
+    [grid[j], grid[j + 1]) and atom*[j] the atom mass at grid[j]."""
+
+    grid: list[Fraction]
+    dens1: list[Fraction]
+    dens2: list[Fraction]
+    atom1: list[Fraction]
+    atom2: list[Fraction]
+
+    @property
+    def lens(self) -> list[Fraction]:
+        return [hi - lo for lo, hi in zip(self.grid, self.grid[1:] + [ONE])]
+
+
+def _step_values(rho: TorusMeasure, grid: Sequence[Fraction]) -> list[Fraction]:
+    """rho's density on each cell of a sorted refinement of its breakpoints."""
+    bps, dens = rho.breakpoints, rho.densities
+    out = []
+    i, last = 0, len(bps) - 1
+    for p in grid:
+        while i < last and bps[i + 1] <= p:
+            i += 1
+        out.append(dens[i])
+    return out
+
+
+def merge_pair(rho1: TorusMeasure, rho2: TorusMeasure) -> PairGrid:
+    """Merge a pair once, into aligned arrays over the common grid."""
+    at1, at2 = dict(rho1.atoms), dict(rho2.atoms)
+    grid = sorted({*rho1.breakpoints, *rho2.breakpoints, *at1, *at2})
+    return PairGrid(
+        grid,
+        _step_values(rho1, grid),
+        _step_values(rho2, grid),
+        [at1.get(p, ZERO) for p in grid] if at1 else [ZERO] * len(grid),
+        [at2.get(p, ZERO) for p in grid] if at2 else [ZERO] * len(grid),
+    )
+
+
+def refined_cells(cuts: Iterable[Fraction]) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Cells (lo, hi, midpoint) of the torus cut at 0 and at every point of
+    `cuts` (points of [0, 1)), in order from 0; the last cell ends at 1."""
+    grid = sorted({ZERO, *cuts})
+    return [(lo, hi, (lo + hi) / 2) for lo, hi in zip(grid, grid[1:] + [ONE])]
+
+
+def cyclic_runs(mask: Sequence[bool]) -> list[tuple[int, int]]:
+    """Maximal cyclic runs of true entries as (start, length), by start.
+
+    A run may wrap from the last index to 0; an all-true mask is the single
+    run (0, len(mask)).
+    """
+    n = len(mask)
+    if all(mask):
+        return [(0, n)] if n else []
+    runs = []
+    start = None
+    origin = mask.index(False) + 1  # scan from just after a false entry
+    for step in range(n):
+        i = (origin + step) % n
+        if mask[i] and start is None:
+            start = i
+        elif not mask[i] and start is not None:
+            runs.append((start, (i - start) % n))
+            start = None
+    return sorted(runs)
 
 
 def measure_leq_witness(a: TorusMeasure, b: TorusMeasure) -> tuple[bool, str | None]:
     """Whether a(A) <= b(A) for every measurable A, with a witness if not.
 
-    For this representation that is cellwise density domination on the common
-    refinement plus pointwise atom domination.
+    For this representation that is cellwise density domination on the merged
+    grid plus pointwise atom domination.
     """
-    grid, (da, db) = common_refinement(a, b)
-    for bp, x, y in zip(grid, da, db):
+    pair = merge_pair(a, b)
+    for bp, x, y in zip(pair.grid, pair.dens1, pair.dens2):
         if x > y:
             return False, f"density {x} > {y} on cell starting at {bp}"
-    batoms = {at: m for at, m in b.atoms}
-    for at, m in a.atoms:
-        if m > batoms.get(at, ZERO):
-            return False, f"atom at {at}: {m} > {batoms.get(at, ZERO)}"
+    for at, x, y in zip(pair.grid, pair.atom1, pair.atom2):
+        if x > y:
+            return False, f"atom at {at}: {x} > {y}"
     return True, None
 
 
@@ -358,7 +404,7 @@ def plateau_set(rho1: TorusMeasure, rho2: TorusMeasure, eq_tol: Fraction = ZERO)
     """
     if rho1.atoms or rho2.atoms:
         raise ValueError("plateau decomposition requires absolutely continuous measures")
-    grid, (d1, d2) = common_refinement(rho1, rho2)
+    pair = merge_pair(rho1, rho2)
     eq_tol = frac(eq_tol)
 
     def close(x: Fraction, y: Fraction) -> bool:
@@ -366,31 +412,16 @@ def plateau_set(rho1: TorusMeasure, rho2: TorusMeasure, eq_tol: Fraction = ZERO)
             return x == y
         return abs(x - y) <= eq_tol * max(abs(x), abs(y), ONE)
 
-    mask = [close(x, y) for x, y in zip(d1, d2)]
-    ncells = len(grid)
+    mask = [close(x, y) for x, y in zip(pair.dens1, pair.dens2)]
     if all(mask):
         return PlateauDecomposition((), full_torus=True)
-    if not any(mask):
-        return PlateauDecomposition(())
-    edges = grid + [ONE]
-    # find maximal cyclic runs of equal cells
-    start = next(i for i in range(ncells) if not mask[i])
-    arcs = []
-    i = 0
-    while i < ncells:
-        j = (start + i) % ncells
-        if not mask[j]:
-            i += 1
-            continue
-        run_lo = grid[j]
-        length = 0
-        while length < ncells and mask[(j + length) % ncells]:
-            length += 1
-        run_hi = edges[((j + length - 1) % ncells) + 1] % 1
-        arcs.append(ClosedArc(run_lo, run_hi))
-        i += length
-    arcs.sort(key=lambda a: a.lo)
-    return PlateauDecomposition(tuple(arcs))
+    grid = pair.grid
+    return PlateauDecomposition(
+        tuple(
+            ClosedArc(grid[j], grid[(j + length) % len(grid)])
+            for j, length in cyclic_runs(mask)
+        )
+    )
 
 
 # ---- cumulative functions and concave envelopes -----------------------------

@@ -28,10 +28,12 @@ from .measures import (
     TorusMeasure,
     cumulative,
     cyc_len,
+    cyclic_runs,
     envelope_density,
     frac,
     measure_leq,
     plateau_set,
+    refined_cells,
 )
 
 INF = math.inf
@@ -113,14 +115,10 @@ def _integrate_kernel(
 ) -> float:
     """Sum of cell_length * kernel(cell_density) over refined cells whose
     midpoint satisfies the predicate."""
-    grid = sorted(set(rho.breakpoints) | {frac(c) % 1 for c in cuts})
     total = 0.0
-    for j, b in enumerate(grid):
-        nxt = grid[j + 1] if j + 1 < len(grid) else ONE
-        mid = (b + nxt) / 2
-        if predicate is not None and not predicate(mid):
-            continue
-        total += float(nxt - b) * kernel(rho.density_at(mid))
+    for lo, hi, mid in refined_cells([*rho.breakpoints, *cuts]):
+        if predicate is None or predicate(mid):
+            total += float(hi - lo) * kernel(rho.density_at(mid))
     return total
 
 
@@ -198,7 +196,7 @@ def s2(
     plateau_terms = []
     zero_cert = all(
         k1.is_zero_at(rho1.density_at(mid))
-        for mid in _cell_mids(rho1, cuts)
+        for _, _, mid in refined_cells([*rho1.breakpoints, *cuts])
         if not plateau.covers(mid)
     )
     for arc in plateau.intervals:
@@ -210,7 +208,7 @@ def s2(
         plateau_terms.append(term)
         zero_cert = zero_cert and all(
             env.density_at(mid) == m1
-            for mid in _cell_mids(env, (arc.lo, arc.hi))
+            for _, _, mid in refined_cells([*env.breakpoints, arc.lo, arc.hi])
             if mid in arc
         )
     second = _integrate_kernel(rho2, k2)
@@ -227,13 +225,6 @@ def s2(
         plateau_integrals=tuple(plateau_terms),
         second_layer_integral=second,
     )
-
-
-def _cell_mids(rho: TorusMeasure, cuts: Sequence[Fraction] = ()):
-    grid = sorted(set(rho.breakpoints) | {frac(c) % 1 for c in cuts})
-    for j, b in enumerate(grid):
-        nxt = grid[j + 1] if j + 1 < len(grid) else ONE
-        yield (b + nxt) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +253,7 @@ def preimage_conditions(
     if plateau.full_torus:
         return psi1 == rho1
     cuts = [p for arc in plateau.intervals for p in (arc.lo, arc.hi)]
-    grid = sorted(set(psi1.breakpoints) | set(rho1.breakpoints) | set(cuts))
-    for j, b in enumerate(grid):
-        nxt = grid[j + 1] if j + 1 < len(grid) else ONE
-        mid = (b + nxt) / 2
+    for _, _, mid in refined_cells([*psi1.breakpoints, *rho1.breakpoints, *cuts]):
         if not plateau.covers(mid) and psi1.density_at(mid) != rho1.density_at(mid):
             return False
     for arc in plateau.intervals:
@@ -400,29 +388,12 @@ def minimizer_rho2(rho1: TorusMeasure, m2) -> TorusMeasure:
     grid = list(rho1.breakpoints)
     ncells = len(grid)
     edges = grid + [ONE]
-    over = [rho1.densities[j] > m2 for j in range(ncells)]
-    if not any(over):
-        return TorusMeasure.constant(m2)
-
-    # maximal cyclic runs of cells above m2
-    excursions: list[tuple[int, int]] = []  # (first cell, cell count)
+    over = [d > m2 for d in rho1.densities]
     if all(over):
         raise RuntimeError("profile above m2 everywhere contradicts the masses")
-    start = next(j for j in range(ncells) if not over[j])
-    i = 0
-    while i < ncells:
-        j = (start + i) % ncells
-        if not over[j]:
-            i += 1
-            continue
-        length = 0
-        while over[(j + length) % ncells]:
-            length += 1
-        excursions.append((j, length))
-        i += length
 
     stretches: list[tuple[Fraction, Fraction]] = []  # [w, right end]
-    for first, length in excursions:
+    for first, length in cyclic_runs(over):  # the excursions above m2
         right = edges[(first + length - 1) % ncells + 1] % 1
         g = ZERO
         for off in range(length):
@@ -448,21 +419,12 @@ def minimizer_rho2(rho1: TorusMeasure, m2) -> TorusMeasure:
                 c = (c - 1) % ncells
         stretches.append((w % 1, right))
 
-    cuts = set(grid)
-    for w, r in stretches:
-        cuts.add(w)
-        cuts.add(r)
-    allg = sorted(cuts)
-
     def in_stretch(u: Fraction) -> bool:
         return any(cyc_len(w, u) < cyc_len(w, r) for w, r in stretches)
 
-    dens = []
-    for j, b in enumerate(allg):
-        nxt = allg[j + 1] if j + 1 < len(allg) else ONE
-        mid = (b + nxt) / 2
-        dens.append(rho1.density_at(mid) if in_stretch(mid) else m2)
-    out = TorusMeasure(allg, dens)
+    cells = refined_cells([*grid, *(p for stretch in stretches for p in stretch)])
+    dens = [rho1.density_at(mid) if in_stretch(mid) else m2 for _, _, mid in cells]
+    out = TorusMeasure([lo for lo, _, _ in cells], dens)
     if out.total_mass != m2:
         raise RuntimeError("constructed total profile has the wrong mass")
     return out
@@ -676,10 +638,6 @@ def s3_recursive(
 # ---------------------------------------------------------------------------
 
 
-def _log_big(n: int) -> float:
-    return math.log(n)
-
-
 def ldp_decay_exact(
     bin_densities: Sequence, m, sizes: Sequence[int]
 ) -> list[dict]:
@@ -711,9 +669,7 @@ def ldp_decay_exact(
                 raise ValueError(f"profile not realizable at size {n}")
             counts.append(int(j))
         mm = sum(counts)
-        log_p = sum(_log_big(math.comb(nb, j)) for j in counts) - _log_big(
-            math.comb(n, mm)
-        )
+        log_p = sum(math.log(math.comb(nb, j)) for j in counts) - math.log(math.comb(n, mm))
         decay = -log_p / n
         gap = decay - s1_val
         rows.append(

@@ -5,16 +5,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .collapse import FluxProfile
 from .lattice import PointConfig, TorusConfig
 from .measures import TorusMeasure, frac
-
-
-def rational_str(x) -> str:
-    return str(Fraction(x))
 
 
 def config_to_json(cfg: TorusConfig) -> list[int]:
@@ -79,15 +74,6 @@ def flux_to_json(profile: FluxProfile) -> dict:
             for iv in profile.intervals
         ],
     }
-
-
-def knots_to_csv(knots: Iterable[tuple]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["offset", "value"])
-    for t, v in knots:
-        w.writerow([str(t), str(v)])
-    return buf.getvalue()
 
 
 def rows_to_csv(rows: Sequence[dict]) -> str:

@@ -30,7 +30,7 @@ from .collapse import (
     commutation_check,
     discrete_flux,
     discrete_flux_direct,
-    flux_profile,
+    flux_values_direct,
 )
 from .dynamics import (
     ProcessSpec,
@@ -177,7 +177,8 @@ def random_ordered_pair(rng, cells=8, denom=16, family="tasep"):
 
 
 def random_lattice_triple(rng, cells=4, denom=16):
-    """Ordered triple on a uniform grid with quantized masses and plateaus."""
+    """Ordered triple on a uniform grid with quantized masses and plateaus;
+    every mass lies strictly between 0 and 1, as the exclusion kernel needs."""
     while True:
         u1, u2, u3 = [], [], []
         for _ in range(cells):
@@ -187,7 +188,7 @@ def random_lattice_triple(rng, cells=4, denom=16):
             u1.append(a)
             u2.append(b)
             u3.append(c)
-        if sum(u1) < sum(u2) < sum(u3):
+        if 0 < sum(u1) < sum(u2) < sum(u3) < 4 * cells:
             bps = [Fraction(i, cells) for i in range(cells)]
             quantum = Fraction(1, denom)
             mk = lambda us: TorusMeasure(
@@ -358,7 +359,7 @@ def suite_measure_collapse(cfg: SuiteConfig) -> list[CheckResult]:
             if r1.total_mass > r2.total_mass:
                 r1, r2 = r2, r1
             c, prof = collapse_measure(r1, r2)
-            if prof.values != flux_profile(r1, r2, method="direct").values:
+            if prof.values != flux_values_direct(r1, r2):
                 bad.append((t, "flux paths differ"))
                 continue
             grid = list(prof.positions)

@@ -211,3 +211,22 @@ class TestCli:
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["suite", "nope"])
+
+    def test_domain_error_is_one_line_exit_two(self, capsys):
+        code = main(["stationary", "--n", "3", "--classes", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "toruscollapse stationary: error: class counts exceed ring size"
+        ]
+
+    def test_collapse_error_is_one_line_exit_two(self, capsys, tmp_path):
+        heavy, light = TorusMeasure.lebesgue(), TorusMeasure.constant(F(1, 2))
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"parts": [part_to_json(heavy), part_to_json(light)]}))
+        code = main(["collapse", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err

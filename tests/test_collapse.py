@@ -219,6 +219,46 @@ class TestMeasure:
         assert any(not iv.left_closed for iv in prof.intervals)
 
 
+GRID = [F(i, 48) for i in range(48)]
+MASSES = st.integers(1, 8).map(lambda m: F(m, 8))
+
+
+@st.composite
+def coinciding_pairs(draw):
+    """An ordered pair of measures whose breakpoints and atoms sit on each
+    other's breakpoints and atoms as well as on fresh grid points."""
+
+    def measure(shared):
+        sites = st.sampled_from(sorted(shared) + GRID) if shared else st.sampled_from(GRID)
+        bps = sorted(draw(st.sets(sites, min_size=1, max_size=5)))
+        dens = draw(st.lists(st.integers(0, 8), min_size=len(bps), max_size=len(bps)))
+        atoms = draw(st.dictionaries(sites, MASSES, max_size=4))
+        return TorusMeasure(bps, [F(d, 4) for d in dens], atoms.items())
+
+    r1 = measure(set())
+    r2 = measure({*r1.breakpoints, *(a.at for a in r1.atoms)})
+    return (r1, r2) if r1.total_mass <= r2.total_mass else (r2, r1)
+
+
+class TestMergedGridProperties:
+    @given(coinciding_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_fast_flux_equals_direct(self, pair):
+        assert flux_values_fast(*pair) == flux_values_direct(*pair)
+
+    @given(coinciding_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_collapse_conserves_dominates_and_matches_representation(self, pair):
+        r1, r2 = pair
+        c, prof = collapse_measure(r1, r2)
+        assert c.total_mass == r1.total_mass
+        assert measure_leq(c, r2)
+        assert prof.values == flux_values_fast(r1, r2)
+        if not prof.full_torus:
+            assert collapse_measure_representation(r1, r2, prof) == c
+            assert all(iv.mass_delta >= 0 for iv in prof.intervals)
+
+
 def _random_measure(rng, max_cells=5, max_atoms=2):
     ncells = rng.randint(1, max_cells)
     bps = sorted(rng.sample([F(i, 20) for i in range(20)], ncells))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,9 +10,12 @@ from toruscollapse.measures import (
     TorusMeasure,
     concave_envelope,
     cumulative,
+    cyclic_runs,
     envelope_density,
     measure_leq,
+    merge_pair,
     plateau_set,
+    refined_cells,
 )
 
 F = Fraction
@@ -265,3 +269,63 @@ class TestArithmetic:
         b = TorusMeasure.constant(F(1, 3))
         assert a.add(b).total_mass == a.total_mass + b.total_mass
         assert a.scale(F(3, 2)).total_mass == a.total_mass * F(3, 2)
+
+
+def _runs_by_definition(mask):
+    """Maximal cyclic runs read off the definition: a run starts at a true
+    entry whose cyclic predecessor is false and extends while entries are
+    true."""
+    n = len(mask)
+    if all(mask):
+        return [(0, n)] if n else []
+    runs = []
+    for i in range(n):
+        if mask[i] and not mask[i - 1]:
+            length = 0
+            while mask[(i + length) % n]:
+                length += 1
+            runs.append((i, length))
+    return runs
+
+
+class TestSharedHelpers:
+    def test_cyclic_runs_every_mask_up_to_eight(self):
+        for n in range(9):
+            for mask in itertools.product((False, True), repeat=n):
+                assert cyclic_runs(list(mask)) == _runs_by_definition(mask), mask
+
+    def test_cyclic_runs_edge_cases(self):
+        assert cyclic_runs([True] * 5) == [(0, 5)]
+        assert cyclic_runs([False] * 5) == []
+        assert cyclic_runs([True, False, False, True, True]) == [(3, 3)]  # wraps through 0
+
+    def test_refined_cells(self):
+        cells = refined_cells([F(1, 2), F(1, 4), F(1, 2)])
+        assert cells == [
+            (F(0), F(1, 4), F(1, 8)),
+            (F(1, 4), F(1, 2), F(3, 8)),
+            (F(1, 2), F(1), F(3, 4)),
+        ]
+        assert refined_cells([]) == [(F(0), F(1), F(1, 2))]
+
+    def test_merge_pair_matches_pointwise_queries(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            rhos = []
+            for _ in range(2):
+                ncells = rng.randint(1, 5)
+                bps = sorted(rng.sample([F(i, 12) for i in range(12)], ncells))
+                dens = [F(rng.randint(0, 8), 4) for _ in range(ncells)]
+                ats = {F(rng.randint(0, 23), 24): F(rng.randint(1, 4), 4) for _ in range(rng.randint(0, 3))}
+                rhos.append(TorusMeasure(bps, dens, ats.items()))
+            a, b = rhos
+            pair = merge_pair(a, b)
+            expected = sorted(
+                {*a.breakpoints, *b.breakpoints, *(x.at for x in a.atoms), *(x.at for x in b.atoms)}
+            )
+            assert pair.grid == expected
+            assert pair.dens1 == [a.density_at(p) for p in expected]
+            assert pair.dens2 == [b.density_at(p) for p in expected]
+            assert pair.atom1 == [a.atom_at(p) for p in expected]
+            assert pair.atom2 == [b.atom_at(p) for p in expected]
+            assert sum(pair.atom1) + sum(d * w for d, w in zip(pair.dens1, pair.lens)) == a.total_mass

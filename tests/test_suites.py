@@ -1,10 +1,17 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from toruscollapse.dynamics import ProcessSpec, pushforward_distribution
-from toruscollapse.suites import SUITES, SuiteConfig, derive_seed, run_suite
+from toruscollapse.suites import (
+    SUITES,
+    SuiteConfig,
+    derive_seed,
+    random_lattice_triple,
+    run_suite,
+)
 
 
 class TestSuiteHarness:
@@ -70,3 +77,11 @@ class TestPushforwardEdge:
     def test_single_class_pushforward_uniform(self):
         tab = pushforward_distribution(ProcessSpec("tasep", (2,), n=5))
         assert all(p == Fraction(1, 10) for p in tab.probs)
+
+
+def test_lattice_triples_keep_masses_inside_the_unit_interval():
+    # the 4th draw of this stream used to be a triple with a massless first layer
+    rng = random.Random(11)
+    for _ in range(60):
+        r1, r2, r3, _ = random_lattice_triple(rng)
+        assert 0 < r1.total_mass < r2.total_mass < r3.total_mass < 1
