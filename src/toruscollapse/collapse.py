@@ -6,6 +6,13 @@ half-open interval (a, b] with the original mass plus the net flux
 J(a) - J(b), where J(v) is the largest positive excess of first-layer mass
 over second-layer mass among closed intervals ending at v.
 
+On a ring and on point sets the collapse is one pass of a cyclic queue
+(queue_collapse): first-layer particles off the second layer arrive,
+free second-layer sites serve, and the queue length after a site is the
+flux there.  Point sets run it on the merged sorted order of both sets.
+The restart-loop collapse_discrete_algorithmic and the O(N^2) supremum
+discrete_flux_direct are kept as its oracles.
+
 For measures, every step works on one grid: the pair is merged once
 (measures.merge_pair) into the sorted breakpoints and atom locations of
 both, with each measure's cell density and atom mass aligned to it.  The
@@ -49,7 +56,8 @@ class CollapseError(ValueError):
 def collapse_discrete_algorithmic(
     eta1: TorusConfig, eta2: TorusConfig, order: Sequence[int] | None = None
 ) -> TorusConfig:
-    """Move particles of eta1 rightward onto free eta2 sites.
+    """Move particles of eta1 rightward onto free eta2 sites, one at a time:
+    the order-independence oracle for the queue kernel.
 
     `order` lists eta1's particle sites in processing order (default:
     ascending from site 0).  At every step the first particle in that order
@@ -85,40 +93,63 @@ def collapse_discrete_algorithmic(
             return TorusConfig.from_sites(n, occupied)
 
 
+def queue_collapse(first: Sequence[int], second: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The collapse of `first` onto `second` as one cyclic queue over 0/1
+    sequences of equal length, with sum(first) <= sum(second).
+
+    A site in `first` only is an arrival, one in `second` only a service,
+    one in both keeps its particle.  Lap 1 runs from an empty queue and
+    ends at the queue's fixed point: with no more arrivals than services,
+    every later lap ends at the same length.  Lap 2 starts there and reads
+    off, per site, whether the second-layer site is kept
+    (b and (a or q > 0), q the length before the site) and the queue length
+    after the site, which is the flux J(x).
+    """
+    q = 0
+    for a, b in zip(first, second):
+        if a > b:
+            q += 1
+        elif b > a and q:
+            q -= 1
+    kept, lengths = [], []
+    for a, b in zip(first, second):
+        if a > b:
+            q += 1
+            kept.append(0)
+        elif b > a and q:
+            q -= 1
+            kept.append(1)
+        else:
+            kept.append(a & b)
+        lengths.append(q)
+    return kept, lengths
+
+
+def _checked_queue(eta1: TorusConfig, eta2: TorusConfig) -> tuple[list[int], list[int]]:
+    if eta1.n != eta2.n:
+        raise ValueError("ring sizes differ")
+    if eta1.count > eta2.count:
+        raise CollapseError("first configuration has more particles")
+    return queue_collapse(eta1.occupied, eta2.occupied)
+
+
 def discrete_flux(eta1: TorusConfig, eta2: TorusConfig) -> tuple[int, ...]:
     """Net rightward particle flux across each bond (x, x+1).
 
     J(x) is the largest positive excess of eta1 over eta2 among cyclic
-    closed intervals ending at x; one prefix/suffix-minimum pass.
+    closed intervals ending at x: the queue length after x.  With more
+    eta1 than eta2 particles the queue has no fixed point; then an interval
+    ending at x is the ring minus one starting at x+1, so J(x) is the excess
+    plus the length after x+1 of the queue run leftward with the layers
+    swapped.
     """
     if eta1.n != eta2.n:
         raise ValueError("ring sizes differ")
-    n = eta1.n
-    d = [eta1[x] - eta2[x] for x in range(n)]
-    total = sum(d)
-    s = []
-    acc = 0
-    for x in range(n):
-        acc += d[x]
-        s.append(acc)
-    pot = [0] + s[:-1]  # prefix sum just before each candidate left end
-    pref = []
-    m = pot[0]
-    for x in range(n):
-        m = min(m, pot[x])
-        pref.append(m)
-    suf: list[int | None] = [None] * n
-    m = None
-    for x in range(n - 1, -1, -1):
-        suf[x] = m
-        m = pot[x] if m is None else min(m, pot[x])
-    out = []
-    for x in range(n):
-        best = s[x] - pref[x]
-        if suf[x] is not None:
-            best = max(best, s[x] + total - suf[x])
-        out.append(max(0, best))
-    return tuple(out)
+    if eta1.count <= eta2.count:
+        return tuple(queue_collapse(eta1.occupied, eta2.occupied)[1])
+    excess = eta1.count - eta2.count
+    back = queue_collapse(eta2.occupied[::-1], eta1.occupied[::-1])[1][::-1]
+    return tuple(excess + back[(x + 1) % eta1.n] for x in range(eta1.n))
 
 
 def discrete_flux_direct(eta1: TorusConfig, eta2: TorusConfig) -> tuple[int, ...]:
@@ -139,18 +170,10 @@ def discrete_flux_direct(eta1: TorusConfig, eta2: TorusConfig) -> tuple[int, ...
 def collapse_discrete_flux(
     eta1: TorusConfig, eta2: TorusConfig
 ) -> tuple[TorusConfig, "FluxProfile"]:
-    """Collapse via the flux ledger: count(x) = eta1(x) + J(x-1) - J(x)."""
-    if eta1.count > eta2.count:
-        raise CollapseError("first configuration has more particles")
+    """The collapse together with its flux profile, for callers that
+    report or check the flux."""
+    kept, J = _checked_queue(eta1, eta2)
     n = eta1.n
-    J = discrete_flux(eta1, eta2)
-    bits = []
-    for x in range(n):
-        v = eta1[x] + J[(x - 1) % n] - J[x]
-        if v not in (0, 1):
-            raise RuntimeError("flux ledger produced a non-binary occupancy")
-        bits.append(v)
-    result = TorusConfig(bits)
     positive = [j > 0 for j in J]
     full = all(positive)
     runs = () if full else cyclic_runs(positive)
@@ -164,12 +187,13 @@ def collapse_discrete_flux(
         ),
         full_torus=full,
     )
-    return result, profile
+    return TorusConfig(bytes(kept)), profile
 
 
 def collapse_discrete(eta1: TorusConfig, eta2: TorusConfig) -> TorusConfig:
-    """Default discrete collapse (flux route; equal to the algorithmic one)."""
-    return collapse_discrete_flux(eta1, eta2)[0]
+    """Default discrete collapse: one pass of the cyclic queue (equal to
+    the algorithmic one)."""
+    return TorusConfig(bytes(_checked_queue(eta1, eta2)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -181,33 +205,34 @@ def collapse_points(x: PointConfig, y: PointConfig) -> PointConfig:
     """Move points of x rightward onto free points of y.
 
     Points of x already sitting on y stay put; a moving point lands on the
-    nearest y-point to its right that is not currently occupied by x.
+    nearest y-point to its right that is not currently occupied by x.  The
+    result depends only on the cyclic interleaving of x and y, so it is the
+    queue collapse on their merged sorted order.
     """
     if len(x) > len(y):
         raise CollapseError("first point set is larger")
-    ypts = list(y.points)
-    yset = set(ypts)
-    current = list(x.points)
-    occupied = set(current)
-    while True:
-        moved = False
-        for idx, p in enumerate(current):
-            if p in yset:
-                continue
-            j = bisect.bisect_right(ypts, p)
-            for step in range(len(ypts)):
-                q = ypts[(j + step) % len(ypts)]
-                if q not in occupied:
-                    break
-            else:
-                raise RuntimeError("no destination point found")
-            occupied.remove(p)
-            occupied.add(q)
-            current[idx] = q
-            moved = True
-            break
-        if not moved:
-            return PointConfig(sorted(occupied))
+    xs, ys = x.points, y.points
+    merged, first, second = [], [], []
+    i = j = 0
+    while i < len(xs) or j < len(ys):
+        if j == len(ys) or (i < len(xs) and xs[i] < ys[j]):
+            merged.append(xs[i])
+            first.append(1)
+            second.append(0)
+            i += 1
+        elif i == len(xs) or ys[j] < xs[i]:
+            merged.append(ys[j])
+            first.append(0)
+            second.append(1)
+            j += 1
+        else:
+            merged.append(xs[i])
+            first.append(1)
+            second.append(1)
+            i += 1
+            j += 1
+    kept = queue_collapse(first, second)[0]
+    return PointConfig([p for p, k in zip(merged, kept) if k])
 
 
 def point_flux(x: PointConfig, y: PointConfig) -> "FluxProfile":

@@ -16,19 +16,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .collapse import atomic_measure, collapse_k
+from .collapse import atomic_measure, collapse_k, queue_collapse
 from .lattice import (
     OrderedTuple,
     PointConfig,
     TorusConfig,
-    class_label_encode,
     enumerate_configs,
     random_config,
     random_points,
 )
 from .measures import TorusMeasure
 
-MAX_SOLVE_STATES = 4000
+MAX_SOLVE_STATES = 700
 
 
 @dataclass(frozen=True)
@@ -67,26 +66,51 @@ class ProcessSpec:
 
 class StationaryTable:
     """Exact distribution over multiclass states, keyed by label vector in
-    lexicographic order."""
+    lexicographic order.
 
-    __slots__ = ("states", "probs")
+    Probabilities are stored as integer weights over one common
+    denominator, reduced by their gcd; `probs` and `prob` return them as
+    exact Fractions.
+    """
+
+    __slots__ = ("states", "weights", "denominator")
 
     def __init__(self, entries: Iterable[tuple[tuple[int, ...], Fraction]]):
+        """Table of (state, probability) pairs."""
+        items = [(s, Fraction(p)) for s, p in entries]
+        den = math.lcm(*(p.denominator for _, p in items))
+        self._set([(s, p.numerator * (den // p.denominator)) for s, p in items], den)
+
+    @classmethod
+    def from_weights(
+        cls, entries: Iterable[tuple[tuple[int, ...], int]], denominator: int
+    ) -> "StationaryTable":
+        """Table of (state, weight) pairs: probability weight / denominator."""
+        table = cls.__new__(cls)
+        table._set(entries, denominator)
+        return table
+
+    def _set(self, entries, denominator: int) -> None:
         items = sorted(entries)
-        states = tuple(s for s, _ in items)
-        probs = tuple(Fraction(p) for _, p in items)
-        if any(p < 0 for p in probs):
+        weights = [w for _, w in items]
+        if any(w < 0 for w in weights):
             raise ValueError("negative probability")
-        if sum(probs) != 1:
+        if denominator <= 0 or sum(weights) != denominator:
             raise ValueError("probabilities must sum to 1")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "probs", probs)
+        g = math.gcd(denominator, *weights)
+        object.__setattr__(self, "states", tuple(s for s, _ in items))
+        object.__setattr__(self, "weights", tuple(w // g for w in weights))
+        object.__setattr__(self, "denominator", denominator // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("StationaryTable is immutable")
 
     def __len__(self) -> int:
         return len(self.states)
+
+    @property
+    def probs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(w, self.denominator) for w in self.weights)
 
     def items(self):
         return zip(self.states, self.probs)
@@ -95,18 +119,24 @@ class StationaryTable:
         labels = tuple(labels)
         i = bisect.bisect_left(self.states, labels)
         if i < len(self.states) and self.states[i] == labels:
-            return self.probs[i]
+            return Fraction(self.weights[i], self.denominator)
         return Fraction(0)
 
     def tv_distance(self, other: "StationaryTable") -> Fraction:
-        keys = set(self.states) | set(other.states)
-        return sum(abs(self.prob(k) - other.prob(k)) for k in keys) / 2
+        mine = dict(zip(self.states, self.weights))
+        theirs = dict(zip(other.states, other.weights))
+        d1, d2 = self.denominator, other.denominator
+        diff = sum(
+            abs(mine.get(s, 0) * d2 - theirs.get(s, 0) * d1) for s in mine.keys() | theirs.keys()
+        )
+        return Fraction(diff, 2 * d1 * d2)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, StationaryTable)
             and self.states == other.states
-            and self.probs == other.probs
+            and self.weights == other.weights
+            and self.denominator == other.denominator
         )
 
     def to_json_dict(self) -> dict:
@@ -250,31 +280,38 @@ def exact_stationary(spec: ProcessSpec) -> StationaryTable:
 def pushforward_distribution(spec: ProcessSpec) -> StationaryTable:
     """Exact law of the k-fold collapse of independent uniform layers.
 
-    Enumerates the product of uniform ensembles, collapses every tuple and
-    accumulates rational probabilities on the resulting label vectors.
+    Enumerates the product of uniform ensembles as occupancy vectors, last
+    layer outermost.  Each layer is pushed through the layers after it by
+    the queue kernel, and each site is labelled by its first occupied
+    collapsed layer; tuples are counted per label vector.  A collapsed
+    tuple is nested exactly when its label vector has the spec's class
+    counts, so that is checked once per state.
     """
     if spec.model != "tasep":
         raise ValueError("exact pushforward tables exist only for the ring model")
-    n = spec.n
-    sizes = spec.layer_sizes
-    weight = Fraction(1)
-    for m in sizes:
-        weight /= math.comb(n, m)
-    acc: dict[tuple[int, ...], Fraction] = {}
-    layers = [list(enumerate_configs(n, m)) for m in sizes]
+    n, k = spec.n, spec.k
+    layers = [[c.occupied for c in enumerate_configs(n, m)] for m in spec.layer_sizes]
+    counts: dict[tuple[int, ...], int] = {}
 
-    def rec(i: int, chosen: list[TorusConfig]):
-        if i == len(layers):
-            labels = class_label_encode(list(collapse_k(chosen)))
-            acc[labels] = acc.get(labels, Fraction(0)) + weight
-            return
-        for cfg in layers[i]:
-            chosen.append(cfg)
-            rec(i + 1, chosen)
-            chosen.pop()
+    def rec(i: int, later: list, labels: tuple[int, ...]) -> None:
+        # later: the raw layers after layer i; labels: the label vector of
+        # their collapsed layers
+        for layer in layers[i]:
+            theta = layer
+            for eta in later:
+                theta = queue_collapse(theta, eta)[0]
+            lab = tuple(i + 1 if t else l for t, l in zip(theta, labels))
+            if i:
+                rec(i - 1, [layer, *later], lab)
+            else:
+                counts[lab] = counts.get(lab, 0) + 1
 
-    rec(0, [])
-    return StationaryTable(acc.items())
+    rec(k - 1, [], (0,) * n)
+    for lab in counts:
+        if tuple(lab.count(j) for j in range(1, k + 1)) != spec.class_counts:
+            raise RuntimeError(f"collapsed tuple is not nested: labels {lab}")
+    tuples = math.prod(math.comb(n, m) for m in spec.layer_sizes)
+    return StationaryTable.from_weights(counts.items(), tuples)
 
 
 def sample_invariant(spec: ProcessSpec, rng) -> OrderedTuple:
@@ -290,6 +327,12 @@ def sample_invariant(spec: ProcessSpec, rng) -> OrderedTuple:
 # ---------------------------------------------------------------------------
 # Hammersley dynamics
 # ---------------------------------------------------------------------------
+
+
+def _holds(pts: list[Fraction], u: Fraction) -> bool:
+    """Whether the sorted list pts contains u."""
+    i = bisect.bisect_left(pts, u)
+    return i < len(pts) and pts[i] == u
 
 
 def _had_apply_mark(layers: list[list[Fraction]], u: Fraction) -> None:
@@ -322,10 +365,9 @@ def had_simulate(
         t += rng.expovariate(1)
         if t >= horizon:
             return OrderedTuple([PointConfig(pts) for pts in layers]), events
-        occupied = set().union(*(set(p) for p in layers)) if layers else set()
         while True:
             u = Fraction(rng.getrandbits(53), 2**53)
-            if u not in occupied:
+            if not any(_holds(pts, u) for pts in layers):
                 break
         _had_apply_mark(layers, u)
         if record:

@@ -59,26 +59,30 @@ class TorusInterval:
 
 
 class TorusConfig:
-    """Occupation vector on Z_N with a cached particle count."""
+    """Occupation vector on Z_N, one byte per site, with a cached particle
+    count."""
 
     __slots__ = ("n", "occupied", "count")
 
     def __init__(self, occupied: Sequence[int]):
-        bits = tuple(int(b) for b in occupied)
-        if any(b not in (0, 1) for b in bits):
+        try:
+            bits = occupied if type(occupied) is bytes else bytes(map(int, occupied))
+        except ValueError:  # a value outside 0..255
+            raise ValueError("occupation values must be 0 or 1") from None
+        if bits.translate(None, b"\x00\x01"):
             raise ValueError("occupation values must be 0 or 1")
         if not bits:
             raise ValueError("ring must have at least one site")
         object.__setattr__(self, "n", len(bits))
         object.__setattr__(self, "occupied", bits)
-        object.__setattr__(self, "count", sum(bits))
+        object.__setattr__(self, "count", bits.count(1))
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("TorusConfig is immutable")
 
     @classmethod
     def from_sites(cls, n: int, sites: Sequence[int]) -> "TorusConfig":
-        bits = [0] * n
+        bits = bytearray(n)
         for x in sites:
             bits[x % n] = 1
         return cls(bits)
@@ -199,8 +203,8 @@ def validate_ordered(parts: Sequence) -> tuple[bool, str | None]:
         if isinstance(a, TorusConfig):
             if a.n != b.n:
                 return False, f"parts {i},{i+1}: ring sizes differ"
-            for x in range(a.n):
-                if a[x] > b[x]:
+            for x, (p, q) in enumerate(zip(a.occupied, b.occupied)):
+                if p > q:
                     return False, f"parts {i},{i+1}: site {x}"
         elif isinstance(a, PointConfig):
             missing = set(a.points) - set(b.points)

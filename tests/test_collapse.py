@@ -18,6 +18,7 @@ from toruscollapse.collapse import (
     flux_values_direct,
     flux_values_fast,
     point_flux,
+    queue_collapse,
 )
 from toruscollapse.lattice import PointConfig, TorusConfig
 from toruscollapse.measures import TorusMeasure, cyc_len, measure_leq
@@ -75,6 +76,22 @@ class TestDiscrete:
         if e1.count <= e2.count:
             assert collapse_discrete_flux(e1, e2)[0] == collapse_discrete_algorithmic(e1, e2)
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_queue_kernel_matches_oracles(self, data):
+        n = data.draw(st.integers(1, 40))
+        bits2 = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        bits1 = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        # keep the first layer no larger than the second
+        extra = sum(bits1) - sum(bits2)
+        for x in range(n):
+            if extra > 0 and bits1[x]:
+                bits1[x], extra = 0, extra - 1
+        e1, e2 = TorusConfig(bits1), TorusConfig(bits2)
+        kept, lengths = queue_collapse(bits1, bits2)
+        assert TorusConfig(kept) == collapse_discrete_algorithmic(e1, e2)
+        assert tuple(lengths) == discrete_flux_direct(e1, e2)
+
     def test_order_independence(self):
         rng = random.Random(4)
         e1 = cfg(0, 2, 5, 9, n=12)
@@ -113,6 +130,20 @@ class TestPoints:
                 TorusMeasure.from_atoms(x.points, 1), TorusMeasure.from_atoms(y.points, 1)
             )
             assert cm == TorusMeasure.from_atoms(cp.points, 1)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_measure_collapse_property(self, data):
+        # a coarse grid makes shared points and ties between x and y common
+        grid = data.draw(st.sampled_from([7, 30, 2**20]))
+        ys = data.draw(st.sets(st.integers(0, grid - 1), max_size=12))
+        xs = data.draw(st.sets(st.integers(0, grid - 1), max_size=len(ys)))
+        x = PointConfig([F(v, grid) for v in xs])
+        y = PointConfig([F(v, grid) for v in ys])
+        cm, _ = collapse_measure(
+            TorusMeasure.from_atoms(x.points, 1), TorusMeasure.from_atoms(y.points, 1)
+        )
+        assert TorusMeasure.from_atoms(collapse_points(x, y).points, 1) == cm
 
     def test_counting_ledger_with_left_limits(self):
         x = PointConfig([F(1, 10), F(3, 10)])

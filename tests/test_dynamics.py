@@ -1,10 +1,14 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from toruscollapse import dynamics
+from toruscollapse.collapse import queue_collapse
 from toruscollapse.dynamics import (
     ProcessSpec,
+    StationaryTable,
     bond_update,
     empirical,
     exact_stationary,
@@ -85,6 +89,42 @@ class TestExactStationary:
         with pytest.raises(ValueError, match="too large for an exact solve"):
             exact_stationary(ProcessSpec("tasep", (2, 2, 2), n=11))
 
+    def test_solve_cap_refuses_dense_solves_that_do_not_finish(self):
+        # 2520 states: the dense solve ran for minutes before the cap
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="too large for an exact solve"):
+            exact_stationary(ProcessSpec("tasep", (2, 2, 2), n=8))
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_pushforward_rejects_non_nested_collapse(self, monkeypatch):
+        def broken(first, second):
+            kept, lengths = queue_collapse(first, second)
+            return [1 - b for b in kept], lengths
+
+        monkeypatch.setattr(dynamics, "queue_collapse", broken)
+        with pytest.raises(RuntimeError, match="not nested"):
+            pushforward_distribution(ProcessSpec("tasep", (1, 1), n=4))
+
+
+class TestStationaryTable:
+    def test_fraction_and_weight_constructors_agree(self):
+        states = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+        by_fraction = StationaryTable(zip(states, [F(1, 6), F(1, 3), F(1, 2)]))
+        by_weight = StationaryTable.from_weights(zip(states, [2, 4, 6]), 12)
+        assert by_fraction == by_weight
+        assert (by_weight.weights, by_weight.denominator) == ((1, 2, 3), 6)
+        assert by_weight.probs == (F(1, 6), F(1, 3), F(1, 2))
+        assert by_weight.prob((1, 2, 0)) == F(1, 3) and by_weight.prob((0, 0, 0)) == 0
+
+    def test_weights_must_sum_to_denominator(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            StationaryTable.from_weights([((0, 1), 1), ((1, 0), 1)], 3)
+
+    def test_tv_distance(self):
+        a = StationaryTable.from_weights([((0, 1), 1), ((1, 0), 1)], 2)
+        b = StationaryTable.from_weights([((0, 1), 1), ((1, 1), 2)], 3)
+        assert a.tv_distance(b) == F(2, 3)
+
 
 class TestSimulation:
     def test_full_single_class_ring_frozen(self):
@@ -122,6 +162,22 @@ class TestSimulation:
         out, events = had_simulate([start], 20.0, rng, record=True)
         assert len(out[0]) == 1
         assert len(events) > 5
+
+    def test_had_redraws_colliding_marks(self):
+        class ScriptedRng:
+            def __init__(self, bits):
+                self.bits = iter(bits)
+
+            def expovariate(self, rate):
+                return 1.0
+
+            def getrandbits(self, k):
+                return next(self.bits)
+
+        start = [PointConfig([F(3, 2**53)]), PointConfig([F(3, 2**53), F(5, 2**53)])]
+        # the first draw of each mark hits an occupied point and is redrawn
+        _, events = had_simulate(start, 2.5, ScriptedRng([5, 7, 3, 11]), record=True)
+        assert [u for _, u in events] == [F(7, 2**53), F(11, 2**53)]
 
     def test_had_inclusion_preserved(self):
         rng = random.Random(6)

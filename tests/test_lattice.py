@@ -102,6 +102,18 @@ class TestLabels:
             assert class_label_encode(parts) == labels
 
 
+class TestTorusConfig:
+    @pytest.mark.parametrize("bits", [[0, 2], [0, -1]])
+    def test_rejects_non_binary_occupation(self, bits):
+        with pytest.raises(ValueError, match="0 or 1"):
+            TorusConfig(bits)
+
+    def test_bytes_occupation(self):
+        c = TorusConfig([1, 0, 1])
+        assert c.occupied == b"\x01\x00\x01" and c.count == 2
+        assert c == TorusConfig(b"\x01\x00\x01") == cfg(0, 2, n=3)
+
+
 class TestValidateOrdered:
     def test_configs(self):
         ok, _ = validate_ordered([TorusConfig([1, 0]), TorusConfig([1, 1])])

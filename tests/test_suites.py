@@ -1,15 +1,18 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from toruscollapse import suites
 from toruscollapse.dynamics import ProcessSpec, pushforward_distribution
 from toruscollapse.suites import (
     SUITES,
     SuiteConfig,
     derive_seed,
     random_lattice_triple,
+    random_measure,
     run_suite,
 )
 
@@ -43,6 +46,40 @@ class TestSuiteHarness:
         report = run_suite(cfg)
         assert not report.passed
         assert report.checks[0].statistic.startswith("0/1")
+
+    @pytest.mark.parametrize(
+        "suite,worker,overrides",
+        [
+            ("stationarity", "_stationarity_unit", {"ns": (3,), "ks": (2,)}),
+            ("had-invariance", "_had_unit", {"samples": 10, "seeds": (1,)}),
+        ],
+    )
+    def test_worker_exception_is_a_failed_check(self, monkeypatch, suite, worker, overrides):
+        def boom(args):
+            raise RuntimeError("worker failed")
+
+        monkeypatch.setattr(suites, worker, boom)
+        (check,) = run_suite(SuiteConfig(suite=suite, overrides=overrides)).checks
+        assert not check.passed
+        assert "worker failed" in check.statistic
+
+    def test_s2_statistic_holds_no_timing(self):
+        cfg = SuiteConfig(suite="s2-oracle", overrides={"instances": 3})
+        a, b = run_suite(cfg), run_suite(cfg)
+        assert [c.statistic for c in a.checks] == [c.statistic for c in b.checks]
+        pattern = r"3 instances: worst \|closed - oracle\| = \S+"
+        assert all(re.fullmatch(pattern, c.statistic) for c in a.checks)
+
+    def test_grid_interval_mass_matches_interval_mass(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            rho = random_measure(rng, max_atoms=3)
+            extra = {Fraction(rng.randrange(48), 48) for _ in range(4)}
+            grid = sorted({Fraction(0), *rho.breakpoints, *(a.at for a in rho.atoms)} | extra)
+            mass = suites._grid_interval_mass(rho, grid)
+            for a in grid:
+                for b in grid:
+                    assert mass(a, b) == rho.interval_mass(a, b)
 
     def test_report_written(self, tmp_path):
         cfg = SuiteConfig(suite="ldp-decay", out_dir=str(tmp_path))
