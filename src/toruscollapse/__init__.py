@@ -4,10 +4,8 @@ from .lattice import (
     OrderedTuple,
     PointConfig,
     TorusConfig,
-    TorusInterval,
     class_label_decode,
     class_label_encode,
-    discrete_excess,
     validate_ordered,
 )
 from .measures import (

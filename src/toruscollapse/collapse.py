@@ -6,21 +6,26 @@ half-open interval (a, b] with the original mass plus the net flux
 J(a) - J(b), where J(v) is the largest positive excess of first-layer mass
 over second-layer mass among closed intervals ending at v.
 
-On a ring and on point sets the collapse is one pass of a cyclic queue
-(queue_collapse): first-layer particles off the second layer arrive,
-free second-layer sites serve, and the queue length after a site is the
-flux there.  Point sets run it on the merged sorted order of both sets.
-The restart-loop collapse_discrete_algorithmic and the O(N^2) supremum
-discrete_flux_direct are kept as its oracles.
+In all three regimes the collapse is one cyclic queue: first-layer mass
+off the second layer arrives, free second-layer mass serves, and the queue
+length at a position is the flux J there.  With no more first-layer than
+second-layer mass, lap 1 from an empty queue ends at the queue's fixed
+point; lap 2 starts there and reads off what is kept and J.
 
-For measures, every step works on one grid: the pair is merged once
-(measures.merge_pair) into the sorted breakpoints and atom locations of
-both, with each measure's cell density and atom mass aligned to it.  The
-signed prefix masses of rho1 - rho2 on that grid give the flux at every
-grid position in one cyclic prefix/suffix-minimum pass (an O(B^2)
-enumeration of the defining supremum is kept as its oracle), the flux's
-positive set and the mass each of its intervals deposits, and the
-collapsed measure cell by cell.
+On a ring the queue counts particles (queue_collapse): a site in the first
+layer only is an arrival, one in the second only a service.  Point sets
+run it on the merged sorted order of both sets.  The restart-loop
+collapse_discrete_algorithmic and the O(N^2) supremum discrete_flux_direct
+are kept as its oracles.
+
+For measures the queue runs as a fluid over the pair's merged grid
+(measures.merge_pair): at a grid point q -> max(0, q + atom1 - atom2), and
+across a cell q -> max(0, q + (dens1 - dens2) * length).  Lap 2 keeps the
+atom min(atom2, q + atom1) at each grid point and rho2's density up to the
+end of {J > 0} in each cell, rho1's after it; J just before an interval's
+end is the atom the interval deposits there.  The O(B^2) enumeration
+flux_values_direct and the interval assembly
+collapse_measure_representation are kept as its oracles.
 """
 
 from __future__ import annotations
@@ -28,13 +33,12 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .lattice import OrderedTuple, PointConfig, TorusConfig
 from .measures import (
     ONE,
     ZERO,
-    PairGrid,
     TorusMeasure,
     cyc_len,
     cyclic_runs,
@@ -325,47 +329,27 @@ class FluxProfile:
         return total
 
 
-class _Sigma(NamedTuple):
-    """The signed measure sigma = rho1 - rho2 on a pair's merged grid: cell
-    densities, atoms, cell lengths, prefix masses s[j] = sigma((0, grid[j]])
-    and the total mass."""
-
-    dens: list[Fraction]
-    atom: list[Fraction]
-    lens: list[Fraction]
-    s: list[Fraction]
-    total: Fraction
-
-
-def _sigma_data(pair: PairGrid) -> _Sigma:
-    dens = [a - b for a, b in zip(pair.dens1, pair.dens2)]
-    atom = [a - b for a, b in zip(pair.atom1, pair.atom2)]
-    lens = pair.lens
-    n = len(dens)
-    s = [ZERO] * n
-    acc = ZERO
-    for j in range(1, n):
-        acc += dens[j - 1] * lens[j - 1] + atom[j]
-        s[j] = acc
-    total = acc + dens[n - 1] * lens[n - 1] + atom[0]
-    return _Sigma(dens, atom, lens, s, total)
-
-
 def flux_values_direct(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[Fraction, ...]:
     """J at every merged-grid position by full candidate enumeration: the
     O(B^2) oracle for flux_values_fast.
 
     The supremum over interval left ends is attained among closed and
     left-open starts at grid positions; interior starts are dominated.
+    With sigma = rho1 - rho2, s[j] = sigma((0, grid[j]]).
     """
-    sig = _sigma_data(merge_pair(rho1, rho2))
-    s, atom = sig.s, sig.atom
-    n = len(s)
+    pair = merge_pair(rho1, rho2)
+    atom = [a - b for a, b in zip(pair.atom1, pair.atom2)]
+    cell = [(a - b) * length for a, b, length in zip(pair.dens1, pair.dens2, pair.lens)]
+    n = len(atom)
+    s = [ZERO]
+    for j in range(1, n):
+        s.append(s[-1] + cell[j - 1] + atom[j])
+    total = s[-1] + cell[-1] + atom[0]
     out = []
     for j in range(n):
         best = ZERO
         for i in range(n):
-            wrap = sig.total if i > j else ZERO
+            wrap = total if i > j else ZERO
             e_closed = s[j] - s[i] + atom[i] + wrap
             if e_closed > best:
                 best = e_closed
@@ -376,100 +360,81 @@ def flux_values_direct(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[Fraction
 
 
 def flux_values_fast(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[Fraction, ...]:
-    """Same values as flux_values_direct in one prefix/suffix-minimum pass."""
-    return _fast_values(_sigma_data(merge_pair(rho1, rho2)))
+    """Same values as flux_values_direct, read off the fluid queue; the
+    masses must be nondecreasing."""
+    return flux_profile(rho1, rho2).values
 
 
-def _fast_values(sig: _Sigma) -> tuple[Fraction, ...]:
-    s, n = sig.s, len(sig.s)
-    pots = [min(s[i], s[i] - sig.atom[i]) for i in range(n)]
-    pref = []
-    m = pots[0]
-    for i in range(n):
-        m = min(m, pots[i])
-        pref.append(m)
-    suf: list[Fraction | None] = [None] * n
-    m = None
-    for i in range(n - 1, -1, -1):
-        suf[i] = m
-        m = pots[i] if m is None else min(m, pots[i])
-    out = []
-    for j in range(n):
-        best = s[j] - pref[j]
-        if suf[j] is not None:
-            best = max(best, s[j] + sig.total - suf[j])
-        out.append(max(ZERO, best))
-    return tuple(out)
+def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[FluxProfile, list, list, list]:
+    """The collapse of rho1 onto rho2 as the fluid queue over their merged
+    grid (module docstring).  Returns the flux profile and the collapsed
+    measure's breakpoints, densities and atoms.
 
-
-def _positive_ends(grid, values, sig: _Sigma) -> list[Fraction | None]:
-    """Per cell, where {J > 0} that starts at the cell's left end stops:
-    None when J vanishes on the open cell, else the exact root of the
-    affine flux inside the cell or, when there is none, the cell's edge."""
-    ends: list[Fraction | None] = []
-    for g, v, slope, length in zip(grid, values, sig.dens, sig.lens):
-        edge = g + length
-        root = g + v / -slope if v > 0 and slope < 0 else edge
-        ends.append(min(root, edge) if v > 0 or slope > 0 else None)
-    return ends
-
-
-def _positive_intervals(grid, values, ends, sig: _Sigma) -> tuple[tuple[JInterval, ...], bool]:
-    """Maximal intervals of {J > 0} with their excess masses, and whether
-    {J > 0} is the whole torus.
-
-    Cell j is cut into three items: the point grid[j], the open stretch up
-    to ends[j], and the stretch from there to the next grid position
-    (positive only when ends[j] is the edge).  An interval is a maximal
-    cyclic run of positive items; it is left-closed when it starts at a
-    point and ends at ends[c] of the cell c holding its last item.
+    Lap 2 reads off, per grid position, the kept atom, J there (the length
+    after the atom), the end of {J > 0} in the cell (the exact root of the
+    draining queue, the cell's edge, or None when J vanishes on the open
+    cell) and J just before that end.
     """
-    n = len(grid)
-    mask = []
-    for j in range(n):
-        mask += [values[j] > 0, ends[j] is not None, ends[j] == grid[j] + sig.lens[j]]
-    if all(mask):
-        return (), True
-    intervals = []
-    for start, length in cyclic_runs(mask):
-        i, c = start // 3, (start + length - 1) % (3 * n) // 3
-        left_closed = start % 3 == 0
-        # sigma of the open interval (grid[i], ends[c]), then the left end
-        excess = sig.s[c] + sig.dens[c] * (ends[c] - grid[c]) - sig.s[i]
-        if start + length > 3 * n:
-            excess += sig.total
-        if left_closed:
-            excess += sig.atom[i]
-        intervals.append(JInterval(grid[i], ends[c] % 1, left_closed, excess))
-    return tuple(intervals), False
-
-
-def _flux_profile(pair: PairGrid) -> tuple[FluxProfile, list[Fraction | None]]:
-    """Flux profile of a merged pair, with the positive end of each cell."""
-    sig = _sigma_data(pair)
-    values = _fast_values(sig)
-    ends = _positive_ends(pair.grid, values, sig)
-    intervals, full = _positive_intervals(pair.grid, values, ends, sig)
-    if full and sig.total < 0:
-        raise RuntimeError(
-            "positive-flux set covers the torus despite strictly smaller "
-            "first mass; flux computation is inconsistent"
-        )
+    if rho1.total_mass > rho2.total_mass:
+        raise CollapseError("first measure has more mass")
+    pair = merge_pair(rho1, rho2)
+    cells = list(zip(pair.grid, pair.lens, pair.dens1, pair.dens2, pair.atom1, pair.atom2))
+    q = ZERO
+    for _, length, d1, d2, a1, a2 in cells:
+        q = max(ZERO, q + a1 - a2)
+        q = max(ZERO, q + (d1 - d2) * length)
+    values, slopes, ends, tails, mask = [], [], [], [], []
+    bps, dens, atoms = [], [], []
+    for g, length, d1, d2, a1, a2 in cells:
+        kept = min(a2, q + a1)
+        if kept < 0:
+            raise RuntimeError("collapse produced a negative atom")
+        if kept > 0:
+            atoms.append((g, kept))
+        q = max(ZERO, q + a1 - a2)
+        slope, edge = d1 - d2, g + length
+        if q > 0 and slope < 0:
+            end = min(g + q / (d2 - d1), edge)
+        elif q > 0 or slope > 0:
+            end = edge
+        else:
+            end = None
+        at_edge = end == edge
+        values.append(q)
+        slopes.append(slope)
+        bps.append(g)
+        dens.append(d1 if end is None else d2)
+        if end is not None and not at_edge:
+            bps.append(end)
+            dens.append(d1)
+        ends.append(end)
+        mask += [q > 0, end is not None, at_edge]
+        q = max(ZERO, q + slope * length)
+        tails.append(q if at_edge else ZERO)
+    full = all(mask)
+    if full:
+        if rho1.total_mass < rho2.total_mass:
+            raise RuntimeError(
+                "positive-flux set covers the torus despite strictly smaller "
+                "first mass; flux computation is inconsistent"
+            )
+        intervals = ()
+    else:
+        # a maximal run of positive items (point, stretch up to the end,
+        # rest of the cell) is left-closed when it starts at a point
+        intervals = []
+        for start, length in cyclic_runs(mask):
+            i, c = start // 3, (start + length - 1) % len(mask) // 3
+            intervals.append(JInterval(pair.grid[i], ends[c] % 1, start % 3 == 0, tails[c]))
     profile = FluxProfile(
         domain="measure",
         positions=tuple(pair.grid),
-        values=values,
-        slopes=tuple(sig.dens),
-        intervals=intervals,
+        values=tuple(values),
+        slopes=tuple(slopes),
+        intervals=tuple(intervals),
         full_torus=full,
     )
-    return profile, ends
-
-
-def _ordered_pair(rho1: TorusMeasure, rho2: TorusMeasure) -> PairGrid:
-    if rho1.total_mass > rho2.total_mass:
-        raise CollapseError("first measure has more mass")
-    return merge_pair(rho1, rho2)
+    return profile, bps, dens, atoms
 
 
 def flux_profile(rho1: TorusMeasure, rho2: TorusMeasure) -> FluxProfile:
@@ -480,7 +445,7 @@ def flux_profile(rho1: TorusMeasure, rho2: TorusMeasure) -> FluxProfile:
     is left-closed exactly when J is positive at its left boundary.  The
     positive set can be the full torus only when the masses are equal.
     """
-    return _flux_profile(_ordered_pair(rho1, rho2))[0]
+    return _fluid_queue(rho1, rho2)[0]
 
 
 def collapse_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasure, FluxProfile]:
@@ -491,27 +456,8 @@ def collapse_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasu
     rho1's; flux jumps down deposit atoms.  The result is positive, keeps
     rho1's total mass and is dominated by rho2.
     """
-    pair = _ordered_pair(rho1, rho2)
-    profile, ends = _flux_profile(pair)
-    bps: list[Fraction] = []
-    dens: list[Fraction] = []
-    atoms: dict[Fraction, Fraction] = {}
-    for j, (start, end, edge) in enumerate(zip(pair.grid, ends, pair.grid[1:] + [ONE])):
-        bps.append(start)
-        if end is None:
-            dens.append(pair.dens1[j])
-        else:
-            dens.append(pair.dens2[j])
-            if end < edge:
-                bps.append(end)
-                dens.append(pair.dens1[j])
-        mass = pair.atom1[j] - (profile.values[j] - profile.left_limit(start))
-        if mass < 0:
-            raise RuntimeError("collapse produced a negative atom")
-        if mass > 0:
-            atoms[start] = mass
-
-    result = TorusMeasure(bps, dens, atoms.items())
+    profile, bps, dens, atoms = _fluid_queue(rho1, rho2)
+    result = TorusMeasure(bps, dens, atoms)
     if result.total_mass != rho1.total_mass:
         raise RuntimeError("collapse failed to conserve mass")
     return result, profile

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 from .collapse import atomic_measure, collapse_k, queue_collapse
 from .lattice import (
+    POINT_GRID,
     OrderedTuple,
     PointConfig,
     TorusConfig,
@@ -366,7 +367,7 @@ def had_simulate(
         if t >= horizon:
             return OrderedTuple([PointConfig(pts) for pts in layers]), events
         while True:
-            u = Fraction(rng.getrandbits(53), 2**53)
+            u = Fraction(rng.getrandbits(53), POINT_GRID)
             if not any(_holds(pts, u) for pts in layers):
                 break
         _had_apply_mark(layers, u)

@@ -1,15 +1,14 @@
 """Torus geometry and particle/point configurations.
 
-Discrete side: occupation vectors on the ring of N sites, cyclic closed
-intervals [a, b], multiclass label encodings.  Continuous side: finite sets
-of exact-rational points on the unit torus.  Everything here is an immutable
-value and every function is pure.
+Discrete side: occupation vectors on the ring of N sites and multiclass
+label encodings.  Continuous side: finite sets of exact-rational points on
+the unit torus.  Everything here is an immutable value and every function
+is pure.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -25,39 +24,6 @@ class EnumerationLimitError(ValueError):
     """Raised when an exhaustive helper would enumerate too many states."""
 
 
-@dataclass(frozen=True)
-class TorusInterval:
-    """Cyclic closed interval [a, b] on Z_N, traversed rightward.
-
-    Length is between 1 (a == b) and N (b is the left neighbour of a).
-    """
-
-    n: int
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if self.n <= 0:
-            raise ValueError("ring size must be positive")
-        if not (0 <= self.a < self.n and 0 <= self.b < self.n):
-            raise ValueError("interval endpoints must be sites of Z_N")
-
-    @property
-    def length(self) -> int:
-        return (self.b - self.a) % self.n + 1
-
-    @property
-    def wraps(self) -> bool:
-        return self.b < self.a
-
-    def sites(self) -> Iterator[int]:
-        for i in range(self.length):
-            yield (self.a + i) % self.n
-
-    def __contains__(self, site: int) -> bool:
-        return (site - self.a) % self.n <= (self.b - self.a) % self.n
-
-
 class TorusConfig:
     """Occupation vector on Z_N, one byte per site, with a cached particle
     count."""
@@ -65,10 +31,13 @@ class TorusConfig:
     __slots__ = ("n", "occupied", "count")
 
     def __init__(self, occupied: Sequence[int]):
-        try:
-            bits = occupied if type(occupied) is bytes else bytes(map(int, occupied))
-        except ValueError:  # a value outside 0..255
-            raise ValueError("occupation values must be 0 or 1") from None
+        if type(occupied) is bytes:
+            bits = occupied
+        else:
+            values = list(occupied)
+            if not all(v == 0 or v == 1 for v in values):
+                raise ValueError("occupation values must be 0 or 1")
+            bits = bytes(v == 1 for v in values)
         if bits.translate(None, b"\x00\x01"):
             raise ValueError("occupation values must be 0 or 1")
         if not bits:
@@ -85,7 +54,7 @@ class TorusConfig:
         bits = bytearray(n)
         for x in sites:
             bits[x % n] = 1
-        return cls(bits)
+        return cls(bytes(bits))
 
     def sites(self) -> tuple[int, ...]:
         return tuple(x for x, b in enumerate(self.occupied) if b)
@@ -146,15 +115,6 @@ class PointConfig:
 
     def issubset(self, other: "PointConfig") -> bool:
         return set(self.points) <= set(other.points)
-
-
-def discrete_excess(eta1: TorusConfig, eta2: TorusConfig, interval: TorusInterval) -> int:
-    """Excess of eta1 particles over eta2 particles on a cyclic interval."""
-    if eta1.n != eta2.n:
-        raise ValueError("ring sizes differ")
-    if interval.n != eta1.n:
-        raise ValueError("interval ring size differs from configuration")
-    return sum(eta1[x] - eta2[x] for x in interval.sites())
 
 
 def class_label_encode(parts: Sequence[TorusConfig]) -> tuple[int, ...]:
@@ -297,10 +257,10 @@ def enumerate_label_vectors(n: int, counts: Sequence[int]) -> Iterator[tuple[int
 
 def random_points(count: int, rng) -> PointConfig:
     """Draw `count` distinct points from the fine rational grid on [0, 1)."""
-    chosen: set[Fraction] = set()
+    chosen: set[int] = set()
     while len(chosen) < count:
-        chosen.add(Fraction(rng.getrandbits(53), POINT_GRID))
-    return PointConfig(sorted(chosen))
+        chosen.add(rng.getrandbits(53))
+    return PointConfig([Fraction(k, POINT_GRID) for k in sorted(chosen)])
 
 
 def random_config(n: int, m: int, rng) -> TorusConfig:

@@ -474,9 +474,6 @@ class CumulativeFunction:
         (t0, v0), (t1, v1) = self.knots[i], self.knots[i + 1]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
-    def value_at_point(self, u) -> Fraction:
-        return self.value_at(cyc_len(self.base.lo, frac(u) % 1))
-
     def slopes(self) -> tuple[Fraction, ...]:
         return tuple(
             (v1 - v0) / (t1 - t0)

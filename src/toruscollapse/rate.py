@@ -83,12 +83,6 @@ class EntropyKernel:
             return 0.0
         return float(x) * math.log(x / m)
 
-    def finite_at(self, x) -> bool:
-        x = frac(x)
-        if self.family == "tasep":
-            return 0 <= x <= 1
-        return x >= 0
-
     def is_zero_at(self, x) -> bool:
         """Exact pointwise zero of the kernel."""
         x = frac(x)

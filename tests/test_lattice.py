@@ -1,78 +1,26 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from toruscollapse.lattice import (
+    POINT_GRID,
     EnumerationLimitError,
     OrderedTuple,
     PointConfig,
     TorusConfig,
-    TorusInterval,
     class_label_decode,
     class_label_encode,
-    discrete_excess,
     enumerate_configs,
     enumerate_label_vectors,
+    random_points,
     validate_ordered,
 )
 
 
 def cfg(*sites, n):
     return TorusConfig.from_sites(n, sites)
-
-
-class TestTorusInterval:
-    def test_lengths(self):
-        assert TorusInterval(6, 2, 2).length == 1
-        assert TorusInterval(6, 0, 5).length == 6
-        assert TorusInterval(6, 4, 1).length == 4
-
-    def test_membership_rotation_consistent(self):
-        iv = TorusInterval(8, 6, 2)
-        inside = [x for x in range(8) if x in iv]
-        assert inside == [0, 1, 2, 6, 7]
-        shifted = TorusInterval(8, 7, 3)
-        assert [x for x in range(8) if x in shifted] == sorted((x + 1) % 8 for x in inside)
-
-    def test_rejects_bad_sites(self):
-        with pytest.raises(ValueError):
-            TorusInterval(4, 4, 0)
-
-
-class TestExcess:
-    def test_identical_configs_zero(self):
-        e = cfg(1, 3, n=5)
-        for a in range(5):
-            for b in range(5):
-                assert discrete_excess(e, e, TorusInterval(5, a, b)) == 0
-
-    def test_single_site(self):
-        e1 = cfg(0, 3, n=6)
-        e2 = cfg(1, 2, 5, n=6)
-        assert discrete_excess(e1, e2, TorusInterval(6, 0, 0)) == 1
-
-    def test_full_ring_is_count_difference(self):
-        e1 = cfg(0, 3, n=6)
-        e2 = cfg(1, 2, 5, n=6)
-        assert discrete_excess(e1, e2, TorusInterval(6, 0, 5)) == -1
-
-    @given(st.data())
-    def test_additivity(self, data):
-        n = data.draw(st.integers(2, 10))
-        bits1 = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-        bits2 = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-        e1, e2 = TorusConfig(bits1), TorusConfig(bits2)
-        a = data.draw(st.integers(0, n - 1))
-        span = data.draw(st.integers(1, n - 1))
-        cut = data.draw(st.integers(0, span - 1))
-        c = (a + span) % n
-        b = (a + cut) % n
-        whole = discrete_excess(e1, e2, TorusInterval(n, a, c))
-        left = discrete_excess(e1, e2, TorusInterval(n, a, b))
-        right = discrete_excess(e1, e2, TorusInterval(n, (b + 1) % n, c))
-        assert whole == left + right
 
 
 class TestLabels:
@@ -103,7 +51,7 @@ class TestLabels:
 
 
 class TestTorusConfig:
-    @pytest.mark.parametrize("bits", [[0, 2], [0, -1]])
+    @pytest.mark.parametrize("bits", [[0, 2], [0, -1], [0.7, 1.2, 1], ["1", "0"]])
     def test_rejects_non_binary_occupation(self, bits):
         with pytest.raises(ValueError, match="0 or 1"):
             TorusConfig(bits)
@@ -168,3 +116,13 @@ class TestPointConfig:
     def test_range_check(self):
         with pytest.raises(ValueError):
             PointConfig([Fraction(5, 4)])
+
+    @pytest.mark.parametrize("k,seed", [(0, 1), (1, 2), (50, 3), (400, 4)])
+    def test_random_points_are_sorted_distinct_grid_draws(self, k, seed):
+        rng, ref = random.Random(seed), random.Random(seed)
+        draws: set[int] = set()
+        while len(draws) < k:
+            draws.add(ref.getrandbits(53))
+        pts = random_points(k, rng)
+        assert pts.points == tuple(Fraction(d, POINT_GRID) for d in sorted(draws))
+        assert rng.getrandbits(64) == ref.getrandbits(64)
