@@ -75,6 +75,8 @@ def _parse_classes(text: str) -> tuple[int, ...]:
 
 def cmd_collapse(args) -> int:
     payload = _read_json(args.input)
+    if not isinstance(payload, dict) or "parts" not in payload:
+        raise ValueError("input must be a JSON object with a 'parts' list")
     parts = [part_from_json(p) for p in payload["parts"]]
     out = list(collapse_k(parts))
     result = {"parts": [part_to_json(p) for p in out]}
@@ -161,6 +163,8 @@ def cmd_rate_eval(args) -> int:
         kernel = EntropyKernel(args.family, frac(args.m1))
         _emit(args, {"s1": s1(rho, kernel)})
         return 0
+    if args.m2 is None:
+        raise ValueError("--rho2 needs --m2")
     rho1 = measure_from_json(_read_json(args.rho1))
     rho2 = measure_from_json(_read_json(args.rho2))
     res = s2(rho1, rho2, frac(args.m1), frac(args.m2), args.family, eq_tol=frac(args.eq_tol))

@@ -317,17 +317,6 @@ class FluxProfile:
         slope = self.slopes[j] if self.slopes else ZERO
         return max(ZERO, self.values[j] + slope * seg)
 
-    def gamma_total(self) -> Fraction:
-        """Total mass of gamma as the cyclic sum of continuous increments
-        and jumps; zero for any flux profile."""
-        total = ZERO
-        n = len(self.positions)
-        for j in range(n):
-            nxt = self.positions[(j + 1) % n]
-            total += self.left_limit(nxt) - self.values[j]
-            total += self.values[(j + 1) % n] - self.left_limit(nxt)
-        return total
-
 
 def flux_values_direct(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[Fraction, ...]:
     """J at every merged-grid position by full candidate enumeration: the

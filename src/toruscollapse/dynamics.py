@@ -76,22 +76,8 @@ class StationaryTable:
 
     __slots__ = ("states", "weights", "denominator")
 
-    def __init__(self, entries: Iterable[tuple[tuple[int, ...], Fraction]]):
-        """Table of (state, probability) pairs."""
-        items = [(s, Fraction(p)) for s, p in entries]
-        den = math.lcm(*(p.denominator for _, p in items))
-        self._set([(s, p.numerator * (den // p.denominator)) for s, p in items], den)
-
-    @classmethod
-    def from_weights(
-        cls, entries: Iterable[tuple[tuple[int, ...], int]], denominator: int
-    ) -> "StationaryTable":
+    def __init__(self, entries: Iterable[tuple[tuple[int, ...], int]], denominator: int):
         """Table of (state, weight) pairs: probability weight / denominator."""
-        table = cls.__new__(cls)
-        table._set(entries, denominator)
-        return table
-
-    def _set(self, entries, denominator: int) -> None:
         items = sorted(entries)
         weights = [w for _, w in items]
         if any(w < 0 for w in weights):
@@ -218,11 +204,14 @@ def _multiset_states(n: int, counts: Sequence[int]) -> list[tuple[int, ...]]:
     return list(enumerate_label_vectors(n, counts))
 
 
-def _solve_stationary_int(rates: list[list[int]]) -> list[Fraction]:
-    """Stationary row vector of an integer rate matrix, exactly.
+def _solve_stationary_int(rates: list[list[int]]) -> tuple[list[int], int]:
+    """Stationary row vector of an integer rate matrix, exactly, as integer
+    weights y over a positive denominator D.
 
     Solves pi Q = 0 with the normalization row appended, by fraction-free
-    (Bareiss) elimination followed by rational back-substitution.
+    (Bareiss) elimination and fraction-free back-substitution: D is the
+    last pivot, the system's determinant up to sign, so by Cramer's rule
+    every y_i = D * pi_i is an integer.
     """
     n = len(rates)
     # A = Q^T with the last equation replaced by sum(pi) = 1
@@ -245,13 +234,16 @@ def _solve_stationary_int(rates: list[list[int]]) -> list[Fraction]:
                 Mi[j] = (Mi[j] * f1 - f2 * Mc[j]) // prev
             Mi[col] = 0
         prev = M[col][col]
-    x = [Fraction(0)] * n
+    D = prev
+    y = [0] * n
     for i in range(n - 1, -1, -1):
-        s = Fraction(M[i][n])
-        for j in range(i + 1, n):
-            s -= M[i][j] * x[j]
-        x[i] = s / M[i][i]
-    return x
+        s = D * M[i][n] - sum(M[i][j] * y[j] for j in range(i + 1, n))
+        y[i], rem = divmod(s, M[i][i])
+        if rem:
+            raise RuntimeError("inexact division in the integer back-substitution")
+    if D < 0:
+        D, y = -D, [-w for w in y]
+    return y, D
 
 
 def exact_stationary(spec: ProcessSpec) -> StationaryTable:
@@ -274,8 +266,8 @@ def exact_stationary(spec: ProcessSpec) -> StationaryTable:
                 j = index[t]
                 rates[i][j] += 1
                 rates[i][i] -= 1
-    probs = _solve_stationary_int(rates)
-    return StationaryTable(zip(states, probs))
+    weights, denominator = _solve_stationary_int(rates)
+    return StationaryTable(zip(states, weights), denominator)
 
 
 def pushforward_distribution(spec: ProcessSpec) -> StationaryTable:
@@ -312,7 +304,7 @@ def pushforward_distribution(spec: ProcessSpec) -> StationaryTable:
         if tuple(lab.count(j) for j in range(1, k + 1)) != spec.class_counts:
             raise RuntimeError(f"collapsed tuple is not nested: labels {lab}")
     tuples = math.prod(math.comb(n, m) for m in spec.layer_sizes)
-    return StationaryTable.from_weights(counts.items(), tuples)
+    return StationaryTable(counts.items(), tuples)
 
 
 def sample_invariant(spec: ProcessSpec, rng) -> OrderedTuple:

@@ -84,13 +84,15 @@ class PointConfig:
     __slots__ = ("points",)
 
     def __init__(self, points: Sequence[Fraction]):
-        pts = tuple(sorted(Fraction(p) for p in points))
-        for p in pts:
-            if not (0 <= p < 1):
-                raise ValueError("points must lie in [0, 1)")
-        if len(set(pts)) != len(pts):
+        pts = [p if isinstance(p, Fraction) else Fraction(p) for p in points]
+        increasing = all(a < b for a, b in zip(pts, pts[1:]))
+        if not increasing:
+            pts.sort()
+        if pts and not (0 <= pts[0] and pts[-1] < 1):
+            raise ValueError("points must lie in [0, 1)")
+        if not increasing and any(a == b for a, b in zip(pts, pts[1:])):
             raise ValueError("points must be distinct")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", tuple(pts))
 
     def __setattr__(self, name, value):
         raise AttributeError("PointConfig is immutable")

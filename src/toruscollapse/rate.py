@@ -9,6 +9,10 @@ profile is charged everywhere.  A dynamic program over discretized
 monotone cumulatives provides an independent variational oracle, and for
 three or more layers only such oracles exist here.
 
+Both minimizers of the contraction identities are collapses: of the
+constant profile onto the total profile, and of the mirrored first layer
+onto a constant.  The rate's unique zero is the constant pair.
+
 All cell data stays rational; floating point enters through log only.
 """
 
@@ -27,16 +31,19 @@ from .measures import (
     PlateauDecomposition,
     TorusMeasure,
     cumulative,
-    cyc_len,
-    cyclic_runs,
     envelope_density,
     frac,
     measure_leq,
+    merge_pair,
     plateau_set,
     refined_cells,
 )
 
 INF = math.inf
+# uniform value levels per position added to the chords in _plateau_dp_min
+DP_EXTRA_LEVELS = 16
+# values within this distance of the best count as near-minimizers in sk_oracle
+TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -161,6 +168,8 @@ def s2(
         return RateResult.infinite()
     if not measure_leq(rho1, rho2):
         return RateResult.infinite()
+    # the rate's unique zero is the constant pair
+    exact_zero = rho1 == TorusMeasure.constant(m1) and rho2 == TorusMeasure.constant(m2)
     if m1 == m2:
         if rho1 != rho2:
             return RateResult.infinite()
@@ -169,7 +178,7 @@ def s2(
         return RateResult(
             value=val,
             finite=True,
-            exact_zero=rho1 == TorusMeasure.constant(m1),
+            exact_zero=exact_zero,
             diagonal=True,
             plateau=PlateauDecomposition((), full_torus=True),
             envelope_densities=(),
@@ -188,11 +197,6 @@ def s2(
     )
     env_measures = []
     plateau_terms = []
-    zero_cert = all(
-        k1.is_zero_at(rho1.density_at(mid))
-        for _, _, mid in refined_cells([*rho1.breakpoints, *cuts])
-        if not plateau.covers(mid)
-    )
     for arc in plateau.intervals:
         env = envelope_density(rho1, arc)
         env_measures.append(env)
@@ -200,18 +204,12 @@ def s2(
             env, k1, (arc.lo, arc.hi), predicate=lambda mid, a=arc: mid in a
         )
         plateau_terms.append(term)
-        zero_cert = zero_cert and all(
-            env.density_at(mid) == m1
-            for _, _, mid in refined_cells([*env.breakpoints, arc.lo, arc.hi])
-            if mid in arc
-        )
     second = _integrate_kernel(rho2, k2)
-    zero_cert = zero_cert and rho2 == TorusMeasure.constant(m2)
     value = complement + sum(plateau_terms) + second
     return RateResult(
         value=value,
         finite=True,
-        exact_zero=zero_cert,
+        exact_zero=exact_zero,
         diagonal=False,
         plateau=plateau,
         envelope_densities=tuple(env_measures),
@@ -261,9 +259,7 @@ def preimage_conditions(
     return True
 
 
-def _plateau_dp_min(
-    F: CumulativeFunction, kernel: EntropyKernel, bounded: bool, extra_levels: int = 16
-) -> float:
+def _plateau_dp_min(F: CumulativeFunction, kernel: EntropyKernel, bounded: bool) -> float:
     """Minimal kernel integral over monotone piecewise-linear cumulatives
     that dominate F, start at 0 and end at F's final value.
 
@@ -289,8 +285,8 @@ def _plateau_dp_min(
                 if fvals[j] <= chord <= T:
                     vals.add(chord)
         if T > fvals[j]:
-            step = (T - fvals[j]) / extra_levels
-            for l in range(extra_levels + 1):
+            step = (T - fvals[j]) / DP_EXTRA_LEVELS
+            for l in range(DP_EXTRA_LEVELS + 1):
                 vals.add(fvals[j] + step * l)
         levels.append(sorted(vals))
     levels[0] = [ZERO]
@@ -319,7 +315,6 @@ def s2_oracle(
     m1,
     m2,
     family: str = "tasep",
-    extra_levels: int = 16,
 ) -> float:
     """Variational two-layer rate: minimize the product-law integral over
     the preimage of the pair, parameterized by the plateau cumulatives.
@@ -344,7 +339,7 @@ def s2_oracle(
     )
     for arc in plateau.intervals:
         F = cumulative(rho2, arc)
-        total += _plateau_dp_min(F, k1, bounded=(family == "tasep"), extra_levels=extra_levels)
+        total += _plateau_dp_min(F, k1, bounded=(family == "tasep"))
     return total
 
 
@@ -365,60 +360,33 @@ def minimizer_rho1(rho2: TorusMeasure, m1, family: str = "tasep") -> TorusMeasur
     return result
 
 
+def _mirror(rho: TorusMeasure) -> TorusMeasure:
+    """The density u -> rho(-u): the cell [b_i, b_{i+1}) becomes
+    (-b_{i+1}, -b_i]."""
+    edges = [*rho.breakpoints[1:], ONE]
+    return TorusMeasure([ONE - e for e in reversed(edges)], rho.densities[::-1])
+
+
 def minimizer_rho2(rho1: TorusMeasure, m2) -> TorusMeasure:
     """Total profile of least two-layer rate at a given first-layer profile.
 
-    Equal to the first-layer profile on certain intervals stretching left
-    from each excursion of the profile above m2, and to the constant m2
-    elsewhere; each interval's left end makes the signed area of
-    (m2 - profile) up to the excursion's right end vanish.
+    Like minimizer_rho1, a collapse, here run right to left: rho1's excess
+    over m2 queues leftward from each excursion above m2 until m2 - rho1
+    drains it.  The collapse of the mirrored rho1 onto the constant m2
+    holds m2 where that queue is positive and rho1 elsewhere; the minimizer
+    takes the other value on each cell, so it equals rho1 on the stretches
+    of the queue and m2 off them.
     """
     m2 = frac(m2)
     if not rho1.is_absolutely_continuous:
         raise ValueError("first-layer profile must be a density")
-    m1 = rho1.total_mass
-    if not m1 < m2:
+    if not rho1.total_mass < m2:
         raise ValueError("total mass must strictly exceed the first-layer mass")
-    grid = list(rho1.breakpoints)
-    ncells = len(grid)
-    edges = grid + [ONE]
-    over = [d > m2 for d in rho1.densities]
-    if all(over):
-        raise RuntimeError("profile above m2 everywhere contradicts the masses")
-
-    stretches: list[tuple[Fraction, Fraction]] = []  # [w, right end]
-    for first, length in cyclic_runs(over):  # the excursions above m2
-        right = edges[(first + length - 1) % ncells + 1] % 1
-        g = ZERO
-        for off in range(length):
-            c = (first + off) % ncells
-            g += (m2 - rho1.densities[c]) * (edges[c + 1] - edges[c])
-        # walk leftward until the signed area vanishes
-        c = (first - 1) % ncells
-        steps = 0
-        w = grid[first]
-        while g < 0:
-            steps += 1
-            if steps > 2 * ncells + 2:
-                raise RuntimeError("left endpoint search failed to terminate")
-            d = rho1.densities[c]
-            seg = edges[c + 1] - edges[c]
-            gain = (m2 - d) * seg
-            if g + gain >= 0 and gain > 0:
-                w = edges[c + 1] - (-g) / (m2 - d)
-                g = ZERO
-            else:
-                g += gain
-                w = grid[c]
-                c = (c - 1) % ncells
-        stretches.append((w % 1, right))
-
-    def in_stretch(u: Fraction) -> bool:
-        return any(cyc_len(w, u) < cyc_len(w, r) for w, r in stretches)
-
-    cells = refined_cells([*grid, *(p for stretch in stretches for p in stretch)])
-    dens = [rho1.density_at(mid) if in_stretch(mid) else m2 for _, _, mid in cells]
-    out = TorusMeasure([lo for lo, _, _ in cells], dens)
+    kept = collapse_measure(_mirror(rho1), TorusMeasure.constant(m2))[0]
+    if kept.atoms:
+        raise RuntimeError("collapse of a density onto a constant deposited atoms")
+    pair = merge_pair(rho1, _mirror(kept))
+    out = TorusMeasure(pair.grid, [d1 + m2 - k for d1, k in zip(pair.dens1, pair.dens2)])
     if out.total_mass != m2:
         raise RuntimeError("constructed total profile has the wrong mass")
     return out
@@ -515,23 +483,11 @@ def lattice_measures(cells: int, units: int, quantum: Fraction, family: str):
         yield TorusMeasure(bps, dens)
 
 
-def sk_oracle(
-    rhos: Sequence[TorusMeasure],
-    family: str,
-    quantum,
-    cells: int,
-    tie_tol: float = 1e-9,
-) -> dict:
-    """Brute-force multilayer rate: minimize the product-law integral over
-    quantized tuples whose k-fold collapse reproduces the target tuple.
-
-    Exhaustive for up to three layers on coarse grids; reports the best
-    value, the witness tuple and how many near-minimizers were seen (the
-    preimage set need not be convex, so uniqueness is never claimed).
-    """
-    k = len(rhos)
-    if k not in (2, 3):
-        raise ValueError("oracle supports two or three layers")
+def _quantized_masses(
+    rhos: Sequence[TorusMeasure], quantum, cells: int
+) -> tuple[list[Fraction], list[int]]:
+    """Layer masses and their counts of the quantum, for the oracles that
+    enumerate quantized profiles on at most 12 uniform cells."""
     if cells > 12:
         raise ValueError("oracle grids are capped at 12 cells")
     quantum = frac(quantum)
@@ -542,11 +498,22 @@ def sk_oracle(
         if u.denominator != 1:
             raise ValueError("layer masses must be multiples of the quantum")
         units.append(int(u))
+    return masses, units
+
+
+def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) -> dict:
+    """Brute-force multilayer rate: minimize the product-law integral over
+    quantized tuples whose k-fold collapse reproduces the target tuple.
+
+    Exhaustive for up to three layers on coarse grids; reports the best
+    value, the witness tuple and how many near-minimizers were seen (the
+    preimage set need not be convex, so uniqueness is never claimed).
+    """
+    k = len(rhos)
+    if k not in (2, 3):
+        raise ValueError("oracle supports two or three layers")
+    masses, units = _quantized_masses(rhos, quantum, cells)
     kernels = [EntropyKernel(family, m) for m in masses]
-
-    def layer_cost(psi: TorusMeasure, kern: EntropyKernel) -> float:
-        return _integrate_kernel(psi, kern)
-
     best = INF
     best_tuple = None
     near = 0
@@ -556,23 +523,23 @@ def sk_oracle(
             if collapse_measure(psi1, rhos[1])[0] != rhos[0]:
                 continue
             feasible += 1
-            val = layer_cost(psi1, kernels[0]) + layer_cost(rhos[1], kernels[1])
-            best, best_tuple, near = _track(best, best_tuple, near, val, (psi1, rhos[1]), tie_tol)
+            val = _integrate_kernel(psi1, kernels[0]) + _integrate_kernel(rhos[1], kernels[1])
+            best, best_tuple, near = _track(best, best_tuple, near, val, (psi1, rhos[1]))
     else:
-        base = layer_cost(rhos[2], kernels[2])
+        base = _integrate_kernel(rhos[2], kernels[2])
         psi1_pool = list(lattice_measures(cells, units[0], quantum, family))
         for psi2 in lattice_measures(cells, units[1], quantum, family):
             if collapse_measure(psi2, rhos[2])[0] != rhos[1]:
                 continue
-            mid_cost = layer_cost(psi2, kernels[1])
+            mid_cost = _integrate_kernel(psi2, kernels[1])
             for psi1 in psi1_pool:
                 inner = collapse_measure(psi1, psi2)[0]
                 if collapse_measure(inner, rhos[2])[0] != rhos[0]:
                     continue
                 feasible += 1
-                val = base + mid_cost + layer_cost(psi1, kernels[0])
+                val = base + mid_cost + _integrate_kernel(psi1, kernels[0])
                 best, best_tuple, near = _track(
-                    best, best_tuple, near, val, (psi1, psi2, rhos[2]), tie_tol
+                    best, best_tuple, near, val, (psi1, psi2, rhos[2])
                 )
     return {
         "value": best,
@@ -582,10 +549,10 @@ def sk_oracle(
     }
 
 
-def _track(best, best_tuple, near, val, tup, tol):
-    if val < best - tol:
+def _track(best, best_tuple, near, val, tup):
+    if val < best - TIE_TOL:
         return val, tup, 1
-    if abs(val - best) <= tol:
+    if abs(val - best) <= TIE_TOL:
         return min(best, val), best_tuple if val >= best else tup, near + 1
     return best, best_tuple, near
 
@@ -598,14 +565,7 @@ def s3_recursive(
     pairs that collapse onto the first two layers under the last."""
     if len(rhos) != 3:
         raise ValueError("recursion route needs exactly three layers")
-    quantum = frac(quantum)
-    masses = [r.total_mass for r in rhos]
-    units = []
-    for m in masses:
-        u = m / quantum
-        if u.denominator != 1:
-            raise ValueError("layer masses must be multiples of the quantum")
-        units.append(int(u))
+    masses, units = _quantized_masses(rhos, quantum, cells)
     base = _integrate_kernel(rhos[2], EntropyKernel(family, masses[2]))
     phi1_pool = [
         p

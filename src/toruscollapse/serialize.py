@@ -47,6 +47,8 @@ def part_to_json(part) -> dict:
 
 
 def part_from_json(data: dict):
+    if not isinstance(data, dict) or "type" not in data or "data" not in data:
+        raise ValueError("each part must be a JSON object with 'type' and 'data'")
     kind = data["type"]
     if kind == "config":
         return config_from_json(data["data"])

@@ -374,9 +374,6 @@ def suite_measure_collapse(cfg: SuiteConfig) -> list[CheckResult]:
             if any(mass_c(a, b) != mass_1(a, b) + J[a] - J[b] for a in grid for b in grid):
                 bad.append((t, "ledger identity"))
                 continue
-            if prof.gamma_total() != 0:
-                bad.append((t, "gamma mass"))
-                continue
             if c.total_mass != r1.total_mass:
                 bad.append((t, "mass"))
                 continue

@@ -50,7 +50,7 @@ def test_criterion_04_commutation():
 
 def test_criterion_05_measure_collapse_representation():
     # 10^3 piecewise+atomic pairs: interval ledger output equals the
-    # restriction-plus-atoms representation; gamma has mass zero;
+    # restriction-plus-atoms representation; mass is conserved;
     # domination verified on the full grid
     _run("measure-collapse", "criterion 5")
 

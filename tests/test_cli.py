@@ -230,3 +230,29 @@ class TestCli:
         assert code == 2
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err
+
+    def test_rate_eval_without_m2_is_one_line_exit_two(self, capsys, tmp_path):
+        rho = tmp_path / "rho.json"
+        rho.write_text(json.dumps(TorusMeasure.constant(F(1, 2)).to_json_dict()))
+        code = main(["rate-eval", "--rho1", str(rho), "--rho2", str(rho), "--m1", "1/2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == ["toruscollapse rate-eval: error: --rho2 needs --m2"]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"pieces": []},
+            [],
+            {"parts": [{"data": [1, 0]}]},
+            {"parts": [{"type": "config"}]},
+        ],
+    )
+    def test_malformed_collapse_input_is_one_line_exit_two(self, capsys, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code = main(["collapse", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("toruscollapse collapse: error: ")

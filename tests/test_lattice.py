@@ -110,12 +110,17 @@ class TestPointConfig:
     def test_distinct_sorted(self):
         p = PointConfig([Fraction(3, 4), Fraction(1, 4)])
         assert p.points == (Fraction(1, 4), Fraction(3, 4))
-        with pytest.raises(ValueError):
-            PointConfig([Fraction(1, 4), Fraction(1, 4)])
+        mixed = PointConfig(["1/2", 0, Fraction(1, 4)])
+        assert mixed.points == (Fraction(0), Fraction(1, 4), Fraction(1, 2))
+        assert all(type(x) is Fraction for x in mixed.points)
+        for dup in ([Fraction(1, 4), Fraction(1, 4)], [Fraction(1, 2), 0, "1/2"]):
+            with pytest.raises(ValueError, match="distinct"):
+                PointConfig(dup)
 
     def test_range_check(self):
-        with pytest.raises(ValueError):
-            PointConfig([Fraction(5, 4)])
+        for bad in ([Fraction(5, 4)], [Fraction(-1, 4), Fraction(1, 2)], [Fraction(1, 4), 1]):
+            with pytest.raises(ValueError, match=r"\[0, 1\)"):
+                PointConfig(bad)
 
     @pytest.mark.parametrize("k,seed", [(0, 1), (1, 2), (50, 3), (400, 4)])
     def test_random_points_are_sorted_distinct_grid_draws(self, k, seed):

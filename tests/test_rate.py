@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from toruscollapse.collapse import collapse_measure
-from toruscollapse.measures import TorusMeasure, measure_leq
+from toruscollapse.measures import TorusMeasure, measure_leq, merge_pair
 from toruscollapse.rate import (
     EntropyKernel,
     contraction_identity_check,
@@ -346,6 +346,36 @@ class TestMinimizers:
             assert out.total_mass == m1
             assert measure_leq(out, rho2)
 
+    @pytest.mark.parametrize("family", ["tasep", "had"])
+    def test_total_profile_properties(self, family):
+        # random profiles on coarse grids, some with an excursion through 0,
+        # against total masses from just above the first-layer mass upward
+        rng = random.Random(47 if family == "tasep" else 53)
+        top = 12 if family == "tasep" else 36
+        checked = 0
+        while checked < 150:
+            denom = rng.choice((7, 12, 24, 60))
+            cells = rng.randint(1, min(12, denom))
+            bps = sorted({0, *rng.sample(range(denom), cells - 1)})
+            dens = [F(rng.randint(0, top), 12) for _ in bps]
+            if rng.random() < 0.3:
+                dens[0] = dens[-1] = F(top, 12)
+            rho1 = TorusMeasure([F(b, denom) for b in bps], dens)
+            m1 = rho1.total_mass
+            cap = F(1) if family == "tasep" else m1 + 3
+            if not 0 < m1 < cap - F(1, 10**6):
+                continue
+            step = F(1, 10**6) if rng.random() < 0.25 else (cap - m1) * F(rng.randint(1, 99), 100)
+            m2 = m1 + step
+            out = minimizer_rho2(rho1, m2)
+            assert out.total_mass == m2
+            assert measure_leq(rho1, out)
+            pair = merge_pair(rho1, out)
+            assert all(d2 in (d1, m2) for d1, d2 in zip(pair.dens1, pair.dens2))
+            res = contraction_identity_check(rho1, family, m_total=m2)
+            assert res["total_layer_residual"] <= 1e-12
+            checked += 1
+
     def test_mass_ordering_required(self):
         with pytest.raises(ValueError):
             minimizer_rho1(TorusMeasure.constant(F(1, 4)), F(1, 2))
@@ -427,4 +457,8 @@ class TestMultilayerOracle:
                 "tasep",
                 F(1, 8),
                 16,
+            )
+        with pytest.raises(ValueError, match="capped at 12 cells"):
+            s3_recursive(
+                [TorusMeasure.constant(F(k, 26)) for k in (1, 2, 3)], "tasep", F(1, 26), 13
             )
