@@ -25,7 +25,6 @@ from .collapse import (
     JInterval,
     collapse_discrete,
     collapse_discrete_algorithmic,
-    collapse_discrete_flux,
     collapse_k,
     collapse_measure,
     collapse_points,

@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import __version__
-from .collapse import collapse_discrete_flux, collapse_k, flux_profile, point_flux
+from .collapse import atomic_measure, collapse_k, flux_profile
 from .dynamics import (
     ProcessSpec,
     exact_stationary,
@@ -24,7 +24,7 @@ from .dynamics import (
     tasep_simulate,
 )
 from .lattice import class_label_encode
-from .measures import frac
+from .measures import TorusMeasure, frac
 from .rate import (
     EntropyKernel,
     ldp_decay_exact,
@@ -81,13 +81,10 @@ def cmd_collapse(args) -> int:
     out = list(collapse_k(parts))
     result = {"parts": [part_to_json(p) for p in out]}
     if len(parts) == 2:
-        if args.regime == "measure":
-            prof = flux_profile(parts[0], parts[1])
-        elif args.regime == "points":
-            prof = point_flux(parts[0], parts[1])
-        else:
-            prof = collapse_discrete_flux(parts[0], parts[1])[1]
-        result["flux"] = flux_to_json(prof)
+        # configurations and point sets report the flux of their unit-atom
+        # encodings, which takes the integer flux's values at their sites
+        pair = [p if isinstance(p, TorusMeasure) else atomic_measure(p, 1) for p in parts]
+        result["flux"] = flux_to_json(flux_profile(*pair))
     _emit(args, result)
     return 0
 
@@ -270,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("collapse", parents=[common], help="collapse a JSON tuple")
     c.add_argument("input", help="JSON file with {'parts': [...]} or - for stdin")
-    c.add_argument("--regime", choices=("discrete", "points", "measure"), default="measure")
     c.set_defaults(fn=cmd_collapse)
 
     c = sub.add_parser("simulate", parents=[common], help="run the dynamics")

@@ -13,8 +13,9 @@ second-layer mass, lap 1 from an empty queue ends at the queue's fixed
 point; lap 2 starts there and reads off what is kept and J.
 
 On a ring the queue counts particles (queue_collapse): a site in the first
-layer only is an arrival, one in the second only a service.  Point sets
-run it on the merged sorted order of both sets.  The restart-loop
+layer only is an arrival, one in the second only a service, and the queue
+lengths are the integer flux (discrete_flux).  Point sets run it on the
+merged sorted order of both sets.  The restart-loop
 collapse_discrete_algorithmic and the O(N^2) supremum discrete_flux_direct
 are kept as its oracles.
 
@@ -26,6 +27,11 @@ end of {J > 0} in each cell, rho1's after it; J just before an interval's
 end is the atom the interval deposits there.  The O(B^2) enumeration
 flux_values_direct and the interval assembly
 collapse_measure_representation are kept as its oracles.
+
+A FluxProfile always describes a measure pair.  Configurations and point
+sets get one through their unit-atom encodings, atomic_measure(p, 1):
+embedding commutes with collapsing, so its values at the sites are the
+integer flux.
 """
 
 from __future__ import annotations
@@ -141,19 +147,9 @@ def discrete_flux(eta1: TorusConfig, eta2: TorusConfig) -> tuple[int, ...]:
     """Net rightward particle flux across each bond (x, x+1).
 
     J(x) is the largest positive excess of eta1 over eta2 among cyclic
-    closed intervals ending at x: the queue length after x.  With more
-    eta1 than eta2 particles the queue has no fixed point; then an interval
-    ending at x is the ring minus one starting at x+1, so J(x) is the excess
-    plus the length after x+1 of the queue run leftward with the layers
-    swapped.
+    closed intervals ending at x: the queue length after x.
     """
-    if eta1.n != eta2.n:
-        raise ValueError("ring sizes differ")
-    if eta1.count <= eta2.count:
-        return tuple(queue_collapse(eta1.occupied, eta2.occupied)[1])
-    excess = eta1.count - eta2.count
-    back = queue_collapse(eta2.occupied[::-1], eta1.occupied[::-1])[1][::-1]
-    return tuple(excess + back[(x + 1) % eta1.n] for x in range(eta1.n))
+    return tuple(_checked_queue(eta1, eta2)[1])
 
 
 def discrete_flux_direct(eta1: TorusConfig, eta2: TorusConfig) -> tuple[int, ...]:
@@ -169,29 +165,6 @@ def discrete_flux_direct(eta1: TorusConfig, eta2: TorusConfig) -> tuple[int, ...
             best = max(best, acc)
         out.append(best)
     return tuple(out)
-
-
-def collapse_discrete_flux(
-    eta1: TorusConfig, eta2: TorusConfig
-) -> tuple[TorusConfig, "FluxProfile"]:
-    """The collapse together with its flux profile, for callers that
-    report or check the flux."""
-    kept, J = _checked_queue(eta1, eta2)
-    n = eta1.n
-    positive = [j > 0 for j in J]
-    full = all(positive)
-    runs = () if full else cyclic_runs(positive)
-    profile = FluxProfile(
-        domain="discrete",
-        positions=tuple(range(n)),
-        values=tuple(Fraction(j) for j in J),
-        slopes=None,
-        intervals=tuple(
-            JInterval(Fraction(i), Fraction((i + length) % n), True, ZERO) for i, length in runs
-        ),
-        full_torus=full,
-    )
-    return TorusConfig(bytes(kept)), profile
 
 
 def collapse_discrete(eta1: TorusConfig, eta2: TorusConfig) -> TorusConfig:
@@ -239,13 +212,6 @@ def collapse_points(x: PointConfig, y: PointConfig) -> PointConfig:
     return PointConfig([p for p, k in zip(merged, kept) if k])
 
 
-def point_flux(x: PointConfig, y: PointConfig) -> "FluxProfile":
-    """Flux profile of the pair of unit-atom encodings of x and y."""
-    mu = TorusMeasure.from_atoms(x.points, 1)
-    nu = TorusMeasure.from_atoms(y.points, 1)
-    return flux_profile(mu, nu)
-
-
 # ---------------------------------------------------------------------------
 # measures
 # ---------------------------------------------------------------------------
@@ -276,36 +242,31 @@ class JInterval:
 
 @dataclass(frozen=True)
 class FluxProfile:
-    """Flux J over a refined grid, with its positive set and increments.
+    """Flux J of a measure pair over their merged grid, with its positive
+    set and increments.
 
-    For measures, J is affine with slope slopes[j] on the open cell right of
+    J is affine with slope slopes[j] on the open cell right of
     positions[j], clipped at zero; values[j] = J(positions[j]) and J is
     right-continuous.  The signed difference measure gamma is determined by
     J through gamma((a, b]) = J(b) - J(a) and has total mass zero.
     """
 
-    domain: str
     positions: tuple
     values: tuple
-    slopes: tuple | None
+    slopes: tuple
     intervals: tuple[JInterval, ...]
     full_torus: bool = False
 
     def at(self, v) -> Fraction:
         """Exact J(v) at any point of the torus."""
-        if self.domain == "discrete":
-            return self.values[int(v) % len(self.positions)]
         v = frac(v) % 1
         j = bisect.bisect_right(self.positions, v) - 1
         if self.positions[j] == v:
             return self.values[j]
-        slope = self.slopes[j] if self.slopes else ZERO
-        return max(ZERO, self.values[j] + slope * (v - self.positions[j]))
+        return max(ZERO, self.values[j] + self.slopes[j] * (v - self.positions[j]))
 
     def left_limit(self, v) -> Fraction:
         """Exact J(v-) at any point of the torus."""
-        if self.domain == "discrete":
-            return self.values[(int(v) - 1) % len(self.positions)]
         v = frac(v) % 1
         j = bisect.bisect_right(self.positions, v) - 1
         if self.positions[j] == v:
@@ -314,13 +275,12 @@ class FluxProfile:
             seg = end - self.positions[j]
         else:
             seg = v - self.positions[j]
-        slope = self.slopes[j] if self.slopes else ZERO
-        return max(ZERO, self.values[j] + slope * seg)
+        return max(ZERO, self.values[j] + self.slopes[j] * seg)
 
 
 def flux_values_direct(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[Fraction, ...]:
     """J at every merged-grid position by full candidate enumeration: the
-    O(B^2) oracle for flux_values_fast.
+    O(B^2) oracle for flux_profile.
 
     The supremum over interval left ends is attained among closed and
     left-open starts at grid positions; interior starts are dominated.
@@ -346,12 +306,6 @@ def flux_values_direct(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[Fraction
                 best = e_closed - atom[i]
         out.append(best)
     return tuple(out)
-
-
-def flux_values_fast(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[Fraction, ...]:
-    """Same values as flux_values_direct, read off the fluid queue; the
-    masses must be nondecreasing."""
-    return flux_profile(rho1, rho2).values
 
 
 def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[FluxProfile, list, list, list]:
@@ -416,7 +370,6 @@ def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[FluxProfile, l
             i, c = start // 3, (start + length - 1) % len(mask) // 3
             intervals.append(JInterval(pair.grid[i], ends[c] % 1, start % 3 == 0, tails[c]))
     profile = FluxProfile(
-        domain="measure",
         positions=tuple(pair.grid),
         values=tuple(values),
         slopes=tuple(slopes),
@@ -511,8 +464,11 @@ def _collapse_binary(a, b):
 
 def collapse_k(parts: Sequence) -> OrderedTuple:
     """k-fold collapse: the last layer is kept, and layer i is pushed
-    through layers i+1, ..., k in turn.  Masses must be nondecreasing."""
+    through layers i+1, ..., k in turn.  The parts must be of one type and
+    their masses nondecreasing."""
     parts = list(parts)
+    if len({type(p) for p in parts}) > 1:
+        raise ValueError("parts must all be of one type")
     masses = [_mass_of(p) for p in parts]
     if any(m1 > m2 for m1, m2 in zip(masses, masses[1:])):
         raise CollapseError("masses must be nondecreasing")

@@ -23,6 +23,7 @@ from .lattice import (
     PointConfig,
     TorusConfig,
     enumerate_configs,
+    enumerate_label_vectors,
     random_config,
     random_points,
 )
@@ -198,12 +199,6 @@ def tasep_state_frequencies(
     return {s: c / steps for s, c in counts.items()}
 
 
-def _multiset_states(n: int, counts: Sequence[int]) -> list[tuple[int, ...]]:
-    from .lattice import enumerate_label_vectors
-
-    return list(enumerate_label_vectors(n, counts))
-
-
 def _solve_stationary_int(rates: list[list[int]]) -> tuple[list[int], int]:
     """Stationary row vector of an integer rate matrix, exactly, as integer
     weights y over a positive denominator D.
@@ -252,7 +247,7 @@ def exact_stationary(spec: ProcessSpec) -> StationaryTable:
     if spec.model != "tasep":
         raise ValueError("exact stationary tables exist only for the ring model")
     n, k = spec.n, spec.k
-    states = _multiset_states(n, spec.class_counts)
+    states = list(enumerate_label_vectors(n, spec.class_counts))
     if len(states) > MAX_SOLVE_STATES:
         raise ValueError("state space too large for an exact solve")
     index = {s: i for i, s in enumerate(states)}

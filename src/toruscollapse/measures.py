@@ -263,12 +263,35 @@ class TorusMeasure:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "TorusMeasure":
+    def from_json_dict(cls, d) -> "TorusMeasure":
+        """Inverse of to_json_dict.  Raises ValueError unless d is a dict
+        holding 'breakpoints' and 'densities' lists and, optionally, an
+        'atoms' list of {'at', 'mass'} objects, with every value a "p/q"
+        string or an integer."""
+        if not isinstance(d, dict):
+            raise ValueError("a measure must be a JSON object")
+        atoms = d.get("atoms", [])
+        if not isinstance(atoms, list) or not all(
+            isinstance(a, dict) and "at" in a and "mass" in a for a in atoms
+        ):
+            raise ValueError("a measure's 'atoms' must be a list of {'at', 'mass'} objects")
         return cls(
-            [frac(b) for b in d["breakpoints"]],
-            [frac(x) for x in d["densities"]],
-            [(frac(a["at"]), frac(a["mass"])) for a in d.get("atoms", [])],
+            _json_rationals(d.get("breakpoints"), "breakpoints"),
+            _json_rationals(d.get("densities"), "densities"),
+            zip(
+                _json_rationals([a["at"] for a in atoms], "atoms"),
+                _json_rationals([a["mass"] for a in atoms], "atoms"),
+            ),
         )
+
+
+def _json_rationals(values, key: str) -> list[Fraction]:
+    if not isinstance(values, list) or not all(type(v) in (str, int) for v in values):
+        raise ValueError(f"a measure's {key!r} must be a list of 'p/q' strings or integers")
+    try:
+        return [frac(v) for v in values]
+    except ZeroDivisionError:
+        raise ValueError(f"a measure's {key!r} holds a zero denominator") from None
 
 
 class PairGrid(NamedTuple):

@@ -90,13 +90,6 @@ class EntropyKernel:
             return 0.0
         return float(x) * math.log(x / m)
 
-    def is_zero_at(self, x) -> bool:
-        """Exact pointwise zero of the kernel."""
-        x = frac(x)
-        if self.family == "tasep":
-            return x == self.m
-        return x == self.m or x == 0
-
 
 def _domain_ok(rho: TorusMeasure, m: Fraction, family: str) -> bool:
     if not rho.is_absolutely_continuous:

@@ -61,10 +61,9 @@ def part_from_json(data: dict):
 
 def flux_to_json(profile: FluxProfile) -> dict:
     return {
-        "domain": profile.domain,
         "positions": [str(p) for p in profile.positions],
         "values": [str(v) for v in profile.values],
-        "slopes": [str(s) for s in profile.slopes] if profile.slopes else None,
+        "slopes": [str(s) for s in profile.slopes],
         "full_torus": profile.full_torus,
         "intervals": [
             {

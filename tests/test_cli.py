@@ -1,9 +1,11 @@
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from toruscollapse.cli import main
+from toruscollapse.cli import build_parser, main
 from toruscollapse.measures import TorusMeasure
 from toruscollapse.serialize import (
     measure_from_json,
@@ -99,12 +101,32 @@ class TestCli:
         }
         path = tmp_path / "pair.json"
         path.write_text(json.dumps(payload))
-        code, out = run_cli(capsys, "collapse", str(path), "--regime", "discrete")
+        code, out = run_cli(capsys, "collapse", str(path))
         assert code == 0
         data = json.loads(out)
         assert data["parts"][0]["data"] == [0, 1, 0, 0, 0, 1]
-        assert data["flux"]["domain"] == "discrete"
-        assert data["flux"]["values"][0] == "1"
+        # the flux of the unit-atom encodings: at x/6 it is the queue
+        # length after site x, (1, 0, 0, 1, 1, 0)
+        flux = data["flux"]
+        assert "domain" not in flux
+        assert flux["positions"] == ["0", "1/6", "1/3", "1/2", "5/6"]
+        assert flux["values"] == ["1", "0", "0", "1", "0"]
+
+    def test_collapse_points(self, capsys, tmp_path):
+        payload = {
+            "parts": [
+                part_to_json(PointConfig([F(1, 10), F(3, 10)])),
+                part_to_json(PointConfig([F(1, 5), F(3, 10), F(7, 10)])),
+            ]
+        }
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(payload))
+        code, out = run_cli(capsys, "collapse", str(path))
+        assert code == 0
+        data = json.loads(out)
+        assert data["parts"][0]["data"] == ["1/5", "3/10"]
+        assert data["flux"]["positions"] == ["0", "1/10", "1/5", "3/10", "7/10"]
+        assert data["flux"]["values"] == ["0", "1", "0", "0", "0"]
 
     def test_simulate_seeded_reproducible(self, capsys):
         args = [
@@ -246,6 +268,9 @@ class TestCli:
             [],
             {"parts": [{"data": [1, 0]}]},
             {"parts": [{"type": "config"}]},
+            {"parts": [{"type": "measure", "data": {}}]},
+            {"parts": [{"type": "measure", "data": {"breakpoints": ["1/0"], "densities": ["1"]}}]},
+            {"parts": [{"type": "config", "data": [1, 0]}, {"type": "points", "data": ["1/2"]}]},
         ],
     )
     def test_malformed_collapse_input_is_one_line_exit_two(self, capsys, tmp_path, payload):
@@ -256,3 +281,22 @@ class TestCli:
         assert code == 2
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("toruscollapse collapse: error: ")
+
+    def test_minimizer_non_measure_profile_is_one_line_exit_two(self, capsys, tmp_path):
+        prof = tmp_path / "rho.json"
+        prof.write_text("[1]")
+        code = main(["minimizer", "--which", "total", "--profile", str(prof), "--mass", "1/2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == [
+            "toruscollapse minimizer: error: a measure must be a JSON object"
+        ]
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        commands = [l for l in block.splitlines() if l.startswith("toruscollapse ")]
+        assert len(commands) >= 10
+        parser = build_parser()
+        for line in commands:
+            parser.parse_args(shlex.split(line)[1:])

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from toruscollapse.collapse import (
     CollapseError,
+    atomic_measure,
+    collapse_discrete,
     collapse_discrete_algorithmic,
-    collapse_discrete_flux,
     collapse_k,
     collapse_measure,
     collapse_measure_representation,
@@ -15,9 +16,8 @@ from toruscollapse.collapse import (
     commutation_check,
     discrete_flux,
     discrete_flux_direct,
+    flux_profile,
     flux_values_direct,
-    flux_values_fast,
-    point_flux,
     queue_collapse,
 )
 from toruscollapse.lattice import PointConfig, TorusConfig
@@ -35,16 +35,16 @@ class TestDiscrete:
         e1 = cfg(1, 4, n=6)
         e2 = cfg(1, 2, 4, n=6)
         assert collapse_discrete_algorithmic(e1, e2) == e1
-        res, prof = collapse_discrete_flux(e1, e2)
-        assert res == e1 and all(v == 0 for v in prof.values)
+        assert collapse_discrete(e1, e2) == e1
+        assert all(v == 0 for v in discrete_flux(e1, e2))
 
     def test_worked_example(self):
         e1 = cfg(0, 3, n=6)
         e2 = cfg(1, 2, 5, n=6)
         assert collapse_discrete_algorithmic(e1, e2).sites() == (1, 5)
-        res, prof = collapse_discrete_flux(e1, e2)
-        assert res.sites() == (1, 5)
-        assert prof.values[0] == 1 and prof.values[1] == 0
+        assert collapse_discrete(e1, e2).sites() == (1, 5)
+        J = discrete_flux(e1, e2)
+        assert J[0] == 1 and J[1] == 0
 
     def test_wraparound_move(self):
         assert collapse_discrete_algorithmic(cfg(2, n=4), cfg(0, 1, n=4)).sites() == (0,)
@@ -72,9 +72,12 @@ class TestDiscrete:
         bits1 = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
         bits2 = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
         e1, e2 = TorusConfig(bits1), TorusConfig(bits2)
+        if e1.count > e2.count:
+            with pytest.raises(CollapseError):
+                discrete_flux(e1, e2)
+            return
         assert discrete_flux(e1, e2) == discrete_flux_direct(e1, e2)
-        if e1.count <= e2.count:
-            assert collapse_discrete_flux(e1, e2)[0] == collapse_discrete_algorithmic(e1, e2)
+        assert collapse_discrete(e1, e2) == collapse_discrete_algorithmic(e1, e2)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -149,7 +152,7 @@ class TestPoints:
         x = PointConfig([F(1, 10), F(3, 10)])
         y = PointConfig([F(2, 10), F(7, 10), F(9, 10)])
         res = collapse_points(x, y)
-        prof = point_flux(x, y)
+        prof = flux_profile(atomic_measure(x, 1), atomic_measure(y, 1))
 
         def count(pts, u, v):
             return sum(1 for p in pts if cyc_len(u, p) <= cyc_len(u, v))
@@ -201,7 +204,7 @@ class TestMeasure:
         with pytest.raises(CollapseError):
             collapse_measure(TorusMeasure.lebesgue(), TorusMeasure.constant(F(1, 2)))
         with pytest.raises(CollapseError):
-            flux_values_fast(TorusMeasure.lebesgue(), TorusMeasure.constant(F(1, 2)))
+            flux_profile(TorusMeasure.lebesgue(), TorusMeasure.constant(F(1, 2)))
 
     def test_equal_mass_full_flux_set(self):
         c, prof = collapse_measure(delta(F(1, 2)), TorusMeasure.lebesgue())
@@ -215,7 +218,7 @@ class TestMeasure:
             r2 = _random_measure(rng)
             if r1.total_mass > r2.total_mass:
                 r1, r2 = r2, r1
-            assert flux_values_fast(r1, r2) == flux_values_direct(r1, r2)
+            assert flux_profile(r1, r2).values == flux_values_direct(r1, r2)
             c, prof = collapse_measure(r1, r2)
             assert c.total_mass == r1.total_mass
             assert measure_leq(c, r2)
@@ -287,7 +290,7 @@ class TestMergedGridProperties:
     @given(coinciding_pairs())
     @settings(max_examples=300, deadline=None)
     def test_fast_flux_equals_direct(self, pair):
-        assert flux_values_fast(*pair) == flux_values_direct(*pair)
+        assert flux_profile(*pair).values == flux_values_direct(*pair)
 
     @given(coinciding_pairs())
     @settings(max_examples=300, deadline=None)
@@ -296,7 +299,7 @@ class TestMergedGridProperties:
         c, prof = collapse_measure(r1, r2)
         assert c.total_mass == r1.total_mass
         assert measure_leq(c, r2)
-        assert prof.values == flux_values_fast(r1, r2)
+        assert prof == flux_profile(r1, r2)
         if not prof.full_torus:
             assert collapse_measure_representation(r1, r2, prof) == c
             assert all(iv.mass_delta >= 0 for iv in prof.intervals)
@@ -305,7 +308,7 @@ class TestMergedGridProperties:
     @settings(max_examples=300, deadline=None)
     def test_equal_masses(self, pair):
         r1, r2 = pair
-        assert flux_values_fast(r1, r2) == flux_values_direct(r1, r2)
+        assert flux_profile(r1, r2).values == flux_values_direct(r1, r2)
         c, prof = collapse_measure(r1, r2)
         assert c.total_mass == r1.total_mass
         assert measure_leq(c, r2)
@@ -378,6 +381,35 @@ class TestMultilayer:
             parts = [TorusConfig.from_sites(n, rng.sample(range(n), m)) for m in ms]
             out = collapse_k(parts)  # OrderedTuple validates on construction
             assert len(out) == 3
+
+
+class TestCrossRegime:
+    """The measure flux of unit-atom encodings is the integer queue's flux."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_config_flux_is_discrete_flux(self, data):
+        n = data.draw(st.integers(1, 24))
+        sites2 = data.draw(st.sets(st.integers(0, n - 1)))
+        sites1 = data.draw(st.sets(st.integers(0, n - 1), max_size=len(sites2)))
+        e1, e2 = TorusConfig.from_sites(n, sites1), TorusConfig.from_sites(n, sites2)
+        prof = flux_profile(atomic_measure(e1, 1), atomic_measure(e2, 1))
+        assert tuple(prof.at(F(x, n)) for x in range(n)) == discrete_flux(e1, e2)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_point_flux_is_queue_length(self, data):
+        grid = data.draw(st.sampled_from([7, 30, 2**20]))
+        ys = data.draw(st.sets(st.integers(0, grid - 1), max_size=12))
+        xs = data.draw(st.sets(st.integers(0, grid - 1), max_size=len(ys)))
+        merged = sorted(xs | ys)
+        _, lengths = queue_collapse(
+            [int(v in xs) for v in merged], [int(v in ys) for v in merged]
+        )
+        x = PointConfig([F(v, grid) for v in sorted(xs)])
+        y = PointConfig([F(v, grid) for v in sorted(ys)])
+        prof = flux_profile(atomic_measure(x, 1), atomic_measure(y, 1))
+        assert [prof.at(F(v, grid)) for v in merged] == lengths
 
 
 class TestCommutation:
