@@ -96,7 +96,7 @@ def cmd_simulate(args) -> int:
         spec = ProcessSpec("tasep", counts, n=args.n)
         start = sample_invariant(spec, rng)
         labels = class_label_encode(list(start))
-        final, events = tasep_simulate(labels, spec.k, args.horizon, rng, record=True)
+        final, events = tasep_simulate(labels, spec.k, args.horizon, rng)
         rows = [
             {"time": f"{t:.6f}", "event": x, "labels": "".join(map(str, lab))}
             for t, x, lab in events

@@ -17,7 +17,8 @@ layer only is an arrival, one in the second only a service, and the queue
 lengths are the integer flux (discrete_flux).  Point sets run it on the
 merged sorted order of both sets.  The restart-loop
 collapse_discrete_algorithmic and the O(N^2) supremum discrete_flux_direct
-are kept as its oracles.
+are kept as its oracles; discrete_flux itself is kept as the integer flux
+that tests hold the measure flux of unit-atom encodings to.
 
 For measures the queue runs as a fluid over the pair's merged grid
 (measures.merge_pair): at a grid point q -> max(0, q + atom1 - atom2), and
@@ -31,7 +32,12 @@ collapse_measure_representation are kept as its oracles.
 A FluxProfile always describes a measure pair.  Configurations and point
 sets get one through their unit-atom encodings, atomic_measure(p, 1):
 embedding commutes with collapsing, so its values at the sites are the
-integer flux.
+integer flux.  FluxProfile.left_limit is kept as the oracle of the
+counting ledger test.
+
+collapse_k folds the binary collapse over the layers, outermost last: each
+new layer collapses every collapsed layer so far onto itself, as one row
+of the multiline queue of Ferrari and Martin (Ann. Probab. 35, 2007).
 """
 
 from __future__ import annotations
@@ -266,7 +272,8 @@ class FluxProfile:
         return max(ZERO, self.values[j] + self.slopes[j] * (v - self.positions[j]))
 
     def left_limit(self, v) -> Fraction:
-        """Exact J(v-) at any point of the torus."""
+        """Exact J(v-) at any point of the torus (oracle of the counting
+        ledger test)."""
         v = frac(v) % 1
         j = bisect.bisect_right(self.positions, v) - 1
         if self.positions[j] == v:
@@ -463,9 +470,10 @@ def _collapse_binary(a, b):
 
 
 def collapse_k(parts: Sequence) -> OrderedTuple:
-    """k-fold collapse: the last layer is kept, and layer i is pushed
-    through layers i+1, ..., k in turn.  The parts must be of one type and
-    their masses nondecreasing."""
+    """k-fold collapse as a fold over the layers: each new outer layer is
+    kept, and every collapsed layer so far collapses onto it.  Layer i is
+    thus pushed through layers i+1, ..., k in turn.  The parts must be of
+    one type and their masses nondecreasing."""
     parts = list(parts)
     if len({type(p) for p in parts}) > 1:
         raise ValueError("parts must all be of one type")
@@ -473,11 +481,8 @@ def collapse_k(parts: Sequence) -> OrderedTuple:
     if any(m1 > m2 for m1, m2 in zip(masses, masses[1:])):
         raise CollapseError("masses must be nondecreasing")
     out = []
-    for i, part in enumerate(parts):
-        theta = part
-        for j in range(i + 1, len(parts)):
-            theta = _collapse_binary(theta, parts[j])
-        out.append(theta)
+    for part in parts:
+        out = [_collapse_binary(theta, part) for theta in out] + [part]
     return OrderedTuple(out)
 
 

@@ -6,6 +6,12 @@ ring walk, rate 1 for the continuous mark process) followed by a uniform
 site or position mark; this is equivalent in law to independent local
 clocks and keeps the code auditable.  All randomness flows through an
 explicitly seeded generator.
+
+The exact pushforward runs the fold of collapse_k (each new outer layer
+takes every collapsed layer so far through one binary collapse) over
+label-vector counts instead of over tuples: the label vector of the
+collapsed layers is all the next fold step needs.  tasep_state_frequencies
+is kept as the simulation oracle that tests hold the exact tables to.
 """
 
 from __future__ import annotations
@@ -16,18 +22,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .collapse import atomic_measure, collapse_k, queue_collapse
+from .collapse import collapse_k, queue_collapse
 from .lattice import (
     POINT_GRID,
     OrderedTuple,
     PointConfig,
-    TorusConfig,
     enumerate_configs,
     enumerate_label_vectors,
     random_config,
     random_points,
 )
-from .measures import TorusMeasure
 
 MAX_SOLVE_STATES = 700
 
@@ -71,8 +75,8 @@ class StationaryTable:
     lexicographic order.
 
     Probabilities are stored as integer weights over one common
-    denominator, reduced by their gcd; `probs` and `prob` return them as
-    exact Fractions.
+    denominator, reduced by their gcd; `probs` returns them as exact
+    Fractions.
     """
 
     __slots__ = ("states", "weights", "denominator")
@@ -102,13 +106,6 @@ class StationaryTable:
 
     def items(self):
         return zip(self.states, self.probs)
-
-    def prob(self, labels: Sequence[int]) -> Fraction:
-        labels = tuple(labels)
-        i = bisect.bisect_left(self.states, labels)
-        if i < len(self.states) and self.states[i] == labels:
-            return Fraction(self.weights[i], self.denominator)
-        return Fraction(0)
 
     def tv_distance(self, other: "StationaryTable") -> Fraction:
         mine = dict(zip(self.states, self.weights))
@@ -160,16 +157,10 @@ def bond_update(labels: tuple[int, ...], x: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def tasep_simulate(
-    initial: Sequence[int],
-    k: int,
-    horizon: float,
-    rng,
-    record: bool = False,
-):
+def tasep_simulate(initial: Sequence[int], k: int, horizon: float, rng):
     """Continuous-time run up to the horizon; one exponential clock of rate
-    N, then a uniform bond.  Returns (final_labels, events); events are
-    (time, bond, labels-after) triples when record is set."""
+    N, then a uniform bond.  Returns (final_labels, events) with events the
+    (time, bond, labels-after) triples."""
     labels = tuple(initial)
     n = len(labels)
     t = 0.0
@@ -180,15 +171,15 @@ def tasep_simulate(
             return labels, events
         x = rng.randrange(n)
         labels = bond_update(labels, x, k)
-        if record:
-            events.append((t, x, labels))
+        events.append((t, x, labels))
 
 
 def tasep_state_frequencies(
     initial: Sequence[int], k: int, steps: int, rng
 ) -> dict[tuple[int, ...], float]:
     """Visit frequencies of the uniformized chain (one uniform bond per
-    step, self-loops counted); converges to the stationary law."""
+    step, self-loops counted); converges to the stationary law, and is kept
+    as the simulation oracle for the exact tables."""
     labels = tuple(initial)
     n = len(labels)
     counts: dict[tuple[int, ...], int] = {}
@@ -268,33 +259,34 @@ def exact_stationary(spec: ProcessSpec) -> StationaryTable:
 def pushforward_distribution(spec: ProcessSpec) -> StationaryTable:
     """Exact law of the k-fold collapse of independent uniform layers.
 
-    Enumerates the product of uniform ensembles as occupancy vectors, last
-    layer outermost.  Each layer is pushed through the layers after it by
-    the queue kernel, and each site is labelled by its first occupied
-    collapsed layer; tuples are counted per label vector.  A collapsed
-    tuple is nested exactly when its label vector has the spec's class
-    counts, so that is checked once per state.
+    Runs the fold of collapse_k over label-vector counts, one uniform layer
+    at a time (the multiline queue of Ferrari and Martin).  After j layers
+    the table counts, per label vector, the tuples whose j collapsed layers
+    it encodes: collapsed layer i is the set of sites labelled 1..i.  A new
+    outer layer eta collapses each of them onto eta with the queue kernel,
+    and each site is labelled by its first occupied collapsed layer, or
+    j + 1 for a site of eta only.  A collapsed tuple is nested exactly when
+    its label vector has the spec's class counts, so that is checked once
+    per state.
     """
     if spec.model != "tasep":
         raise ValueError("exact pushforward tables exist only for the ring model")
     n, k = spec.n, spec.k
-    layers = [[c.occupied for c in enumerate_configs(n, m)] for m in spec.layer_sizes]
-    counts: dict[tuple[int, ...], int] = {}
-
-    def rec(i: int, later: list, labels: tuple[int, ...]) -> None:
-        # later: the raw layers after layer i; labels: the label vector of
-        # their collapsed layers
-        for layer in layers[i]:
-            theta = layer
-            for eta in later:
-                theta = queue_collapse(theta, eta)[0]
-            lab = tuple(i + 1 if t else l for t, l in zip(theta, labels))
-            if i:
-                rec(i - 1, [layer, *later], lab)
-            else:
-                counts[lab] = counts.get(lab, 0) + 1
-
-    rec(k - 1, [], (0,) * n)
+    counts: dict[tuple[int, ...], int] = {(0,) * n: 1}
+    for j, m in enumerate(spec.layer_sizes, start=1):
+        etas = [c.occupied for c in enumerate_configs(n, m)]
+        grown: dict[tuple[int, ...], int] = {}
+        for labels, c in counts.items():
+            # collapsed layers j-1, ..., 1: inner ones overwrite the labels
+            inner = [(i, [int(0 < l <= i) for l in labels]) for i in range(j - 1, 0, -1)]
+            for eta in etas:
+                lab = [j if e else 0 for e in eta]
+                for i, theta in inner:
+                    kept = queue_collapse(theta, eta)[0]
+                    lab = [i if t else l for t, l in zip(kept, lab)]
+                lab = tuple(lab)
+                grown[lab] = grown.get(lab, 0) + c
+        counts = grown
     for lab in counts:
         if tuple(lab.count(j) for j in range(1, k + 1)) != spec.class_counts:
             raise RuntimeError(f"collapsed tuple is not nested: labels {lab}")
@@ -338,7 +330,6 @@ def had_simulate(
     horizon: float,
     rng,
     record: bool = False,
-    check_inclusion: bool = False,
 ):
     """Continuous-time run of the coupled mark process up to the horizon.
 
@@ -360,10 +351,6 @@ def had_simulate(
         _had_apply_mark(layers, u)
         if record:
             events.append((t, u))
-        if check_inclusion:
-            for a, b in zip(layers, layers[1:]):
-                if not set(a) <= set(b):
-                    raise RuntimeError("mark broke the inclusion ordering")
 
 
 def had_sample_chain(
@@ -384,31 +371,3 @@ def had_sample_chain(
         out.append(state)
     return out
 
-
-# ---------------------------------------------------------------------------
-# empirical measures
-# ---------------------------------------------------------------------------
-
-
-def empirical(obj, scale_n: int, mode: str = "atomic"):
-    """Empirical measure of a configuration, point set, or tuple of them.
-
-    Atomic mode puts mass 1/N on each occupied position; binned mode (ring
-    configurations only) spreads each particle over the density cell
-    [x/N - 1/2N, x/N + 1/2N)."""
-    if isinstance(obj, (OrderedTuple, list, tuple)):
-        return tuple(empirical(p, scale_n, mode) for p in obj)
-    if mode == "atomic":
-        return atomic_measure(obj, scale_n)
-    if mode == "binned":
-        if not isinstance(obj, TorusConfig):
-            raise ValueError("binned empirical measures are for ring configurations")
-        if scale_n != obj.n:
-            raise ValueError("binned mode uses the configuration's own ring size")
-        n = obj.n
-        half = Fraction(1, 2 * n)
-        cells = [
-            (Fraction(x, n) - half, Fraction(x, n) + half, 1) for x in obj.sites()
-        ]
-        return TorusMeasure.from_cells(cells)
-    raise ValueError("mode must be 'atomic' or 'binned'")

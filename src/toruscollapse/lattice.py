@@ -71,12 +71,6 @@ class TorusConfig:
     def __repr__(self) -> str:
         return f"TorusConfig({list(self.occupied)})"
 
-    def leq(self, other: "TorusConfig") -> bool:
-        """Componentwise partial order: self(x) <= other(x) everywhere."""
-        if self.n != other.n:
-            raise ValueError("ring sizes differ")
-        return all(a <= b for a, b in zip(self.occupied, other.occupied))
-
 
 class PointConfig:
     """Finite set of distinct rational points on the unit torus [0, 1)."""
@@ -115,9 +109,6 @@ class PointConfig:
     def __repr__(self) -> str:
         return f"PointConfig({[str(p) for p in self.points]})"
 
-    def issubset(self, other: "PointConfig") -> bool:
-        return set(self.points) <= set(other.points)
-
 
 def class_label_encode(parts: Sequence[TorusConfig]) -> tuple[int, ...]:
     """Encode an ordered k-tuple of configurations as a label vector.
@@ -141,7 +132,8 @@ def class_label_encode(parts: Sequence[TorusConfig]) -> tuple[int, ...]:
 
 
 def class_label_decode(labels: Sequence[int], k: int) -> tuple[TorusConfig, ...]:
-    """Inverse of class_label_encode for a k-class label vector."""
+    """Inverse of class_label_encode for a k-class label vector, kept as the
+    oracle of the encoding's round-trip test."""
     labels = tuple(labels)
     if any(not (0 <= l <= k) for l in labels):
         raise ValueError(f"labels must be in 0..{k}")

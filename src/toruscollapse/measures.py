@@ -47,10 +47,6 @@ class ClosedArc:
     def length(self) -> Fraction:
         return cyc_len(self.lo, self.hi)
 
-    @property
-    def wraps(self) -> bool:
-        return self.hi < self.lo
-
     def __contains__(self, u) -> bool:
         u = frac(u) % 1
         return cyc_len(self.lo, u) <= cyc_len(self.lo, self.hi)
@@ -114,10 +110,6 @@ class TorusMeasure:
         return cls([0], [frac(c)])
 
     @classmethod
-    def lebesgue(cls) -> "TorusMeasure":
-        return cls.constant(1)
-
-    @classmethod
     def from_cells(cls, cells: Iterable, atoms: Iterable = ()) -> "TorusMeasure":
         """Build from (lo, hi, density) pieces; unspecified regions get 0.
 
@@ -147,22 +139,11 @@ class TorusMeasure:
     def is_absolutely_continuous(self) -> bool:
         return not self.atoms
 
-    @property
-    def is_bounded_density(self) -> bool:
-        return self.is_absolutely_continuous and all(d <= 1 for d in self.densities)
-
     def density_at(self, u) -> Fraction:
         """Density of the cell containing u (the a.e. value near u)."""
         u = frac(u) % 1
         i = bisect.bisect_right(self.breakpoints, u) - 1
         return self.densities[i]
-
-    def atom_at(self, u) -> Fraction:
-        u = frac(u) % 1
-        for a in self.atoms:
-            if a.at == u:
-                return a.mass
-        return ZERO
 
     def __eq__(self, other) -> bool:
         return (
@@ -221,13 +202,6 @@ class TorusMeasure:
                 mass += m
         return mass
 
-    def closed_mass(self, a, b) -> Fraction:
-        """Exact mass of the closed cyclic interval [a, b]; [a, a] = {a}."""
-        a, b = frac(a) % 1, frac(b) % 1
-        if a == b:
-            return self.atom_at(a)
-        return self.interval_mass(a, b) + self.atom_at(a)
-
     # ---- arithmetic ------------------------------------------------------
 
     def scale(self, c) -> "TorusMeasure":
@@ -276,22 +250,24 @@ class TorusMeasure:
         ):
             raise ValueError("a measure's 'atoms' must be a list of {'at', 'mass'} objects")
         return cls(
-            _json_rationals(d.get("breakpoints"), "breakpoints"),
-            _json_rationals(d.get("densities"), "densities"),
+            _json_rationals(d.get("breakpoints"), "a measure's 'breakpoints'"),
+            _json_rationals(d.get("densities"), "a measure's 'densities'"),
             zip(
-                _json_rationals([a["at"] for a in atoms], "atoms"),
-                _json_rationals([a["mass"] for a in atoms], "atoms"),
+                _json_rationals([a["at"] for a in atoms], "a measure's 'atoms'"),
+                _json_rationals([a["mass"] for a in atoms], "a measure's 'atoms'"),
             ),
         )
 
 
-def _json_rationals(values, key: str) -> list[Fraction]:
+def _json_rationals(values, field: str) -> list[Fraction]:
+    """Read a JSON list of "p/q" strings or integers exactly; `field` names
+    it in the ValueError raised for anything else, JSON floats included."""
     if not isinstance(values, list) or not all(type(v) in (str, int) for v in values):
-        raise ValueError(f"a measure's {key!r} must be a list of 'p/q' strings or integers")
+        raise ValueError(f"{field} must be a list of 'p/q' strings or integers")
     try:
         return [frac(v) for v in values]
     except ZeroDivisionError:
-        raise ValueError(f"a measure's {key!r} holds a zero denominator") from None
+        raise ValueError(f"{field} holds a zero denominator") from None
 
 
 class PairGrid(NamedTuple):
@@ -391,25 +367,11 @@ def measure_leq(a: TorusMeasure, b: TorusMeasure) -> bool:
 class PlateauDecomposition:
     """Maximal closed cyclic intervals where two densities agree.
 
-    `full_torus` marks the degenerate case of measures equal a.e.; the
-    complement of the intervals is recoverable via complement_arcs().
+    `full_torus` marks the degenerate case of measures equal a.e.
     """
 
     intervals: tuple[ClosedArc, ...]
     full_torus: bool = False
-
-    def complement_arcs(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Open cyclic gaps (hi_i, lo_{i+1}) between consecutive intervals."""
-        if self.full_torus:
-            return ()
-        if not self.intervals:
-            return ((ZERO, ZERO),)  # the whole torus, as one cyclic gap
-        out = []
-        ivs = self.intervals
-        for i, arc in enumerate(ivs):
-            nxt = ivs[(i + 1) % len(ivs)]
-            out.append((arc.hi, nxt.lo))
-        return tuple(out)
 
     def covers(self, u) -> bool:
         if self.full_torus:
@@ -496,12 +458,6 @@ class CumulativeFunction:
             return self.knots[-1][1]
         (t0, v0), (t1, v1) = self.knots[i], self.knots[i + 1]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-
-    def slopes(self) -> tuple[Fraction, ...]:
-        return tuple(
-            (v1 - v0) / (t1 - t0)
-            for (t0, v0), (t1, v1) in zip(self.knots, self.knots[1:])
-        )
 
     def __eq__(self, other) -> bool:
         return (

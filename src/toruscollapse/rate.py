@@ -224,7 +224,8 @@ def preimage_conditions(
 
     Checked structurally: psi1 matches rho1 off the plateaus; on every
     plateau interval the cumulatives agree at the right endpoint and
-    psi1's cumulative dominates rho2's throughout.
+    psi1's cumulative dominates rho2's throughout.  Kept as the oracle
+    that tests hold collapse_measure to on preimages.
     """
     if not (
         psi1.is_absolutely_continuous

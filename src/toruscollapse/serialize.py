@@ -9,14 +9,16 @@ from typing import Sequence
 
 from .collapse import FluxProfile
 from .lattice import PointConfig, TorusConfig
-from .measures import TorusMeasure, frac
+from .measures import TorusMeasure, _json_rationals
 
 
 def config_to_json(cfg: TorusConfig) -> list[int]:
     return list(cfg.occupied)
 
 
-def config_from_json(data: Sequence[int]) -> TorusConfig:
+def config_from_json(data) -> TorusConfig:
+    if not isinstance(data, list) or not all(type(v) is int for v in data):
+        raise ValueError("a configuration's 'data' must be a list of integers")
     return TorusConfig(data)
 
 
@@ -24,8 +26,8 @@ def points_to_json(pts: PointConfig) -> list[str]:
     return [str(p) for p in pts.points]
 
 
-def points_from_json(data: Sequence[str]) -> PointConfig:
-    return PointConfig([frac(p) for p in data])
+def points_from_json(data) -> PointConfig:
+    return PointConfig(_json_rationals(data, "a point set's 'data'"))
 
 
 def measure_to_json(rho: TorusMeasure) -> dict:
@@ -88,9 +90,5 @@ def rows_to_csv(rows: Sequence[dict]) -> str:
     return buf.getvalue()
 
 
-def dump_json(obj, path=None) -> str:
-    text = json.dumps(obj, indent=2, default=str)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
+def dump_json(obj) -> str:
+    return json.dumps(obj, indent=2, default=str)

@@ -93,7 +93,8 @@ def chi_square_pvalue(stat: float, dof: int) -> float:
 
 
 def chi_square_uniform(counts: Sequence[int]) -> tuple[float, float]:
-    """Chi-square statistic and p-value against the uniform law."""
+    """Chi-square statistic and p-value against the uniform law; kept for
+    the tests that check simulated visit frequencies."""
     k = len(counts)
     n = sum(counts)
     if k < 2 or n == 0:

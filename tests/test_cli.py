@@ -244,7 +244,7 @@ class TestCli:
         ]
 
     def test_collapse_error_is_one_line_exit_two(self, capsys, tmp_path):
-        heavy, light = TorusMeasure.lebesgue(), TorusMeasure.constant(F(1, 2))
+        heavy, light = TorusMeasure.constant(1), TorusMeasure.constant(F(1, 2))
         path = tmp_path / "pair.json"
         path.write_text(json.dumps({"parts": [part_to_json(heavy), part_to_json(light)]}))
         code = main(["collapse", str(path)])
@@ -271,6 +271,10 @@ class TestCli:
             {"parts": [{"type": "measure", "data": {}}]},
             {"parts": [{"type": "measure", "data": {"breakpoints": ["1/0"], "densities": ["1"]}}]},
             {"parts": [{"type": "config", "data": [1, 0]}, {"type": "points", "data": ["1/2"]}]},
+            {"parts": [{"type": "points", "data": [None]}]},
+            {"parts": [{"type": "config", "data": 5}]},
+            {"parts": [{"type": "points", "data": {}}]},
+            {"parts": [{"type": "points", "data": [0.5]}, {"type": "points", "data": ["1/4", "1/2"]}]},
         ],
     )
     def test_malformed_collapse_input_is_one_line_exit_two(self, capsys, tmp_path, payload):

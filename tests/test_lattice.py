@@ -79,7 +79,7 @@ class TestValidateOrdered:
         from toruscollapse.measures import TorusMeasure
 
         half = TorusMeasure.constant(Fraction(1, 2))
-        one = TorusMeasure.lebesgue()
+        one = TorusMeasure.constant(1)
         assert validate_ordered([half, one])[0]
         assert not validate_ordered([one, half])[0]
 
