@@ -24,7 +24,7 @@ from .dynamics import (
     tasep_simulate,
 )
 from .lattice import class_label_encode
-from .measures import TorusMeasure, frac
+from .measures import TorusMeasure, concave_envelope, cumulative, frac
 from .rate import (
     EntropyKernel,
     ldp_decay_exact,
@@ -54,14 +54,19 @@ def _read_json(path: str):
 
 
 def _emit(args, obj, rows=None):
-    """Write JSON (default) or CSV rows to --out or stdout."""
-    if args.format == "csv" and rows is not None:
+    """Write obj as JSON to --out or stdout.  Under --format csv write the
+    table `rows` instead (no rows make an empty CSV); a command or option
+    combination with no table (rows None) raises ValueError."""
+    fmt = getattr(args, "format", "json")
+    if fmt == "csv":
+        if rows is None:
+            raise ValueError("this command has no table to write as CSV")
         text = rows_to_csv(rows)
     else:
         text = dump_json(obj)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"{args.command}.{args.format}")
+        path = os.path.join(args.out, f"{args.command}.{fmt}")
         with open(path, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
         print(path)
@@ -164,7 +169,7 @@ def cmd_rate_eval(args) -> int:
         raise ValueError("--rho2 needs --m2")
     rho1 = measure_from_json(_read_json(args.rho1))
     rho2 = measure_from_json(_read_json(args.rho2))
-    res = s2(rho1, rho2, frac(args.m1), frac(args.m2), args.family, eq_tol=frac(args.eq_tol))
+    res = s2(rho1, rho2, frac(args.m1), frac(args.m2), args.family)
     obj = {
         "value": res.value,
         "finite": res.finite,
@@ -180,18 +185,16 @@ def cmd_rate_eval(args) -> int:
         else None,
         "envelope_densities": [measure_to_json(e) for e in res.envelope_densities],
     }
-    rows = None
-    if args.format == "csv" and res.plateau and not res.diagonal:
-        from .measures import concave_envelope, cumulative
-
-        rows = []
-        for arc in res.plateau.intervals:
-            F = cumulative(rho1, arc)
-            env = concave_envelope(F)
-            for t, v in F.knots:
-                rows.append({"interval_start": str(arc.lo), "kind": "cumulative", "offset": str(t), "value": str(v)})
-            for t, v in env.knots:
-                rows.append({"interval_start": str(arc.lo), "kind": "envelope", "offset": str(t), "value": str(v)})
+    # knots of rho1's cumulative and of its envelope on every plateau
+    # interval; none for an infinite or diagonal rate
+    rows = []
+    for arc in res.plateau.intervals if res.plateau else ():
+        F = cumulative(rho1, arc)
+        env = concave_envelope(F)
+        for t, v in F.knots:
+            rows.append({"interval_start": str(arc.lo), "kind": "cumulative", "offset": str(t), "value": str(v)})
+        for t, v in env.knots:
+            rows.append({"interval_start": str(arc.lo), "kind": "envelope", "offset": str(t), "value": str(v)})
     _emit(args, obj, rows)
     return 0
 
@@ -199,7 +202,7 @@ def cmd_rate_eval(args) -> int:
 def cmd_minimizer(args) -> int:
     rho = measure_from_json(_read_json(args.profile))
     if args.which == "first":
-        out = minimizer_rho1(rho, frac(args.mass), args.family)
+        out = minimizer_rho1(rho, frac(args.mass))
     else:
         out = minimizer_rho2(rho, frac(args.mass))
     _emit(args, measure_to_json(out))
@@ -228,9 +231,10 @@ def cmd_certify_nonconvex(args) -> int:
 
 def cmd_suite(args) -> int:
     overrides = json.loads(args.overrides) if args.overrides else {}
-    out_dir = args.out or os.environ.get("TORUSCOLLAPSE_OUT")
+    if not isinstance(overrides, dict):
+        raise ValueError("--overrides must be a JSON object")
     if args.name == "all":
-        reports = run_all(seed=args.seed, threads=args.threads, out_dir=out_dir, overrides=overrides)
+        reports = run_all(seed=args.seed, threads=args.threads, out_dir=args.out, overrides=overrides)
     else:
         reports = [
             run_suite(
@@ -238,7 +242,7 @@ def cmd_suite(args) -> int:
                     suite=args.name,
                     seed=args.seed,
                     threads=args.threads,
-                    out_dir=out_dir,
+                    out_dir=args.out,
                     overrides=overrides,
                 )
             )
@@ -258,18 +262,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Collapsing constructions and rate functionals on the torus",
     )
     p.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--threads", type=int, default=1)
+    # each subcommand takes only the shared flags it reads: --out on all,
+    # --format where there is a table, --seed where there is randomness
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output directory")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv"), default="json")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("collapse", parents=[common], help="collapse a JSON tuple")
+    c = sub.add_parser("collapse", parents=[out], help="collapse a JSON tuple")
     c.add_argument("input", help="JSON file with {'parts': [...]} or - for stdin")
     c.set_defaults(fn=cmd_collapse)
 
-    c = sub.add_parser("simulate", parents=[common], help="run the dynamics")
+    c = sub.add_parser("simulate", parents=[out, fmt, seed], help="run the dynamics")
     c.add_argument("--model", choices=("tasep", "had"), required=True)
     c.add_argument("--n", type=int, default=None, help="ring size (tasep)")
     c.add_argument("--classes", required=True, help="comma list of class counts")
@@ -277,47 +284,46 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--record", action="store_true")
     c.set_defaults(fn=cmd_simulate)
 
-    c = sub.add_parser("stationary", parents=[common], help="exact stationary table")
+    c = sub.add_parser("stationary", parents=[out, fmt], help="exact stationary table")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--classes", required=True)
     c.add_argument("--compare-pushforward", action="store_true")
     c.set_defaults(fn=cmd_stationary)
 
-    c = sub.add_parser("sample-invariant", parents=[common], help="draw invariant states")
+    c = sub.add_parser("sample-invariant", parents=[out, seed], help="draw invariant states")
     c.add_argument("--model", choices=("tasep", "had"), required=True)
     c.add_argument("--n", type=int, default=None)
     c.add_argument("--classes", required=True)
     c.add_argument("--samples", type=int, default=1)
     c.set_defaults(fn=cmd_sample_invariant)
 
-    c = sub.add_parser("rate-eval", parents=[common], help="evaluate rate functionals")
+    c = sub.add_parser("rate-eval", parents=[out, fmt], help="evaluate rate functionals")
     c.add_argument("--family", choices=("tasep", "had"), default="tasep")
     c.add_argument("--rho1", required=True, help="measure JSON file")
     c.add_argument("--rho2", default=None, help="optional second measure JSON file")
     c.add_argument("--m1", required=True)
     c.add_argument("--m2", default=None)
-    c.add_argument("--eq-tol", default="0", help="relative tolerance for plateau detection")
     c.set_defaults(fn=cmd_rate_eval)
 
-    c = sub.add_parser("minimizer", parents=[common], help="explicit rate minimizers")
+    c = sub.add_parser("minimizer", parents=[out], help="explicit rate minimizers")
     c.add_argument("--which", choices=("first", "total"), required=True)
     c.add_argument("--profile", required=True, help="measure JSON file")
     c.add_argument("--mass", required=True)
-    c.add_argument("--family", choices=("tasep", "had"), default="tasep")
     c.set_defaults(fn=cmd_minimizer)
 
-    c = sub.add_parser("ldp-decay", parents=[common], help="exact decay vs rate")
+    c = sub.add_parser("ldp-decay", parents=[out, fmt], help="exact decay vs rate")
     c.add_argument("--bins", required=True, help="comma list of bin densities")
     c.add_argument("--m", required=True)
     c.add_argument("--sizes", default="100,1000,10000")
     c.set_defaults(fn=cmd_ldp_decay)
 
-    c = sub.add_parser("certify-nonconvex", parents=[common], help="convexity margins")
+    c = sub.add_parser("certify-nonconvex", parents=[out], help="convexity margins")
     c.set_defaults(fn=cmd_certify_nonconvex)
 
-    c = sub.add_parser("suite", parents=[common], help="run a verification suite")
+    c = sub.add_parser("suite", parents=[out, seed], help="run a verification suite")
     c.add_argument("name", choices=sorted(SUITES) + ["all"])
     c.add_argument("--overrides", default=None, help="JSON dict of size overrides")
+    c.add_argument("--threads", type=int, default=1, help="worker processes")
     c.set_defaults(fn=cmd_suite)
     return p
 

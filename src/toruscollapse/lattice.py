@@ -97,9 +97,6 @@ class PointConfig:
     def __iter__(self):
         return iter(self.points)
 
-    def __contains__(self, p) -> bool:
-        return Fraction(p) in set(self.points)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PointConfig) and self.points == other.points
 

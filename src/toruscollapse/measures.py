@@ -3,7 +3,8 @@
 A measure is a piecewise-constant density plus finitely many atoms.  This
 family is closed under every operation needed here (collapse, restriction,
 convex combination) and all masses, breakpoints and hull computations stay
-exact.  Floating point enters only in the rate module, through log.
+exact.  Every input is an int, a "p/q" string or a Fraction; floats are
+refused, and floating point enters only in the rate module, through log.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, 'p/q' strings and Fractions to Fraction."""
+    """Coerce ints, 'p/q' strings and Fractions to Fraction.  A float raises
+    ValueError: its binary value is rarely the rational that was meant."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**15) if x != int(x) else Fraction(int(x))
+        raise ValueError(f"{x!r} is a float; give an int, a 'p/q' string or a Fraction")
     return Fraction(x)
 
 
@@ -110,7 +112,7 @@ class TorusMeasure:
         return cls([0], [frac(c)])
 
     @classmethod
-    def from_cells(cls, cells: Iterable, atoms: Iterable = ()) -> "TorusMeasure":
+    def from_cells(cls, cells: Iterable) -> "TorusMeasure":
         """Build from (lo, hi, density) pieces; unspecified regions get 0.
 
         Pieces are half-open [lo, hi) and may wrap through 0; overlapping
@@ -122,7 +124,7 @@ class TorusMeasure:
             sum((d for lo, hi, d in pieces if cyc_len(lo, mid) < cyc_len(lo, hi)), ZERO)
             for _, _, mid in refined
         ]
-        return cls([lo for lo, _, _ in refined], dens, atoms)
+        return cls([lo for lo, _, _ in refined], dens)
 
     @classmethod
     def indicator(cls, lo, hi, height=1) -> "TorusMeasure":
@@ -165,42 +167,20 @@ class TorusMeasure:
 
     # ---- integration ---------------------------------------------------
 
-    def _ac_linear_mass(self, lo: Fraction, hi: Fraction) -> Fraction:
-        """Density mass of [lo, hi] for 0 <= lo <= hi <= 1 (no wrapping)."""
-        if hi <= lo:
-            return ZERO
-        edges = list(self.breakpoints) + [ONE]
-        total = ZERO
-        i = bisect.bisect_right(self.breakpoints, lo) - 1
-        pos = lo
-        while pos < hi:
-            cell_end = edges[i + 1]
-            seg_end = min(cell_end, hi)
-            total += (seg_end - pos) * self.densities[i]
-            pos = seg_end
-            i += 1
-        return total
-
-    def ac_mass(self, a, b) -> Fraction:
-        """Density mass of the cyclic segment from a to b; full mass if a == b."""
-        a, b = frac(a) % 1, frac(b) % 1
-        if a == b:
-            return self.total_mass - sum(x.mass for x in self.atoms)
-        if a < b:
-            return self._ac_linear_mass(a, b)
-        return self._ac_linear_mass(a, ONE) + self._ac_linear_mass(ZERO, b)
-
     def interval_mass(self, a, b) -> Fraction:
         """Exact mass of the half-open cyclic interval (a, b]; (a, a] is the
-        whole torus."""
+        whole torus.  With P(x) the mass of (0, x], it is P(b) - P(a), plus
+        the total mass when b <= a."""
+        bps, dens = self.breakpoints, self.densities
+
+        def prefix(x: Fraction) -> Fraction:
+            i = bisect.bisect_right(bps, x) - 1
+            mass = (x - bps[i]) * dens[i]
+            mass += sum((hi - lo) * d for lo, hi, d in zip(bps[:i], bps[1 : i + 1], dens))
+            return mass + sum((m for at, m in self.atoms if 0 < at <= x), ZERO)
+
         a, b = frac(a) % 1, frac(b) % 1
-        if a == b:
-            return self.total_mass
-        mass = self.ac_mass(a, b)
-        for at, m in self.atoms:
-            if cyc_len(a, at) <= cyc_len(a, b) and at != a:
-                mass += m
-        return mass
+        return prefix(b) - prefix(a) + (self.total_mass if b <= a else ZERO)
 
     # ---- arithmetic ------------------------------------------------------
 
@@ -379,25 +359,16 @@ class PlateauDecomposition:
         return any(u in arc for arc in self.intervals)
 
 
-def plateau_set(rho1: TorusMeasure, rho2: TorusMeasure, eq_tol: Fraction = ZERO) -> PlateauDecomposition:
+def plateau_set(rho1: TorusMeasure, rho2: TorusMeasure) -> PlateauDecomposition:
     """Decompose {u : rho1(u) = rho2(u)} into maximal closed cyclic intervals.
 
-    Densities are compared cell-by-cell on the common refinement, exactly by
-    default; a positive eq_tol enables relative-tolerance comparison for
-    float-imported data.  Atoms are rejected: plateaus are defined only for
-    densities.
+    Densities are compared cell by cell on the common refinement, exactly,
+    with ==.  Atoms are rejected: plateaus are defined only for densities.
     """
     if rho1.atoms or rho2.atoms:
         raise ValueError("plateau decomposition requires absolutely continuous measures")
     pair = merge_pair(rho1, rho2)
-    eq_tol = frac(eq_tol)
-
-    def close(x: Fraction, y: Fraction) -> bool:
-        if eq_tol == 0:
-            return x == y
-        return abs(x - y) <= eq_tol * max(abs(x), abs(y), ONE)
-
-    mask = [close(x, y) for x, y in zip(pair.dens1, pair.dens2)]
+    mask = [x == y for x, y in zip(pair.dens1, pair.dens2)]
     if all(mask):
         return PlateauDecomposition((), full_torus=True)
     grid = pair.grid

@@ -149,7 +149,6 @@ def s2(
     m1,
     m2,
     family: str = "tasep",
-    eq_tol=ZERO,
 ) -> RateResult:
     """Closed-form two-layer rate functional.
 
@@ -181,7 +180,7 @@ def s2(
         )
     k1 = EntropyKernel(family, m1)
     k2 = EntropyKernel(family, m2)
-    plateau = plateau_set(rho1, rho2, eq_tol=eq_tol)
+    plateau = plateau_set(rho1, rho2)
     if plateau.full_torus:
         raise RuntimeError("equal densities a.e. with distinct masses")
     cuts = [p for arc in plateau.intervals for p in (arc.lo, arc.hi)]
@@ -342,7 +341,7 @@ def s2_oracle(
 # ---------------------------------------------------------------------------
 
 
-def minimizer_rho1(rho2: TorusMeasure, m1, family: str = "tasep") -> TorusMeasure:
+def minimizer_rho1(rho2: TorusMeasure, m1) -> TorusMeasure:
     """First-layer profile of least two-layer rate at a given total profile:
     the collapse of the constant profile of mass m1 onto rho2."""
     m1 = frac(m1)
@@ -402,7 +401,7 @@ def contraction_identity_check(
     out: dict[str, float] = {}
     mass = rho.total_mass
     if m_first is not None:
-        best1 = minimizer_rho1(rho, m_first, family)
+        best1 = minimizer_rho1(rho, m_first)
         r = s2(best1, rho, m_first, mass, family)
         out["first_layer_residual"] = abs(r.value - s1(rho, EntropyKernel(family, mass)))
     if m_total is not None:

@@ -1,10 +1,13 @@
 """Batch verification suites: every checkable claim, re-runnable from a
 seeded config with byte-identical results (modulo platform log evaluation).
 
-Suites continue past failures and aggregate; the report says which checks
-failed and by how much.  Heavy suites fan independent units out to a
-process pool when threads > 1; the fold back into a report is ordered by
-check id, so parallelism never changes the output.
+A suite function reads its overrides and returns its checks unrun, as
+(check id, threshold, body) triples, so an override key that no suite reads
+is refused before any body runs.  Suites continue past failures and
+aggregate; the report says which checks failed and by how much.  Heavy
+suites fan independent units out to a process pool when threads > 1; the
+fold back into a report is ordered by check id, so parallelism never
+changes the output.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from . import __version__
 from .collapse import (
@@ -62,8 +66,11 @@ class SuiteConfig:
     threads: int = 1
     out_dir: str | None = None
     overrides: dict = field(default_factory=dict)
+    # override keys the suite has asked for, so run_suite can refuse the rest
+    read: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def get(self, key, default):
+        self.read.add(key)
         return self.overrides.get(key, default)
 
     def to_json_dict(self) -> dict:
@@ -126,6 +133,11 @@ def derive_seed(base: int, tag: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+# a check not yet run: (check id, threshold, body), the body returning
+# (passed, statistic, details)
+Check = tuple[str, str, Callable[[], tuple[bool, str, dict]]]
+
+
 def _timed(check_id, threshold, fn) -> CheckResult:
     t0 = time.perf_counter()
     try:
@@ -156,8 +168,9 @@ def random_measure(rng, max_cells=6, max_atoms=2, denom=24, dmax=3) -> TorusMeas
     return TorusMeasure(bps, dens, atoms.items())
 
 
-def random_ordered_pair(rng, cells=8, denom=16, family="tasep"):
-    """Ordered absolutely continuous pair with plateau cells forced in."""
+def random_ordered_pair(rng, cells=8, family="tasep"):
+    """Ordered absolutely continuous pair with plateau cells forced in;
+    densities are multiples of 1/16, at most 1 for the exclusion family."""
     bps = [Fraction(i, cells) for i in range(cells)]
     d1, d2 = [], []
     for _ in range(cells):
@@ -165,35 +178,33 @@ def random_ordered_pair(rng, cells=8, denom=16, family="tasep"):
         if rng.random() < 0.45:
             b = a
         else:
-            cap = denom - a if family == "tasep" else 12
+            cap = 16 - a if family == "tasep" else 12
             b = a + rng.randint(1, max(1, cap))
-        d1.append(Fraction(a, denom))
-        d2.append(Fraction(b, denom))
+        d1.append(Fraction(a, 16))
+        d2.append(Fraction(b, 16))
     r1, r2 = TorusMeasure(bps, d1), TorusMeasure(bps, d2)
     if r1.total_mass >= r2.total_mass:
         return None
     return r1, r2
 
 
-def random_lattice_triple(rng, cells=4, denom=16):
-    """Ordered triple on a uniform grid with quantized masses and plateaus;
+def random_lattice_triple(rng):
+    """Ordered triple on the four quarter cells with densities u/4, so every
+    cell mass is a multiple of the returned quantum 1/16, and with plateaus;
     every mass lies strictly between 0 and 1, as the exclusion kernel needs."""
+    quarters = [Fraction(i, 4) for i in range(4)]
     while True:
         u1, u2, u3 = [], [], []
-        for _ in range(cells):
+        for _ in range(4):
             a = rng.randint(0, 2)
             b = a if rng.random() < 0.5 else min(4, a + rng.randint(0, 2))
             c = b if rng.random() < 0.5 else min(4, b + rng.randint(0, 2))
             u1.append(a)
             u2.append(b)
             u3.append(c)
-        if 0 < sum(u1) < sum(u2) < sum(u3) < 4 * cells:
-            bps = [Fraction(i, cells) for i in range(cells)]
-            quantum = Fraction(1, denom)
-            mk = lambda us: TorusMeasure(
-                bps, [Fraction(u, 4) for u in us]
-            )  # density u/4 = u * quantum / (1/cells) with denom = 16, cells = 4
-            return mk(u1), mk(u2), mk(u3), quantum
+        if 0 < sum(u1) < sum(u2) < sum(u3) < 16:
+            mk = lambda us: TorusMeasure(quarters, [Fraction(u, 4) for u in us])
+            return mk(u1), mk(u2), mk(u3), Fraction(1, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +219,7 @@ def _stationarity_unit(args):
     return (n, counts, str(tv), tv == 0)
 
 
-def suite_stationarity(cfg: SuiteConfig) -> list[CheckResult]:
+def suite_stationarity(cfg: SuiteConfig) -> list[Check]:
     ns = cfg.get("ns", (3, 4, 5, 6))
     ks = cfg.get("ks", (2, 3))
     units = []
@@ -227,7 +238,7 @@ def suite_stationarity(cfg: SuiteConfig) -> list[CheckResult]:
             {"instances": len(results), "failures": [r[:2] for r in bad][:10]},
         )
 
-    return [_timed("stationarity.pushforward_equals_linear_solve", "TV == 0 exactly", body)]
+    return [("stationarity.pushforward_equals_linear_solve", "TV == 0 exactly", body)]
 
 
 def _class_vectors(n: int, k: int):
@@ -244,7 +255,7 @@ def _class_vectors(n: int, k: int):
     return out
 
 
-def suite_flux_equivalence(cfg: SuiteConfig) -> list[CheckResult]:
+def suite_flux_equivalence(cfg: SuiteConfig) -> list[Check]:
     pairs = cfg.get("pairs", 10**4)
     nmax = cfg.get("nmax", 64)
     direct_pairs = cfg.get("direct_pairs", 500)
@@ -283,10 +294,10 @@ def suite_flux_equivalence(cfg: SuiteConfig) -> list[CheckResult]:
             f"{ledger_bad} ledger violations, {direct_bad} supremum mismatches"
         ), {}
 
-    return [_timed("flux.algorithmic_vs_formula_vs_ledger", "0 mismatches", body)]
+    return [("flux.algorithmic_vs_formula_vs_ledger", "0 mismatches", body)]
 
 
-def suite_order_independence(cfg: SuiteConfig) -> list[CheckResult]:
+def suite_order_independence(cfg: SuiteConfig) -> list[Check]:
     pairs = cfg.get("pairs", 10**3)
     orders = cfg.get("orders", 10)
     nmax = cfg.get("nmax", 32)
@@ -309,18 +320,19 @@ def suite_order_independence(cfg: SuiteConfig) -> list[CheckResult]:
                     break
         return bad == 0, f"{pairs} pairs x {orders} orders: {bad} mismatches", {}
 
-    return [_timed("order.permutation_invariance", "identical outputs", body)]
+    return [("order.permutation_invariance", "identical outputs", body)]
 
 
-def suite_commutation(cfg: SuiteConfig) -> list[CheckResult]:
+def suite_commutation(cfg: SuiteConfig) -> list[Check]:
     per_regime = cfg.get("inputs", 10**3)
+    nmax = cfg.get("nmax", 32)
     rng = random.Random(derive_seed(cfg.seed, "commutation"))
     checks = []
 
     def discrete_body():
         bad = 0
         for _ in range(per_regime):
-            n = rng.randint(2, cfg.get("nmax", 32))
+            n = rng.randint(2, nmax)
             k = rng.choice((2, 3))
             ms = sorted(rng.randint(0, n) for _ in range(k))
             parts = [random_config(n, m, rng) for m in ms]
@@ -338,8 +350,8 @@ def suite_commutation(cfg: SuiteConfig) -> list[CheckResult]:
                 bad += 1
         return bad == 0, f"{per_regime} inputs: {bad} failures", {}
 
-    checks.append(_timed("commutation.discrete", "exact equality", discrete_body))
-    checks.append(_timed("commutation.points", "exact equality", points_body))
+    checks.append(("commutation.discrete", "exact equality", discrete_body))
+    checks.append(("commutation.points", "exact equality", points_body))
     return checks
 
 
@@ -351,7 +363,7 @@ def _grid_interval_mass(rho: TorusMeasure, grid):
     return lambda a, b: prefix[b] - prefix[a] + (total if b <= a else 0)
 
 
-def suite_measure_collapse(cfg: SuiteConfig) -> list[CheckResult]:
+def suite_measure_collapse(cfg: SuiteConfig) -> list[Check]:
     n_pairs = cfg.get("pairs", 10**3)
     rng = random.Random(derive_seed(cfg.seed, "measure"))
 
@@ -389,10 +401,10 @@ def suite_measure_collapse(cfg: SuiteConfig) -> list[CheckResult]:
                     bad.append((t, "negative interval excess"))
         return not bad, f"{n_pairs} pairs: {len(bad)} failures", {"failures": bad[:10]}
 
-    return [_timed("measure.ledger_representation_domination", "exact", body)]
+    return [("measure.ledger_representation_domination", "exact", body)]
 
 
-def suite_s2_oracle(cfg: SuiteConfig) -> list[CheckResult]:
+def suite_s2_oracle(cfg: SuiteConfig) -> list[Check]:
     per_family = cfg.get("instances", 50)
     tol = cfg.get("tol", 1e-3)
     rng = random.Random(derive_seed(cfg.seed, "s2"))
@@ -419,14 +431,15 @@ def suite_s2_oracle(cfg: SuiteConfig) -> list[CheckResult]:
             ), {}
 
         checks.append(
-            _timed(f"s2.closed_vs_variational.{family}", f"<= {tol}", body)
+            (f"s2.closed_vs_variational.{family}", f"<= {tol}", body)
         )
     return checks
 
 
-def suite_minimizers(cfg: SuiteConfig) -> list[CheckResult]:
+def suite_minimizers(cfg: SuiteConfig) -> list[Check]:
     per_family = cfg.get("instances", 20)
     tol = cfg.get("tol", 1e-12)
+    contrall_tol = cfg.get("contrall_tol", 1e-2)
     rng = random.Random(derive_seed(cfg.seed, "minimizers"))
     checks = []
     for family in ("tasep", "had"):
@@ -452,7 +465,7 @@ def suite_minimizers(cfg: SuiteConfig) -> list[CheckResult]:
                 done += 1
             return worst <= tol, f"{per_family} instances: worst residual {worst:.2e}", {}
 
-        checks.append(_timed(f"minimizers.contraction.{family}", f"<= {tol}", body))
+        checks.append((f"minimizers.contraction.{family}", f"<= {tol}", body))
 
     def nested_body():
         rho1 = TorusMeasure.from_cells(
@@ -462,7 +475,7 @@ def suite_minimizers(cfg: SuiteConfig) -> list[CheckResult]:
         worst = res["total_layer_residual"]
         return worst <= tol, f"nested stretches residual {worst:.2e}", {}
 
-    checks.append(_timed("minimizers.nested_stretches", f"<= {tol}", nested_body))
+    checks.append(("minimizers.nested_stretches", f"<= {tol}", nested_body))
 
     def contrall_body():
         # three-layer contraction: minimizing out the middle layer recovers
@@ -482,13 +495,13 @@ def suite_minimizers(cfg: SuiteConfig) -> list[CheckResult]:
             best = min(best, val)
         target = s2(rho1, rho3, m1, m3, "tasep").value
         gap = abs(best - target)
-        return gap <= cfg.get("contrall_tol", 1e-2), f"|min_rho2 S3 - S2| = {gap:.2e}", {}
+        return gap <= contrall_tol, f"|min_rho2 S3 - S2| = {gap:.2e}", {}
 
-    checks.append(_timed("minimizers.three_layer_contraction", "<= 1e-2", contrall_body))
+    checks.append(("minimizers.three_layer_contraction", "<= 1e-2", contrall_body))
     return checks
 
 
-def suite_nonconvexity(cfg: SuiteConfig) -> list[CheckResult]:
+def suite_nonconvexity(cfg: SuiteConfig) -> list[Check]:
     checks = []
 
     def margin_body():
@@ -496,7 +509,7 @@ def suite_nonconvexity(cfg: SuiteConfig) -> list[CheckResult]:
         margin = cert["margins"][Fraction(999, 1000)]
         return margin < 0, f"margin at c=0.999: {margin:.6f} (limit {cert['limit_defect']:.6f})", {}
 
-    checks.append(_timed("nonconvexity.two_layer_margin", "< 0", margin_body))
+    checks.append(("nonconvexity.two_layer_margin", "< 0", margin_body))
 
     def triple_body():
         eps = Fraction(1, 10)
@@ -529,11 +542,11 @@ def suite_nonconvexity(cfg: SuiteConfig) -> list[CheckResult]:
         c = list(collapse_k(mid)) != rho
         return a and b and c, f"triples reproduce: {a}, {b}; midpoint differs: {c}", {}
 
-    checks.append(_timed("nonconvexity.preimage_set", "exact", triple_body))
+    checks.append(("nonconvexity.preimage_set", "exact", triple_body))
     return checks
 
 
-def suite_ldp_decay(cfg: SuiteConfig) -> list[CheckResult]:
+def suite_ldp_decay(cfg: SuiteConfig) -> list[Check]:
     sizes = cfg.get("sizes", (100, 1000, 10000))
     profiles = cfg.get(
         "profiles",
@@ -546,13 +559,11 @@ def suite_ldp_decay(cfg: SuiteConfig) -> list[CheckResult]:
         ),
     )
     checks = []
-    artifacts = []
     for dens, m in profiles:
         b = len(dens)
 
         def body(dens=dens, m=m, b=b):
             rows = ldp_decay_exact(dens, m, sizes)
-            artifacts.extend(rows)
             gaps = [abs(r["gap"]) for r in rows]
             bounded = all(abs(r["gap"]) <= r["bound"] for r in rows)
             decreasing = all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
@@ -560,7 +571,7 @@ def suite_ldp_decay(cfg: SuiteConfig) -> list[CheckResult]:
             return bounded and decreasing, stat, {"rows": rows}
 
         checks.append(
-            _timed(f"ldp.decay_b{b}", "|gap| <= B(1+log(N+1))/N, decreasing", body)
+            (f"ldp.decay_b{b}", "|gap| <= B(1+log(N+1))/N, decreasing", body)
         )
     return checks
 
@@ -593,7 +604,7 @@ def _had_unit(args):
     return seed, p_max, p_owned
 
 
-def suite_had_invariance(cfg: SuiteConfig) -> list[CheckResult]:
+def suite_had_invariance(cfg: SuiteConfig) -> list[Check]:
     n1, n2 = cfg.get("n1", 8), cfg.get("n2", 16)
     samples = cfg.get("samples", 10**3)
     gap = cfg.get("sample_gap", 40.0)
@@ -614,10 +625,10 @@ def suite_had_invariance(cfg: SuiteConfig) -> list[CheckResult]:
         }
         return passing >= need, f"{passing}/{len(seeds)} seeds with both p > {threshold}", detail
 
-    return [_timed("had.sampler_vs_simulation_ks", f">= {need} of {len(seeds)} seeds", body)]
+    return [("had.sampler_vs_simulation_ks", f">= {need} of {len(seeds)} seeds", body)]
 
 
-def suite_recursion(cfg: SuiteConfig) -> list[CheckResult]:
+def suite_recursion(cfg: SuiteConfig) -> list[Check]:
     instances = cfg.get("instances", 10)
     tol = cfg.get("tol", 1e-2)
     rng = random.Random(derive_seed(cfg.seed, "recursion"))
@@ -642,7 +653,7 @@ def suite_recursion(cfg: SuiteConfig) -> list[CheckResult]:
             )
         return worst <= tol, f"{instances} instances: worst gap {worst:.2e}", {"rows": rows}
 
-    return [_timed("recursion.direct_vs_two_layer", f"<= {tol}", body)]
+    return [("recursion.direct_vs_two_layer", f"<= {tol}", body)]
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +685,39 @@ def _map_units(fn, units, threads):
 def run_suite(config: SuiteConfig) -> SuiteReport:
     if config.suite not in SUITES:
         raise ValueError(f"unknown suite {config.suite!r}; known: {sorted(SUITES)}")
+    return _run([config])[0]
+
+
+def run_all(seed=0, threads=1, out_dir=None, overrides=None) -> list[SuiteReport]:
+    return _run(
+        [
+            SuiteConfig(
+                suite=name,
+                seed=seed,
+                threads=threads,
+                out_dir=out_dir,
+                overrides=dict(overrides or {}),
+            )
+            for name in SUITES
+        ]
+    )
+
+
+def _run(configs: list[SuiteConfig]) -> list[SuiteReport]:
+    """Build the checks of every config, which reads its overrides; raise
+    ValueError naming any override key that none of them read, before any
+    check runs; then run each suite's checks and report them."""
+    pending = [SUITES[config.suite](config) for config in configs]
+    unread = set().union(*(c.overrides for c in configs)) - set().union(*(c.read for c in configs))
+    if unread:
+        scope = configs[0].suite if len(configs) == 1 else "all"
+        raise ValueError(f"suite {scope} reads no override {', '.join(sorted(map(repr, unread)))}")
+    return [_report(config, checks) for config, checks in zip(configs, pending)]
+
+
+def _report(config: SuiteConfig, pending: list[Check]) -> SuiteReport:
     t0 = time.perf_counter()
-    checks = SUITES[config.suite](config)
+    checks = [_timed(*check) for check in pending]
     cfg_json = config.to_json_dict()
     content_hash = hashlib.sha256(
         json.dumps(cfg_json, sort_keys=True, default=str).encode()
@@ -703,17 +745,3 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
                 with open(csv_path, "w") as fh:
                     fh.write(rows_to_csv(rows))
     return report
-
-
-def run_all(seed=0, threads=1, out_dir=None, overrides=None) -> list[SuiteReport]:
-    reports = []
-    for name in SUITES:
-        cfg = SuiteConfig(
-            suite=name,
-            seed=seed,
-            threads=threads,
-            out_dir=out_dir,
-            overrides=dict(overrides or {}),
-        )
-        reports.append(run_suite(cfg))
-    return reports

@@ -1,5 +1,9 @@
+import argparse
+import ast
+import inspect
 import json
 import shlex
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -191,6 +195,37 @@ class TestCli:
         assert lines[0] == "interval_start,kind,offset,value"
         assert any("envelope" in l for l in lines)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--model", "tasep", "--n", "5", "--classes", "1,1", "--horizon", "1"],
+            ["rate-eval", "--rho1", "RHO", "--m1", "1/2"],
+        ],
+    )
+    def test_csv_without_table_is_one_line_exit_two(self, capsys, tmp_path, argv):
+        rho = tmp_path / "rho.json"
+        rho.write_text(json.dumps(TorusMeasure.constant(F(1, 2)).to_json_dict()))
+        argv = [str(rho) if a == "RHO" else a for a in argv]
+        code = main(argv + ["--format", "csv", "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"toruscollapse {argv[0]}: error: this command has no table to write as CSV"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_csv_empty_table(self, capsys, tmp_path):
+        # the diagonal pair has no plateau intervals, so no knots
+        rho = tmp_path / "rho.json"
+        rho.write_text(json.dumps(TorusMeasure.constant(F(1, 2)).to_json_dict()))
+        code, out = run_cli(
+            capsys, "rate-eval", "--rho1", str(rho), "--rho2", str(rho),
+            "--m1", "1/2", "--m2", "1/2", "--format", "csv",
+        )
+        assert code == 0
+        assert out.strip() == ""
+
     def test_minimizer(self, capsys, tmp_path):
         prof = tmp_path / "rho.json"
         prof.write_text(json.dumps(TorusMeasure.constant(F(3, 4)).to_json_dict()))
@@ -229,6 +264,14 @@ class TestCli:
         assert report["passed"] is True
         assert report["config"]["suite"] == "nonconvexity"
         assert "invocation" in report and "content_hash" in report
+
+    def test_suite_unread_override_is_one_line_exit_two(self, capsys):
+        code = main(["suite", "measure-collapse", "--overrides", '{"pair": 5}'])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == [
+            "toruscollapse suite: error: suite measure-collapse reads no override 'pair'"
+        ]
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -304,3 +347,32 @@ class TestCli:
         parser = build_parser()
         for line in commands:
             parser.parse_args(shlex.split(line)[1:])
+
+
+def test_every_option_is_read_by_its_command():
+    """Each option's dest occurs as args.<dest> in its subcommand's fn.
+    --out and --format may be read through _emit instead, and --format is
+    allowed only where fn passes rows to _emit."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for name, parser in commands.choices.items():
+        tree = ast.parse(textwrap.dedent(inspect.getsource(parser.get_default("fn"))))
+        read = {
+            n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "args"
+        }
+        emits = [
+            n for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_emit"
+        ]
+        if emits:
+            read.add("out")
+        if any(len(call.args) + len(call.keywords) > 2 for call in emits):
+            read.add("format")
+        unread += [
+            f"{name} {action.dest}"
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction) and action.dest not in read
+        ]
+    assert unread == []

@@ -22,6 +22,14 @@ class TestSuiteHarness:
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite(SuiteConfig(suite="nope"))
 
+    @pytest.mark.parametrize(
+        "suite,overrides", [("nonconvexity", {"bogus_key": 1}), ("measure-collapse", {"pair": 5})]
+    )
+    def test_unread_override_key_refused(self, suite, overrides):
+        (key,) = overrides
+        with pytest.raises(ValueError, match=f"suite {suite} reads no override '{key}'"):
+            run_suite(SuiteConfig(suite=suite, overrides=overrides))
+
     def test_rerun_identical(self):
         cfg = SuiteConfig(suite="measure-collapse", seed=3, overrides={"pairs": 40})
         a = run_suite(cfg)
