@@ -10,8 +10,12 @@ explicitly seeded generator.
 The exact pushforward runs the fold of collapse_k (each new outer layer
 takes every collapsed layer so far through one binary collapse) over
 label-vector counts instead of over tuples: the label vector of the
-collapsed layers is all the next fold step needs.  tasep_state_frequencies
-is kept as the simulation oracle that tests hold the exact tables to.
+collapsed layers is all the next fold step needs.  The independent route,
+exact_stationary, solves the balance equations densely but on rotation
+orbits of label vectors rather than on single states: the ring dynamics
+commute with rotation, so the stationary law is constant on each orbit.
+tasep_state_frequencies is kept as the simulation oracle that tests hold
+the exact tables to.
 """
 
 from __future__ import annotations
@@ -234,26 +238,42 @@ def _solve_stationary_int(rates: list[list[int]]) -> tuple[list[int], int]:
 
 def exact_stationary(spec: ProcessSpec) -> StationaryTable:
     """Exact stationary distribution of the multiclass exclusion process by
-    rational linear solve of the balance equations."""
+    rational linear solve of the balance equations on rotation orbits.
+
+    The ring dynamics commute with rotation, so the chain lumped onto
+    rotation orbits of label vectors is again a Markov chain: from any state
+    of orbit O, the rate into orbit O' != O is the number of bonds whose
+    update lands in O'.  Its stationary law y_O / D is the mass of O, and
+    the unique stationary law of the full chain is constant on each orbit,
+    so each state of O gets y_O * (n // |O|) over D * n (|O| divides n).
+    The route reads only the state space, bond_update and rotation, never
+    the collapse.
+    """
     if spec.model != "tasep":
         raise ValueError("exact stationary tables exist only for the ring model")
     n, k = spec.n, spec.k
-    states = list(enumerate_label_vectors(n, spec.class_counts))
-    if len(states) > MAX_SOLVE_STATES:
+    holes = n - sum(spec.class_counts)
+    size = math.factorial(n) // math.prod(math.factorial(c) for c in (*spec.class_counts, holes))
+    if size > MAX_SOLVE_STATES:
         raise ValueError("state space too large for an exact solve")
-    index = {s: i for i, s in enumerate(states)}
-    size = len(states)
-    rates = [[0] * size for _ in range(size)]
-    for s in states:
-        i = index[s]
+    orbit_of: dict[tuple[int, ...], int] = {}
+    reps, orbit_sizes = [], []
+    for s in enumerate_label_vectors(n, spec.class_counts):
+        if s not in orbit_of:
+            orbit = {s[r:] + s[:r] for r in range(n)}
+            orbit_of.update(dict.fromkeys(orbit, len(reps)))
+            reps.append(s)
+            orbit_sizes.append(len(orbit))
+    rates = [[0] * len(reps) for _ in reps]
+    for i, s in enumerate(reps):
         for x in range(n):
-            t = bond_update(s, x, k)
-            if t != s:
-                j = index[t]
+            j = orbit_of[bond_update(s, x, k)]
+            if j != i:
                 rates[i][j] += 1
                 rates[i][i] -= 1
-    weights, denominator = _solve_stationary_int(rates)
-    return StationaryTable(zip(states, weights), denominator)
+    y, denominator = _solve_stationary_int(rates)
+    weights = [w * (n // m) for w, m in zip(y, orbit_sizes)]
+    return StationaryTable(((s, weights[o]) for s, o in orbit_of.items()), denominator * n)
 
 
 def pushforward_distribution(spec: ProcessSpec) -> StationaryTable:

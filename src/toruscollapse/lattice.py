@@ -12,6 +12,8 @@ import itertools
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .measures import frac
+
 # Exhaustive enumeration guards (oracles stay tractable).
 MAX_ENUM_N = 12
 MAX_ENUM_STATES = 10**7
@@ -73,12 +75,13 @@ class TorusConfig:
 
 
 class PointConfig:
-    """Finite set of distinct rational points on the unit torus [0, 1)."""
+    """Finite set of distinct rational points on the unit torus [0, 1),
+    given as ints, "p/q" strings or Fractions (a float raises ValueError)."""
 
     __slots__ = ("points",)
 
     def __init__(self, points: Sequence[Fraction]):
-        pts = [p if isinstance(p, Fraction) else Fraction(p) for p in points]
+        pts = [p if isinstance(p, Fraction) else frac(p) for p in points]
         increasing = all(a < b for a, b in zip(pts, pts[1:]))
         if not increasing:
             pts.sort()

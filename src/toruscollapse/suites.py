@@ -497,7 +497,7 @@ def suite_minimizers(cfg: SuiteConfig) -> list[Check]:
         gap = abs(best - target)
         return gap <= contrall_tol, f"|min_rho2 S3 - S2| = {gap:.2e}", {}
 
-    checks.append(("minimizers.three_layer_contraction", "<= 1e-2", contrall_body))
+    checks.append(("minimizers.three_layer_contraction", f"<= {contrall_tol}", contrall_body))
     return checks
 
 

@@ -59,6 +59,15 @@ class TestCli:
         assert data["pushforward_tv_distance"] == "0"
         assert len(data["states"]) == 6
 
+    def test_stationary_seven_sites(self, capsys):
+        code, out = run_cli(
+            capsys, "stationary", "--n", "7", "--classes", "2,2,2", "--compare-pushforward"
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["pushforward_tv_distance"] == "0"
+        assert len(data["states"]) == 630
+
     def test_stationary_csv(self, capsys):
         code, out = run_cli(
             capsys, "stationary", "--n", "3", "--classes", "1,1", "--format", "csv"

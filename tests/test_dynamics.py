@@ -26,6 +26,34 @@ from toruscollapse.stats import chi_square_uniform
 F = Fraction
 
 
+def assert_stationary_certificate(tab, n, counts):
+    """Certificate without a solve: every state present, integer balance at
+    every state under bond_update, and every state reachable from one."""
+    k = len(counts)
+    holes = n - sum(counts)
+    states = math.factorial(n) // math.prod(math.factorial(c) for c in (*counts, holes))
+    assert len(tab) == states
+    weight = dict(zip(tab.states, tab.weights))
+    inflow = dict.fromkeys(weight, 0)
+    outflow = dict.fromkeys(weight, 0)
+    for s, w in weight.items():
+        for x in range(n):
+            t = bond_update(s, x, k)
+            if t != s:
+                outflow[s] += w
+                inflow[t] += w
+    assert inflow == outflow
+    seen, frontier = {tab.states[0]}, [tab.states[0]]
+    while frontier:
+        s = frontier.pop()
+        for x in range(n):
+            t = bond_update(s, x, k)
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    assert seen == set(weight)
+
+
 class TestBondUpdate:
     def test_particle_jumps_left(self):
         assert bond_update((0, 1), 0, 1) == (1, 0)
@@ -73,7 +101,17 @@ class TestExactStationary:
         assert dict(tab.items()) == expected
 
     @pytest.mark.parametrize(
-        "n,counts", [(3, (1, 1)), (4, (1, 2)), (4, (1, 1, 1)), (5, (2, 1))]
+        "n,counts",
+        [
+            (3, (1, 1)),
+            (4, (1, 2)),
+            (4, (1, 1, 1)),
+            (5, (2, 1)),
+            (7, (1, 2, 3)),
+            (7, (2, 2, 2)),
+            # orbits of size 3 (120120) besides full orbits of size 6
+            (6, (2, 2)),
+        ],
     )
     def test_pushforward_matches(self, n, counts):
         spec = ProcessSpec("tasep", counts, n=n)
@@ -98,32 +136,16 @@ class TestExactStationary:
 
     @pytest.mark.parametrize("n,counts", [(7, (2, 2, 2)), (8, (2, 2, 2)), (8, (1, 2, 3))])
     def test_pushforward_is_stationary_beyond_the_dense_solve(self, n, counts):
-        # certificate without a solve: integer balance at every state, every
-        # state present, and every state reachable under bond_update
-        k = len(counts)
         tab = pushforward_distribution(ProcessSpec("tasep", counts, n=n))
-        holes = n - sum(counts)
-        states = math.factorial(n) // math.prod(math.factorial(c) for c in (*counts, holes))
-        assert len(tab) == states
-        weight = dict(zip(tab.states, tab.weights))
-        inflow = dict.fromkeys(weight, 0)
-        outflow = dict.fromkeys(weight, 0)
-        for s, w in weight.items():
-            for x in range(n):
-                t = bond_update(s, x, k)
-                if t != s:
-                    outflow[s] += w
-                    inflow[t] += w
-        assert inflow == outflow
-        seen, frontier = {tab.states[0]}, [tab.states[0]]
-        while frontier:
-            s = frontier.pop()
-            for x in range(n):
-                t = bond_update(s, x, k)
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-        assert seen == set(weight)
+        assert_stationary_certificate(tab, n, counts)
+
+    @pytest.mark.parametrize("n,counts", [(6, (1, 2, 2)), (7, (2, 2, 2)), (6, (2, 2))])
+    def test_exact_stationary_passes_the_certificate(self, n, counts):
+        # full-chain balance, so a lumping mistake shared with the
+        # pushforward cannot hide behind equal tables; (6, (2, 2)) has
+        # orbits of size 3 and 6, the other two only full orbits
+        tab = exact_stationary(ProcessSpec("tasep", counts, n=n))
+        assert_stationary_certificate(tab, n, counts)
 
     def test_pushforward_rejects_non_nested_collapse(self, monkeypatch):
         def broken(first, second):

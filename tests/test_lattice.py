@@ -122,6 +122,11 @@ class TestPointConfig:
             with pytest.raises(ValueError, match=r"\[0, 1\)"):
                 PointConfig(bad)
 
+    def test_floats_refused(self):
+        # 0.1 would otherwise become 3602879701896397/2^55
+        with pytest.raises(ValueError, match="is a float"):
+            PointConfig([0.1])
+
     @pytest.mark.parametrize("k,seed", [(0, 1), (1, 2), (50, 3), (400, 4)])
     def test_random_points_are_sorted_distinct_grid_draws(self, k, seed):
         rng, ref = random.Random(seed), random.Random(seed)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from toruscollapse.collapse import collapse_measure
 from toruscollapse.measures import TorusMeasure, measure_leq, merge_pair
@@ -255,6 +256,41 @@ def _ordered_pair(rng, cells=8, family="tasep"):
     if r1.total_mass >= r2.total_mass:
         return None
     return r1, r2
+
+
+@st.composite
+def small_ordered_pairs(draw):
+    """(family, rho1, rho2): an ordered absolutely continuous pair on at most
+    six equal cells, densities in 16ths (at most 1 for the exclusion family),
+    masses inside the family's kernel domain."""
+    family = draw(st.sampled_from(("tasep", "had")))
+    cells = draw(st.integers(1, 6))
+    top = 16 if family == "tasep" else 32
+    lo = draw(st.lists(st.integers(0, top), min_size=cells, max_size=cells))
+    hi = [a + draw(st.integers(0, top - a)) for a in lo]
+    bps = [F(i, cells) for i in range(cells)]
+    r1 = TorusMeasure(bps, [F(a, 16) for a in lo])
+    r2 = TorusMeasure(bps, [F(b, 16) for b in hi])
+    m1, m2 = r1.total_mass, r2.total_mass
+    assume(0 < m1 < m2 and (family == "had" or m2 < 1))
+    return family, r1, r2
+
+
+class TestS2Properties:
+    @given(small_ordered_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_value_nonnegative(self, case):
+        family, r1, r2 = case
+        assert s2(r1, r2, r1.total_mass, r2.total_mass, family).value >= 0
+
+    @given(small_ordered_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle(self, case):
+        # 1e-3: the tolerance of criterion 6 and of the benchmark's oracle check
+        family, r1, r2 = case
+        closed = s2(r1, r2, r1.total_mass, r2.total_mass, family).value
+        oracle = s2_oracle(r1, r2, r1.total_mass, r2.total_mass, family)
+        assert abs(closed - oracle) <= 1e-3
 
 
 class TestPreimage:

@@ -71,6 +71,11 @@ class TestSuiteHarness:
         assert not check.passed
         assert "worker failed" in check.statistic
 
+    def test_contraction_threshold_reports_the_override(self):
+        cfg = SuiteConfig(suite="minimizers", overrides={"contrall_tol": 0.5})
+        thresholds = {cid: threshold for cid, threshold, _ in suites.suite_minimizers(cfg)}
+        assert thresholds["minimizers.three_layer_contraction"] == "<= 0.5"
+
     def test_s2_statistic_holds_no_timing(self):
         cfg = SuiteConfig(suite="s2-oracle", overrides={"instances": 3})
         a, b = run_suite(cfg), run_suite(cfg)
