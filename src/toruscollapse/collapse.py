@@ -15,7 +15,8 @@ point; lap 2 starts there and reads off what is kept and J.
 On a ring the queue counts particles (queue_collapse): a site in the first
 layer only is an arrival, one in the second only a service, and the queue
 lengths are the integer flux (discrete_flux).  Point sets run it on the
-merged sorted order of both sets.  The restart-loop
+merged sorted order of both sets, compared as ints over their common
+denominator; the result keeps the original Fractions.  The restart-loop
 collapse_discrete_algorithmic and the O(N^2) supremum discrete_flux_direct
 are kept as its oracles; discrete_flux itself is kept as the integer flux
 that tests hold the measure flux of unit-atom encodings to.
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import OrderedTuple, PointConfig, TorusConfig
+from .lattice import OrderedTuple, PointConfig, TorusConfig, grid_numerators
 from .measures import (
     ONE,
     ZERO,
@@ -190,20 +191,22 @@ def collapse_points(x: PointConfig, y: PointConfig) -> PointConfig:
     Points of x already sitting on y stay put; a moving point lands on the
     nearest y-point to its right that is not currently occupied by x.  The
     result depends only on the cyclic interleaving of x and y, so it is the
-    queue collapse on their merged sorted order.
+    queue collapse on their merged sorted order, taken on the points'
+    numerators over their common denominator.
     """
     if len(x) > len(y):
         raise CollapseError("first point set is larger")
     xs, ys = x.points, y.points
+    _, (xk, yk) = grid_numerators([xs, ys])
     merged, first, second = [], [], []
     i = j = 0
     while i < len(xs) or j < len(ys):
-        if j == len(ys) or (i < len(xs) and xs[i] < ys[j]):
+        if j == len(ys) or (i < len(xs) and xk[i] < yk[j]):
             merged.append(xs[i])
             first.append(1)
             second.append(0)
             i += 1
-        elif i == len(xs) or ys[j] < xs[i]:
+        elif i == len(xs) or yk[j] < xk[i]:
             merged.append(ys[j])
             first.append(0)
             second.append(1)

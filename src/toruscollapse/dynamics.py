@@ -16,6 +16,10 @@ orbits of label vectors rather than on single states: the ring dynamics
 commute with rotation, so the stationary law is constant on each orbit.
 tasep_state_frequencies is kept as the simulation oracle that tests hold
 the exact tables to.
+
+had_simulate runs its layers as sorted ints over the common denominator of
+their points and POINT_GRID, the grid of its marks; Fractions are built
+only for the returned point sets and the recorded marks.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .lattice import (
     PointConfig,
     enumerate_configs,
     enumerate_label_vectors,
+    grid_numerators,
     random_config,
     random_points,
 )
@@ -357,20 +362,23 @@ def had_simulate(
     at once; marks colliding with an existing point are redrawn.  Returns
     (final OrderedTuple, events) with (time, u) pairs when record is set.
     """
-    layers = [list(x.points) for x in initial]
+    grid, layers = grid_numerators([x.points for x in initial], POINT_GRID)
+    scale = grid // POINT_GRID
     t = 0.0
     events = []
     while True:
         t += rng.expovariate(1)
         if t >= horizon:
-            return OrderedTuple([PointConfig(pts) for pts in layers]), events
+            final = [PointConfig([Fraction(p, grid) for p in pts]) for pts in layers]
+            return OrderedTuple(final), events
         while True:
-            u = Fraction(rng.getrandbits(53), POINT_GRID)
+            bits = rng.getrandbits(53)
+            u = bits * scale
             if not any(_holds(pts, u) for pts in layers):
                 break
         _had_apply_mark(layers, u)
         if record:
-            events.append((t, u))
+            events.append((t, Fraction(bits, POINT_GRID)))
 
 
 def had_sample_chain(

@@ -9,6 +9,7 @@ is pure.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -110,6 +111,20 @@ class PointConfig:
         return f"PointConfig({[str(p) for p in self.points]})"
 
 
+def grid_numerators(
+    point_lists: Sequence[Sequence[Fraction]], grid: int = 1
+) -> tuple[int, list[list[int]]]:
+    """Put point lists on one integer grid: the lcm of `grid` and every
+    point's denominator, and each point as its numerator over it.
+
+    The map is injective and order-preserving, so sorted lists stay sorted
+    and comparisons, hashing and differences can run on the ints.
+    """
+    ratios = [[p.as_integer_ratio() for p in pts] for pts in point_lists]
+    grid = math.lcm(grid, *{d for r in ratios for _, d in r})
+    return grid, [[n * (grid // d) for n, d in r] for r in ratios]
+
+
 def class_label_encode(parts: Sequence[TorusConfig]) -> tuple[int, ...]:
     """Encode an ordered k-tuple of configurations as a label vector.
 
@@ -161,9 +176,10 @@ def validate_ordered(parts: Sequence) -> tuple[bool, str | None]:
                 if p > q:
                     return False, f"parts {i},{i+1}: site {x}"
         elif isinstance(a, PointConfig):
-            missing = set(a.points) - set(b.points)
+            grid, (inner, outer) = grid_numerators([a.points, b.points])
+            missing = set(inner).difference(outer)
             if missing:
-                return False, f"parts {i},{i+1}: point {min(missing)} not included"
+                return False, f"parts {i},{i+1}: point {Fraction(min(missing), grid)} not included"
         elif isinstance(a, measures.TorusMeasure):
             ok, where = measures.measure_leq_witness(a, b)
             if not ok:

@@ -42,7 +42,7 @@ from .dynamics import (
     pushforward_distribution,
     sample_invariant,
 )
-from .lattice import random_config, random_points
+from .lattice import grid_numerators, random_config, random_points
 from .measures import TorusMeasure, measure_leq, measure_leq_witness
 from .rate import (
     contraction_identity_check,
@@ -580,11 +580,11 @@ def _had_statistics(state) -> tuple[float, float]:
     """Per-draw scalar statistics of a two-layer point state: the largest
     gap of the full layer, and the total length of full-layer gaps lying
     immediately to the right of a first-layer point."""
-    first, full = state[0], state[1]
-    pts = list(full.points)
+    grid, (first, pts) = grid_numerators([state[0].points, state[1].points])
     n = len(pts)
-    gaps = [float((pts[(i + 1) % n] - pts[i]) % 1) for i in range(n)]
-    in_first = set(first.points)
+    # int / int is correctly rounded, so each gap is the float of the exact gap
+    gaps = [((pts[(i + 1) % n] - pts[i]) % grid) / grid for i in range(n)]
+    in_first = set(first)
     owned = sum(g for p, g in zip(pts, gaps) if p in in_first)
     return max(gaps), owned
 

@@ -4,9 +4,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toruscollapse import dynamics
-from toruscollapse.collapse import atomic_measure, queue_collapse
+from toruscollapse.collapse import atomic_measure, collapse_points, queue_collapse
 from toruscollapse.dynamics import (
     ProcessSpec,
     StationaryTable,
@@ -19,11 +20,35 @@ from toruscollapse.dynamics import (
     tasep_simulate,
     tasep_state_frequencies,
 )
-from toruscollapse.lattice import PointConfig, TorusConfig, random_points, validate_ordered
+from toruscollapse.lattice import (
+    POINT_GRID,
+    PointConfig,
+    TorusConfig,
+    random_points,
+    validate_ordered,
+)
 from toruscollapse.measures import TorusMeasure
 from toruscollapse.stats import chi_square_uniform
 
 F = Fraction
+
+
+def had_simulate_on_fractions(initial, horizon, rng):
+    """The mark process run on sorted Fraction lists: the reference the
+    integer-grid had_simulate must match mark for mark and draw for draw."""
+    layers = [list(x.points) for x in initial]
+    t = 0.0
+    events = []
+    while True:
+        t += rng.expovariate(1)
+        if t >= horizon:
+            return layers, events
+        while True:
+            u = F(rng.getrandbits(53), POINT_GRID)
+            if not any(dynamics._holds(pts, u) for pts in layers):
+                break
+        dynamics._had_apply_mark(layers, u)
+        events.append((t, u))
 
 
 def assert_stationary_certificate(tab, n, counts):
@@ -240,6 +265,19 @@ class TestSimulation:
             assert set(layers[0]) <= set(layers[1])
         assert [list(p.points) for p in out] == layers
 
+    def test_had_matches_the_fraction_reference_bit_for_bit(self):
+        rng = random.Random(31)
+        full = random_points(200, rng)
+        first = PointConfig(sorted(rng.sample(full.points, 100)))
+        mine, theirs = random.Random(32), random.Random(32)
+        out, events = had_simulate([first, full], 2000.0, mine, record=True)
+        layers, want = had_simulate_on_fractions([first, full], 2000.0, theirs)
+        assert len(events) > 1000
+        assert [list(p.points) for p in out] == layers
+        assert events == want
+        # the same generator consumption: the next draw agrees
+        assert mine.random() == theirs.random()
+
     def test_had_chain_sampling(self):
         rng = random.Random(7)
         spec = ProcessSpec("had", (2, 2))
@@ -248,6 +286,36 @@ class TestSimulation:
         assert len(samples) == 5
         for s in samples:
             assert validate_ordered(s)[0]
+
+
+# points on and off the sampling grid: a denominator 3 or 7 makes the
+# common denominator of had_simulate a proper multiple of POINT_GRID
+OFF_GRID = st.sampled_from([3, 7, 2**20, 2**53]).flatmap(
+    lambda d: st.integers(0, d - 1).map(lambda v: F(v, d))
+)
+
+
+class TestOffGridPoints:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_points_run_on_their_common_denominator(self, data):
+        ys = sorted(data.draw(st.sets(OFF_GRID, min_size=1, max_size=12)))
+        xs = sorted(data.draw(st.sets(OFF_GRID, max_size=len(ys))))
+        # the Fraction queue reference: merge, then the queue kernel
+        merged = sorted(set(xs) | set(ys))
+        kept = queue_collapse([int(p in xs) for p in merged], [int(p in ys) for p in merged])[0]
+        want = [p for p, k in zip(merged, kept) if k]
+        assert list(collapse_points(PointConfig(xs), PointConfig(ys)).points) == want
+
+        inner = sorted(data.draw(st.lists(st.sampled_from(ys), unique=True, max_size=len(ys))))
+        initial = [PointConfig(inner), PointConfig(ys)]
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        out, events = had_simulate(initial, 5.0, rng, record=True)
+        layers = [list(inner), list(ys)]
+        for _, u in events:
+            dynamics._had_apply_mark(layers, u)
+            assert set(layers[0]) <= set(layers[1])
+        assert [list(p.points) for p in out] == layers
 
 
 class TestSampler:

@@ -73,7 +73,10 @@ class TestValidateOrdered:
         a = PointConfig([Fraction(1, 4)])
         b = PointConfig([Fraction(1, 4), Fraction(1, 2)])
         assert validate_ordered([a, b])[0]
-        assert not validate_ordered([b, a])[0]
+        ok, why = validate_ordered([b, a])
+        assert not ok and why == "parts 0,1: point 1/2 not included"
+        ok, why = validate_ordered([PointConfig([Fraction(1, 3)]), b])
+        assert not ok and why == "parts 0,1: point 1/3 not included"
 
     def test_measures(self):
         from toruscollapse.measures import TorusMeasure
