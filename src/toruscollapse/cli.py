@@ -330,12 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand; a domain error (ValueError, which covers
-    CollapseError and EnumerationLimitError) ends it with one line on
-    stderr and exit code 2."""
+    CollapseError and EnumerationLimitError) or a file that cannot be read
+    or written (OSError) ends it with one line on stderr and exit code 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"toruscollapse {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

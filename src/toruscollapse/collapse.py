@@ -15,8 +15,8 @@ point; lap 2 starts there and reads off what is kept and J.
 On a ring the queue counts particles (queue_collapse): a site in the first
 layer only is an arrival, one in the second only a service, and the queue
 lengths are the integer flux (discrete_flux).  Point sets run it on the
-merged sorted order of both sets, compared as ints over their common
-denominator; the result keeps the original Fractions.  The restart-loop
+merged sorted order of both sets: the int numerators each PointConfig
+stores, rescaled to one common denominator.  The restart-loop
 collapse_discrete_algorithmic and the O(N^2) supremum discrete_flux_direct
 are kept as its oracles; discrete_flux itself is kept as the integer flux
 that tests hold the measure flux of unit-atom encodings to.
@@ -196,29 +196,11 @@ def collapse_points(x: PointConfig, y: PointConfig) -> PointConfig:
     """
     if len(x) > len(y):
         raise CollapseError("first point set is larger")
-    xs, ys = x.points, y.points
-    _, (xk, yk) = grid_numerators([xs, ys])
-    merged, first, second = [], [], []
-    i = j = 0
-    while i < len(xs) or j < len(ys):
-        if j == len(ys) or (i < len(xs) and xk[i] < yk[j]):
-            merged.append(xs[i])
-            first.append(1)
-            second.append(0)
-            i += 1
-        elif i == len(xs) or yk[j] < xk[i]:
-            merged.append(ys[j])
-            first.append(0)
-            second.append(1)
-            j += 1
-        else:
-            merged.append(xs[i])
-            first.append(1)
-            second.append(1)
-            i += 1
-            j += 1
-    kept = queue_collapse(first, second)[0]
-    return PointConfig([p for p, k in zip(merged, kept) if k])
+    grid, (xk, yk) = grid_numerators([x, y])
+    xs, ys = set(xk), set(yk)
+    merged = dict.fromkeys(sorted(xk + yk))
+    kept = queue_collapse([p in xs for p in merged], [p in ys for p in merged])[0]
+    return PointConfig.on_grid(grid, [p for p, k in zip(merged, kept) if k])
 
 
 # ---------------------------------------------------------------------------

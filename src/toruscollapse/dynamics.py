@@ -18,8 +18,8 @@ tasep_state_frequencies is kept as the simulation oracle that tests hold
 the exact tables to.
 
 had_simulate runs its layers as sorted ints over the common denominator of
-their points and POINT_GRID, the grid of its marks; Fractions are built
-only for the returned point sets and the recorded marks.
+their points and POINT_GRID, the grid of its marks, and returns them through
+PointConfig.on_grid; Fractions are built only for the recorded marks.
 """
 
 from __future__ import annotations
@@ -334,13 +334,13 @@ def sample_invariant(spec: ProcessSpec, rng) -> OrderedTuple:
 # ---------------------------------------------------------------------------
 
 
-def _holds(pts: list[Fraction], u: Fraction) -> bool:
+def _holds(pts: list[int], u: int) -> bool:
     """Whether the sorted list pts contains u."""
     i = bisect.bisect_left(pts, u)
     return i < len(pts) and pts[i] == u
 
 
-def _had_apply_mark(layers: list[list[Fraction]], u: Fraction) -> None:
+def _had_apply_mark(layers: list[list[int]], u: int) -> None:
     """Move, in every layer, the nearest point strictly left of u onto u."""
     for pts in layers:
         if not pts:
@@ -362,14 +362,14 @@ def had_simulate(
     at once; marks colliding with an existing point are redrawn.  Returns
     (final OrderedTuple, events) with (time, u) pairs when record is set.
     """
-    grid, layers = grid_numerators([x.points for x in initial], POINT_GRID)
+    grid, layers = grid_numerators(initial, POINT_GRID)
     scale = grid // POINT_GRID
     t = 0.0
     events = []
     while True:
         t += rng.expovariate(1)
         if t >= horizon:
-            final = [PointConfig([Fraction(p, grid) for p in pts]) for pts in layers]
+            final = [PointConfig.on_grid(grid, pts) for pts in layers]
             return OrderedTuple(final), events
         while True:
             bits = rng.getrandbits(53)

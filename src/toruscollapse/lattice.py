@@ -77,52 +77,70 @@ class TorusConfig:
 
 class PointConfig:
     """Finite set of distinct rational points on the unit torus [0, 1),
-    given as ints, "p/q" strings or Fractions (a float raises ValueError)."""
+    given as ints, "p/q" strings or Fractions (a float raises ValueError),
+    stored as `grid`, the smallest common denominator of the points, and
+    `nums`, their sorted numerators over it; `points` builds Fractions."""
 
-    __slots__ = ("points",)
+    __slots__ = ("grid", "nums")
 
     def __init__(self, points: Sequence[Fraction]):
-        pts = [p if isinstance(p, Fraction) else frac(p) for p in points]
-        increasing = all(a < b for a, b in zip(pts, pts[1:]))
-        if not increasing:
-            pts.sort()
-        if pts and not (0 <= pts[0] and pts[-1] < 1):
+        ratios = [frac(p).as_integer_ratio() for p in points]
+        grid = math.lcm(*(d for _, d in ratios))
+        self._store(grid, sorted(n * (grid // d) for n, d in ratios))
+
+    @classmethod
+    def on_grid(cls, grid: int, nums: Sequence[int]) -> "PointConfig":
+        """The points nums[i] / grid, for strictly increasing ints nums."""
+        config = object.__new__(cls)
+        config._store(grid, nums)
+        return config
+
+    def _store(self, grid: int, nums: Sequence[int]) -> None:
+        if grid < 1:
+            raise ValueError("grid must be a positive int")
+        if nums and not (0 <= nums[0] and nums[-1] < grid):
             raise ValueError("points must lie in [0, 1)")
-        if not increasing and any(a == b for a, b in zip(pts, pts[1:])):
-            raise ValueError("points must be distinct")
-        object.__setattr__(self, "points", tuple(pts))
+        for a, b in zip(nums, nums[1:]):
+            if a >= b:
+                raise ValueError("points must be distinct" if a == b else "numerators must increase")
+        g = math.gcd(grid, *nums)
+        object.__setattr__(self, "grid", grid // g)
+        object.__setattr__(self, "nums", tuple(n // g for n in nums))
 
     def __setattr__(self, name, value):
         raise AttributeError("PointConfig is immutable")
 
+    @property
+    def points(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.grid) for n in self.nums)
+
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.nums)
 
     def __iter__(self):
         return iter(self.points)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PointConfig) and self.points == other.points
+        return isinstance(other, PointConfig) and (self.grid, self.nums) == (other.grid, other.nums)
 
     def __hash__(self) -> int:
-        return hash(self.points)
+        return hash((self.grid, self.nums))
 
     def __repr__(self) -> str:
         return f"PointConfig({[str(p) for p in self.points]})"
 
 
 def grid_numerators(
-    point_lists: Sequence[Sequence[Fraction]], grid: int = 1
+    configs: Sequence[PointConfig], grid: int = 1
 ) -> tuple[int, list[list[int]]]:
-    """Put point lists on one integer grid: the lcm of `grid` and every
-    point's denominator, and each point as its numerator over it.
+    """Put point sets on one integer grid: the lcm of `grid` and their
+    grids, and each point as its numerator over it.
 
-    The map is injective and order-preserving, so sorted lists stay sorted
-    and comparisons, hashing and differences can run on the ints.
+    The map is injective and order-preserving, so the lists are sorted and
+    comparisons, hashing and differences can run on the ints.
     """
-    ratios = [[p.as_integer_ratio() for p in pts] for pts in point_lists]
-    grid = math.lcm(grid, *{d for r in ratios for _, d in r})
-    return grid, [[n * (grid // d) for n, d in r] for r in ratios]
+    grid = math.lcm(grid, *(c.grid for c in configs))
+    return grid, [[n * (grid // c.grid) for n in c.nums] for c in configs]
 
 
 def class_label_encode(parts: Sequence[TorusConfig]) -> tuple[int, ...]:
@@ -176,7 +194,7 @@ def validate_ordered(parts: Sequence) -> tuple[bool, str | None]:
                 if p > q:
                     return False, f"parts {i},{i+1}: site {x}"
         elif isinstance(a, PointConfig):
-            grid, (inner, outer) = grid_numerators([a.points, b.points])
+            grid, (inner, outer) = grid_numerators([a, b])
             missing = set(inner).difference(outer)
             if missing:
                 return False, f"parts {i},{i+1}: point {Fraction(min(missing), grid)} not included"
@@ -270,7 +288,7 @@ def random_points(count: int, rng) -> PointConfig:
     chosen: set[int] = set()
     while len(chosen) < count:
         chosen.add(rng.getrandbits(53))
-    return PointConfig([Fraction(k, POINT_GRID) for k in sorted(chosen)])
+    return PointConfig.on_grid(POINT_GRID, sorted(chosen))
 
 
 def random_config(n: int, m: int, rng) -> TorusConfig:

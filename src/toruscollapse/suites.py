@@ -580,7 +580,7 @@ def _had_statistics(state) -> tuple[float, float]:
     """Per-draw scalar statistics of a two-layer point state: the largest
     gap of the full layer, and the total length of full-layer gaps lying
     immediately to the right of a first-layer point."""
-    grid, (first, pts) = grid_numerators([state[0].points, state[1].points])
+    grid, (first, pts) = grid_numerators([state[0], state[1]])
     n = len(pts)
     # int / int is correctly rounded, so each gap is the float of the exact gap
     gaps = [((pts[(i + 1) % n] - pts[i]) % grid) / grid for i in range(n)]

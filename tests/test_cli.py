@@ -338,6 +338,24 @@ class TestCli:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("toruscollapse collapse: error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["collapse", "{missing}"],
+            ["rate-eval", "--rho1", "{missing}", "--m1", "1/2"],
+            ["minimizer", "--which", "total", "--profile", "{missing}", "--mass", "1/2"],
+            ["certify-nonconvex", "--out", "{file}"],
+        ],
+    )
+    def test_unreadable_file_is_one_line_exit_two(self, capsys, tmp_path, argv):
+        (tmp_path / "file").write_text("{}")
+        paths = {"missing": tmp_path / "missing.json", "file": tmp_path / "file"}
+        code = main([a.format(**paths) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"toruscollapse {argv[0]}: error: ")
+
     def test_minimizer_non_measure_profile_is_one_line_exit_two(self, capsys, tmp_path):
         prof = tmp_path / "rho.json"
         prof.write_text("[1]")

@@ -305,7 +305,8 @@ class TestOffGridPoints:
         merged = sorted(set(xs) | set(ys))
         kept = queue_collapse([int(p in xs) for p in merged], [int(p in ys) for p in merged])[0]
         want = [p for p, k in zip(merged, kept) if k]
-        assert list(collapse_points(PointConfig(xs), PointConfig(ys)).points) == want
+        got = collapse_points(PointConfig(xs), PointConfig(ys))
+        assert list(got.points) == want
 
         inner = sorted(data.draw(st.lists(st.sampled_from(ys), unique=True, max_size=len(ys))))
         initial = [PointConfig(inner), PointConfig(ys)]
@@ -316,6 +317,8 @@ class TestOffGridPoints:
             dynamics._had_apply_mark(layers, u)
             assert set(layers[0]) <= set(layers[1])
         assert [list(p.points) for p in out] == layers
+        for p in (got, *out):
+            assert p.grid == math.lcm(*(u.denominator for u in p.points))
 
 
 class TestSampler:

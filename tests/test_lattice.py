@@ -130,6 +130,27 @@ class TestPointConfig:
         with pytest.raises(ValueError, match="is a float"):
             PointConfig([0.1])
 
+    def test_canonical_form(self):
+        half = [PointConfig(["2/4"]), PointConfig([Fraction(1, 2)]), PointConfig.on_grid(8, [4])]
+        for p in half:
+            assert p == half[0] and hash(p) == hash(half[0])
+            assert (p.grid, p.nums) == (2, (1,))
+        assert PointConfig.on_grid(6, [0, 2, 3]) == PointConfig([0, "1/3", "1/2"])
+        assert PointConfig.on_grid(8, []) == PointConfig([])
+        assert PointConfig([]).grid == 1
+
+    def test_on_grid_refuses_unsorted_or_out_of_range(self):
+        with pytest.raises(ValueError, match="increase"):
+            PointConfig.on_grid(8, [3, 1])
+        with pytest.raises(ValueError, match="distinct"):
+            PointConfig.on_grid(8, [1, 1])
+        for nums in ([-1, 2], [2, 8]):
+            with pytest.raises(ValueError, match=r"\[0, 1\)"):
+                PointConfig.on_grid(8, nums)
+        for grid in (0, -4):
+            with pytest.raises(ValueError, match="positive"):
+                PointConfig.on_grid(grid, [])
+
     @pytest.mark.parametrize("k,seed", [(0, 1), (1, 2), (50, 3), (400, 4)])
     def test_random_points_are_sorted_distinct_grid_draws(self, k, seed):
         rng, ref = random.Random(seed), random.Random(seed)
