@@ -37,8 +37,6 @@ from .rate import (
 from .serialize import (
     dump_json,
     flux_to_json,
-    measure_from_json,
-    measure_to_json,
     part_from_json,
     part_to_json,
     rows_to_csv,
@@ -161,14 +159,14 @@ def cmd_sample_invariant(args) -> int:
 
 def cmd_rate_eval(args) -> int:
     if args.rho2 is None:
-        rho = measure_from_json(_read_json(args.rho1))
+        rho = TorusMeasure.from_json_dict(_read_json(args.rho1))
         kernel = EntropyKernel(args.family, frac(args.m1))
         _emit(args, {"s1": s1(rho, kernel)})
         return 0
     if args.m2 is None:
         raise ValueError("--rho2 needs --m2")
-    rho1 = measure_from_json(_read_json(args.rho1))
-    rho2 = measure_from_json(_read_json(args.rho2))
+    rho1 = TorusMeasure.from_json_dict(_read_json(args.rho1))
+    rho2 = TorusMeasure.from_json_dict(_read_json(args.rho2))
     res = s2(rho1, rho2, frac(args.m1), frac(args.m2), args.family)
     obj = {
         "value": res.value,
@@ -183,7 +181,7 @@ def cmd_rate_eval(args) -> int:
         ]
         if res.plateau
         else None,
-        "envelope_densities": [measure_to_json(e) for e in res.envelope_densities],
+        "envelope_densities": [e.to_json_dict() for e in res.envelope_densities],
     }
     # knots of rho1's cumulative and of its envelope on every plateau
     # interval; none for an infinite or diagonal rate
@@ -200,12 +198,12 @@ def cmd_rate_eval(args) -> int:
 
 
 def cmd_minimizer(args) -> int:
-    rho = measure_from_json(_read_json(args.profile))
+    rho = TorusMeasure.from_json_dict(_read_json(args.profile))
     if args.which == "first":
         out = minimizer_rho1(rho, frac(args.mass))
     else:
         out = minimizer_rho2(rho, frac(args.mass))
-    _emit(args, measure_to_json(out))
+    _emit(args, out.to_json_dict())
     return 0
 
 

@@ -115,13 +115,15 @@ class TorusMeasure:
     def from_cells(cls, cells: Iterable) -> "TorusMeasure":
         """Build from (lo, hi, density) pieces; unspecified regions get 0.
 
-        Pieces are half-open [lo, hi) and may wrap through 0; overlapping
-        pieces add their densities.
+        Pieces are half-open [lo, hi) and may wrap through 0; a piece with
+        hi - lo == 1 covers the torus; overlapping pieces add their densities.
         """
-        pieces = [(frac(lo) % 1, frac(hi) % 1, frac(d)) for lo, hi, d in cells]
-        refined = refined_cells(x for lo, hi, _ in pieces for x in (lo, hi))
+        pieces = [(frac(lo), frac(hi), frac(d)) for lo, hi, d in cells]
+        # (start, length, density)
+        pieces = [(lo % 1, ONE if hi - lo == 1 else cyc_len(lo, hi), d) for lo, hi, d in pieces]
+        refined = refined_cells(x for lo, n, _ in pieces for x in (lo, (lo + n) % 1))
         dens = [
-            sum((d for lo, hi, d in pieces if cyc_len(lo, mid) < cyc_len(lo, hi)), ZERO)
+            sum((d for lo, n, d in pieces if cyc_len(lo, mid) < n), ZERO)
             for _, _, mid in refined
         ]
         return cls([lo for lo, _, _ in refined], dens)
@@ -367,7 +369,12 @@ def plateau_set(rho1: TorusMeasure, rho2: TorusMeasure) -> PlateauDecomposition:
     """
     if rho1.atoms or rho2.atoms:
         raise ValueError("plateau decomposition requires absolutely continuous measures")
-    pair = merge_pair(rho1, rho2)
+    return pair_plateaus(merge_pair(rho1, rho2))
+
+
+def pair_plateaus(pair: PairGrid) -> PlateauDecomposition:
+    """Plateaus of a merged pair of densities: the maximal cyclic runs of
+    cells where the two densities are equal."""
     mask = [x == y for x, y in zip(pair.dens1, pair.dens2)]
     if all(mask):
         return PlateauDecomposition((), full_torus=True)
@@ -489,13 +496,14 @@ def concave_envelope(F: CumulativeFunction) -> CumulativeFunction:
     return CumulativeFunction(F.base, hull)
 
 
-def envelope_density(rho: TorusMeasure, arc: ClosedArc) -> TorusMeasure:
-    """Density on the torus whose cumulative on the arc is the concave
-    envelope of rho's cumulative, and which vanishes off the arc."""
-    env = concave_envelope(cumulative(rho, arc))
-    cells = []
-    for (t0, v0), (t1, v1) in zip(env.knots, env.knots[1:]):
-        lo = (arc.lo + t0) % 1
-        hi = (arc.lo + t1) % 1
-        cells.append((lo, hi, (v1 - v0) / (t1 - t0)))
-    return TorusMeasure.from_cells(cells)
+def envelope_density(env: CumulativeFunction) -> TorusMeasure:
+    """Density on the torus whose cumulative on env's arc is env, read off
+    its knots (the slope of each segment), and which vanishes off the arc."""
+    lo = env.base.lo
+    cells = [
+        ((lo + t0) % 1, (v1 - v0) / (t1 - t0))
+        for (t0, v0), (t1, v1) in zip(env.knots, env.knots[1:])
+    ]
+    cells.append(((lo + env.length) % 1, ZERO))
+    cells.sort()
+    return TorusMeasure([p for p, _ in cells], [d for _, d in cells])

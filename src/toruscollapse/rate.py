@@ -9,6 +9,11 @@ profile is charged everywhere.  A dynamic program over discretized
 monotone cumulatives provides an independent variational oracle, and for
 three or more layers only such oracles exist here.
 
+`s2` and `s2_oracle` read a pair once, through its merged grid
+(`merge_pair`): domination and the plateaus are cell-by-cell comparisons
+there, the off-plateau term is a sum over its cells, and each plateau term
+of `s2` is a sum over the hull segments of the concave envelope.
+
 Both minimizers of the contraction identities are collapses: of the
 constant profile onto the total profile, and of the mirrored first layer
 onto a constant.  The rate's unique zero is the constant pair.
@@ -21,20 +26,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .collapse import collapse_measure
 from .measures import (
     ONE,
     ZERO,
     CumulativeFunction,
+    PairGrid,
     PlateauDecomposition,
     TorusMeasure,
+    concave_envelope,
     cumulative,
     envelope_density,
     frac,
-    measure_leq,
     merge_pair,
+    pair_plateaus,
     plateau_set,
     refined_cells,
 )
@@ -101,19 +108,23 @@ def _domain_ok(rho: TorusMeasure, m: Fraction, family: str) -> bool:
     return True
 
 
-def _integrate_kernel(
-    rho: TorusMeasure,
-    kernel: EntropyKernel,
-    cuts: Sequence[Fraction] = (),
-    predicate: Callable[[Fraction], bool] | None = None,
-) -> float:
-    """Sum of cell_length * kernel(cell_density) over refined cells whose
-    midpoint satisfies the predicate."""
-    total = 0.0
-    for lo, hi, mid in refined_cells([*rho.breakpoints, *cuts]):
-        if predicate is None or predicate(mid):
-            total += float(hi - lo) * kernel(rho.density_at(mid))
-    return total
+def _integrate_kernel(rho: TorusMeasure, kernel: EntropyKernel) -> float:
+    """Sum of cell_length * kernel(cell_density) over rho's cells."""
+    edges = zip(rho.breakpoints, [*rho.breakpoints[1:], ONE])
+    return sum((float(hi - lo) * kernel(d) for (lo, hi), d in zip(edges, rho.densities)), 0.0)
+
+
+def _off_plateau_integral(pair: PairGrid, kernel: EntropyKernel) -> float:
+    """Kernel integral of the first density over the merged cells where the
+    pair's densities differ."""
+    cells = zip(pair.lens, pair.dens1, pair.dens2)
+    return sum((float(n) * kernel(x) for n, x, y in cells if x != y), 0.0)
+
+
+def _envelope_integral(env: CumulativeFunction, kernel: EntropyKernel) -> float:
+    """Kernel integral of the slopes of a piecewise-linear cumulative."""
+    segs = [(t1 - t0, v1 - v0) for (t0, v0), (t1, v1) in zip(env.knots, env.knots[1:])]
+    return sum((float(dt) * kernel(dv / dt) for dt, dv in segs), 0.0)
 
 
 def s1(rho: TorusMeasure, kernel: EntropyKernel) -> float:
@@ -158,7 +169,8 @@ def s2(
     m1, m2 = frac(m1), frac(m2)
     if not (_domain_ok(rho1, m1, family) and _domain_ok(rho2, m2, family)):
         return RateResult.infinite()
-    if not measure_leq(rho1, rho2):
+    pair = merge_pair(rho1, rho2)
+    if not all(x <= y for x, y in zip(pair.dens1, pair.dens2)):
         return RateResult.infinite()
     # the rate's unique zero is the constant pair
     exact_zero = rho1 == TorusMeasure.constant(m1) and rho2 == TorusMeasure.constant(m2)
@@ -180,22 +192,12 @@ def s2(
         )
     k1 = EntropyKernel(family, m1)
     k2 = EntropyKernel(family, m2)
-    plateau = plateau_set(rho1, rho2)
+    plateau = pair_plateaus(pair)
     if plateau.full_torus:
         raise RuntimeError("equal densities a.e. with distinct masses")
-    cuts = [p for arc in plateau.intervals for p in (arc.lo, arc.hi)]
-    complement = _integrate_kernel(
-        rho1, k1, cuts, predicate=lambda mid: not plateau.covers(mid)
-    )
-    env_measures = []
-    plateau_terms = []
-    for arc in plateau.intervals:
-        env = envelope_density(rho1, arc)
-        env_measures.append(env)
-        term = _integrate_kernel(
-            env, k1, (arc.lo, arc.hi), predicate=lambda mid, a=arc: mid in a
-        )
-        plateau_terms.append(term)
+    complement = _off_plateau_integral(pair, k1)
+    envelopes = [concave_envelope(cumulative(rho1, arc)) for arc in plateau.intervals]
+    plateau_terms = tuple(_envelope_integral(env, k1) for env in envelopes)
     second = _integrate_kernel(rho2, k2)
     value = complement + sum(plateau_terms) + second
     return RateResult(
@@ -204,9 +206,9 @@ def s2(
         exact_zero=exact_zero,
         diagonal=False,
         plateau=plateau,
-        envelope_densities=tuple(env_measures),
+        envelope_densities=tuple(envelope_density(env) for env in envelopes),
         complement_integral=complement,
-        plateau_integrals=tuple(plateau_terms),
+        plateau_integrals=plateau_terms,
         second_layer_integral=second,
     )
 
@@ -318,19 +320,16 @@ def s2_oracle(
     m1, m2 = frac(m1), frac(m2)
     if not (_domain_ok(rho1, m1, family) and _domain_ok(rho2, m2, family)):
         return INF
-    if not measure_leq(rho1, rho2):
+    pair = merge_pair(rho1, rho2)
+    if not all(x <= y for x, y in zip(pair.dens1, pair.dens2)):
         return INF
     k1 = EntropyKernel(family, m1)
     k2 = EntropyKernel(family, m2)
     if m1 == m2:
         return _integrate_kernel(rho1, k1) if rho1 == rho2 else INF
-    plateau = plateau_set(rho1, rho2)
-    cuts = [p for arc in plateau.intervals for p in (arc.lo, arc.hi)]
     total = _integrate_kernel(rho2, k2)
-    total += _integrate_kernel(
-        rho1, k1, cuts, predicate=lambda mid: not plateau.covers(mid)
-    )
-    for arc in plateau.intervals:
+    total += _off_plateau_integral(pair, k1)
+    for arc in pair_plateaus(pair).intervals:
         F = cumulative(rho2, arc)
         total += _plateau_dp_min(F, k1, bounded=(family == "tasep"))
     return total
@@ -571,10 +570,11 @@ def s3_recursive(
         if collapse_measure(phi2, rhos[2])[0] != rhos[1]:
             continue
         for phi1 in phi1_pool:
-            if not measure_leq(phi1, phi2):
+            res = s2(phi1, phi2, masses[0], masses[1], family)
+            if not res.finite:
                 continue
             feasible += 1
-            val = base + s2(phi1, phi2, masses[0], masses[1], family).value
+            val = base + res.value
             if val < best:
                 best = val
     return {"value": best, "feasible_count": feasible}
@@ -598,6 +598,8 @@ def ldp_decay_exact(
     dens = [frac(d) for d in bin_densities]
     m = frac(m)
     B = len(dens)
+    if B == 0:
+        raise ValueError("need at least one bin density")
     if sum(dens) / B != m:
         raise ValueError("bin densities must average to the mass parameter")
     if any(d < 0 or d > 1 for d in dens):
@@ -606,6 +608,8 @@ def ldp_decay_exact(
     s1_val = sum(float(Fraction(1, B)) * kern(d) for d in dens)
     rows = []
     for n in sizes:
+        if n < 1:
+            raise ValueError(f"ring size {n} must be at least 1")
         if n % B:
             raise ValueError(f"bin count {B} must divide the ring size {n}")
         nb = n // B

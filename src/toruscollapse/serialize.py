@@ -30,21 +30,13 @@ def points_from_json(data) -> PointConfig:
     return PointConfig(_json_rationals(data, "a point set's 'data'"))
 
 
-def measure_to_json(rho: TorusMeasure) -> dict:
-    return rho.to_json_dict()
-
-
-def measure_from_json(data: dict) -> TorusMeasure:
-    return TorusMeasure.from_json_dict(data)
-
-
 def part_to_json(part) -> dict:
     if isinstance(part, TorusConfig):
         return {"type": "config", "data": config_to_json(part)}
     if isinstance(part, PointConfig):
         return {"type": "points", "data": points_to_json(part)}
     if isinstance(part, TorusMeasure):
-        return {"type": "measure", "data": measure_to_json(part)}
+        return {"type": "measure", "data": part.to_json_dict()}
     raise TypeError(f"unsupported part {type(part)!r}")
 
 
@@ -57,7 +49,7 @@ def part_from_json(data: dict):
     if kind == "points":
         return points_from_json(data["data"])
     if kind == "measure":
-        return measure_from_json(data["data"])
+        return TorusMeasure.from_json_dict(data["data"])
     raise ValueError(f"unknown part type {kind!r}")
 
 

@@ -220,7 +220,7 @@ def _stationarity_unit(args):
 
 
 def suite_stationarity(cfg: SuiteConfig) -> list[Check]:
-    ns = cfg.get("ns", (3, 4, 5, 6))
+    ns = cfg.get("ns", (3, 4, 5, 6, 7))
     ks = cfg.get("ks", (2, 3))
     units = []
     for n in ns:

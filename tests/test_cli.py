@@ -12,7 +12,6 @@ import pytest
 from toruscollapse.cli import build_parser, main
 from toruscollapse.measures import TorusMeasure
 from toruscollapse.serialize import (
-    measure_from_json,
     part_from_json,
     part_to_json,
     points_from_json,
@@ -101,7 +100,7 @@ class TestCli:
         code, out = run_cli(capsys, "collapse", str(path))
         assert code == 0
         data = json.loads(out)
-        got = measure_from_json(data["parts"][0]["data"])
+        got = TorusMeasure.from_json_dict(data["parts"][0]["data"])
         assert got == TorusMeasure.from_atoms([F(3, 4)], 1)
         assert data["flux"]["intervals"][0]["lo"] == "51/100"
 
@@ -242,7 +241,7 @@ class TestCli:
             capsys, "minimizer", "--which", "first", "--profile", str(prof), "--mass", "1/4"
         )
         assert code == 0
-        assert measure_from_json(json.loads(out)) == TorusMeasure.constant(F(1, 4))
+        assert TorusMeasure.from_json_dict(json.loads(out)) == TorusMeasure.constant(F(1, 4))
 
     def test_ldp_decay_csv(self, capsys):
         code, out = run_cli(
@@ -312,6 +311,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.splitlines() == ["toruscollapse rate-eval: error: --rho2 needs --m2"]
+
+    @pytest.mark.parametrize("size", ["0", "-4"])
+    def test_ldp_decay_size_below_one_is_one_line_exit_two(self, capsys, size):
+        code = main(["ldp-decay", "--bins", "1/2,0", "--m", "1/4", "--sizes", size])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"toruscollapse ldp-decay: error: ring size {size} must be at least 1"
+        ]
 
     @pytest.mark.parametrize(
         "payload",

@@ -38,6 +38,10 @@ class TestConstruction:
         rho = TorusMeasure([0, F(1, 2)], [2, 0], [(F(3, 4), F(1, 2))])
         assert rho.total_mass == F(3, 2)
 
+    def test_whole_torus_piece(self):
+        assert TorusMeasure.indicator(0, 1) == TorusMeasure.constant(1)
+        assert TorusMeasure.from_cells([(F(1, 4), F(5, 4), 2)]) == TorusMeasure.constant(2)
+
     def test_membership_flags(self):
         assert TorusMeasure.constant(2).is_absolutely_continuous
         assert not TorusMeasure.from_atoms([F(1, 2)], 1).is_absolutely_continuous
@@ -217,7 +221,7 @@ class TestEnvelope:
 
     def test_indicator_straightens(self):
         rho = TorusMeasure.indicator(F(1, 4), F(1, 2))
-        env = envelope_density(rho, ClosedArc(F(0), F(1, 2)))
+        env = envelope_density(concave_envelope(cumulative(rho, ClosedArc(F(0), F(1, 2)))))
         assert env == TorusMeasure.indicator(0, F(1, 2), F(1, 2))
 
     def test_chord_supremum_oracle(self):

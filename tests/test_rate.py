@@ -3,10 +3,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from toruscollapse.collapse import collapse_measure
-from toruscollapse.measures import TorusMeasure, measure_leq, merge_pair
+from toruscollapse.measures import (
+    TorusMeasure,
+    concave_envelope,
+    cumulative,
+    measure_leq,
+    merge_pair,
+    plateau_set,
+    refined_cells,
+)
 from toruscollapse.rate import (
     EntropyKernel,
     contraction_identity_check,
@@ -33,6 +41,35 @@ def h(x, m):
     if x < 1:
         out += (1 - x) * math.log((1 - x) / (1 - m))
     return out
+
+
+def midpoint_integral(rho, kernel, cuts=(), keep=lambda mid: True):
+    """Reference integrator: cut rho's cells at `cuts` and sum
+    cell_length * kernel(density at the midpoint) over the cells whose
+    midpoint `keep` accepts."""
+    total = 0.0
+    for lo, hi, mid in refined_cells([*rho.breakpoints, *cuts]):
+        if keep(mid):
+            total += float(hi - lo) * kernel(rho.density_at(mid))
+    return total
+
+
+def midpoint_s2(r1, r2, k1, k2):
+    """(complement, plateau terms, second layer) of the two-layer rate by
+    midpoint probes: each plateau's envelope is built with from_cells and
+    integrated over the cells whose midpoints lie on the plateau."""
+    plateau = plateau_set(r1, r2)
+    cuts = [p for arc in plateau.intervals for p in (arc.lo, arc.hi)]
+    complement = midpoint_integral(r1, k1, cuts, lambda mid: not plateau.covers(mid))
+    terms = []
+    for arc in plateau.intervals:
+        knots = concave_envelope(cumulative(r1, arc)).knots
+        env = TorusMeasure.from_cells(
+            ((arc.lo + t0) % 1, (arc.lo + t1) % 1, (v1 - v0) / (t1 - t0))
+            for (t0, v0), (t1, v1) in zip(knots, knots[1:])
+        )
+        terms.append(midpoint_integral(env, k1, (arc.lo, arc.hi), lambda mid, a=arc: mid in a))
+    return complement, terms, midpoint_integral(r2, k2)
 
 
 class TestKernels:
@@ -226,16 +263,10 @@ class TestS2:
             res = s2(r1, r2, m1, m2)
             lhs = res.value - s1(r1, EntropyKernel("tasep", m1))
             k2 = EntropyKernel("tasep", m2)
-            from toruscollapse.rate import _integrate_kernel
-
             cuts = [p for a in res.plateau.intervals for p in (a.lo, a.hi)]
-            rhs = _integrate_kernel(
-                r2, k2, cuts, predicate=lambda mid: not res.plateau.covers(mid)
-            )
+            rhs = midpoint_integral(r2, k2, cuts, lambda mid: not res.plateau.covers(mid))
             for arc, env in zip(res.plateau.intervals, res.envelope_densities):
-                rhs += _integrate_kernel(
-                    env, k2, (arc.lo, arc.hi), predicate=lambda mid, a=arc: mid in a
-                )
+                rhs += midpoint_integral(env, k2, (arc.lo, arc.hi), lambda mid, a=arc: mid in a)
             assert rhs >= -1e-12
             assert abs(lhs - rhs) < 1e-12
 
@@ -282,6 +313,34 @@ class TestS2Properties:
     def test_value_nonnegative(self, case):
         family, r1, r2 = case
         assert s2(r1, r2, r1.total_mass, r2.total_mass, family).value >= 0
+
+    @given(small_ordered_pairs())
+    @example(
+        (
+            "tasep",  # one plateau, wrapping through 0
+            TorusMeasure([F(i, 4) for i in range(4)], [F(1, 2), 0, 0, F(1, 2)]),
+            TorusMeasure([F(i, 4) for i in range(4)], [F(1, 2), F(1, 4), F(1, 4), F(1, 2)]),
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_midpoint_reference(self, case):
+        family, r1, r2 = case
+        m1, m2 = r1.total_mass, r2.total_mass
+        k1, k2 = EntropyKernel(family, m1), EntropyKernel(family, m2)
+        res = s2(r1, r2, m1, m2, family)
+        complement, terms, second = midpoint_s2(r1, r2, k1, k2)
+        assert res.plateau == plateau_set(r1, r2)
+        assert abs(res.complement_integral - complement) <= 1e-12
+        assert len(res.plateau_integrals) == len(terms)
+        for got, want in zip(res.plateau_integrals, terms):
+            assert abs(got - want) <= 1e-12
+        assert abs(res.second_layer_integral - second) <= 1e-12
+        assert abs(res.value - (complement + sum(terms) + second)) <= 1e-12
+        for arc, env in zip(res.plateau.intervals, res.envelope_densities):
+            hull = concave_envelope(cumulative(r1, arc))
+            assert env.total_mass == hull.final_value  # nothing off the arc
+            for (t0, v0), (t1, v1) in zip(hull.knots, hull.knots[1:]):
+                assert env.density_at(arc.lo + (t0 + t1) / 2) == (v1 - v0) / (t1 - t0)
 
     @given(small_ordered_pairs())
     @settings(max_examples=60, deadline=None)
@@ -451,6 +510,10 @@ class TestLdpDecay:
     def test_wrong_mean_rejected(self):
         with pytest.raises(ValueError):
             ldp_decay_exact([F(1, 2), F(1, 2)], F(1, 4), [100])
+
+    def test_no_bins_rejected(self):
+        with pytest.raises(ValueError, match="at least one bin"):
+            ldp_decay_exact([], F(1, 4), [100])
 
 
 class TestMultilayerOracle:
