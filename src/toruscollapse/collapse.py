@@ -26,9 +26,11 @@ For measures the queue runs as a fluid over the pair's merged grid
 across a cell q -> max(0, q + (dens1 - dens2) * length).  Lap 2 keeps the
 atom min(atom2, q + atom1) at each grid point and rho2's density up to the
 end of {J > 0} in each cell, rho1's after it; J just before an interval's
-end is the atom the interval deposits there.  The O(B^2) enumeration
-flux_values_direct and the interval assembly
-collapse_measure_representation are kept as its oracles.
+end is the atom the interval deposits there.  Like the points, it runs on
+ints: merge_pair puts grid points over one common denominator and masses
+over another, so both laps are int arithmetic, and Fractions are built
+only for the results.  The O(B^2) enumeration flux_values_direct and the
+interval assembly collapse_measure_representation are kept as its oracles.
 
 A FluxProfile always describes a measure pair.  Configurations and point
 sets get one through their unit-atom encodings, atomic_measure(p, 1):
@@ -305,47 +307,55 @@ def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[FluxProfile, l
     grid (module docstring).  Returns the flux profile and the collapsed
     measure's breakpoints, densities and atoms.
 
-    Lap 2 reads off, per grid position, the kept atom, J there (the length
-    after the atom), the end of {J > 0} in the cell (the exact root of the
-    draining queue, the cell's edge, or None when J vanishes on the open
-    cell) and J just before that end.
+    Both laps run on the pair's ints (measures.PairGrid): the queue counts
+    units of 1/mass_den mass and a cell of n grid units changes it by
+    (dens1 - dens2) * n.  Lap 2 reads off, per grid position, the kept
+    atom, J there (the length after the atom), the end of {J > 0} in the
+    cell (the exact root of the draining queue, the cell's edge, or None
+    when J vanishes on the open cell) and J just before that end.  The
+    root is the only Fraction built in the loop; the other outputs reuse
+    the measures' Fractions or are built from the ints afterwards.
     """
     if rho1.total_mass > rho2.total_mass:
         raise CollapseError("first measure has more mass")
     pair = merge_pair(rho1, rho2)
-    cells = list(zip(pair.grid, pair.lens, pair.dens1, pair.dens2, pair.atom1, pair.atom2))
-    q = ZERO
-    for _, length, d1, d2, a1, a2 in cells:
-        q = max(ZERO, q + a1 - a2)
-        q = max(ZERO, q + (d1 - d2) * length)
-    values, slopes, ends, tails, mask = [], [], [], [], []
+    grid, nums, grid_den = pair.grid, pair.nums, pair.grid_den
+    lens = [hi - lo for lo, hi in zip(nums, nums[1:] + [grid_den])]
+    cells = list(zip(lens, pair.dens_nums1, pair.dens_nums2, pair.atom_nums1, pair.atom_nums2))
+    q = 0
+    for length, d1, d2, a1, a2 in cells:
+        q = max(0, q + a1 - a2)
+        q = max(0, q + (d1 - d2) * length)
+    edges = grid[1:] + grid[:1]
+    values, ends, tails, mask = [], [], [], []
     bps, dens, atoms = [], [], []
-    for g, length, d1, d2, a1, a2 in cells:
+    for j, (length, d1, d2, a1, a2) in enumerate(cells):
         kept = min(a2, q + a1)
         if kept < 0:
             raise RuntimeError("collapse produced a negative atom")
         if kept > 0:
-            atoms.append((g, kept))
-        q = max(ZERO, q + a1 - a2)
-        slope, edge = d1 - d2, g + length
-        if q > 0 and slope < 0:
-            end = min(g + q / (d2 - d1), edge)
+            atoms.append((j, kept))
+        q = max(0, q + a1 - a2)
+        slope = d1 - d2
+        bps.append(grid[j])
+        if 0 < q < -slope * length:
+            # the queue drains inside the cell, at g + q / (d2 - d1)
+            end = Fraction(nums[j] * -slope + q, -slope * grid_den)
+            dens += [pair.dens2[j], pair.dens1[j]]
+            bps.append(end)
         elif q > 0 or slope > 0:
-            end = edge
+            end = edges[j]
+            dens.append(pair.dens2[j])
         else:
             end = None
-        at_edge = end == edge
+            dens.append(pair.dens1[j])
+        at_edge = end is edges[j]
         values.append(q)
-        slopes.append(slope)
-        bps.append(g)
-        dens.append(d1 if end is None else d2)
-        if end is not None and not at_edge:
-            bps.append(end)
-            dens.append(d1)
         ends.append(end)
         mask += [q > 0, end is not None, at_edge]
-        q = max(ZERO, q + slope * length)
-        tails.append(q if at_edge else ZERO)
+        q = max(0, q + slope * length)
+        tails.append(q if at_edge else 0)
+    mass = _int_fractions(pair.mass_den)
     full = all(mask)
     if full:
         if rho1.total_mass < rho2.total_mass:
@@ -360,15 +370,32 @@ def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[FluxProfile, l
         intervals = []
         for start, length in cyclic_runs(mask):
             i, c = start // 3, (start + length - 1) % len(mask) // 3
-            intervals.append(JInterval(pair.grid[i], ends[c] % 1, start % 3 == 0, tails[c]))
+            intervals.append(JInterval(grid[i], ends[c], start % 3 == 0, mass(tails[c])))
+    slope_of = _int_fractions(pair.mass_den // grid_den)
     profile = FluxProfile(
-        positions=tuple(pair.grid),
-        values=tuple(values),
-        slopes=tuple(slopes),
+        positions=tuple(grid),
+        values=tuple([mass(v) for v in values]),
+        slopes=tuple([slope_of(d1 - d2) for _, d1, d2, _, _ in cells]),
         intervals=tuple(intervals),
         full_torus=full,
     )
+    atoms = [
+        (grid[j], pair.atom2[j] if kept == pair.atom_nums2[j] else mass(kept)) for j, kept in atoms
+    ]
     return profile, bps, dens, atoms
+
+
+def _int_fractions(den: int):
+    """n -> Fraction(n, den), built once per distinct n and ZERO for 0."""
+    made = {0: ZERO}
+
+    def of(n: int) -> Fraction:
+        f = made.get(n)
+        if f is None:
+            f = made[n] = Fraction(n, den)
+        return f
+
+    return of
 
 
 def flux_profile(rho1: TorusMeasure, rho2: TorusMeasure) -> FluxProfile:

@@ -10,6 +10,7 @@ refused, and floating point enters only in the rate module, through log.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -31,6 +32,20 @@ def frac(x) -> Fraction:
 def cyc_len(a: Fraction, b: Fraction) -> Fraction:
     """Length of the cyclic segment from a rightward to b; 0 when a == b."""
     return (b - a) % 1
+
+
+def _on_torus(x: Fraction) -> Fraction:
+    """x reduced mod 1; x itself when it already lies in [0, 1)."""
+    n, d = x.as_integer_ratio()
+    return x if 0 <= n < d else x % 1
+
+
+def _numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the values' denominators, and each value's numerator
+    over it: an order-preserving map onto ints."""
+    ratios = [x.as_integer_ratio() for x in values]
+    den = math.lcm(*[d for _, d in ratios])
+    return den, [n * (den // d) for n, d in ratios]
 
 
 class Atom(NamedTuple):
@@ -59,44 +74,54 @@ class TorusMeasure:
 
     Cells are [bp[i], bp[i+1]) with bp[0] == 0 and an implicit final edge at
     1; adjacent cells with equal density are merged (0 stays a breakpoint),
-    so equality of canonical forms is equality of measures.
+    so equality of canonical forms is equality of measures.  The checks and
+    total_mass run on int numerators over common denominators, and values
+    already in [0, 1) are stored as given.
     """
 
     __slots__ = ("breakpoints", "densities", "atoms", "total_mass")
 
     def __init__(self, breakpoints: Sequence, densities: Sequence, atoms: Iterable = ()):
-        bps = [frac(b) % 1 for b in breakpoints]
+        bps = [_on_torus(frac(b)) for b in breakpoints]
         dens = [frac(d) for d in densities]
         if len(bps) != len(dens):
             raise ValueError("need one density per cell")
         if len(bps) == 0:
             bps, dens = [ZERO], [ZERO]
-        if sorted(set(bps)) != bps:
+        # order, sign and mass run on int numerators over common denominators
+        grid, nums = _numerators(bps)
+        if any(a >= b for a, b in zip(nums, nums[1:])):
             raise ValueError("breakpoints must be sorted and distinct")
-        if any(d < 0 for d in dens):
+        ratios = [d.as_integer_ratio() for d in dens]
+        if any(n < 0 for n, _ in ratios):
             raise ValueError("densities must be nonnegative")
-        if bps[0] != 0:
+        if nums[0] != 0:
             # split the wrapping cell at 0 so no cell crosses the origin
-            bps = [ZERO] + bps
-            dens = [dens[-1]] + dens
+            bps, dens = [ZERO, *bps], [dens[-1], *dens]
+            nums, ratios = [0, *nums], [ratios[-1], *ratios]
         # merge adjacent equal-density cells (keep the origin breakpoint)
-        cbps, cdens = [bps[0]], [dens[0]]
-        for b, d in zip(bps[1:], dens[1:]):
-            if d == cdens[-1]:
-                continue
-            cbps.append(b)
-            cdens.append(d)
-        ats = sorted((Atom(frac(p) % 1, frac(m)) for p, m in atoms), key=lambda a: a.at)
-        if any(a.mass <= 0 for a in ats):
+        keep = [0] + [i for i in range(1, len(ratios)) if ratios[i] != ratios[i - 1]]
+        ats = [Atom(_on_torus(frac(p)), frac(m)) for p, m in atoms]
+        _, at_nums = _numerators([a.at for a in ats])
+        order = sorted(range(len(ats)), key=at_nums.__getitem__)
+        masses = [a.mass.as_integer_ratio() for a in ats]
+        if any(n <= 0 for n, _ in masses):
             raise ValueError("atom masses must be positive")
-        if len({a.at for a in ats}) != len(ats):
+        if len(set(at_nums)) != len(ats):
             raise ValueError("atom locations must be distinct")
-        object.__setattr__(self, "breakpoints", tuple(cbps))
-        object.__setattr__(self, "densities", tuple(cdens))
-        object.__setattr__(self, "atoms", tuple(ats))
-        edges = list(self.breakpoints) + [ONE]
-        ac = sum((edges[i + 1] - edges[i]) * d for i, d in enumerate(self.densities))
-        object.__setattr__(self, "total_mass", ac + sum(a.mass for a in ats))
+        object.__setattr__(self, "breakpoints", tuple([bps[i] for i in keep]))
+        object.__setattr__(self, "densities", tuple([dens[i] for i in keep]))
+        object.__setattr__(self, "atoms", tuple([ats[i] for i in order]))
+        # the cells carry cell_sum / (grid * dd) of mass, the atoms atom_sum / ad
+        dd = math.lcm(*[d for _, d in ratios])
+        ends = [nums[i] for i in keep[1:]] + [grid]
+        cell_sum = sum(
+            (e - nums[i]) * ratios[i][0] * (dd // ratios[i][1]) for i, e in zip(keep, ends)
+        )
+        ad = math.lcm(*[d for _, d in masses])
+        atom_sum = sum(n * (ad // d) for n, d in masses)
+        total = Fraction(cell_sum * ad + atom_sum * grid * dd, grid * dd * ad)
+        object.__setattr__(self, "total_mass", total)
 
     def __setattr__(self, name, value):
         raise AttributeError("TorusMeasure is immutable")
@@ -255,42 +280,72 @@ def _json_rationals(values, field: str) -> list[Fraction]:
 class PairGrid(NamedTuple):
     """Two measures on their merged grid: every breakpoint and atom location
     of either, sorted from 0.  dens*[j] is the density on the cell
-    [grid[j], grid[j + 1]) and atom*[j] the atom mass at grid[j]."""
+    [grid[j], grid[j + 1]) and atom*[j] the atom mass at grid[j]; these are
+    the measures' own Fraction objects.
+
+    The same pair in ints: grid[j] is nums[j] / grid_den, atom*[j] is
+    atom_nums*[j] / mass_den, and dens*[j] is dens_nums*[j] units of
+    1/mass_den mass per 1/grid_den length, so a cell of length n / grid_den
+    carries dens_nums*[j] * n / mass_den of mass."""
 
     grid: list[Fraction]
     dens1: list[Fraction]
     dens2: list[Fraction]
     atom1: list[Fraction]
     atom2: list[Fraction]
+    grid_den: int
+    mass_den: int
+    nums: list[int]
+    dens_nums1: list[int]
+    dens_nums2: list[int]
+    atom_nums1: list[int]
+    atom_nums2: list[int]
 
     @property
     def lens(self) -> list[Fraction]:
         return [hi - lo for lo, hi in zip(self.grid, self.grid[1:] + [ONE])]
 
 
-def _step_values(rho: TorusMeasure, grid: Sequence[Fraction]) -> list[Fraction]:
-    """rho's density on each cell of a sorted refinement of its breakpoints."""
-    bps, dens = rho.breakpoints, rho.densities
-    out = []
-    i, last = 0, len(bps) - 1
-    for p in grid:
-        while i < last and bps[i + 1] <= p:
-            i += 1
-        out.append(dens[i])
-    return out
-
-
 def merge_pair(rho1: TorusMeasure, rho2: TorusMeasure) -> PairGrid:
-    """Merge a pair once, into aligned arrays over the common grid."""
-    at1, at2 = dict(rho1.atoms), dict(rho2.atoms)
-    grid = sorted({*rho1.breakpoints, *rho2.breakpoints, *at1, *at2})
-    return PairGrid(
-        grid,
-        _step_values(rho1, grid),
-        _step_values(rho2, grid),
-        [at1.get(p, ZERO) for p in grid] if at1 else [ZERO] * len(grid),
-        [at2.get(p, ZERO) for p in grid] if at2 else [ZERO] * len(grid),
-    )
+    """Merge a pair once, into aligned arrays over the common grid.
+
+    The grid denominator is the lcm of the denominators of both measures'
+    breakpoints and atom locations; the mass denominator is the lcm of the
+    atom masses' denominators and of the grid denominator times those of
+    the densities.  Sorting and alignment run on numerators over the grid
+    denominator, and the Fraction fields reuse the measures' objects."""
+    places = [*rho1.breakpoints, *rho2.breakpoints, *(a.at for a in rho1.atoms + rho2.atoms)]
+    grid_den, keys = _numerators(places)
+    point = dict(zip(keys, places))
+    nums = sorted(point)
+    dens_den = math.lcm(*[d.denominator for d in rho1.densities + rho2.densities])
+    mass_den = math.lcm(grid_den * dens_den, *[a.mass.denominator for a in rho1.atoms + rho2.atoms])
+    n1, n2, n3 = len(rho1.breakpoints), len(rho2.breakpoints), len(rho1.atoms)
+    bp1, bp2 = keys[:n1], keys[n1 : n1 + n2]
+    at1, at2 = keys[n1 + n2 : n1 + n2 + n3], keys[n1 + n2 + n3 :]
+    d1, dn1, a1, an1 = _on_pair_grid(rho1, bp1, at1, nums, grid_den, mass_den)
+    d2, dn2, a2, an2 = _on_pair_grid(rho2, bp2, at2, nums, grid_den, mass_den)
+    grid = [point[k] for k in nums]
+    return PairGrid(grid, d1, d2, a1, a2, grid_den, mass_den, nums, dn1, dn2, an1, an2)
+
+
+def _on_pair_grid(rho, bp_keys, at_keys, nums, grid_den, mass_den):
+    """One side of merge_pair: rho's densities and atoms at every grid point,
+    as Fractions and as ints, given the int keys of its breakpoints and atom
+    locations."""
+    cell, i, last = [], 0, len(bp_keys) - 1
+    for p in nums:
+        while i < last and bp_keys[i + 1] <= p:
+            i += 1
+        cell.append(i)
+    per_len = mass_den // grid_den
+    dens_nums = [d.numerator * (per_len // d.denominator) for d in rho.densities]
+    dens, dens_nums = [rho.densities[i] for i in cell], [dens_nums[i] for i in cell]
+    if not at_keys:
+        return dens, dens_nums, [ZERO] * len(nums), [0] * len(nums)
+    mass = {k: a.mass for k, a in zip(at_keys, rho.atoms)}
+    mass_nums = {k: m.numerator * (mass_den // m.denominator) for k, m in mass.items()}
+    return dens, dens_nums, [mass.get(k, ZERO) for k in nums], [mass_nums.get(k, 0) for k in nums]
 
 
 def refined_cells(cuts: Iterable[Fraction]) -> list[tuple[Fraction, Fraction, Fraction]]:
@@ -400,7 +455,7 @@ class CumulativeFunction:
     __slots__ = ("base", "knots")
 
     def __init__(self, base: ClosedArc, knots: Sequence[tuple[Fraction, Fraction]]):
-        knots = tuple((frac(t), frac(v)) for t, v in knots)
+        knots = tuple([(frac(t), frac(v)) for t, v in knots])
         if len(knots) < 2:
             raise ValueError("need at least two knots")
         if knots[0] != (ZERO, ZERO):
@@ -451,27 +506,28 @@ class CumulativeFunction:
 def cumulative(rho: TorusMeasure, arc: ClosedArc) -> CumulativeFunction:
     """Cumulative mass of rho along the arc, with a knot at every density
     breakpoint inside it.  Requires rho to carry no atoms on the arc."""
-    if arc.length == 0:
+    L = arc.length
+    if L == 0:
         raise ValueError("arc must have positive length")
     for a in rho.atoms:
         if a.at in arc:
             raise ValueError("cumulative requires no atoms on the arc")
+    lo = arc.lo % 1
+    bps, dens = rho.breakpoints, rho.densities
+    n = len(bps)
+    # walk the cells from the one holding lo, wrapping through 0 at most once
+    cell = bisect.bisect_right(bps, lo) - 1
     knots = [(ZERO, ZERO)]
-    L = arc.length
-    # density breakpoints strictly inside the arc, in cyclic order from lo
-    offsets = sorted(
-        cyc_len(arc.lo, bp)
-        for bp in rho.breakpoints
-        if 0 < cyc_len(arc.lo, bp) < L
-    )
-    acc = ZERO
-    pos = ZERO
-    for t in offsets + [L]:
-        seg = t - pos
-        d = rho.density_at((arc.lo + pos) % 1)
-        acc += seg * d
+    acc = pos = ZERO
+    for j in range(cell + 1, cell + n + 1):
+        t = bps[j] - lo if j < n else bps[j - n] + 1 - lo
+        if t >= L:
+            break
+        acc += (t - pos) * dens[cell]
         knots.append((t, acc))
-        pos = t
+        pos, cell = t, j % n
+    acc += (L - pos) * dens[cell]
+    knots.append((L, acc))
     return CumulativeFunction(arc, knots)
 
 

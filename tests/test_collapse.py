@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from toruscollapse.collapse import (
     CollapseError,
+    FluxProfile,
+    JInterval,
     atomic_measure,
     collapse_discrete,
     collapse_discrete_algorithmic,
@@ -21,7 +24,7 @@ from toruscollapse.collapse import (
     queue_collapse,
 )
 from toruscollapse.lattice import PointConfig, TorusConfig, validate_ordered
-from toruscollapse.measures import TorusMeasure, cyc_len, measure_leq
+from toruscollapse.measures import TorusMeasure, cyc_len, cyclic_runs, measure_leq
 
 F = Fraction
 
@@ -314,6 +317,132 @@ class TestMergedGridProperties:
         assert measure_leq(c, r2)
         if not prof.full_torus:
             assert collapse_measure_representation(r1, r2, prof) == c
+
+
+def reference_fluid_queue(rho1, rho2):
+    """The fluid queue in Fractions, on a grid merged by pointwise queries:
+    the reference for the int queue of collapse_measure and flux_profile.
+    Returns the flux profile and the collapsed measure."""
+    if rho1.total_mass > rho2.total_mass:
+        raise CollapseError("first measure has more mass")
+    at1, at2 = dict(rho1.atoms), dict(rho2.atoms)
+    grid = sorted({*rho1.breakpoints, *rho2.breakpoints, *at1, *at2})
+    lens = [hi - lo for lo, hi in zip(grid, grid[1:] + [F(1)])]
+    cells = [
+        (g, n, rho1.density_at(g), rho2.density_at(g), at1.get(g, F(0)), at2.get(g, F(0)))
+        for g, n in zip(grid, lens)
+    ]
+    q = F(0)
+    for _, length, d1, d2, a1, a2 in cells:
+        q = max(F(0), q + a1 - a2)
+        q = max(F(0), q + (d1 - d2) * length)
+    values, slopes, ends, tails, mask = [], [], [], [], []
+    bps, dens, atoms = [], [], []
+    for g, length, d1, d2, a1, a2 in cells:
+        kept = min(a2, q + a1)
+        assert kept >= 0
+        if kept > 0:
+            atoms.append((g, kept))
+        q = max(F(0), q + a1 - a2)
+        slope, edge = d1 - d2, g + length
+        if q > 0 and slope < 0:
+            end = min(g + q / (d2 - d1), edge)
+        elif q > 0 or slope > 0:
+            end = edge
+        else:
+            end = None
+        at_edge = end == edge
+        values.append(q)
+        slopes.append(slope)
+        bps.append(g)
+        dens.append(d1 if end is None else d2)
+        if end is not None and not at_edge:
+            bps.append(end)
+            dens.append(d1)
+        ends.append(end)
+        mask += [q > 0, end is not None, at_edge]
+        q = max(F(0), q + slope * length)
+        tails.append(q if at_edge else F(0))
+    full = all(mask)
+    intervals = []
+    if not full:
+        for start, length in cyclic_runs(mask):
+            i, c = start // 3, (start + length - 1) % len(mask) // 3
+            intervals.append(JInterval(grid[i], ends[c] % 1, start % 3 == 0, tails[c]))
+    profile = FluxProfile(tuple(grid), tuple(values), tuple(slopes), tuple(intervals), full)
+    return profile, TorusMeasure(bps, dens, atoms)
+
+
+def _fraction_on(denominators, lo=0):
+    return st.sampled_from(denominators).flatmap(
+        lambda d: st.integers(lo * d, d - 1).map(lambda n: F(n, d))
+    )
+
+
+# denominators that do not divide each other, so the grid and mass scales
+# are true lcms and a slip in either shows
+POSITIONS = _fraction_on([3, 7, 48, 2**53])
+DENSITIES = st.sampled_from([1, 3, 4, 7]).flatmap(
+    lambda d: st.integers(0, 2 * d).map(lambda n: F(n, d))
+)
+ATOM_MASSES = st.sampled_from([5, 6, 8]).flatmap(
+    lambda d: st.integers(1, d).map(lambda n: F(n, d))
+)
+
+
+@st.composite
+def off_grid_pairs(draw):
+    """An ordered pair of measures with breakpoints, densities and atoms on
+    mixed denominators, sharing some points; about a quarter of the pairs
+    have equal masses."""
+
+    def measure(shared):
+        sites = st.one_of(st.sampled_from(sorted(shared)), POSITIONS) if shared else POSITIONS
+        bps = sorted(draw(st.sets(sites, min_size=1, max_size=5)))
+        dens = draw(st.lists(DENSITIES, min_size=len(bps), max_size=len(bps)))
+        atoms = draw(st.dictionaries(sites, ATOM_MASSES, max_size=4))
+        return TorusMeasure(bps, dens, atoms.items())
+
+    r1 = measure(set())
+    r2 = measure({*r1.breakpoints, *(a.at for a in r1.atoms)})
+    r1, r2 = (r1, r2) if r1.total_mass <= r2.total_mass else (r2, r1)
+    if r2.total_mass > 0 and draw(st.integers(0, 3)) == 0:
+        r2 = r2.scale(r1.total_mass / r2.total_mass)
+    return r1, r2
+
+
+def _fields(profile):
+    return [(f.name, getattr(profile, f.name)) for f in dataclasses.fields(profile)]
+
+
+def _types(values):
+    return [type(v) for v in values]
+
+
+class TestIntQueueAgainstFractions:
+    @given(off_grid_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_field_by_field(self, pair):
+        r1, r2 = pair
+        want_profile, want = reference_fluid_queue(r1, r2)
+        got, profile = collapse_measure(r1, r2)
+        for got_profile in (profile, flux_profile(r1, r2)):
+            assert _fields(got_profile) == _fields(want_profile)
+            flux = got_profile.values + got_profile.slopes
+            assert _types(flux) == [F] * len(flux)
+        assert got.breakpoints == want.breakpoints
+        assert got.densities == want.densities
+        assert got.atoms == want.atoms
+        assert got.total_mass == want.total_mass == r1.total_mass
+        atom_values = [x for a in got.atoms for x in a]
+        assert _types(atom_values) == [F] * len(atom_values)
+        assert flux_values_direct(r1, r2) == want_profile.values
+
+    def test_rejects_more_mass_like_reference(self):
+        r1, r2 = TorusMeasure.constant(F(2, 3)), TorusMeasure.constant(F(4, 7))
+        for route in (reference_fluid_queue, collapse_measure, flux_profile):
+            with pytest.raises(CollapseError, match="first measure has more mass"):
+                route(r1, r2)
 
 
 def _random_measure(rng, max_cells=5, max_atoms=2):

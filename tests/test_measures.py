@@ -12,6 +12,7 @@ from toruscollapse.measures import (
     cumulative,
     cyclic_runs,
     envelope_density,
+    frac,
     measure_leq,
     merge_pair,
     plateau_set,
@@ -59,6 +60,117 @@ class TestConstruction:
     def test_json_roundtrip(self):
         rho = TorusMeasure([0, F(1, 3)], [F(1, 2), F(3, 2)], [(F(1, 7), F(2, 5))])
         assert TorusMeasure.from_json_dict(rho.to_json_dict()) == rho
+
+
+def reference_canonical(breakpoints, densities, atoms=()):
+    """The TorusMeasure constructor in Fractions, as it was before it ran
+    on int numerators: the canonical (breakpoints, densities, atoms,
+    total_mass), or the ValueError it raises."""
+    bps = [frac(b) % 1 for b in breakpoints]
+    dens = [frac(d) for d in densities]
+    if len(bps) != len(dens):
+        raise ValueError("need one density per cell")
+    if len(bps) == 0:
+        bps, dens = [F(0)], [F(0)]
+    if sorted(set(bps)) != bps:
+        raise ValueError("breakpoints must be sorted and distinct")
+    if any(d < 0 for d in dens):
+        raise ValueError("densities must be nonnegative")
+    if bps[0] != 0:
+        bps = [F(0)] + bps
+        dens = [dens[-1]] + dens
+    cbps, cdens = [bps[0]], [dens[0]]
+    for b, d in zip(bps[1:], dens[1:]):
+        if d == cdens[-1]:
+            continue
+        cbps.append(b)
+        cdens.append(d)
+    ats = sorted(((frac(p) % 1, frac(m)) for p, m in atoms), key=lambda a: a[0])
+    if any(m <= 0 for _, m in ats):
+        raise ValueError("atom masses must be positive")
+    if len({p for p, _ in ats}) != len(ats):
+        raise ValueError("atom locations must be distinct")
+    edges = cbps + [F(1)]
+    ac = sum((edges[i + 1] - edges[i]) * d for i, d in enumerate(cdens))
+    return tuple(cbps), tuple(cdens), tuple(ats), ac + sum(m for _, m in ats)
+
+
+def _form(x):
+    """x as a Fraction, a "p/q" string, or an int when it is integral."""
+    forms = [x, f"{x.numerator}/{x.denominator}"]
+    return st.sampled_from(forms + [int(x)] if x.denominator == 1 else forms)
+
+
+def _over(denominators, lo, hi):
+    """n/d for d drawn from `denominators` and n from [lo * d, hi * d)."""
+    return st.sampled_from(denominators).flatmap(
+        lambda d: st.integers(lo * d, hi * d - 1).map(lambda n: F(n, d))
+    )
+
+
+PLACES, DENSITIES, MASSES = [3, 7, 48, 2**53], [1, 3, 4, 7], [5, 6, 8]
+
+
+@st.composite
+def constructor_inputs(draw):
+    """Breakpoints, densities and atoms for TorusMeasure: about half the
+    draws are valid; the rest have breakpoints outside [0, 1), unsorted or
+    repeated, a density count that does not match, negative densities, or
+    atom masses that are not positive or atoms that share a location."""
+    if draw(st.booleans()):
+        bps = sorted(draw(st.sets(_over(PLACES, 0, 1), max_size=6)))
+        shift = draw(st.sampled_from([0, 0, 1, -2]))
+        bps = [b + shift for b in bps]
+        dens = draw(st.lists(_over(DENSITIES, 0, 3), min_size=len(bps), max_size=len(bps)))
+        places = draw(st.sets(_over(PLACES, 0, 1), max_size=4))
+        atoms = [(p, draw(_over(MASSES, 0, 2).filter(bool))) for p in places]
+    else:
+        bps = draw(st.lists(_over(PLACES, -1, 2), max_size=6))
+        count = draw(st.sampled_from([len(bps)] * 4 + [len(bps) + 1]))
+        dens = draw(st.lists(_over(DENSITIES, -1, 3), min_size=count, max_size=count))
+        # 1/3, 4/3 and -2/3 are one place of the torus
+        places = st.one_of(_over(PLACES, -1, 2), st.sampled_from([F(1, 3), F(4, 3), F(-2, 3)]))
+        atoms = draw(st.lists(st.tuples(places, _over(MASSES, -1, 2)), max_size=4))
+    bps = [draw(_form(b)) for b in bps]
+    dens = [draw(_form(d)) for d in dens]
+    atoms = [(draw(_form(p)), draw(_form(m))) for p, m in atoms]
+    return bps, dens, atoms
+
+
+def _outcome(build, bps, dens, atoms):
+    try:
+        return build(bps, dens, atoms)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+class TestIntConstructorAgainstFractions:
+    @given(constructor_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, inputs):
+        def built(bps, dens, atoms):
+            rho = TorusMeasure(bps, dens, atoms)
+            return rho.breakpoints, rho.densities, tuple(map(tuple, rho.atoms)), rho.total_mass
+
+        got, want = _outcome(built, *inputs), _outcome(reference_canonical, *inputs)
+        assert got == want
+        if got[0] != "ValueError":
+            values = [*got[0], *got[1], *(x for a in got[2] for x in a), got[3]]
+            assert all(type(v) is F for v in values)
+
+    def test_messages(self):
+        cases = [
+            ([0, F(1, 2)], [1], [], "need one density per cell"),
+            ([F(1, 2), F(3, 2)], [1, 2], [], "breakpoints must be sorted and distinct"),
+            ([F(1, 3), F(1, 7)], [1, 2], [], "breakpoints must be sorted and distinct"),
+            ([0], [F(-1, 7)], [], "densities must be nonnegative"),
+            ([0], [1], [(F(1, 3), 0)], "atom masses must be positive"),
+            ([0], [1], [(F(1, 3), 1), (F(4, 3), 2)], "atom locations must be distinct"),
+        ]
+        for *args, message in cases:
+            assert _outcome(reference_canonical, *args) == ("ValueError", message)
+            with pytest.raises(ValueError, match=message):
+                TorusMeasure(*args)
 
 
 class TestIntervalMass:

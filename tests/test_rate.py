@@ -547,6 +547,22 @@ class TestMultilayerOracle:
         assert abs(direct["value"] - rec["value"]) <= 1e-2
         assert direct["near_minimizers"] >= 1
 
+    def test_known_gap_closes_under_refinement(self):
+        # on this triple the two routes differ by 0.0222 at quantum 1/16,
+        # more than criterion 11's 1e-2; on the finer lattice they agree
+        quarters = [F(i, 4) for i in range(4)]
+        triple = [
+            TorusMeasure(quarters, [F(u, 4) for u in units])
+            for units in ((1, 2, 1, 2), (2, 2, 1, 2), (2, 3, 1, 2))
+        ]
+        gaps = []
+        for quantum in (F(1, 16), F(1, 32)):
+            direct = sk_oracle(triple, "tasep", quantum, 4)["value"]
+            gaps.append(abs(direct - s3_recursive(triple, "tasep", quantum, 4)["value"]))
+        coarse, fine = gaps
+        assert coarse > 1e-2
+        assert fine <= coarse and fine <= 1e-2
+
     def test_caps(self):
         with pytest.raises(ValueError):
             sk_oracle([TorusMeasure.constant(F(1, 2))] * 4, "tasep", F(1, 8), 4)
