@@ -32,6 +32,13 @@ over another, so both laps are int arithmetic, and Fractions are built
 only for the results.  The O(B^2) enumeration flux_values_direct and the
 interval assembly collapse_measure_representation are kept as its oracles.
 
+The queue (_fluid_queue) runs both laps and every check once per call and
+returns the collapsed measure; the FluxProfile is assembled from lap 2's
+readings only for collapse_measure and flux_profile, which the ledger and
+representation checks read.  kept_measure returns the collapsed measure
+alone, for collapse_k and the rate module's minimizers and quantized
+oracles.
+
 A FluxProfile always describes a measure pair.  Configurations and point
 sets get one through their unit-atom encodings, atomic_measure(p, 1):
 embedding commutes with collapsing, so its values at the sites are the
@@ -302,10 +309,11 @@ def flux_values_direct(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[Fraction
     return tuple(out)
 
 
-def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[FluxProfile, list, list, list]:
+def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasure, tuple]:
     """The collapse of rho1 onto rho2 as the fluid queue over their merged
-    grid (module docstring).  Returns the flux profile and the collapsed
-    measure's breakpoints, densities and atoms.
+    grid (module docstring), with every check on it.  Returns the collapsed
+    measure and lap 2's flux readings, from which _flux_of builds the
+    FluxProfile for the callers that read it.
 
     Both laps run on the pair's ints (measures.PairGrid): the queue counts
     units of 1/mass_den mass and a cell of n grid units changes it by
@@ -355,34 +363,40 @@ def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[FluxProfile, l
         mask += [q > 0, end is not None, at_edge]
         q = max(0, q + slope * length)
         tails.append(q if at_edge else 0)
-    mass = _int_fractions(pair.mass_den)
     full = all(mask)
-    if full:
-        if rho1.total_mass < rho2.total_mass:
-            raise RuntimeError(
-                "positive-flux set covers the torus despite strictly smaller "
-                "first mass; flux computation is inconsistent"
-            )
-        intervals = ()
-    else:
-        # a maximal run of positive items (point, stretch up to the end,
-        # rest of the cell) is left-closed when it starts at a point
-        intervals = []
-        for start, length in cyclic_runs(mask):
-            i, c = start // 3, (start + length - 1) % len(mask) // 3
-            intervals.append(JInterval(grid[i], ends[c], start % 3 == 0, mass(tails[c])))
-    slope_of = _int_fractions(pair.mass_den // grid_den)
-    profile = FluxProfile(
-        positions=tuple(grid),
-        values=tuple([mass(v) for v in values]),
-        slopes=tuple([slope_of(d1 - d2) for _, d1, d2, _, _ in cells]),
-        intervals=tuple(intervals),
-        full_torus=full,
-    )
+    if full and rho1.total_mass < rho2.total_mass:
+        raise RuntimeError(
+            "positive-flux set covers the torus despite strictly smaller "
+            "first mass; flux computation is inconsistent"
+        )
+    mass = _int_fractions(pair.mass_den)
     atoms = [
         (grid[j], pair.atom2[j] if kept == pair.atom_nums2[j] else mass(kept)) for j, kept in atoms
     ]
-    return profile, bps, dens, atoms
+    result = TorusMeasure(bps, dens, atoms)
+    if result.total_mass != rho1.total_mass:
+        raise RuntimeError("collapse failed to conserve mass")
+    return result, (pair, values, ends, tails, mask, full, mass)
+
+
+def _flux_of(pair, values, ends, tails, mask, full, mass) -> FluxProfile:
+    """The FluxProfile from _fluid_queue's lap-2 readings."""
+    grid = pair.grid
+    intervals = []
+    if not full:
+        # a maximal run of positive items (point, stretch up to the end,
+        # rest of the cell) is left-closed when it starts at a point
+        for start, length in cyclic_runs(mask):
+            i, c = start // 3, (start + length - 1) % len(mask) // 3
+            intervals.append(JInterval(grid[i], ends[c], start % 3 == 0, mass(tails[c])))
+    slope_of = _int_fractions(pair.mass_den // pair.grid_den)
+    return FluxProfile(
+        positions=tuple(grid),
+        values=tuple([mass(v) for v in values]),
+        slopes=tuple([slope_of(d1 - d2) for d1, d2 in zip(pair.dens_nums1, pair.dens_nums2)]),
+        intervals=tuple(intervals),
+        full_torus=full,
+    )
 
 
 def _int_fractions(den: int):
@@ -406,6 +420,12 @@ def flux_profile(rho1: TorusMeasure, rho2: TorusMeasure) -> FluxProfile:
     is left-closed exactly when J is positive at its left boundary.  The
     positive set can be the full torus only when the masses are equal.
     """
+    return _flux_of(*_fluid_queue(rho1, rho2)[1])
+
+
+def kept_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> TorusMeasure:
+    """The collapse of rho1 onto rho2 without its flux profile: what
+    collapse_measure returns first, for the callers that read nothing else."""
     return _fluid_queue(rho1, rho2)[0]
 
 
@@ -417,11 +437,8 @@ def collapse_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasu
     rho1's; flux jumps down deposit atoms.  The result is positive, keeps
     rho1's total mass and is dominated by rho2.
     """
-    profile, bps, dens, atoms = _fluid_queue(rho1, rho2)
-    result = TorusMeasure(bps, dens, atoms)
-    if result.total_mass != rho1.total_mass:
-        raise RuntimeError("collapse failed to conserve mass")
-    return result, profile
+    result, readings = _fluid_queue(rho1, rho2)
+    return result, _flux_of(*readings)
 
 
 def collapse_measure_representation(
@@ -477,7 +494,7 @@ def _collapse_binary(a, b):
     if isinstance(a, PointConfig):
         return collapse_points(a, b)
     if isinstance(a, TorusMeasure):
-        return collapse_measure(a, b)[0]
+        return kept_measure(a, b)
     raise TypeError(f"unsupported part type {type(a)!r}")
 
 

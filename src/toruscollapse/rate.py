@@ -16,9 +16,14 @@ of `s2` is a sum over the hull segments of the concave envelope.
 
 Both minimizers of the contraction identities are collapses: of the
 constant profile onto the total profile, and of the mirrored first layer
-onto a constant.  The rate's unique zero is the constant pair.
+onto a constant.  The rate's unique zero is the constant pair.  They and
+the quantized oracles sk_oracle and s3_recursive read only the collapsed
+measure (collapse.kept_measure), never the flux profile.
 
 All cell data stays rational; floating point enters through log only.
+The kernel takes its argument as an int ratio and divides ints, which
+rounds as Fraction does, and the plateau DP runs on int value levels over
+one denominator, pricing each distinct rise of a segment once.
 """
 
 from __future__ import annotations
@@ -28,14 +33,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .collapse import collapse_measure
+from .collapse import kept_measure
 from .measures import (
     ONE,
-    ZERO,
     CumulativeFunction,
     PairGrid,
     PlateauDecomposition,
     TorusMeasure,
+    _numerators,
     concave_envelope,
     cumulative,
     envelope_density,
@@ -80,22 +85,30 @@ class EntropyKernel:
             raise ValueError("family must be 'tasep' or 'had'")
 
     def __call__(self, x) -> float:
-        x = frac(x)
-        m = self.m
+        return self.at_ratio(*frac(x).as_integer_ratio())
+
+    def at_ratio(self, n: int, d: int) -> float:
+        """The kernel at x = n / d, for ints n and d > 0.
+
+        Each ratio is an int true division, which rounds correctly as
+        Fraction.__float__ does, so x, x/m, 1 - x and (1 - x)/(1 - m) are
+        the doubles of the exact rationals whatever the form of n / d.
+        """
+        mn, md = self.m.as_integer_ratio()
         if self.family == "tasep":
-            if x < 0 or x > 1:
+            if n < 0 or n > d:
                 return INF
             out = 0.0
-            if x > 0:
-                out += float(x) * math.log(x / m)
-            if x < 1:
-                out += float(1 - x) * math.log((1 - x) / (1 - m))
+            if n > 0:
+                out += n / d * math.log(n * md / (d * mn))
+            if n < d:
+                out += (d - n) / d * math.log((d - n) * md / (d * (md - mn)))
             return out
-        if x < 0:
+        if n < 0:
             return INF
-        if x == 0:
+        if n == 0:
             return 0.0
-        return float(x) * math.log(x / m)
+        return n / d * math.log(n * md / (d * mn))
 
 
 def _domain_ok(rho: TorusMeasure, m: Fraction, family: str) -> bool:
@@ -261,43 +274,55 @@ def _plateau_dp_min(F: CumulativeFunction, kernel: EntropyKernel, bounded: bool)
     Value levels per position are all chords of F's knots plus a uniform
     grid, so the set is closed under the optimum; slopes outside the
     admissible range are priced at infinity.
+
+    Everything runs on ints: knot positions over P, their lcm, and levels
+    over D = V * L, with V the lcm of the knot values' denominators and L
+    the lcm of DP_EXTRA_LEVELS and every knot-position gap, so every chord
+    and uniform level is an int.  A step of rise r over a segment of s
+    units of 1/P has slope r * P / (D * s); its cost is priced once per
+    distinct rise and segment.
     """
-    knots = F.knots
-    n = len(knots) - 1
-    T = F.final_value
-    positions = [t for t, _ in knots]
-    fvals = [v for _, v in knots]
-    levels: list[list[Fraction]] = []
+    P, pos = _numerators([t for t, _ in F.knots])
+    V, vals = _numerators([v for _, v in F.knots])
+    n = len(pos) - 1
+    L = math.lcm(DP_EXTRA_LEVELS, *[pos[b] - pos[a] for b in range(n + 1) for a in range(b)])
+    D = V * L
+    fvals = [v * L for v in vals]
+    T = fvals[n]
+    levels: list[list[int]] = []
     for j in range(n + 1):
-        vals = {fvals[j]}
+        here = {fvals[j]}
         for a in range(j + 1):
             for b in range(j, n + 1):
-                if positions[a] == positions[b]:
+                if pos[a] == pos[b]:
                     continue
-                chord = fvals[a] + (fvals[b] - fvals[a]) * (
-                    positions[j] - positions[a]
-                ) / (positions[b] - positions[a])
+                gap = pos[b] - pos[a]
+                chord = fvals[a] + (fvals[b] - fvals[a]) // gap * (pos[j] - pos[a])
                 if fvals[j] <= chord <= T:
-                    vals.add(chord)
+                    here.add(chord)
         if T > fvals[j]:
-            step = (T - fvals[j]) / DP_EXTRA_LEVELS
-            for l in range(DP_EXTRA_LEVELS + 1):
-                vals.add(fvals[j] + step * l)
-        levels.append(sorted(vals))
-    levels[0] = [ZERO]
+            step = (T - fvals[j]) // DP_EXTRA_LEVELS
+            here.update(fvals[j] + step * l for l in range(DP_EXTRA_LEVELS + 1))
+        levels.append(sorted(here))
+    levels[0] = [0]
     levels[n] = [T]
-    dp = {ZERO: 0.0}
+    dp = {0: 0.0}
     for j in range(n):
-        seg = positions[j + 1] - positions[j]
-        nxt: dict[Fraction, float] = {}
+        seg = pos[j + 1] - pos[j]
+        width, run = seg / P, D * seg
+        priced: dict[int, float] = {}
+        nxt: dict[int, float] = {}
         for v, cost in dp.items():
             for w in levels[j + 1]:
                 if w < v:
                     continue
-                slope = (w - v) / seg
-                if bounded and slope > 1:
-                    continue
-                c = cost + float(seg) * kernel(slope)
+                rise = w - v
+                step_cost = priced.get(rise)
+                if step_cost is None:
+                    # a slope above 1 in a bounded family is never taken
+                    over = bounded and rise * P > run
+                    step_cost = priced[rise] = INF if over else width * kernel.at_ratio(rise * P, run)
+                c = cost + step_cost
                 if c < nxt.get(w, INF):
                     nxt[w] = c
         dp = nxt
@@ -348,8 +373,7 @@ def minimizer_rho1(rho2: TorusMeasure, m1) -> TorusMeasure:
         raise ValueError("total profile must be a density")
     if m1 > rho2.total_mass:
         raise ValueError("first-layer mass exceeds the total mass")
-    result, _ = collapse_measure(TorusMeasure.constant(m1), rho2)
-    return result
+    return kept_measure(TorusMeasure.constant(m1), rho2)
 
 
 def _mirror(rho: TorusMeasure) -> TorusMeasure:
@@ -374,7 +398,7 @@ def minimizer_rho2(rho1: TorusMeasure, m2) -> TorusMeasure:
         raise ValueError("first-layer profile must be a density")
     if not rho1.total_mass < m2:
         raise ValueError("total mass must strictly exceed the first-layer mass")
-    kept = collapse_measure(_mirror(rho1), TorusMeasure.constant(m2))[0]
+    kept = kept_measure(_mirror(rho1), TorusMeasure.constant(m2))
     if kept.atoms:
         raise RuntimeError("collapse of a density onto a constant deposited atoms")
     pair = merge_pair(rho1, _mirror(kept))
@@ -480,9 +504,13 @@ def _quantized_masses(
 ) -> tuple[list[Fraction], list[int]]:
     """Layer masses and their counts of the quantum, for the oracles that
     enumerate quantized profiles on at most 12 uniform cells."""
+    if cells < 1:
+        raise ValueError(f"oracle grids need at least one cell, not {cells}")
     if cells > 12:
         raise ValueError("oracle grids are capped at 12 cells")
     quantum = frac(quantum)
+    if quantum <= 0:
+        raise ValueError(f"the quantum must be positive, not {quantum}")
     masses = [r.total_mass for r in rhos]
     units = []
     for m in masses:
@@ -512,7 +540,7 @@ def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) ->
     feasible = 0
     if k == 2:
         for psi1 in lattice_measures(cells, units[0], quantum, family):
-            if collapse_measure(psi1, rhos[1])[0] != rhos[0]:
+            if kept_measure(psi1, rhos[1]) != rhos[0]:
                 continue
             feasible += 1
             val = _integrate_kernel(psi1, kernels[0]) + _integrate_kernel(rhos[1], kernels[1])
@@ -520,13 +548,19 @@ def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) ->
     else:
         base = _integrate_kernel(rhos[2], kernels[2])
         psi1_pool = list(lattice_measures(cells, units[0], quantum, family))
+        # whether an intermediate collapses onto rhos[0] under the last
+        # layer; many (psi1, psi2) share one
+        hits: dict[TorusMeasure, bool] = {}
         for psi2 in lattice_measures(cells, units[1], quantum, family):
-            if collapse_measure(psi2, rhos[2])[0] != rhos[1]:
+            if kept_measure(psi2, rhos[2]) != rhos[1]:
                 continue
             mid_cost = _integrate_kernel(psi2, kernels[1])
             for psi1 in psi1_pool:
-                inner = collapse_measure(psi1, psi2)[0]
-                if collapse_measure(inner, rhos[2])[0] != rhos[0]:
+                inner = kept_measure(psi1, psi2)
+                hit = hits.get(inner)
+                if hit is None:
+                    hit = hits[inner] = kept_measure(inner, rhos[2]) == rhos[0]
+                if not hit:
                     continue
                 feasible += 1
                 val = base + mid_cost + _integrate_kernel(psi1, kernels[0])
@@ -562,12 +596,12 @@ def s3_recursive(
     phi1_pool = [
         p
         for p in lattice_measures(cells, units[0], quantum, family)
-        if collapse_measure(p, rhos[2])[0] == rhos[0]
+        if kept_measure(p, rhos[2]) == rhos[0]
     ]
     best = INF
     feasible = 0
     for phi2 in lattice_measures(cells, units[1], quantum, family):
-        if collapse_measure(phi2, rhos[2])[0] != rhos[1]:
+        if kept_measure(phi2, rhos[2]) != rhos[1]:
             continue
         for phi1 in phi1_pool:
             res = s2(phi1, phi2, masses[0], masses[1], family)

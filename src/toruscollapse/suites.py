@@ -43,7 +43,7 @@ from .dynamics import (
     sample_invariant,
 )
 from .lattice import grid_numerators, random_config, random_points
-from .measures import TorusMeasure, measure_leq, measure_leq_witness
+from .measures import TorusMeasure, _numerators, measure_leq, measure_leq_witness
 from .rate import (
     contraction_identity_check,
     ldp_decay_exact,
@@ -355,12 +355,22 @@ def suite_commutation(cfg: SuiteConfig) -> list[Check]:
     return checks
 
 
-def _grid_interval_mass(rho: TorusMeasure, grid):
-    """Mass of (a, b] for grid positions a, b, from rho's prefix masses
-    P(g) = rho((0, g]) taken once per position; (a, a] is the torus."""
-    prefix = {g: rho.interval_mass(0, g) if g else Fraction(0) for g in grid}
-    total = rho.total_mass
-    return lambda a, b: prefix[b] - prefix[a] + (total if b <= a else 0)
+def _prefix_masses(rho: TorusMeasure, grid) -> list[Fraction]:
+    """P(g) = rho((0, g]) at every position g of a sorted grid that starts
+    at 0, by one sweep over rho's cells and atoms, then rho's total mass."""
+    bps, dens = rho.breakpoints, rho.densities
+    edges = [*bps[1:], 1]
+    atoms = [a for a in rho.atoms if a.at > 0]
+    out, i, k, cells, ats = [], 0, 0, Fraction(0), Fraction(0)
+    for g in grid:
+        while edges[i] <= g:
+            cells += (edges[i] - bps[i]) * dens[i]
+            i += 1
+        while k < len(atoms) and atoms[k].at <= g:
+            ats += atoms[k].mass
+            k += 1
+        out.append(cells + (g - bps[i]) * dens[i] + ats)
+    return out + [rho.total_mass]
 
 
 def suite_measure_collapse(cfg: SuiteConfig) -> list[Check]:
@@ -378,10 +388,18 @@ def suite_measure_collapse(cfg: SuiteConfig) -> list[Check]:
             if prof.values != flux_values_direct(r1, r2):
                 bad.append((t, "flux paths differ"))
                 continue
-            grid = list(prof.positions)
-            mass_c, mass_1, mass_2 = (_grid_interval_mass(m, grid) for m in (c, r1, r2))
-            J = {a: prof.at(a) for a in grid}
-            if any(mass_c(a, b) != mass_1(a, b) + J[a] - J[b] for a in grid for b in grid):
+            # the prefix masses of c, r1 and r2 at the grid positions, each
+            # followed by its total mass, and J there: ints over one denominator
+            n = len(prof.positions)
+            sums = [_prefix_masses(m, prof.positions) for m in (c, r1, r2)]
+            _, nums = _numerators([*sums[0], *sums[1], *sums[2], *prof.values])
+            pc, p1, p2, J = (nums[i : i + n + 1] for i in range(0, 4 * n + 4, n + 1))
+            # the mass of (a, b] for grid positions a, b; (a, a] is the torus
+            spans = [(a, b) for a in range(n) for b in range(n)]
+            mass_c, mass_1, mass_2 = (
+                [p[b] - p[a] + (p[n] if b <= a else 0) for a, b in spans] for p in (pc, p1, p2)
+            )
+            if any(x != y + J[a] - J[b] for x, y, (a, b) in zip(mass_c, mass_1, spans)):
                 bad.append((t, "ledger identity"))
                 continue
             if c.total_mass != r1.total_mass:
@@ -391,7 +409,7 @@ def suite_measure_collapse(cfg: SuiteConfig) -> list[Check]:
             if not dom:
                 bad.append((t, f"domination: {wit}"))
                 continue
-            if any(mass_c(a, b) > mass_2(a, b) for a in grid for b in grid):
+            if any(x > y for x, y in zip(mass_c, mass_2)):
                 bad.append((t, "interval domination"))
                 continue
             if not prof.full_torus:

@@ -21,6 +21,7 @@ from toruscollapse.collapse import (
     discrete_flux_direct,
     flux_profile,
     flux_values_direct,
+    kept_measure,
     queue_collapse,
 )
 from toruscollapse.lattice import PointConfig, TorusConfig, validate_ordered
@@ -426,6 +427,8 @@ class TestIntQueueAgainstFractions:
         r1, r2 = pair
         want_profile, want = reference_fluid_queue(r1, r2)
         got, profile = collapse_measure(r1, r2)
+        kept = kept_measure(r1, r2)
+        assert kept == got and kept.total_mass == got.total_mass
         for got_profile in (profile, flux_profile(r1, r2)):
             assert _fields(got_profile) == _fields(want_profile)
             flux = got_profile.values + got_profile.slopes
@@ -440,7 +443,7 @@ class TestIntQueueAgainstFractions:
 
     def test_rejects_more_mass_like_reference(self):
         r1, r2 = TorusMeasure.constant(F(2, 3)), TorusMeasure.constant(F(4, 7))
-        for route in (reference_fluid_queue, collapse_measure, flux_profile):
+        for route in (reference_fluid_queue, collapse_measure, flux_profile, kept_measure):
             with pytest.raises(CollapseError, match="first measure has more mass"):
                 route(r1, r2)
 
@@ -566,3 +569,23 @@ class TestCommutation:
                     pts.add(F(rng.randint(0, 101), 102))
                 parts.append(PointConfig(sorted(pts)))
             assert commutation_check(parts, 7)
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=3)
+            )
+        ),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_discrete_property(self, ring, scale_n):
+        n, sites = ring
+        parts = [TorusConfig.from_sites(n, s) for s in sorted(sites, key=len)]
+        assert commutation_check(parts, scale_n)
+
+    @given(st.lists(st.sets(POSITIONS, max_size=6), min_size=1, max_size=3), st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_points_property(self, point_sets, scale_n):
+        parts = [PointConfig(sorted(s)) for s in sorted(point_sets, key=len)]
+        assert commutation_check(parts, scale_n)

@@ -32,6 +32,7 @@ ORACLES = {
     "chi_square_uniform": "tests/test_dynamics.py::TestSimulation::test_single_particle_uniform_position",
     "class_label_decode": "tests/test_lattice.py::TestLabels::test_roundtrip_exhaustive",
     "discrete_flux": "tests/test_collapse.py::TestCrossRegime::test_config_flux_is_discrete_flux",
+    "interval_mass": "tests/test_collapse.py::TestMeasure::test_random_invariants",
     "left_limit": "tests/test_collapse.py::TestPoints::test_counting_ledger_with_left_limits",
     "preimage_conditions": "tests/test_rate.py::TestPreimage::test_matches_collapse_on_random_candidates",
     "tasep_state_frequencies": "tests/test_dynamics.py::TestSimulation::test_two_class_frequencies_match_table",

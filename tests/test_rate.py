@@ -7,6 +7,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from toruscollapse.collapse import collapse_measure
 from toruscollapse.measures import (
+    ClosedArc,
+    CumulativeFunction,
     TorusMeasure,
     concave_envelope,
     cumulative,
@@ -16,7 +18,10 @@ from toruscollapse.measures import (
     refined_cells,
 )
 from toruscollapse.rate import (
+    DP_EXTRA_LEVELS,
+    TIE_TOL,
     EntropyKernel,
+    _plateau_dp_min,
     contraction_identity_check,
     lattice_measures,
     ldp_decay_exact,
@@ -30,6 +35,7 @@ from toruscollapse.rate import (
     s3_recursive,
     sk_oracle,
 )
+from toruscollapse.suites import random_lattice_triple
 
 F = Fraction
 
@@ -352,6 +358,124 @@ class TestS2Properties:
         assert abs(closed - oracle) <= 1e-3
 
 
+def reference_kernel(family, m, x):
+    """The relative-entropy kernel in Fractions: the reference for
+    EntropyKernel's int evaluation."""
+    if family == "tasep":
+        if x < 0 or x > 1:
+            return math.inf
+        out = 0.0
+        if x > 0:
+            out += float(x) * math.log(x / m)
+        if x < 1:
+            out += float(1 - x) * math.log((1 - x) / (1 - m))
+        return out
+    if x < 0:
+        return math.inf
+    if x == 0:
+        return 0.0
+    return float(x) * math.log(x / m)
+
+
+def reference_plateau_dp_min(F_, family, m, bounded):
+    """The plateau DP in Fractions, levels and slopes included: the
+    reference for the int DP of _plateau_dp_min."""
+    knots = F_.knots
+    n = len(knots) - 1
+    T = F_.final_value
+    positions = [t for t, _ in knots]
+    fvals = [v for _, v in knots]
+    levels = []
+    for j in range(n + 1):
+        vals = {fvals[j]}
+        for a in range(j + 1):
+            for b in range(j, n + 1):
+                if positions[a] == positions[b]:
+                    continue
+                chord = fvals[a] + (fvals[b] - fvals[a]) * (
+                    positions[j] - positions[a]
+                ) / (positions[b] - positions[a])
+                if fvals[j] <= chord <= T:
+                    vals.add(chord)
+        if T > fvals[j]:
+            step = (T - fvals[j]) / DP_EXTRA_LEVELS
+            for l in range(DP_EXTRA_LEVELS + 1):
+                vals.add(fvals[j] + step * l)
+        levels.append(sorted(vals))
+    levels[0] = [F(0)]
+    levels[n] = [T]
+    dp = {F(0): 0.0}
+    for j in range(n):
+        seg = positions[j + 1] - positions[j]
+        nxt = {}
+        for v, cost in dp.items():
+            for w in levels[j + 1]:
+                if w < v:
+                    continue
+                slope = (w - v) / seg
+                if bounded and slope > 1:
+                    continue
+                c = cost + float(seg) * reference_kernel(family, m, slope)
+                if c < nxt.get(w, math.inf):
+                    nxt[w] = c
+        dp = nxt
+    return dp.get(T, math.inf)
+
+
+# knot offsets and values over denominators that do not divide each other
+MIXED = st.sampled_from([3, 7, 16, 48])
+
+
+@st.composite
+def plateau_cumulatives(draw):
+    """(family, m, F): a nondecreasing cumulative on up to six segments with
+    knots over mixed denominators, some segments flat (the last one too),
+    and a kernel mass in the family's domain."""
+    family = draw(st.sampled_from(("tasep", "had")))
+    den = draw(MIXED)
+    m = F(draw(st.integers(1, den - 1 if family == "tasep" else 2 * den)), den)
+    offsets = draw(
+        st.sets(MIXED.flatmap(lambda d: st.integers(1, d).map(lambda k: F(k, d))), min_size=1, max_size=6)
+    )
+    knots, value, prev = [(F(0), F(0))], F(0), F(0)
+    for t in sorted(offsets):
+        slope = draw(MIXED.flatmap(lambda d: st.integers(0, 2 * d).map(lambda k: F(k, d))))
+        value += slope * (t - prev)
+        knots.append((t, value))
+        prev = t
+    return family, m, CumulativeFunction(ClosedArc(F(0), prev), knots)
+
+
+class TestIntDp:
+    @given(
+        st.sampled_from(("tasep", "had")),
+        MIXED.flatmap(lambda d: st.integers(1, d - 1).map(lambda k: F(k, d))),
+        st.integers(-3, 100).flatmap(lambda k: MIXED.map(lambda d: F(k, d))),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_matches_fraction_kernel(self, family, m, x):
+        assert repr(EntropyKernel(family, m)(x)) == repr(reference_kernel(family, m, x))
+
+    @given(plateau_cumulatives(), st.booleans())
+    @example(
+        ("tasep", F(1, 3), CumulativeFunction(ClosedArc(F(0), F(1, 2)), [(F(0), F(0)), (F(1, 2), F(0))])),
+        True,
+    )
+    @example(  # a slope of exactly one is admissible when bounded
+        ("tasep", F(1, 3), CumulativeFunction(ClosedArc(F(0), F(3, 7)), [(F(0), F(0)), (F(3, 7), F(3, 7))])),
+        True,
+    )
+    @example(  # a slope above one cannot be avoided: infinite when bounded
+        ("tasep", F(1, 2), CumulativeFunction(ClosedArc(F(0), F(1, 7)), [(F(0), F(0)), (F(1, 7), F(2, 7))])),
+        True,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_dp_bit_for_bit(self, case, bounded):
+        family, m, F_ = case
+        got = _plateau_dp_min(F_, EntropyKernel(family, m), bounded)
+        assert repr(got) == repr(reference_plateau_dp_min(F_, family, m, bounded))
+
+
 class TestPreimage:
     def test_fixed_point_in_preimage(self):
         assert preimage_conditions(PAPER_RHO1, PAPER_RHO1, PAPER_RHO2)
@@ -516,6 +640,107 @@ class TestLdpDecay:
             ldp_decay_exact([], F(1, 4), [100])
 
 
+def reference_sk_oracle(rhos, family, quantum, cells):
+    """The brute-force multilayer oracle with every collapse taken through
+    collapse_measure and none shared: the reference for sk_oracle."""
+    masses = [r.total_mass for r in rhos]
+    units = [int(m / quantum) for m in masses]
+    kernels = [EntropyKernel(family, m) for m in masses]
+    best, best_tuple, near, feasible = math.inf, None, 0, 0
+
+    def track(val, tup):
+        nonlocal best, best_tuple, near
+        if val < best - TIE_TOL:
+            best, best_tuple, near = val, tup, 1
+        elif abs(val - best) <= TIE_TOL:
+            best, best_tuple, near = min(best, val), best_tuple if val >= best else tup, near + 1
+
+    if len(rhos) == 2:
+        for psi1 in lattice_measures(cells, units[0], quantum, family):
+            if collapse_measure(psi1, rhos[1])[0] != rhos[0]:
+                continue
+            feasible += 1
+            track(s1(psi1, kernels[0]) + s1(rhos[1], kernels[1]), (psi1, rhos[1]))
+    else:
+        base = s1(rhos[2], kernels[2])
+        psi1_pool = list(lattice_measures(cells, units[0], quantum, family))
+        for psi2 in lattice_measures(cells, units[1], quantum, family):
+            if collapse_measure(psi2, rhos[2])[0] != rhos[1]:
+                continue
+            mid_cost = s1(psi2, kernels[1])
+            for psi1 in psi1_pool:
+                inner = collapse_measure(psi1, psi2)[0]
+                if collapse_measure(inner, rhos[2])[0] != rhos[0]:
+                    continue
+                feasible += 1
+                track(base + mid_cost + s1(psi1, kernels[0]), (psi1, psi2, rhos[2]))
+    return {"value": best, "witness": best_tuple, "near_minimizers": near, "feasible_count": feasible}
+
+
+def reference_s3_recursive(rhos, family, quantum, cells):
+    """The recursion route with every collapse taken through
+    collapse_measure: the reference for s3_recursive."""
+    masses = [r.total_mass for r in rhos]
+    units = [int(m / quantum) for m in masses]
+    base = s1(rhos[2], EntropyKernel(family, masses[2]))
+    phi1_pool = [
+        p
+        for p in lattice_measures(cells, units[0], quantum, family)
+        if collapse_measure(p, rhos[2])[0] == rhos[0]
+    ]
+    best, feasible = math.inf, 0
+    for phi2 in lattice_measures(cells, units[1], quantum, family):
+        if collapse_measure(phi2, rhos[2])[0] != rhos[1]:
+            continue
+        for phi1 in phi1_pool:
+            res = s2(phi1, phi2, masses[0], masses[1], family)
+            if res.finite:
+                feasible += 1
+                best = min(best, base + res.value)
+    return {"value": best, "feasible_count": feasible}
+
+
+def _typed(result):
+    """An oracle's result with its value as the float's repr."""
+    return {**result, "value": repr(result["value"])}
+
+
+QUARTERS = [F(i, 4) for i in range(4)]
+# the unit vectors (densities in quarters) of the benchmark's three triples
+BENCH_TRIPLES = [
+    [TorusMeasure(QUARTERS, [F(u, 4) for u in units]) for units in triple]
+    for triple in (
+        ((1, 2, 1, 2), (2, 2, 1, 2), (2, 3, 1, 2)),
+        ((0, 2, 2, 1), (1, 2, 2, 2), (3, 2, 3, 2)),
+        ((2, 1, 2, 2), (2, 2, 2, 4), (3, 2, 3, 4)),
+    )
+]
+
+
+def _eighth_triples(count, seed=3):
+    """Seeded random lattice triples whose cell masses are multiples of
+    1/8, so each is its own preimage on the 1/8 lattice."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        *triple, _ = random_lattice_triple(rng)
+        if all((2 * d).denominator == 1 for r in triple for d in r.densities):
+            out.append(triple)
+    return out
+
+
+class TestOraclesAgainstReferences:
+    @pytest.mark.parametrize(
+        "triple, quantum",
+        [(t, F(1, 8)) for t in _eighth_triples(6)] + [(t, F(1, 16)) for t in BENCH_TRIPLES],
+    )
+    def test_whole_results_match(self, triple, quantum):
+        for rhos in (triple, triple[1:], triple[::2]):
+            want = reference_sk_oracle(rhos, "tasep", quantum, 4)
+            assert _typed(sk_oracle(rhos, "tasep", quantum, 4)) == _typed(want)
+        want = reference_s3_recursive(triple, "tasep", quantum, 4)
+        assert _typed(s3_recursive(triple, "tasep", quantum, 4)) == _typed(want)
+
+
 class TestMultilayerOracle:
     def test_constant_tuple_zero(self):
         cells, q = 4, F(1, 16)
@@ -577,3 +802,18 @@ class TestMultilayerOracle:
             s3_recursive(
                 [TorusMeasure.constant(F(k, 26)) for k in (1, 2, 3)], "tasep", F(1, 26), 13
             )
+
+    def test_no_cells_refused(self):
+        pair = [TorusMeasure.constant(F(1, 4)), TorusMeasure.constant(F(1, 2))]
+        with pytest.raises(ValueError, match="at least one cell"):
+            sk_oracle(pair, "tasep", F(1, 8), 0)
+
+    def test_zero_quantum_refused(self):
+        pair = [TorusMeasure.constant(F(1, 4)), TorusMeasure.constant(F(1, 2))]
+        with pytest.raises(ValueError, match="quantum must be positive"):
+            sk_oracle(pair, "tasep", 0, 4)
+
+    def test_negative_quantum_refused(self):
+        triple = [TorusMeasure.constant(F(k, 8)) for k in (1, 2, 3)]
+        with pytest.raises(ValueError, match="quantum must be positive"):
+            s3_recursive(triple, "tasep", F(-1, 8), 4)

@@ -83,16 +83,18 @@ class TestSuiteHarness:
         pattern = r"3 instances: worst \|closed - oracle\| = \S+"
         assert all(re.fullmatch(pattern, c.statistic) for c in a.checks)
 
-    def test_grid_interval_mass_matches_interval_mass(self):
+    def test_prefix_masses_match_interval_mass(self):
         rng = random.Random(5)
         for _ in range(100):
             rho = random_measure(rng, max_atoms=3)
             extra = {Fraction(rng.randrange(48), 48) for _ in range(4)}
             grid = sorted({Fraction(0), *rho.breakpoints, *(a.at for a in rho.atoms)} | extra)
-            mass = suites._grid_interval_mass(rho, grid)
+            *prefix, total = suites._prefix_masses(rho, grid)
+            assert total == rho.total_mass
+            P = dict(zip(grid, prefix))
             for a in grid:
                 for b in grid:
-                    assert mass(a, b) == rho.interval_mass(a, b)
+                    assert P[b] - P[a] + (total if b <= a else 0) == rho.interval_mass(a, b)
 
     def test_report_written(self, tmp_path):
         cfg = SuiteConfig(suite="ldp-decay", out_dir=str(tmp_path))
