@@ -29,8 +29,10 @@ end of {J > 0} in each cell, rho1's after it; J just before an interval's
 end is the atom the interval deposits there.  Like the points, it runs on
 ints: merge_pair puts grid points over one common denominator and masses
 over another, so both laps are int arithmetic, and Fractions are built
-only for the results.  The O(B^2) enumeration flux_values_direct and the
-interval assembly collapse_measure_representation are kept as its oracles.
+only for the results, through one int -> Fraction cache per denominator
+(measures.int_fractions).  The O(B^2) enumeration flux_values_direct, on
+the same ints, and the interval assembly collapse_measure_representation
+are kept as its oracles.
 
 The queue (_fluid_queue) runs both laps and every check once per call and
 returns the collapsed measure; the FluxProfile is assembled from lap 2's
@@ -65,6 +67,7 @@ from .measures import (
     cyc_len,
     cyclic_runs,
     frac,
+    int_fractions,
     merge_pair,
     refined_cells,
 )
@@ -285,28 +288,29 @@ def flux_values_direct(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[Fraction
 
     The supremum over interval left ends is attained among closed and
     left-open starts at grid positions; interior starts are dominated.
-    With sigma = rho1 - rho2, s[j] = sigma((0, grid[j]]).
+    With sigma = rho1 - rho2, s[j] = sigma((0, grid[j]]); the enumeration
+    runs on the pair's ints, in units of 1/mass_den mass.
     """
     pair = merge_pair(rho1, rho2)
     atom = [a - b for a, b in zip(pair.atom1, pair.atom2)]
     cell = [(a - b) * length for a, b, length in zip(pair.dens1, pair.dens2, pair.lens)]
     n = len(atom)
-    s = [ZERO]
+    s = [0]
     for j in range(1, n):
         s.append(s[-1] + cell[j - 1] + atom[j])
     total = s[-1] + cell[-1] + atom[0]
     out = []
     for j in range(n):
-        best = ZERO
+        best = 0
         for i in range(n):
-            wrap = total if i > j else ZERO
+            wrap = total if i > j else 0
             e_closed = s[j] - s[i] + atom[i] + wrap
             if e_closed > best:
                 best = e_closed
             if i != j and e_closed - atom[i] > best:
                 best = e_closed - atom[i]
         out.append(best)
-    return tuple(out)
+    return tuple(map(int_fractions(pair.mass_den), out))
 
 
 def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasure, tuple]:
@@ -321,15 +325,14 @@ def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasure, 
     atom, J there (the length after the atom), the end of {J > 0} in the
     cell (the exact root of the draining queue, the cell's edge, or None
     when J vanishes on the open cell) and J just before that end.  The
-    root is the only Fraction built in the loop; the other outputs reuse
-    the measures' Fractions or are built from the ints afterwards.
+    root is the only Fraction built in the loop; the result's densities
+    and atoms are built from the ints afterwards, once per distinct value.
     """
     if rho1.total_mass > rho2.total_mass:
         raise CollapseError("first measure has more mass")
     pair = merge_pair(rho1, rho2)
     grid, nums, grid_den = pair.grid, pair.nums, pair.grid_den
-    lens = [hi - lo for lo, hi in zip(nums, nums[1:] + [grid_den])]
-    cells = list(zip(lens, pair.dens_nums1, pair.dens_nums2, pair.atom_nums1, pair.atom_nums2))
+    cells = list(zip(pair.lens, pair.dens1, pair.dens2, pair.atom1, pair.atom2))
     q = 0
     for length, d1, d2, a1, a2 in cells:
         q = max(0, q + a1 - a2)
@@ -342,21 +345,21 @@ def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasure, 
         if kept < 0:
             raise RuntimeError("collapse produced a negative atom")
         if kept > 0:
-            atoms.append((j, kept))
+            atoms.append((grid[j], kept))
         q = max(0, q + a1 - a2)
         slope = d1 - d2
         bps.append(grid[j])
         if 0 < q < -slope * length:
             # the queue drains inside the cell, at g + q / (d2 - d1)
             end = Fraction(nums[j] * -slope + q, -slope * grid_den)
-            dens += [pair.dens2[j], pair.dens1[j]]
+            dens += [d2, d1]
             bps.append(end)
         elif q > 0 or slope > 0:
             end = edges[j]
-            dens.append(pair.dens2[j])
+            dens.append(d2)
         else:
             end = None
-            dens.append(pair.dens1[j])
+            dens.append(d1)
         at_edge = end is edges[j]
         values.append(q)
         ends.append(end)
@@ -369,17 +372,14 @@ def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasure, 
             "positive-flux set covers the torus despite strictly smaller "
             "first mass; flux computation is inconsistent"
         )
-    mass = _int_fractions(pair.mass_den)
-    atoms = [
-        (grid[j], pair.atom2[j] if kept == pair.atom_nums2[j] else mass(kept)) for j, kept in atoms
-    ]
-    result = TorusMeasure(bps, dens, atoms)
+    density, mass = int_fractions(pair.mass_den // grid_den), int_fractions(pair.mass_den)
+    result = TorusMeasure(bps, [density(d) for d in dens], [(p, mass(k)) for p, k in atoms])
     if result.total_mass != rho1.total_mass:
         raise RuntimeError("collapse failed to conserve mass")
-    return result, (pair, values, ends, tails, mask, full, mass)
+    return result, (pair, values, ends, tails, mask, full, mass, density)
 
 
-def _flux_of(pair, values, ends, tails, mask, full, mass) -> FluxProfile:
+def _flux_of(pair, values, ends, tails, mask, full, mass, density) -> FluxProfile:
     """The FluxProfile from _fluid_queue's lap-2 readings."""
     grid = pair.grid
     intervals = []
@@ -389,27 +389,13 @@ def _flux_of(pair, values, ends, tails, mask, full, mass) -> FluxProfile:
         for start, length in cyclic_runs(mask):
             i, c = start // 3, (start + length - 1) % len(mask) // 3
             intervals.append(JInterval(grid[i], ends[c], start % 3 == 0, mass(tails[c])))
-    slope_of = _int_fractions(pair.mass_den // pair.grid_den)
     return FluxProfile(
         positions=tuple(grid),
-        values=tuple([mass(v) for v in values]),
-        slopes=tuple([slope_of(d1 - d2) for d1, d2 in zip(pair.dens_nums1, pair.dens_nums2)]),
+        values=tuple(map(mass, values)),
+        slopes=tuple([density(d1 - d2) for d1, d2 in zip(pair.dens1, pair.dens2)]),
         intervals=tuple(intervals),
         full_torus=full,
     )
-
-
-def _int_fractions(den: int):
-    """n -> Fraction(n, den), built once per distinct n and ZERO for 0."""
-    made = {0: ZERO}
-
-    def of(n: int) -> Fraction:
-        f = made.get(n)
-        if f is None:
-            f = made[n] = Fraction(n, den)
-        return f
-
-    return of
 
 
 def flux_profile(rho1: TorusMeasure, rho2: TorusMeasure) -> FluxProfile:

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .measures import frac
+from .measures import TorusMeasure, frac, measure_leq_witness, numerators
 
 # Exhaustive enumeration guards (oracles stay tractable).
 MAX_ENUM_N = 12
@@ -84,9 +84,8 @@ class PointConfig:
     __slots__ = ("grid", "nums")
 
     def __init__(self, points: Sequence[Fraction]):
-        ratios = [frac(p).as_integer_ratio() for p in points]
-        grid = math.lcm(*(d for _, d in ratios))
-        self._store(grid, sorted(n * (grid // d) for n, d in ratios))
+        grid, nums = numerators([frac(p) for p in points])
+        self._store(grid, sorted(nums))
 
     @classmethod
     def on_grid(cls, grid: int, nums: Sequence[int]) -> "PointConfig":
@@ -181,8 +180,6 @@ def validate_ordered(parts: Sequence) -> tuple[bool, str | None]:
     Configurations are compared componentwise, point sets by inclusion and
     torus measures by measure domination.  Returns (ok, first_violation).
     """
-    from . import measures  # local import; measures depends on nothing here
-
     if len(parts) == 0:
         return True, None
     for i in range(len(parts) - 1):
@@ -198,8 +195,8 @@ def validate_ordered(parts: Sequence) -> tuple[bool, str | None]:
             missing = set(inner).difference(outer)
             if missing:
                 return False, f"parts {i},{i+1}: point {Fraction(min(missing), grid)} not included"
-        elif isinstance(a, measures.TorusMeasure):
-            ok, where = measures.measure_leq_witness(a, b)
+        elif isinstance(a, TorusMeasure):
+            ok, where = measure_leq_witness(a, b)
             if not ok:
                 return False, f"parts {i},{i+1}: {where}"
         else:

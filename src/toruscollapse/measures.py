@@ -40,12 +40,26 @@ def _on_torus(x: Fraction) -> Fraction:
     return x if 0 <= n < d else x % 1
 
 
-def _numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+def numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The lcm of the values' denominators, and each value's numerator
     over it: an order-preserving map onto ints."""
     ratios = [x.as_integer_ratio() for x in values]
     den = math.lcm(*[d for _, d in ratios])
     return den, [n * (den // d) for n, d in ratios]
+
+
+def int_fractions(den: int):
+    """n -> Fraction(n, den), built once per distinct n and ZERO for 0: the
+    way back from ints over one denominator to the Fractions of outputs."""
+    made = {0: ZERO}
+
+    def of(n: int) -> Fraction:
+        f = made.get(n)
+        if f is None:
+            f = made[n] = Fraction(n, den)
+        return f
+
+    return of
 
 
 class Atom(NamedTuple):
@@ -89,7 +103,7 @@ class TorusMeasure:
         if len(bps) == 0:
             bps, dens = [ZERO], [ZERO]
         # order, sign and mass run on int numerators over common denominators
-        grid, nums = _numerators(bps)
+        grid, nums = numerators(bps)
         if any(a >= b for a, b in zip(nums, nums[1:])):
             raise ValueError("breakpoints must be sorted and distinct")
         ratios = [d.as_integer_ratio() for d in dens]
@@ -102,7 +116,7 @@ class TorusMeasure:
         # merge adjacent equal-density cells (keep the origin breakpoint)
         keep = [0] + [i for i in range(1, len(ratios)) if ratios[i] != ratios[i - 1]]
         ats = [Atom(_on_torus(frac(p)), frac(m)) for p, m in atoms]
-        _, at_nums = _numerators([a.at for a in ats])
+        _, at_nums = numerators([a.at for a in ats])
         order = sorted(range(len(ats)), key=at_nums.__getitem__)
         masses = [a.mass.as_integer_ratio() for a in ats]
         if any(n <= 0 for n, _ in masses):
@@ -225,10 +239,11 @@ class TorusMeasure:
 
     def add(self, other: "TorusMeasure") -> "TorusMeasure":
         pair = merge_pair(self, other)
+        dens, mass = int_fractions(pair.mass_den // pair.grid_den), int_fractions(pair.mass_den)
         return TorusMeasure(
             pair.grid,
-            [a + b for a, b in zip(pair.dens1, pair.dens2)],
-            [(p, a + b) for p, a, b in zip(pair.grid, pair.atom1, pair.atom2) if a + b > 0],
+            [dens(a + b) for a, b in zip(pair.dens1, pair.dens2)],
+            [(p, mass(a + b)) for p, a, b in zip(pair.grid, pair.atom1, pair.atom2) if a + b > 0],
         )
 
     def __add__(self, other):
@@ -257,16 +272,16 @@ class TorusMeasure:
         ):
             raise ValueError("a measure's 'atoms' must be a list of {'at', 'mass'} objects")
         return cls(
-            _json_rationals(d.get("breakpoints"), "a measure's 'breakpoints'"),
-            _json_rationals(d.get("densities"), "a measure's 'densities'"),
+            json_rationals(d.get("breakpoints"), "a measure's 'breakpoints'"),
+            json_rationals(d.get("densities"), "a measure's 'densities'"),
             zip(
-                _json_rationals([a["at"] for a in atoms], "a measure's 'atoms'"),
-                _json_rationals([a["mass"] for a in atoms], "a measure's 'atoms'"),
+                json_rationals([a["at"] for a in atoms], "a measure's 'atoms'"),
+                json_rationals([a["mass"] for a in atoms], "a measure's 'atoms'"),
             ),
         )
 
 
-def _json_rationals(values, field: str) -> list[Fraction]:
+def json_rationals(values, field: str) -> list[Fraction]:
     """Read a JSON list of "p/q" strings or integers exactly; `field` names
     it in the ValueError raised for anything else, JSON floats included."""
     if not isinstance(values, list) or not all(type(v) in (str, int) for v in values):
@@ -279,43 +294,39 @@ def _json_rationals(values, field: str) -> list[Fraction]:
 
 class PairGrid(NamedTuple):
     """Two measures on their merged grid: every breakpoint and atom location
-    of either, sorted from 0.  dens*[j] is the density on the cell
-    [grid[j], grid[j + 1]) and atom*[j] the atom mass at grid[j]; these are
-    the measures' own Fraction objects.
+    of either, sorted from 0, in ints.
 
-    The same pair in ints: grid[j] is nums[j] / grid_den, atom*[j] is
-    atom_nums*[j] / mass_den, and dens*[j] is dens_nums*[j] units of
-    1/mass_den mass per 1/grid_den length, so a cell of length n / grid_den
-    carries dens_nums*[j] * n / mass_den of mass."""
+    grid[j] is the grid point nums[j] / grid_den, kept as the measures' own
+    Fraction for outputs and messages.  atom*[j] is the atom mass at grid[j]
+    in units of 1/mass_den, and dens*[j] the density on the cell
+    [grid[j], grid[j + 1]) in units of 1/mass_den mass per 1/grid_den
+    length, so a cell of lens[j] grid units carries dens*[j] * lens[j] /
+    mass_den of mass."""
 
     grid: list[Fraction]
-    dens1: list[Fraction]
-    dens2: list[Fraction]
-    atom1: list[Fraction]
-    atom2: list[Fraction]
     grid_den: int
     mass_den: int
     nums: list[int]
-    dens_nums1: list[int]
-    dens_nums2: list[int]
-    atom_nums1: list[int]
-    atom_nums2: list[int]
+    dens1: list[int]
+    dens2: list[int]
+    atom1: list[int]
+    atom2: list[int]
 
     @property
-    def lens(self) -> list[Fraction]:
-        return [hi - lo for lo, hi in zip(self.grid, self.grid[1:] + [ONE])]
+    def lens(self) -> list[int]:
+        return [hi - lo for lo, hi in zip(self.nums, self.nums[1:] + [self.grid_den])]
 
 
 def merge_pair(rho1: TorusMeasure, rho2: TorusMeasure) -> PairGrid:
-    """Merge a pair once, into aligned arrays over the common grid.
+    """Merge a pair once, into aligned int arrays over the common grid.
 
     The grid denominator is the lcm of the denominators of both measures'
     breakpoints and atom locations; the mass denominator is the lcm of the
     atom masses' denominators and of the grid denominator times those of
     the densities.  Sorting and alignment run on numerators over the grid
-    denominator, and the Fraction fields reuse the measures' objects."""
+    denominator, and the grid reuses the measures' Fraction positions."""
     places = [*rho1.breakpoints, *rho2.breakpoints, *(a.at for a in rho1.atoms + rho2.atoms)]
-    grid_den, keys = _numerators(places)
+    grid_den, keys = numerators(places)
     point = dict(zip(keys, places))
     nums = sorted(point)
     dens_den = math.lcm(*[d.denominator for d in rho1.densities + rho2.densities])
@@ -323,29 +334,26 @@ def merge_pair(rho1: TorusMeasure, rho2: TorusMeasure) -> PairGrid:
     n1, n2, n3 = len(rho1.breakpoints), len(rho2.breakpoints), len(rho1.atoms)
     bp1, bp2 = keys[:n1], keys[n1 : n1 + n2]
     at1, at2 = keys[n1 + n2 : n1 + n2 + n3], keys[n1 + n2 + n3 :]
-    d1, dn1, a1, an1 = _on_pair_grid(rho1, bp1, at1, nums, grid_den, mass_den)
-    d2, dn2, a2, an2 = _on_pair_grid(rho2, bp2, at2, nums, grid_den, mass_den)
-    grid = [point[k] for k in nums]
-    return PairGrid(grid, d1, d2, a1, a2, grid_den, mass_den, nums, dn1, dn2, an1, an2)
+    d1, a1 = _on_pair_grid(rho1, bp1, at1, nums, grid_den, mass_den)
+    d2, a2 = _on_pair_grid(rho2, bp2, at2, nums, grid_den, mass_den)
+    return PairGrid([point[k] for k in nums], grid_den, mass_den, nums, d1, d2, a1, a2)
 
 
 def _on_pair_grid(rho, bp_keys, at_keys, nums, grid_den, mass_den):
-    """One side of merge_pair: rho's densities and atoms at every grid point,
-    as Fractions and as ints, given the int keys of its breakpoints and atom
-    locations."""
+    """One side of merge_pair: rho's int densities and atoms at every grid
+    point, given the int keys of its breakpoints and atom locations."""
     cell, i, last = [], 0, len(bp_keys) - 1
     for p in nums:
         while i < last and bp_keys[i + 1] <= p:
             i += 1
         cell.append(i)
     per_len = mass_den // grid_den
-    dens_nums = [d.numerator * (per_len // d.denominator) for d in rho.densities]
-    dens, dens_nums = [rho.densities[i] for i in cell], [dens_nums[i] for i in cell]
+    dens = [d.numerator * (per_len // d.denominator) for d in rho.densities]
+    dens = [dens[i] for i in cell]
     if not at_keys:
-        return dens, dens_nums, [ZERO] * len(nums), [0] * len(nums)
-    mass = {k: a.mass for k, a in zip(at_keys, rho.atoms)}
-    mass_nums = {k: m.numerator * (mass_den // m.denominator) for k, m in mass.items()}
-    return dens, dens_nums, [mass.get(k, ZERO) for k in nums], [mass_nums.get(k, 0) for k in nums]
+        return dens, [0] * len(nums)
+    mass = {k: m.numerator * (mass_den // m.denominator) for k, (_, m) in zip(at_keys, rho.atoms)}
+    return dens, [mass.get(k, 0) for k in nums]
 
 
 def refined_cells(cuts: Iterable[Fraction]) -> list[tuple[Fraction, Fraction, Fraction]]:
@@ -386,10 +394,12 @@ def measure_leq_witness(a: TorusMeasure, b: TorusMeasure) -> tuple[bool, str | N
     pair = merge_pair(a, b)
     for bp, x, y in zip(pair.grid, pair.dens1, pair.dens2):
         if x > y:
-            return False, f"density {x} > {y} on cell starting at {bp}"
+            dens = int_fractions(pair.mass_den // pair.grid_den)
+            return False, f"density {dens(x)} > {dens(y)} on cell starting at {bp}"
     for at, x, y in zip(pair.grid, pair.atom1, pair.atom2):
         if x > y:
-            return False, f"atom at {at}: {x} > {y}"
+            mass = int_fractions(pair.mass_den)
+            return False, f"atom at {at}: {mass(x)} > {mass(y)}"
     return True, None
 
 

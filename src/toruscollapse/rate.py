@@ -40,12 +40,13 @@ from .measures import (
     PairGrid,
     PlateauDecomposition,
     TorusMeasure,
-    _numerators,
     concave_envelope,
     cumulative,
     envelope_density,
     frac,
+    int_fractions,
     merge_pair,
+    numerators,
     pair_plateaus,
     plateau_set,
     refined_cells,
@@ -129,9 +130,11 @@ def _integrate_kernel(rho: TorusMeasure, kernel: EntropyKernel) -> float:
 
 def _off_plateau_integral(pair: PairGrid, kernel: EntropyKernel) -> float:
     """Kernel integral of the first density over the merged cells where the
-    pair's densities differ."""
+    pair's densities differ, on the pair's ints: a cell of n grid units is
+    n / grid_den long and holds density d / (mass_den / grid_den)."""
+    per_len, grid_den = pair.mass_den // pair.grid_den, pair.grid_den
     cells = zip(pair.lens, pair.dens1, pair.dens2)
-    return sum((float(n) * kernel(x) for n, x, y in cells if x != y), 0.0)
+    return sum((n / grid_den * kernel.at_ratio(x, per_len) for n, x, y in cells if x != y), 0.0)
 
 
 def _envelope_integral(env: CumulativeFunction, kernel: EntropyKernel) -> float:
@@ -282,8 +285,8 @@ def _plateau_dp_min(F: CumulativeFunction, kernel: EntropyKernel, bounded: bool)
     units of 1/P has slope r * P / (D * s); its cost is priced once per
     distinct rise and segment.
     """
-    P, pos = _numerators([t for t, _ in F.knots])
-    V, vals = _numerators([v for _, v in F.knots])
+    P, pos = numerators([t for t, _ in F.knots])
+    V, vals = numerators([v for _, v in F.knots])
     n = len(pos) - 1
     L = math.lcm(DP_EXTRA_LEVELS, *[pos[b] - pos[a] for b in range(n + 1) for a in range(b)])
     D = V * L
@@ -402,7 +405,8 @@ def minimizer_rho2(rho1: TorusMeasure, m2) -> TorusMeasure:
     if kept.atoms:
         raise RuntimeError("collapse of a density onto a constant deposited atoms")
     pair = merge_pair(rho1, _mirror(kept))
-    out = TorusMeasure(pair.grid, [d1 + m2 - k for d1, k in zip(pair.dens1, pair.dens2)])
+    dens = int_fractions(pair.mass_den // pair.grid_den)
+    out = TorusMeasure(pair.grid, [dens(d1 - k) + m2 for d1, k in zip(pair.dens1, pair.dens2)])
     if out.total_mass != m2:
         raise RuntimeError("constructed total profile has the wrong mass")
     return out

@@ -9,7 +9,7 @@ from typing import Sequence
 
 from .collapse import FluxProfile
 from .lattice import PointConfig, TorusConfig
-from .measures import TorusMeasure, _json_rationals
+from .measures import TorusMeasure, json_rationals
 
 
 def config_to_json(cfg: TorusConfig) -> list[int]:
@@ -27,7 +27,7 @@ def points_to_json(pts: PointConfig) -> list[str]:
 
 
 def points_from_json(data) -> PointConfig:
-    return PointConfig(_json_rationals(data, "a point set's 'data'"))
+    return PointConfig(json_rationals(data, "a point set's 'data'"))
 
 
 def part_to_json(part) -> dict:

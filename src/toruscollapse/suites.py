@@ -43,7 +43,7 @@ from .dynamics import (
     sample_invariant,
 )
 from .lattice import grid_numerators, random_config, random_points
-from .measures import TorusMeasure, _numerators, measure_leq, measure_leq_witness
+from .measures import TorusMeasure, measure_leq, measure_leq_witness, numerators
 from .rate import (
     contraction_identity_check,
     ldp_decay_exact,
@@ -68,6 +68,10 @@ class SuiteConfig:
     overrides: dict = field(default_factory=dict)
     # override keys the suite has asked for, so run_suite can refuse the rest
     read: set = field(default_factory=set, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
 
     def get(self, key, default):
         self.read.add(key)
@@ -392,7 +396,7 @@ def suite_measure_collapse(cfg: SuiteConfig) -> list[Check]:
             # followed by its total mass, and J there: ints over one denominator
             n = len(prof.positions)
             sums = [_prefix_masses(m, prof.positions) for m in (c, r1, r2)]
-            _, nums = _numerators([*sums[0], *sums[1], *sums[2], *prof.values])
+            _, nums = numerators([*sums[0], *sums[1], *sums[2], *prof.values])
             pc, p1, p2, J = (nums[i : i + n + 1] for i in range(0, 4 * n + 4, n + 1))
             # the mass of (a, b] for grid positions a, b; (a, a] is the torus
             spans = [(a, b) for a in range(n) for b in range(n)]
@@ -694,8 +698,12 @@ SUITES = {
 
 
 def _map_units(fn, units, threads):
-    if threads > 1 and len(units) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    """fn over units, in order.  With threads > 1 they run in a process
+    pool of at most one worker per unit and per CPU: a forking pool starts
+    every worker it is given at the first submit."""
+    workers = min(threads, len(units), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, units))
     return [fn(u) for u in units]
 

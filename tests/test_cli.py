@@ -281,6 +281,16 @@ class TestCli:
             "toruscollapse suite: error: suite measure-collapse reads no override 'pair'"
         ]
 
+    @pytest.mark.parametrize("name", ["had-invariance", "all"])
+    def test_suite_threads_below_one_is_one_line_exit_two(self, capsys, name):
+        code = main(["suite", name, "--threads", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "toruscollapse suite: error: threads must be at least 1, got 0"
+        ]
+
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["suite", "nope"])

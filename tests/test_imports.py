@@ -26,10 +26,24 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_no_module_imports_a_private_name_from_a_sibling():
+    """Package modules share only public names: an underscore-prefixed
+    name is private to its module (__version__ is exempt)."""
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and alias.name != "__version__"
+                ]
+    assert private == []
+
+
 # Definitions no package code reaches, each kept as the independent route
 # that the named test holds the package to.
 ORACLES = {
-    "chi_square_uniform": "tests/test_dynamics.py::TestSimulation::test_single_particle_uniform_position",
     "class_label_decode": "tests/test_lattice.py::TestLabels::test_roundtrip_exhaustive",
     "discrete_flux": "tests/test_collapse.py::TestCrossRegime::test_config_flux_is_discrete_flux",
     "interval_mass": "tests/test_collapse.py::TestMeasure::test_random_invariants",

@@ -85,6 +85,20 @@ class TestValidateOrdered:
         one = TorusMeasure.constant(1)
         assert validate_ordered([half, one])[0]
         assert not validate_ordered([one, half])[0]
+        # the witness names the first violation in exact terms, whatever
+        # common denominators the pair is compared over
+        thirds = TorusMeasure([0, Fraction(1, 3)], [Fraction(1, 5), Fraction(3, 4)])
+        fifths = TorusMeasure(
+            [0, Fraction(1, 5), Fraction(2, 3)], [Fraction(1, 4), Fraction(1, 2), 1]
+        )
+        ok, why = validate_ordered([thirds, fifths])
+        assert not ok and why == "parts 0,1: density 3/4 > 1/2 on cell starting at 1/3"
+        light = TorusMeasure([0], [0], [(Fraction(2, 7), Fraction(1, 7))])
+        heavy = TorusMeasure([0], [0], [(Fraction(2, 7), Fraction(3, 7))])
+        ok, why = validate_ordered([light, heavy, one.add(light)])
+        assert not ok and why == "parts 1,2: atom at 2/7: 3/7 > 1/7"
+        ok, why = validate_ordered([TorusMeasure([0], [0], [(Fraction(5, 7), Fraction(1, 3))]), one])
+        assert not ok and why == "parts 0,1: atom at 5/7: 1/3 > 0"
 
     def test_ordered_tuple_rejects(self):
         with pytest.raises(ValueError):

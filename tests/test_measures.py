@@ -441,9 +441,12 @@ class TestSharedHelpers:
             expected = sorted(
                 {*a.breakpoints, *b.breakpoints, *(x.at for x in a.atoms), *(x.at for x in b.atoms)}
             )
+            per_len = pair.mass_den // pair.grid_den
             assert pair.grid == expected
-            assert pair.dens1 == [a.density_at(p) for p in expected]
-            assert pair.dens2 == [b.density_at(p) for p in expected]
-            assert pair.atom1 == [dict(a.atoms).get(p, 0) for p in expected]
-            assert pair.atom2 == [dict(b.atoms).get(p, 0) for p in expected]
-            assert sum(pair.atom1) + sum(d * w for d, w in zip(pair.dens1, pair.lens)) == a.total_mass
+            assert [F(n, pair.grid_den) for n in pair.nums] == expected
+            assert [F(d, per_len) for d in pair.dens1] == [a.density_at(p) for p in expected]
+            assert [F(d, per_len) for d in pair.dens2] == [b.density_at(p) for p in expected]
+            assert [F(m, pair.mass_den) for m in pair.atom1] == [dict(a.atoms).get(p, 0) for p in expected]
+            assert [F(m, pair.mass_den) for m in pair.atom2] == [dict(b.atoms).get(p, 0) for p in expected]
+            cells = sum(d * n for d, n in zip(pair.dens1, pair.lens))
+            assert F(sum(pair.atom1) + cells, pair.mass_den) == a.total_mass

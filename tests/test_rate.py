@@ -590,7 +590,8 @@ class TestMinimizers:
             assert out.total_mass == m2
             assert measure_leq(rho1, out)
             pair = merge_pair(rho1, out)
-            assert all(d2 in (d1, m2) for d1, d2 in zip(pair.dens1, pair.dens2))
+            m2_units = m2 * (pair.mass_den // pair.grid_den)
+            assert all(d2 in (d1, m2_units) for d1, d2 in zip(pair.dens1, pair.dens2))
             res = contraction_identity_check(rho1, family, m_total=m2)
             assert res["total_layer_residual"] <= 1e-12
             checked += 1

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from toruscollapse.stats import chi_square_uniform, ks_two_sample
+from toruscollapse.stats import ks_two_sample
 
 
 class TestKS:
@@ -33,26 +33,3 @@ class TestKS:
         b = [rng.random() * 0.8 + 0.2 for _ in range(1000)]
         _, p = ks_two_sample(a, b)
         assert p < 1e-6
-
-
-class TestChiSquare:
-    def test_uniform_counts_high_p(self):
-        stat, p = chi_square_uniform([250, 240, 260, 250])
-        assert p > 0.5
-
-    def test_skewed_counts_low_p(self):
-        _, p = chi_square_uniform([400, 100, 250, 250])
-        assert p < 1e-10
-
-    def test_calibration(self):
-        # p should be roughly uniform under the null: check the 1% tail rate
-        rejections = 0
-        reps = 200
-        for seed in range(reps):
-            rng = random.Random(seed)
-            counts = [0] * 5
-            for _ in range(500):
-                counts[rng.randrange(5)] += 1
-            _, p = chi_square_uniform(counts)
-            rejections += p < 0.01
-        assert rejections <= 0.05 * reps

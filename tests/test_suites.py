@@ -44,6 +44,39 @@ class TestSuiteHarness:
         assert [c.statistic for c in seq.checks] == [c.statistic for c in par.checks]
         assert seq.passed and par.passed
 
+    @pytest.mark.parametrize(
+        "threads,units,cpus,workers",
+        [(5000, 8, 64, 8), (5000, 8, 2, 2), (3, 8, 64, 3), (5000, 1, 64, None), (4, 8, None, None)],
+    )
+    def test_pool_never_outgrows_units_or_cpus(self, monkeypatch, threads, units, cpus, workers):
+        """The pool gets at most one worker per unit and per CPU, and none
+        when that is one.  A recording stand-in replaces the executor, so no
+        process starts whatever `threads` is."""
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(suites.os, "cpu_count", lambda: cpus)
+        assert suites._map_units(abs, list(range(-units, 0)), threads) == list(range(units, 0, -1))
+        assert made == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_refused(self, threads):
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            SuiteConfig(suite="had-invariance", threads=threads)
+
     def test_failure_aggregation(self):
         # an impossible threshold must fail without raising
         cfg = SuiteConfig(
