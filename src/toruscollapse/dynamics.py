@@ -7,15 +7,16 @@ site or position mark; this is equivalent in law to independent local
 clocks and keeps the code auditable.  All randomness flows through an
 explicitly seeded generator.
 
-The exact pushforward runs the fold of collapse_k (each new outer layer
-takes every collapsed layer so far through one binary collapse) over
-label-vector counts instead of over tuples: the label vector of the
-collapsed layers is all the next fold step needs.  The independent route,
-exact_stationary, solves the balance equations densely but on rotation
-orbits of label vectors rather than on single states: the ring dynamics
-commute with rotation, so the stationary law is constant on each orbit.
-tasep_state_frequencies is kept as the simulation oracle that tests hold
-the exact tables to.
+Both exact routes work on rotation orbits of label vectors rather than on
+single states.  The exact pushforward runs the fold of collapse_k (each new
+outer layer takes every collapsed layer so far through one binary
+collapse) over counts instead of over tuples: the label vector of the
+collapsed layers is all the next fold step needs, and since the uniform
+layers' law is rotation invariant and the collapse commutes with rotation,
+one count per orbit is enough.  The independent route, exact_stationary,
+solves the balance equations densely on the chain lumped onto orbits: the
+ring dynamics commute with rotation, so the stationary law is constant on
+each orbit.
 
 had_simulate runs its layers as sorted ints over the common denominator of
 their points and POINT_GRID, the grid of its marks, and returns them through
@@ -183,22 +184,6 @@ def tasep_simulate(initial: Sequence[int], k: int, horizon: float, rng):
         events.append((t, x, labels))
 
 
-def tasep_state_frequencies(
-    initial: Sequence[int], k: int, steps: int, rng
-) -> dict[tuple[int, ...], float]:
-    """Visit frequencies of the uniformized chain (one uniform bond per
-    step, self-loops counted); converges to the stationary law, and is kept
-    as the simulation oracle for the exact tables."""
-    labels = tuple(initial)
-    n = len(labels)
-    counts: dict[tuple[int, ...], int] = {}
-    for _ in range(steps):
-        x = rng.randrange(n)
-        labels = bond_update(labels, x, k)
-        counts[labels] = counts.get(labels, 0) + 1
-    return {s: c / steps for s, c in counts.items()}
-
-
 def _solve_stationary_int(rates: list[list[int]]) -> tuple[list[int], int]:
     """Stationary row vector of an integer rate matrix, exactly, as integer
     weights y over a positive denominator D.
@@ -241,6 +226,11 @@ def _solve_stationary_int(rates: list[list[int]]) -> tuple[list[int], int]:
     return y, D
 
 
+def _orbit(labels: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The rotation orbit of a label vector: its distinct cyclic shifts."""
+    return {labels[r:] + labels[:r] for r in range(len(labels))}
+
+
 def exact_stationary(spec: ProcessSpec) -> StationaryTable:
     """Exact stationary distribution of the multiclass exclusion process by
     rational linear solve of the balance equations on rotation orbits.
@@ -265,7 +255,7 @@ def exact_stationary(spec: ProcessSpec) -> StationaryTable:
     reps, orbit_sizes = [], []
     for s in enumerate_label_vectors(n, spec.class_counts):
         if s not in orbit_of:
-            orbit = {s[r:] + s[:r] for r in range(n)}
+            orbit = _orbit(s)
             orbit_of.update(dict.fromkeys(orbit, len(reps)))
             reps.append(s)
             orbit_sizes.append(len(orbit))
@@ -284,19 +274,28 @@ def exact_stationary(spec: ProcessSpec) -> StationaryTable:
 def pushforward_distribution(spec: ProcessSpec) -> StationaryTable:
     """Exact law of the k-fold collapse of independent uniform layers.
 
-    Runs the fold of collapse_k over label-vector counts, one uniform layer
-    at a time (the multiline queue of Ferrari and Martin).  After j layers
-    the table counts, per label vector, the tuples whose j collapsed layers
-    it encodes: collapsed layer i is the set of sites labelled 1..i.  A new
-    outer layer eta collapses each of them onto eta with the queue kernel,
-    and each site is labelled by its first occupied collapsed layer, or
-    j + 1 for a site of eta only.  A collapsed tuple is nested exactly when
-    its label vector has the spec's class counts, so that is checked once
-    per state.
+    Runs the fold of collapse_k over counts of label vectors, one uniform
+    layer at a time (the multiline queue of Ferrari and Martin).  Collapsed
+    layer i is the set of sites labelled 1..i.  A new outer layer eta
+    collapses each of them onto eta with the queue kernel, and each site is
+    labelled by its first occupied collapsed layer, or j + 1 for a site of
+    eta only.
+
+    The fold runs on rotation orbits.  The uniform layers' law is rotation
+    invariant and the collapse commutes with rotation, so every state of
+    an orbit has the same count, and the step from any state of an orbit
+    hits each orbit equally often.  After j layers the table maps each
+    orbit's canonical rotation to the number of tuples whose j collapsed
+    layers lie anywhere in the orbit; a step runs the kernel from that
+    representative against every eta.  Only the final orbits are expanded,
+    each state getting count // |O|.  A collapsed tuple is nested exactly
+    when its label vector has the spec's class counts, a rotation
+    invariant, so that is checked once per orbit.
     """
     if spec.model != "tasep":
         raise ValueError("exact pushforward tables exist only for the ring model")
     n, k = spec.n, spec.k
+    canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
     counts: dict[tuple[int, ...], int] = {(0,) * n: 1}
     for j, m in enumerate(spec.layer_sizes, start=1):
         etas = [c.occupied for c in enumerate_configs(n, m)]
@@ -310,13 +309,24 @@ def pushforward_distribution(spec: ProcessSpec) -> StationaryTable:
                     kept = queue_collapse(theta, eta)[0]
                     lab = [i if t else l for t, l in zip(kept, lab)]
                 lab = tuple(lab)
-                grown[lab] = grown.get(lab, 0) + c
+                rep = canonical.get(lab)
+                if rep is None:
+                    orbit = _orbit(lab)
+                    rep = min(orbit)
+                    canonical.update(dict.fromkeys(orbit, rep))
+                grown[rep] = grown.get(rep, 0) + c
         counts = grown
-    for lab in counts:
-        if tuple(lab.count(j) for j in range(1, k + 1)) != spec.class_counts:
-            raise RuntimeError(f"collapsed tuple is not nested: labels {lab}")
+    entries = []
+    for rep, c in counts.items():
+        if tuple(rep.count(j) for j in range(1, k + 1)) != spec.class_counts:
+            raise RuntimeError(f"collapsed tuple is not nested: labels {rep}")
+        orbit = _orbit(rep)
+        w, rem = divmod(c, len(orbit))
+        if rem:
+            raise RuntimeError(f"count {c} of orbit {rep} is not a multiple of its size")
+        entries += ((s, w) for s in orbit)
     tuples = math.prod(math.comb(n, m) for m in spec.layer_sizes)
-    return StationaryTable(counts.items(), tuples)
+    return StationaryTable(entries, tuples)
 
 
 def sample_invariant(spec: ProcessSpec, rng) -> OrderedTuple:

@@ -247,7 +247,9 @@ def enumerate_configs(n: int, m: int) -> Iterator[TorusConfig]:
 
 
 def enumerate_label_vectors(n: int, counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All label vectors on n sites with counts[j] sites of label j+1.
+    """All label vectors on n sites with counts[j] sites of label j+1, in
+    lexicographic order, lazily: the distinct permutations of the sorted
+    multiset, each got from the last by the next-permutation step.
 
     The number of states is capped so oracles stay tractable.
     """
@@ -256,28 +258,26 @@ def enumerate_label_vectors(n: int, counts: Sequence[int]) -> Iterator[tuple[int
         raise EnumerationLimitError(f"refusing exhaustive enumeration for N={n} > {MAX_ENUM_N}")
     if (k + 1) ** n > MAX_ENUM_STATES:
         raise EnumerationLimitError("state space too large to enumerate")
+    if any(c < 0 for c in counts):
+        raise ValueError("class counts must be nonnegative")
     holes = n - sum(counts)
     if holes < 0:
         raise ValueError("class counts exceed ring size")
-    remaining = {0: holes}
-    for j, c in enumerate(counts, start=1):
-        remaining[j] = c
-    prefix: list[int] = []
-
-    def walk():
-        if len(prefix) == n:
-            yield tuple(prefix)
+    labels = [j for j, c in enumerate((holes, *counts)) for _ in range(c)]
+    while True:
+        yield tuple(labels)
+        # the longest non-increasing suffix starts after i
+        i = len(labels) - 2
+        while i >= 0 and labels[i] >= labels[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for sym in sorted(remaining):
-            if remaining[sym] == 0:
-                continue
-            remaining[sym] -= 1
-            prefix.append(sym)
-            yield from walk()
-            prefix.pop()
-            remaining[sym] += 1
-
-    yield from walk()
+        # swap labels[i] with the last larger label, then sort the suffix
+        j = len(labels) - 1
+        while labels[j] <= labels[i]:
+            j -= 1
+        labels[i], labels[j] = labels[j], labels[i]
+        labels[i + 1 :] = labels[:i:-1]
 
 
 def random_points(count: int, rng) -> PointConfig:

@@ -18,16 +18,19 @@ from toruscollapse.dynamics import (
     pushforward_distribution,
     sample_invariant,
     tasep_simulate,
-    tasep_state_frequencies,
 )
 from toruscollapse.lattice import (
     POINT_GRID,
     PointConfig,
     TorusConfig,
+    enumerate_configs,
     random_points,
     validate_ordered,
 )
 from toruscollapse.measures import TorusMeasure
+from toruscollapse.suites import _class_vectors
+
+from oracles import tasep_state_frequencies
 
 F = Fraction
 
@@ -48,6 +51,29 @@ def had_simulate_on_fractions(initial, horizon, rng):
                 break
         dynamics._had_apply_mark(layers, u)
         events.append((t, u))
+
+
+def reference_pushforward(spec):
+    """The fold of collapse_k over the full table of label vectors, one
+    count per state and no rotation: the reference the orbit fold of
+    pushforward_distribution must match table for table."""
+    n = spec.n
+    counts = {(0,) * n: 1}
+    for j, m in enumerate(spec.layer_sizes, start=1):
+        etas = [c.occupied for c in enumerate_configs(n, m)]
+        grown = {}
+        for labels, c in counts.items():
+            inner = [(i, [int(0 < l <= i) for l in labels]) for i in range(j - 1, 0, -1)]
+            for eta in etas:
+                lab = [j if e else 0 for e in eta]
+                for i, theta in inner:
+                    kept = queue_collapse(theta, eta)[0]
+                    lab = [i if t else l for t, l in zip(kept, lab)]
+                lab = tuple(lab)
+                grown[lab] = grown.get(lab, 0) + c
+        counts = grown
+    tuples = math.prod(math.comb(n, m) for m in spec.layer_sizes)
+    return StationaryTable(counts.items(), tuples)
 
 
 def assert_stationary_certificate(tab, n, counts):
@@ -158,7 +184,10 @@ class TestExactStationary:
             exact_stationary(ProcessSpec("tasep", (2, 2, 2), n=8))
         assert time.perf_counter() - t0 < 1.0
 
-    @pytest.mark.parametrize("n,counts", [(7, (2, 2, 2)), (8, (2, 2, 2)), (8, (1, 2, 3))])
+    @pytest.mark.parametrize(
+        "n,counts",
+        [(7, (2, 2, 2)), (8, (2, 2, 2)), (8, (1, 2, 3)), (9, (2, 2, 3)), (10, (2, 3, 3))],
+    )
     def test_pushforward_is_stationary_beyond_the_dense_solve(self, n, counts):
         tab = pushforward_distribution(ProcessSpec("tasep", counts, n=n))
         assert_stationary_certificate(tab, n, counts)
@@ -170,6 +199,22 @@ class TestExactStationary:
         # orbits of size 3 and 6, the other two only full orbits
         tab = exact_stationary(ProcessSpec("tasep", counts, n=n))
         assert_stationary_certificate(tab, n, counts)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_orbit_fold_matches_the_full_table_fold(self, n):
+        # up to N = 7 every class vector of suite stationarity's range, among
+        # them (6, (2, 2)) with final orbits such as 120120, shorter than the
+        # ring, and (4, (1, 1)); at N = 8 (2, 2, 2), with orbits such as
+        # 12301230, and (1, 2, 3)
+        vectors = _class_vectors(n, 2) + _class_vectors(n, 3) if n < 8 else [(2, 2, 2), (1, 2, 3)]
+        for counts in vectors:
+            spec = ProcessSpec("tasep", counts, n=n)
+            got, want = pushforward_distribution(spec), reference_pushforward(spec)
+            assert (got.states, got.weights, got.denominator) == (
+                want.states,
+                want.weights,
+                want.denominator,
+            ), counts
 
     def test_pushforward_rejects_non_nested_collapse(self, monkeypatch):
         def broken(first, second):

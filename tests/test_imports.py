@@ -49,7 +49,6 @@ ORACLES = {
     "interval_mass": "tests/test_collapse.py::TestMeasure::test_random_invariants",
     "left_limit": "tests/test_collapse.py::TestPoints::test_counting_ledger_with_left_limits",
     "preimage_conditions": "tests/test_rate.py::TestPreimage::test_matches_collapse_on_random_candidates",
-    "tasep_state_frequencies": "tests/test_dynamics.py::TestSimulation::test_two_class_frequencies_match_table",
 }
 
 

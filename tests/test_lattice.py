@@ -113,6 +113,22 @@ class TestEnumeration:
         # multinomial 4! / (1! 1! 2!)
         assert len(list(enumerate_label_vectors(4, (1, 1)))) == 12
 
+    @pytest.mark.parametrize(
+        "n,counts", [(0, ()), (1, (1,)), (3, (0, 0)), (5, (2, 1)), (6, (1, 2, 2)), (7, (2, 0, 3))]
+    )
+    def test_labels_are_the_sorted_distinct_permutations(self, n, counts):
+        multiset = [0] * (n - sum(counts)) + [j for j, c in enumerate(counts, 1) for _ in range(c)]
+        want = sorted(set(itertools.permutations(multiset)))
+        assert list(enumerate_label_vectors(n, counts)) == want
+
+    @pytest.mark.parametrize(
+        "counts,message", [((2, 2), "exceed ring size"), ((-1, 2), "must be nonnegative")]
+    )
+    def test_errors_are_raised_on_first_draw(self, counts, message):
+        labels = enumerate_label_vectors(3, counts)
+        with pytest.raises(ValueError, match=message):
+            next(labels)
+
     def test_refuses_large(self):
         with pytest.raises(EnumerationLimitError):
             list(enumerate_configs(13, 2))
