@@ -4,7 +4,6 @@ from .lattice import (
     OrderedTuple,
     PointConfig,
     TorusConfig,
-    class_label_decode,
     class_label_encode,
     validate_ordered,
 )
@@ -17,7 +16,6 @@ from .measures import (
     cumulative,
     envelope_density,
     measure_leq,
-    plateau_set,
 )
 from .collapse import (
     CollapseError,
@@ -29,7 +27,6 @@ from .collapse import (
     collapse_measure,
     collapse_points,
     commutation_check,
-    flux_profile,
 )
 
 __version__ = "0.1.0"

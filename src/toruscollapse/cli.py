@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import __version__
-from .collapse import atomic_measure, collapse_k, flux_profile
+from .collapse import atomic_measure, collapse_k, collapse_measure
 from .dynamics import (
     ProcessSpec,
     exact_stationary,
@@ -78,7 +78,7 @@ def _parse_classes(text: str) -> tuple[int, ...]:
 
 def cmd_collapse(args) -> int:
     payload = _read_json(args.input)
-    if not isinstance(payload, dict) or "parts" not in payload:
+    if not isinstance(payload, dict) or not isinstance(payload.get("parts"), list):
         raise ValueError("input must be a JSON object with a 'parts' list")
     parts = [part_from_json(p) for p in payload["parts"]]
     out = list(collapse_k(parts))
@@ -87,7 +87,7 @@ def cmd_collapse(args) -> int:
         # configurations and point sets report the flux of their unit-atom
         # encodings, which takes the integer flux's values at their sites
         pair = [p if isinstance(p, TorusMeasure) else atomic_measure(p, 1) for p in parts]
-        result["flux"] = flux_to_json(flux_profile(*pair))
+        result["flux"] = flux_to_json(collapse_measure(*pair)[1])
     _emit(args, result)
     return 0
 
@@ -139,6 +139,8 @@ def cmd_stationary(args) -> int:
 
 
 def cmd_sample_invariant(args) -> int:
+    if args.samples < 0:
+        raise ValueError("--samples must be nonnegative")
     rng = random.Random(args.seed)
     counts = _parse_classes(args.classes)
     spec = (

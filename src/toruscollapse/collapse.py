@@ -14,12 +14,10 @@ point; lap 2 starts there and reads off what is kept and J.
 
 On a ring the queue counts particles (queue_collapse): a site in the first
 layer only is an arrival, one in the second only a service, and the queue
-lengths are the integer flux (discrete_flux).  Point sets run it on the
-merged sorted order of both sets: the int numerators each PointConfig
-stores, rescaled to one common denominator.  The restart-loop
-collapse_discrete_algorithmic and the O(N^2) supremum discrete_flux_direct
-are kept as its oracles; discrete_flux itself is kept as the integer flux
-that tests hold the measure flux of unit-atom encodings to.
+lengths are the integer flux.  Point sets run it on the merged sorted
+order of both sets: the int numerators each PointConfig stores, rescaled
+to one common denominator.  The restart-loop collapse_discrete_algorithmic
+and the O(N^2) supremum discrete_flux_direct are kept as its oracles.
 
 For measures the queue runs as a fluid over the pair's merged grid
 (measures.merge_pair): at a grid point q -> max(0, q + atom1 - atom2), and
@@ -36,7 +34,7 @@ are kept as its oracles.
 
 The queue (_fluid_queue) runs both laps and every check once per call and
 returns the collapsed measure; the FluxProfile is assembled from lap 2's
-readings only for collapse_measure and flux_profile, which the ledger and
+readings only for collapse_measure, whose flux the ledger and
 representation checks read.  kept_measure returns the collapsed measure
 alone, for collapse_k and the rate module's minimizers and quantized
 oracles.
@@ -44,8 +42,7 @@ oracles.
 A FluxProfile always describes a measure pair.  Configurations and point
 sets get one through their unit-atom encodings, atomic_measure(p, 1):
 embedding commutes with collapsing, so its values at the sites are the
-integer flux.  FluxProfile.left_limit is kept as the oracle of the
-counting ledger test.
+integer flux.
 
 collapse_k folds the binary collapse over the layers, outermost last: each
 new layer collapses every collapsed layer so far onto itself, as one row
@@ -154,25 +151,10 @@ def queue_collapse(first: Sequence[int], second: Sequence[int]) -> tuple[list[in
     return kept, lengths
 
 
-def _checked_queue(eta1: TorusConfig, eta2: TorusConfig) -> tuple[list[int], list[int]]:
-    if eta1.n != eta2.n:
-        raise ValueError("ring sizes differ")
-    if eta1.count > eta2.count:
-        raise CollapseError("first configuration has more particles")
-    return queue_collapse(eta1.occupied, eta2.occupied)
-
-
-def discrete_flux(eta1: TorusConfig, eta2: TorusConfig) -> tuple[int, ...]:
-    """Net rightward particle flux across each bond (x, x+1).
-
-    J(x) is the largest positive excess of eta1 over eta2 among cyclic
-    closed intervals ending at x: the queue length after x.
-    """
-    return tuple(_checked_queue(eta1, eta2)[1])
-
-
 def discrete_flux_direct(eta1: TorusConfig, eta2: TorusConfig) -> tuple[int, ...]:
-    """Defining O(N^2) supremum over all interval left ends (test oracle)."""
+    """Net rightward particle flux across each bond (x, x+1) by its
+    defining O(N^2) supremum over all interval left ends (test oracle for
+    the queue lengths of queue_collapse)."""
     n = eta1.n
     d = [eta1[x] - eta2[x] for x in range(n)]
     out = []
@@ -189,7 +171,11 @@ def discrete_flux_direct(eta1: TorusConfig, eta2: TorusConfig) -> tuple[int, ...
 def collapse_discrete(eta1: TorusConfig, eta2: TorusConfig) -> TorusConfig:
     """Default discrete collapse: one pass of the cyclic queue (equal to
     the algorithmic one)."""
-    return TorusConfig(bytes(_checked_queue(eta1, eta2)[0]))
+    if eta1.n != eta2.n:
+        raise ValueError("ring sizes differ")
+    if eta1.count > eta2.count:
+        raise CollapseError("first configuration has more particles")
+    return TorusConfig(bytes(queue_collapse(eta1.occupied, eta2.occupied)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -268,23 +254,10 @@ class FluxProfile:
             return self.values[j]
         return max(ZERO, self.values[j] + self.slopes[j] * (v - self.positions[j]))
 
-    def left_limit(self, v) -> Fraction:
-        """Exact J(v-) at any point of the torus (oracle of the counting
-        ledger test)."""
-        v = frac(v) % 1
-        j = bisect.bisect_right(self.positions, v) - 1
-        if self.positions[j] == v:
-            j = (j - 1) % len(self.positions)
-            end = ONE if j == len(self.positions) - 1 else self.positions[j + 1]
-            seg = end - self.positions[j]
-        else:
-            seg = v - self.positions[j]
-        return max(ZERO, self.values[j] + self.slopes[j] * seg)
-
 
 def flux_values_direct(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[Fraction, ...]:
     """J at every merged-grid position by full candidate enumeration: the
-    O(B^2) oracle for flux_profile.
+    O(B^2) oracle for the flux of collapse_measure.
 
     The supremum over interval left ends is attained among closed and
     left-open starts at grid positions; interior starts are dominated.
@@ -398,17 +371,6 @@ def _flux_of(pair, values, ends, tails, mask, full, mass, density) -> FluxProfil
     )
 
 
-def flux_profile(rho1: TorusMeasure, rho2: TorusMeasure) -> FluxProfile:
-    """Flux profile of a pair of measures with nondecreasing masses.
-
-    Interval left boundaries sit on the merged grid; right boundaries are
-    grid positions or exact in-cell roots of the affine flux.  An interval
-    is left-closed exactly when J is positive at its left boundary.  The
-    positive set can be the full torus only when the masses are equal.
-    """
-    return _flux_of(*_fluid_queue(rho1, rho2)[1])
-
-
 def kept_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> TorusMeasure:
     """The collapse of rho1 onto rho2 without its flux profile: what
     collapse_measure returns first, for the callers that read nothing else."""
@@ -421,7 +383,9 @@ def collapse_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasu
 
     Where the flux is positive the result carries rho2's density, elsewhere
     rho1's; flux jumps down deposit atoms.  The result is positive, keeps
-    rho1's total mass and is dominated by rho2.
+    rho1's total mass and is dominated by rho2.  The profile's intervals
+    start on the merged grid, left-closed exactly when J is positive there,
+    and cover the torus only when the masses are equal.
     """
     result, readings = _fluid_queue(rho1, rho2)
     return result, _flux_of(*readings)

@@ -167,10 +167,17 @@ def bond_update(labels: tuple[int, ...], x: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_horizon(horizon: float) -> None:
+    """A run must end: refuse a horizon that is negative, infinite or NaN."""
+    if not 0 <= horizon < math.inf:
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
+
+
 def tasep_simulate(initial: Sequence[int], k: int, horizon: float, rng):
     """Continuous-time run up to the horizon; one exponential clock of rate
     N, then a uniform bond.  Returns (final_labels, events) with events the
     (time, bond, labels-after) triples."""
+    _check_horizon(horizon)
     labels = tuple(initial)
     n = len(labels)
     t = 0.0
@@ -372,6 +379,7 @@ def had_simulate(
     at once; marks colliding with an existing point are redrawn.  Returns
     (final OrderedTuple, events) with (time, u) pairs when record is set.
     """
+    _check_horizon(horizon)
     grid, layers = grid_numerators(initial, POINT_GRID)
     scale = grid // POINT_GRID
     t = 0.0
@@ -401,7 +409,7 @@ def had_sample_chain(
     """Sample the coupled state every `sample_gap` time units after an
     initial burn-in; returns a list of OrderedTuples."""
     state = OrderedTuple(initial)
-    if burn_in > 0:
+    if burn_in != 0:  # had_simulate refuses a negative or NaN burn-in
         state, _ = had_simulate(state, burn_in, rng)
     out = []
     for _ in range(n_samples):

@@ -163,17 +163,6 @@ def class_label_encode(parts: Sequence[TorusConfig]) -> tuple[int, ...]:
     return tuple(labels)
 
 
-def class_label_decode(labels: Sequence[int], k: int) -> tuple[TorusConfig, ...]:
-    """Inverse of class_label_encode for a k-class label vector, kept as the
-    oracle of the encoding's round-trip test."""
-    labels = tuple(labels)
-    if any(not (0 <= l <= k) for l in labels):
-        raise ValueError(f"labels must be in 0..{k}")
-    return tuple(
-        TorusConfig([1 if 1 <= l <= j else 0 for l in labels]) for j in range(1, k + 1)
-    )
-
-
 def validate_ordered(parts: Sequence) -> tuple[bool, str | None]:
     """Check that consecutive tuple entries satisfy the partial order.
 

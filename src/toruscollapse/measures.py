@@ -206,23 +206,6 @@ class TorusMeasure:
         ats = ", ".join(f"{a.mass}@{a.at}" for a in self.atoms)
         return f"TorusMeasure({cells}{'; ' + ats if ats else ''})"
 
-    # ---- integration ---------------------------------------------------
-
-    def interval_mass(self, a, b) -> Fraction:
-        """Exact mass of the half-open cyclic interval (a, b]; (a, a] is the
-        whole torus.  With P(x) the mass of (0, x], it is P(b) - P(a), plus
-        the total mass when b <= a."""
-        bps, dens = self.breakpoints, self.densities
-
-        def prefix(x: Fraction) -> Fraction:
-            i = bisect.bisect_right(bps, x) - 1
-            mass = (x - bps[i]) * dens[i]
-            mass += sum((hi - lo) * d for lo, hi, d in zip(bps[:i], bps[1 : i + 1], dens))
-            return mass + sum((m for at, m in self.atoms if 0 < at <= x), ZERO)
-
-        a, b = frac(a) % 1, frac(b) % 1
-        return prefix(b) - prefix(a) + (self.total_mass if b <= a else ZERO)
-
     # ---- arithmetic ------------------------------------------------------
 
     def scale(self, c) -> "TorusMeasure":
@@ -420,26 +403,11 @@ class PlateauDecomposition:
     intervals: tuple[ClosedArc, ...]
     full_torus: bool = False
 
-    def covers(self, u) -> bool:
-        if self.full_torus:
-            return True
-        return any(u in arc for arc in self.intervals)
-
-
-def plateau_set(rho1: TorusMeasure, rho2: TorusMeasure) -> PlateauDecomposition:
-    """Decompose {u : rho1(u) = rho2(u)} into maximal closed cyclic intervals.
-
-    Densities are compared cell by cell on the common refinement, exactly,
-    with ==.  Atoms are rejected: plateaus are defined only for densities.
-    """
-    if rho1.atoms or rho2.atoms:
-        raise ValueError("plateau decomposition requires absolutely continuous measures")
-    return pair_plateaus(merge_pair(rho1, rho2))
-
 
 def pair_plateaus(pair: PairGrid) -> PlateauDecomposition:
     """Plateaus of a merged pair of densities: the maximal cyclic runs of
-    cells where the two densities are equal."""
+    cells where the two densities are equal, compared exactly.  Atoms are
+    not read: plateaus are defined only for densities."""
     mask = [x == y for x, y in zip(pair.dens1, pair.dens2)]
     if all(mask):
         return PlateauDecomposition((), full_torus=True)
@@ -483,24 +451,8 @@ class CumulativeFunction:
     def length(self) -> Fraction:
         return self.knots[-1][0]
 
-    @property
-    def final_value(self) -> Fraction:
-        return self.knots[-1][1]
-
     def is_nondecreasing(self) -> bool:
         return all(v1 >= v0 for (_, v0), (_, v1) in zip(self.knots, self.knots[1:]))
-
-    def value_at(self, t) -> Fraction:
-        """Exact value at offset t in [0, L], by linear interpolation."""
-        t = frac(t)
-        if not (0 <= t <= self.length):
-            raise ValueError("offset outside the base interval")
-        offs = [k[0] for k in self.knots]
-        i = bisect.bisect_right(offs, t) - 1
-        if i == len(self.knots) - 1:
-            return self.knots[-1][1]
-        (t0, v0), (t1, v1) = self.knots[i], self.knots[i + 1]
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
     def __eq__(self, other) -> bool:
         return (

@@ -48,8 +48,6 @@ from .measures import (
     merge_pair,
     numerators,
     pair_plateaus,
-    plateau_set,
-    refined_cells,
 )
 
 INF = math.inf
@@ -230,44 +228,8 @@ def s2(
 
 
 # ---------------------------------------------------------------------------
-# preimage characterization and the variational oracle
+# the variational oracle
 # ---------------------------------------------------------------------------
-
-
-def preimage_conditions(
-    psi1: TorusMeasure, rho1: TorusMeasure, rho2: TorusMeasure
-) -> bool:
-    """Whether collapsing (psi1, rho2) yields exactly (rho1, rho2).
-
-    Checked structurally: psi1 matches rho1 off the plateaus; on every
-    plateau interval the cumulatives agree at the right endpoint and
-    psi1's cumulative dominates rho2's throughout.  Kept as the oracle
-    that tests hold collapse_measure to on preimages.
-    """
-    if not (
-        psi1.is_absolutely_continuous
-        and rho1.is_absolutely_continuous
-        and rho2.is_absolutely_continuous
-    ):
-        raise ValueError("preimage conditions are defined for densities")
-    if psi1.total_mass != rho1.total_mass:
-        return False
-    plateau = plateau_set(rho1, rho2)
-    if plateau.full_torus:
-        return psi1 == rho1
-    cuts = [p for arc in plateau.intervals for p in (arc.lo, arc.hi)]
-    for _, _, mid in refined_cells([*psi1.breakpoints, *rho1.breakpoints, *cuts]):
-        if not plateau.covers(mid) and psi1.density_at(mid) != rho1.density_at(mid):
-            return False
-    for arc in plateau.intervals:
-        F_psi = cumulative(psi1, arc)
-        F_rho2 = cumulative(rho2, arc)
-        if F_psi.final_value != F_rho2.final_value:
-            return False
-        offs = sorted({t for t, _ in F_psi.knots} | {t for t, _ in F_rho2.knots})
-        if any(F_psi.value_at(t) < F_rho2.value_at(t) for t in offs):
-            return False
-    return True
 
 
 def _plateau_dp_min(F: CumulativeFunction, kernel: EntropyKernel, bounded: bool) -> float:

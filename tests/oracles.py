@@ -3,9 +3,25 @@ package because no package code needs them."""
 
 from __future__ import annotations
 
+import bisect
+from fractions import Fraction
 from typing import Sequence
 
+from toruscollapse.collapse import FluxProfile
 from toruscollapse.dynamics import bond_update
+from toruscollapse.lattice import TorusConfig
+from toruscollapse.measures import (
+    ONE,
+    ZERO,
+    CumulativeFunction,
+    PlateauDecomposition,
+    TorusMeasure,
+    cumulative,
+    frac,
+    merge_pair,
+    pair_plateaus,
+    refined_cells,
+)
 
 
 def tasep_state_frequencies(
@@ -22,3 +38,87 @@ def tasep_state_frequencies(
         labels = bond_update(labels, x, k)
         counts[labels] = counts.get(labels, 0) + 1
     return {s: c / steps for s, c in counts.items()}
+
+
+def class_label_decode(labels: Sequence[int], k: int) -> tuple[TorusConfig, ...]:
+    """Inverse of class_label_encode for a k-class label vector: layer j
+    holds the sites labelled 1..j."""
+    if any(not 0 <= l <= k for l in labels):
+        raise ValueError(f"labels must be in 0..{k}")
+    return tuple(TorusConfig([int(1 <= l <= j) for l in labels]) for j in range(1, k + 1))
+
+
+def interval_mass(rho: TorusMeasure, a, b) -> Fraction:
+    """Exact mass of the half-open cyclic interval (a, b]; (a, a] is the
+    whole torus.  With P(x) the mass of (0, x], it is P(b) - P(a), plus
+    the total mass when b <= a."""
+    bps, dens = rho.breakpoints, rho.densities
+
+    def prefix(x: Fraction) -> Fraction:
+        i = bisect.bisect_right(bps, x) - 1
+        mass = (x - bps[i]) * dens[i]
+        mass += sum((hi - lo) * d for lo, hi, d in zip(bps[:i], bps[1 : i + 1], dens))
+        return mass + sum((m for at, m in rho.atoms if 0 < at <= x), ZERO)
+
+    a, b = frac(a) % 1, frac(b) % 1
+    return prefix(b) - prefix(a) + (rho.total_mass if b <= a else ZERO)
+
+
+def left_limit(profile: FluxProfile, v) -> Fraction:
+    """Exact J(v-) at any point of the torus, from the affine pieces of the
+    profile."""
+    pos = profile.positions
+    v = frac(v) % 1
+    j = bisect.bisect_right(pos, v) - 1
+    if pos[j] == v:
+        j = (j - 1) % len(pos)
+        seg = (ONE if j == len(pos) - 1 else pos[j + 1]) - pos[j]
+    else:
+        seg = v - pos[j]
+    return max(ZERO, profile.values[j] + profile.slopes[j] * seg)
+
+
+def covers(plateau: PlateauDecomposition, u) -> bool:
+    """Whether u lies on the plateau set: in one of its closed arcs, or
+    anywhere when it is the full torus."""
+    return plateau.full_torus or any(u in arc for arc in plateau.intervals)
+
+
+def value_at(F: CumulativeFunction, t) -> Fraction:
+    """Exact value of F at offset t in [0, L], by linear interpolation."""
+    t = frac(t)
+    if not 0 <= t <= F.length:
+        raise ValueError("offset outside the base interval")
+    i = bisect.bisect_right([k[0] for k in F.knots], t) - 1
+    if i == len(F.knots) - 1:
+        return F.knots[-1][1]
+    (t0, v0), (t1, v1) = F.knots[i], F.knots[i + 1]
+    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+
+
+def preimage_conditions(psi1: TorusMeasure, rho1: TorusMeasure, rho2: TorusMeasure) -> bool:
+    """Whether collapsing (psi1, rho2) yields exactly (rho1, rho2).
+
+    Checked structurally: psi1 matches rho1 off the plateaus, probed at
+    cell midpoints; on every plateau interval the cumulatives agree at the
+    right endpoint and psi1's cumulative dominates rho2's throughout.
+    """
+    if not all(m.is_absolutely_continuous for m in (psi1, rho1, rho2)):
+        raise ValueError("preimage conditions are defined for densities")
+    if psi1.total_mass != rho1.total_mass:
+        return False
+    plateau = pair_plateaus(merge_pair(rho1, rho2))
+    if plateau.full_torus:
+        return psi1 == rho1
+    cuts = [p for arc in plateau.intervals for p in (arc.lo, arc.hi)]
+    for _, _, mid in refined_cells([*psi1.breakpoints, *rho1.breakpoints, *cuts]):
+        if not covers(plateau, mid) and psi1.density_at(mid) != rho1.density_at(mid):
+            return False
+    for arc in plateau.intervals:
+        F_psi, F_rho2 = cumulative(psi1, arc), cumulative(rho2, arc)
+        if F_psi.knots[-1][1] != F_rho2.knots[-1][1]:
+            return False
+        offs = {t for t, _ in F_psi.knots + F_rho2.knots}
+        if any(value_at(F_psi, t) < value_at(F_rho2, t) for t in offs):
+            return False
+    return True

@@ -6,9 +6,11 @@ import shlex
 import textwrap
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from toruscollapse import cli
 from toruscollapse.cli import build_parser, main
 from toruscollapse.measures import TorusMeasure
 from toruscollapse.serialize import (
@@ -346,6 +348,8 @@ class TestCli:
             {"parts": [{"type": "config", "data": 5}]},
             {"parts": [{"type": "points", "data": {}}]},
             {"parts": [{"type": "points", "data": [0.5]}, {"type": "points", "data": ["1/4", "1/2"]}]},
+            {"parts": 5},
+            {"parts": None},
         ],
     )
     def test_malformed_collapse_input_is_one_line_exit_two(self, capsys, tmp_path, payload):
@@ -374,6 +378,34 @@ class TestCli:
         assert code == 2
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"toruscollapse {argv[0]}: error: ")
+
+    @pytest.mark.parametrize(
+        "argv,shown",
+        [
+            (["--model", "tasep", "--n", "4", "--classes", "1,1", "--horizon", "nan"], "nan"),
+            (["--model", "had", "--classes", "1,1", "--horizon", "inf"], "inf"),
+            (["--model", "had", "--classes", "1,1", "--horizon", "-1"], "-1.0"),
+        ],
+    )
+    def test_simulate_unreachable_horizon_is_one_line_exit_two(
+        self, capsys, monkeypatch, no_clock_random, argv, shown
+    ):
+        monkeypatch.setattr(cli, "random", SimpleNamespace(Random=no_clock_random))
+        code = main(["simulate", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == [
+            f"toruscollapse simulate: error: horizon must be finite and nonnegative, got {shown}"
+        ]
+
+    def test_negative_sample_count_is_one_line_exit_two(self, capsys):
+        code = main(["sample-invariant", "--model", "had", "--classes", "1", "--samples", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "toruscollapse sample-invariant: error: --samples must be nonnegative"
+        ]
 
     def test_minimizer_non_measure_profile_is_one_line_exit_two(self, capsys, tmp_path):
         prof = tmp_path / "rho.json"

@@ -17,15 +17,15 @@ from toruscollapse.collapse import (
     collapse_measure_representation,
     collapse_points,
     commutation_check,
-    discrete_flux,
     discrete_flux_direct,
-    flux_profile,
     flux_values_direct,
     kept_measure,
     queue_collapse,
 )
 from toruscollapse.lattice import PointConfig, TorusConfig, validate_ordered
 from toruscollapse.measures import TorusMeasure, cyc_len, cyclic_runs, measure_leq
+
+from oracles import interval_mass, left_limit
 
 F = Fraction
 
@@ -40,14 +40,14 @@ class TestDiscrete:
         e2 = cfg(1, 2, 4, n=6)
         assert collapse_discrete_algorithmic(e1, e2) == e1
         assert collapse_discrete(e1, e2) == e1
-        assert all(v == 0 for v in discrete_flux(e1, e2))
+        assert all(v == 0 for v in queue_collapse(e1.occupied, e2.occupied)[1])
 
     def test_worked_example(self):
         e1 = cfg(0, 3, n=6)
         e2 = cfg(1, 2, 5, n=6)
         assert collapse_discrete_algorithmic(e1, e2).sites() == (1, 5)
         assert collapse_discrete(e1, e2).sites() == (1, 5)
-        J = discrete_flux(e1, e2)
+        J = queue_collapse(e1.occupied, e2.occupied)[1]
         assert J[0] == 1 and J[1] == 0
 
     def test_wraparound_move(self):
@@ -78,9 +78,9 @@ class TestDiscrete:
         e1, e2 = TorusConfig(bits1), TorusConfig(bits2)
         if e1.count > e2.count:
             with pytest.raises(CollapseError):
-                discrete_flux(e1, e2)
+                collapse_discrete(e1, e2)
             return
-        assert discrete_flux(e1, e2) == discrete_flux_direct(e1, e2)
+        assert tuple(queue_collapse(e1.occupied, e2.occupied)[1]) == discrete_flux_direct(e1, e2)
         assert collapse_discrete(e1, e2) == collapse_discrete_algorithmic(e1, e2)
 
     @given(st.data())
@@ -156,7 +156,7 @@ class TestPoints:
         x = PointConfig([F(1, 10), F(3, 10)])
         y = PointConfig([F(2, 10), F(7, 10), F(9, 10)])
         res = collapse_points(x, y)
-        prof = flux_profile(atomic_measure(x, 1), atomic_measure(y, 1))
+        _, prof = collapse_measure(atomic_measure(x, 1), atomic_measure(y, 1))
 
         def count(pts, u, v):
             return sum(1 for p in pts if cyc_len(u, p) <= cyc_len(u, v))
@@ -165,8 +165,8 @@ class TestPoints:
             for v in [F(i, 19) for i in range(19)]:
                 if u == v:
                     continue
-                assert count(res.points, u, v) == count(x.points, u, v) + prof.left_limit(
-                    u
+                assert count(res.points, u, v) == count(x.points, u, v) + left_limit(
+                    prof, u
                 ) - prof.at(v)
 
 
@@ -208,7 +208,7 @@ class TestMeasure:
         with pytest.raises(CollapseError):
             collapse_measure(TorusMeasure.constant(1), TorusMeasure.constant(F(1, 2)))
         with pytest.raises(CollapseError):
-            flux_profile(TorusMeasure.constant(1), TorusMeasure.constant(F(1, 2)))
+            kept_measure(TorusMeasure.constant(1), TorusMeasure.constant(F(1, 2)))
 
     def test_equal_mass_full_flux_set(self):
         c, prof = collapse_measure(delta(F(1, 2)), TorusMeasure.constant(1))
@@ -222,14 +222,14 @@ class TestMeasure:
             r2 = _random_measure(rng)
             if r1.total_mass > r2.total_mass:
                 r1, r2 = r2, r1
-            assert flux_profile(r1, r2).values == flux_values_direct(r1, r2)
             c, prof = collapse_measure(r1, r2)
+            assert prof.values == flux_values_direct(r1, r2)
             assert c.total_mass == r1.total_mass
             assert measure_leq(c, r2)
             grid = list(prof.positions)
             for a in grid:
                 for b in grid:
-                    assert c.interval_mass(a, b) == r1.interval_mass(a, b) + prof.at(a) - prof.at(b)
+                    assert interval_mass(c, a, b) == interval_mass(r1, a, b) + prof.at(a) - prof.at(b)
             if not prof.full_torus:
                 assert collapse_measure_representation(r1, r2, prof) == c
                 assert all(iv.mass_delta >= 0 for iv in prof.intervals)
@@ -294,7 +294,7 @@ class TestMergedGridProperties:
     @given(coinciding_pairs())
     @settings(max_examples=300, deadline=None)
     def test_fast_flux_equals_direct(self, pair):
-        assert flux_profile(*pair).values == flux_values_direct(*pair)
+        assert collapse_measure(*pair)[1].values == flux_values_direct(*pair)
 
     @given(coinciding_pairs())
     @settings(max_examples=300, deadline=None)
@@ -303,7 +303,6 @@ class TestMergedGridProperties:
         c, prof = collapse_measure(r1, r2)
         assert c.total_mass == r1.total_mass
         assert measure_leq(c, r2)
-        assert prof == flux_profile(r1, r2)
         if not prof.full_torus:
             assert collapse_measure_representation(r1, r2, prof) == c
             assert all(iv.mass_delta >= 0 for iv in prof.intervals)
@@ -312,8 +311,8 @@ class TestMergedGridProperties:
     @settings(max_examples=300, deadline=None)
     def test_equal_masses(self, pair):
         r1, r2 = pair
-        assert flux_profile(r1, r2).values == flux_values_direct(r1, r2)
         c, prof = collapse_measure(r1, r2)
+        assert prof.values == flux_values_direct(r1, r2)
         assert c.total_mass == r1.total_mass
         assert measure_leq(c, r2)
         if not prof.full_torus:
@@ -322,7 +321,7 @@ class TestMergedGridProperties:
 
 def reference_fluid_queue(rho1, rho2):
     """The fluid queue in Fractions, on a grid merged by pointwise queries:
-    the reference for the int queue of collapse_measure and flux_profile.
+    the reference for the int queue of collapse_measure and kept_measure.
     Returns the flux profile and the collapsed measure."""
     if rho1.total_mass > rho2.total_mass:
         raise CollapseError("first measure has more mass")
@@ -429,10 +428,9 @@ class TestIntQueueAgainstFractions:
         got, profile = collapse_measure(r1, r2)
         kept = kept_measure(r1, r2)
         assert kept == got and kept.total_mass == got.total_mass
-        for got_profile in (profile, flux_profile(r1, r2)):
-            assert _fields(got_profile) == _fields(want_profile)
-            flux = got_profile.values + got_profile.slopes
-            assert _types(flux) == [F] * len(flux)
+        assert _fields(profile) == _fields(want_profile)
+        flux = profile.values + profile.slopes
+        assert _types(flux) == [F] * len(flux)
         assert got.breakpoints == want.breakpoints
         assert got.densities == want.densities
         assert got.atoms == want.atoms
@@ -443,7 +441,7 @@ class TestIntQueueAgainstFractions:
 
     def test_rejects_more_mass_like_reference(self):
         r1, r2 = TorusMeasure.constant(F(2, 3)), TorusMeasure.constant(F(4, 7))
-        for route in (reference_fluid_queue, collapse_measure, flux_profile, kept_measure):
+        for route in (reference_fluid_queue, collapse_measure, kept_measure):
             with pytest.raises(CollapseError, match="first measure has more mass"):
                 route(r1, r2)
 
@@ -525,8 +523,9 @@ class TestCrossRegime:
         sites2 = data.draw(st.sets(st.integers(0, n - 1)))
         sites1 = data.draw(st.sets(st.integers(0, n - 1), max_size=len(sites2)))
         e1, e2 = TorusConfig.from_sites(n, sites1), TorusConfig.from_sites(n, sites2)
-        prof = flux_profile(atomic_measure(e1, 1), atomic_measure(e2, 1))
-        assert tuple(prof.at(F(x, n)) for x in range(n)) == discrete_flux(e1, e2)
+        _, prof = collapse_measure(atomic_measure(e1, 1), atomic_measure(e2, 1))
+        _, lengths = queue_collapse(e1.occupied, e2.occupied)
+        assert [prof.at(F(x, n)) for x in range(n)] == lengths
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -540,7 +539,7 @@ class TestCrossRegime:
         )
         x = PointConfig([F(v, grid) for v in sorted(xs)])
         y = PointConfig([F(v, grid) for v in sorted(ys)])
-        prof = flux_profile(atomic_measure(x, 1), atomic_measure(y, 1))
+        _, prof = collapse_measure(atomic_measure(x, 1), atomic_measure(y, 1))
         assert [prof.at(F(v, grid)) for v in merged] == lengths
 
 

@@ -320,6 +320,17 @@ class TestSimulation:
         # the same generator consumption: the next draw agrees
         assert mine.random() == theirs.random()
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
+    def test_unreachable_horizon_refused(self, no_clock_random, horizon):
+        rng = no_clock_random(0)
+        with pytest.raises(ValueError, match="horizon must be finite and nonnegative"):
+            tasep_simulate((1, 0, 2), 2, horizon, rng)
+        start = [PointConfig([F(1, 4)]), PointConfig([F(1, 4), F(1, 2)])]
+        with pytest.raises(ValueError, match="horizon must be finite and nonnegative"):
+            had_simulate(start, horizon, rng)
+        with pytest.raises(ValueError, match="horizon must be finite and nonnegative"):
+            had_sample_chain(start, rng, 1, 1.0, burn_in=horizon)
+
     def test_had_chain_sampling(self):
         rng = random.Random(7)
         spec = ProcessSpec("had", (2, 2))

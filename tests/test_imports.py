@@ -41,17 +41,6 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert private == []
 
 
-# Definitions no package code reaches, each kept as the independent route
-# that the named test holds the package to.
-ORACLES = {
-    "class_label_decode": "tests/test_lattice.py::TestLabels::test_roundtrip_exhaustive",
-    "discrete_flux": "tests/test_collapse.py::TestCrossRegime::test_config_flux_is_discrete_flux",
-    "interval_mass": "tests/test_collapse.py::TestMeasure::test_random_invariants",
-    "left_limit": "tests/test_collapse.py::TestPoints::test_counting_ledger_with_left_limits",
-    "preimage_conditions": "tests/test_rate.py::TestPreimage::test_matches_collapse_on_random_candidates",
-}
-
-
 def _definitions():
     """(name, node) for every module-level function or class and every
     non-dunder method in the package, with the parsed modules."""
@@ -84,8 +73,9 @@ def _name_counts(node) -> Counter:
 
 def test_every_unreached_definition_is_a_named_oracle():
     """A definition is reached when its name occurs as a name or attribute
-    anywhere in the package outside its own body.  Every unreached one must
-    be a key of ORACLES, and every key must be defined and unreached.
+    anywhere in the package outside its own body.  No definition may be
+    unreached: an oracle that only tests need is named in tests/oracles.py,
+    not kept in the package.
 
     Matching is by name only, so a method whose name is also used as an
     attribute elsewhere (say a method `slopes` beside a field `slopes`)
@@ -95,11 +85,23 @@ def test_every_unreached_definition_is_a_named_oracle():
     inside = Counter()
     for name, node in defs:
         inside[name] += _name_counts(node)[name]
-    unreached = {name for name, _ in defs if everywhere[name] == inside[name]}
-    assert sorted(unreached - ORACLES.keys()) == []
-    assert sorted(ORACLES.keys() - unreached) == []
-    for name, test in ORACLES.items():
-        path, cls, func = test.split("::")
-        text = (PACKAGE.parents[1] / path).read_text()
-        assert f"class {cls}:" in text and f"def {func}(" in text, test
-        assert name in text, test
+    assert sorted(name for name, _ in defs if everywhere[name] == inside[name]) == []
+
+
+def test_every_oracle_is_called_by_a_test():
+    """Every public function of tests/oracles.py is called from some
+    tests/test_*.py, so an oracle cannot outlive the test that uses it."""
+    tests = PACKAGE.parents[1] / "tests"
+    oracles = ast.parse((tests / "oracles.py").read_text())
+    public = {
+        node.name
+        for node in oracles.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    assert public
+    called = set()
+    for path in sorted(tests.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                called.add(getattr(node.func, "id", getattr(node.func, "attr", None)))
+    assert sorted(public - called) == []

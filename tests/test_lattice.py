@@ -10,13 +10,14 @@ from toruscollapse.lattice import (
     OrderedTuple,
     PointConfig,
     TorusConfig,
-    class_label_decode,
     class_label_encode,
     enumerate_configs,
     enumerate_label_vectors,
     random_points,
     validate_ordered,
 )
+
+from oracles import class_label_decode
 
 
 def cfg(*sites, n):

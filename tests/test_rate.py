@@ -14,7 +14,7 @@ from toruscollapse.measures import (
     cumulative,
     measure_leq,
     merge_pair,
-    plateau_set,
+    pair_plateaus,
     refined_cells,
 )
 from toruscollapse.rate import (
@@ -28,7 +28,6 @@ from toruscollapse.rate import (
     minimizer_rho1,
     minimizer_rho2,
     nonconvexity_certificate,
-    preimage_conditions,
     s1,
     s2,
     s2_oracle,
@@ -36,6 +35,8 @@ from toruscollapse.rate import (
     sk_oracle,
 )
 from toruscollapse.suites import random_lattice_triple
+
+from oracles import covers, preimage_conditions
 
 F = Fraction
 
@@ -64,9 +65,9 @@ def midpoint_s2(r1, r2, k1, k2):
     """(complement, plateau terms, second layer) of the two-layer rate by
     midpoint probes: each plateau's envelope is built with from_cells and
     integrated over the cells whose midpoints lie on the plateau."""
-    plateau = plateau_set(r1, r2)
+    plateau = pair_plateaus(merge_pair(r1, r2))
     cuts = [p for arc in plateau.intervals for p in (arc.lo, arc.hi)]
-    complement = midpoint_integral(r1, k1, cuts, lambda mid: not plateau.covers(mid))
+    complement = midpoint_integral(r1, k1, cuts, lambda mid: not covers(plateau, mid))
     terms = []
     for arc in plateau.intervals:
         knots = concave_envelope(cumulative(r1, arc)).knots
@@ -270,7 +271,7 @@ class TestS2:
             lhs = res.value - s1(r1, EntropyKernel("tasep", m1))
             k2 = EntropyKernel("tasep", m2)
             cuts = [p for a in res.plateau.intervals for p in (a.lo, a.hi)]
-            rhs = midpoint_integral(r2, k2, cuts, lambda mid: not res.plateau.covers(mid))
+            rhs = midpoint_integral(r2, k2, cuts, lambda mid: not covers(res.plateau, mid))
             for arc, env in zip(res.plateau.intervals, res.envelope_densities):
                 rhs += midpoint_integral(env, k2, (arc.lo, arc.hi), lambda mid, a=arc: mid in a)
             assert rhs >= -1e-12
@@ -335,7 +336,7 @@ class TestS2Properties:
         k1, k2 = EntropyKernel(family, m1), EntropyKernel(family, m2)
         res = s2(r1, r2, m1, m2, family)
         complement, terms, second = midpoint_s2(r1, r2, k1, k2)
-        assert res.plateau == plateau_set(r1, r2)
+        assert res.plateau == pair_plateaus(merge_pair(r1, r2))
         assert abs(res.complement_integral - complement) <= 1e-12
         assert len(res.plateau_integrals) == len(terms)
         for got, want in zip(res.plateau_integrals, terms):
@@ -344,7 +345,7 @@ class TestS2Properties:
         assert abs(res.value - (complement + sum(terms) + second)) <= 1e-12
         for arc, env in zip(res.plateau.intervals, res.envelope_densities):
             hull = concave_envelope(cumulative(r1, arc))
-            assert env.total_mass == hull.final_value  # nothing off the arc
+            assert env.total_mass == hull.knots[-1][1]  # nothing off the arc
             for (t0, v0), (t1, v1) in zip(hull.knots, hull.knots[1:]):
                 assert env.density_at(arc.lo + (t0 + t1) / 2) == (v1 - v0) / (t1 - t0)
 
@@ -382,7 +383,7 @@ def reference_plateau_dp_min(F_, family, m, bounded):
     reference for the int DP of _plateau_dp_min."""
     knots = F_.knots
     n = len(knots) - 1
-    T = F_.final_value
+    T = F_.knots[-1][1]
     positions = [t for t, _ in knots]
     fvals = [v for _, v in knots]
     levels = []

@@ -1,7 +1,9 @@
 import json
+import math
 import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +17,8 @@ from toruscollapse.suites import (
     random_measure,
     run_suite,
 )
+
+from oracles import interval_mass
 
 
 class TestSuiteHarness:
@@ -127,7 +131,15 @@ class TestSuiteHarness:
             P = dict(zip(grid, prefix))
             for a in grid:
                 for b in grid:
-                    assert P[b] - P[a] + (total if b <= a else 0) == rho.interval_mass(a, b)
+                    assert P[b] - P[a] + (total if b <= a else 0) == interval_mass(rho, a, b)
+
+    @pytest.mark.parametrize("overrides", [{"burn_in": math.nan}, {"burn_in": 0, "sample_gap": math.nan}])
+    def test_had_nan_time_is_a_failed_check(self, monkeypatch, no_clock_random, overrides):
+        monkeypatch.setattr(suites, "random", SimpleNamespace(Random=no_clock_random))
+        cfg = SuiteConfig(suite="had-invariance", overrides={"samples": 2, "seeds": [1], **overrides})
+        (check,) = run_suite(cfg).checks
+        assert not check.passed
+        assert check.statistic.startswith("exception: ValueError('horizon must be finite")
 
     def test_report_written(self, tmp_path):
         cfg = SuiteConfig(suite="ldp-decay", out_dir=str(tmp_path))
