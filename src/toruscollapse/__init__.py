@@ -13,7 +13,6 @@ from .measures import (
     PlateauDecomposition,
     TorusMeasure,
     concave_envelope,
-    cumulative,
     envelope_density,
     measure_leq,
 )

@@ -23,8 +23,8 @@ from .dynamics import (
     sample_invariant,
     tasep_simulate,
 )
-from .lattice import class_label_encode
-from .measures import TorusMeasure, concave_envelope, cumulative, frac
+from .lattice import OrderedTuple, class_label_encode
+from .measures import TorusMeasure, concave_envelope, frac
 from .rate import (
     EntropyKernel,
     ldp_decay_exact,
@@ -34,13 +34,7 @@ from .rate import (
     s1,
     s2,
 )
-from .serialize import (
-    dump_json,
-    flux_to_json,
-    part_from_json,
-    part_to_json,
-    rows_to_csv,
-)
+from .serialize import flux_to_json, part_from_json, part_to_json, rows_to_csv
 from .suites import SUITES, SuiteConfig, run_all, run_suite
 
 
@@ -61,7 +55,7 @@ def _emit(args, obj, rows=None):
             raise ValueError("this command has no table to write as CSV")
         text = rows_to_csv(rows)
     else:
-        text = dump_json(obj)
+        text = json.dumps(obj, indent=2, default=str)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"{args.command}.{fmt}")
@@ -81,44 +75,51 @@ def cmd_collapse(args) -> int:
     if not isinstance(payload, dict) or not isinstance(payload.get("parts"), list):
         raise ValueError("input must be a JSON object with a 'parts' list")
     parts = [part_from_json(p) for p in payload["parts"]]
-    out = list(collapse_k(parts))
+    flux = None
+    measures = len(parts) == 2 and all(isinstance(p, TorusMeasure) for p in parts)
+    if measures and parts[0].total_mass <= parts[1].total_mass:
+        # one queue run gives an ordered measure pair's collapse and its
+        # flux; OrderedTuple refuses a disordered result, as in collapse_k
+        kept, flux = collapse_measure(*parts)
+        out = OrderedTuple([kept, parts[1]])
+    else:
+        # collapse_k refuses mixed types and decreasing masses
+        out = collapse_k(parts)
+        if len(parts) == 2:
+            # configurations and point sets report the flux of their
+            # unit-atom encodings, the integer flux's values at their sites
+            flux = collapse_measure(*[atomic_measure(p, 1) for p in parts])[1]
     result = {"parts": [part_to_json(p) for p in out]}
-    if len(parts) == 2:
-        # configurations and point sets report the flux of their unit-atom
-        # encodings, which takes the integer flux's values at their sites
-        pair = [p if isinstance(p, TorusMeasure) else atomic_measure(p, 1) for p in parts]
-        result["flux"] = flux_to_json(collapse_measure(*pair)[1])
+    if flux is not None:
+        result["flux"] = flux_to_json(flux)
     _emit(args, result)
     return 0
 
 
 def cmd_simulate(args) -> int:
+    """Run one model from an invariant state: the events are kept and
+    written only under --record, otherwise only their count."""
     rng = random.Random(args.seed)
     counts = _parse_classes(args.classes)
     if args.model == "tasep":
         spec = ProcessSpec("tasep", counts, n=args.n)
-        start = sample_invariant(spec, rng)
-        labels = class_label_encode(list(start))
-        final, events = tasep_simulate(labels, spec.k, args.horizon, rng)
+        labels = class_label_encode(list(sample_invariant(spec, rng)))
+        final, events = tasep_simulate(labels, spec.k, args.horizon, rng, record=args.record)
+        obj = {"model": "tasep", "final_labels": list(final)}
         rows = [
             {"time": f"{t:.6f}", "event": x, "labels": "".join(map(str, lab))}
-            for t, x, lab in events
+            for t, x, lab in (events if args.record else ())
         ]
-        obj = {
-            "model": "tasep",
-            "final_labels": list(final),
-            "events": rows if args.record else len(events),
-        }
     else:
         spec = ProcessSpec("had", counts)
-        start = sample_invariant(spec, rng)
-        final, events = had_simulate(list(start), args.horizon, rng, record=True)
-        rows = [{"time": f"{t:.6f}", "event": str(u), "labels": ""} for t, u in events]
-        obj = {
-            "model": "had",
-            "final_layers": [[str(p) for p in layer.points] for layer in final],
-            "events": rows if args.record else len(events),
-        }
+        start = list(sample_invariant(spec, rng))
+        final, events = had_simulate(start, args.horizon, rng, record=args.record)
+        obj = {"model": "had", "final_layers": [[str(p) for p in layer.points] for layer in final]}
+        rows = [
+            {"time": f"{t:.6f}", "event": str(u), "labels": ""}
+            for t, u in (events if args.record else ())
+        ]
+    obj["events"] = rows if args.record else events
     _emit(args, obj, rows if args.record else None)
     return 0
 
@@ -185,16 +186,17 @@ def cmd_rate_eval(args) -> int:
         else None,
         "envelope_densities": [e.to_json_dict() for e in res.envelope_densities],
     }
-    # knots of rho1's cumulative and of its envelope on every plateau
-    # interval; none for an infinite or diagonal rate
+    # knots of the plateau cumulative (rho1's, which is rho2's there) and
+    # of its envelope on every plateau interval; none for an infinite or
+    # diagonal rate
     rows = []
-    for arc in res.plateau.intervals if res.plateau else ():
-        F = cumulative(rho1, arc)
-        env = concave_envelope(F)
-        for t, v in F.knots:
-            rows.append({"interval_start": str(arc.lo), "kind": "cumulative", "offset": str(t), "value": str(v)})
-        for t, v in env.knots:
-            rows.append({"interval_start": str(arc.lo), "kind": "envelope", "offset": str(t), "value": str(v)})
+    for F in res.plateau.cumulatives if res.plateau else ():
+        start = str(F.base.lo)
+        for kind, knots in (("cumulative", F.knots), ("envelope", concave_envelope(F).knots)):
+            rows += [
+                {"interval_start": start, "kind": kind, "offset": str(t), "value": str(v)}
+                for t, v in knots
+            ]
     _emit(args, obj, rows)
     return 0
 

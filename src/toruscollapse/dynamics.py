@@ -173,22 +173,26 @@ def _check_horizon(horizon: float) -> None:
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
 
 
-def tasep_simulate(initial: Sequence[int], k: int, horizon: float, rng):
+def tasep_simulate(initial: Sequence[int], k: int, horizon: float, rng, record: bool = False):
     """Continuous-time run up to the horizon; one exponential clock of rate
     N, then a uniform bond.  Returns (final_labels, events) with events the
-    (time, bond, labels-after) triples."""
+    (time, bond, labels-after) triples when record is set, else their
+    number."""
     _check_horizon(horizon)
     labels = tuple(initial)
     n = len(labels)
     t = 0.0
-    events = []
+    events, count = [], 0
     while True:
         t += rng.expovariate(n)
         if t >= horizon:
-            return labels, events
+            return labels, events if record else count
         x = rng.randrange(n)
         labels = bond_update(labels, x, k)
-        events.append((t, x, labels))
+        if record:
+            events.append((t, x, labels))
+        else:
+            count += 1
 
 
 def _solve_stationary_int(rates: list[list[int]]) -> tuple[list[int], int]:
@@ -377,18 +381,19 @@ def had_simulate(
 
     Marks arrive at rate one, uniform on the torus, and act on all layers
     at once; marks colliding with an existing point are redrawn.  Returns
-    (final OrderedTuple, events) with (time, u) pairs when record is set.
+    (final OrderedTuple, events) with events the (time, u) pairs when
+    record is set, else their number.
     """
     _check_horizon(horizon)
     grid, layers = grid_numerators(initial, POINT_GRID)
     scale = grid // POINT_GRID
     t = 0.0
-    events = []
+    events, count = [], 0
     while True:
         t += rng.expovariate(1)
         if t >= horizon:
             final = [PointConfig.on_grid(grid, pts) for pts in layers]
-            return OrderedTuple(final), events
+            return OrderedTuple(final), events if record else count
         while True:
             bits = rng.getrandbits(53)
             u = bits * scale
@@ -397,6 +402,8 @@ def had_simulate(
         _had_apply_mark(layers, u)
         if record:
             events.append((t, Fraction(bits, POINT_GRID)))
+        else:
+            count += 1
 
 
 def had_sample_chain(

@@ -269,6 +269,19 @@ def enumerate_label_vectors(n: int, counts: Sequence[int]) -> Iterator[tuple[int
         labels[i + 1 :] = labels[:i:-1]
 
 
+def compositions(total: int, parts: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+    """The tuples of `parts` nonnegative ints summing to `total`, each at
+    most `cap` when one is given, in lexicographic order."""
+    if parts == 1:
+        if cap is None or total <= cap:
+            yield (total,)
+        return
+    top = total if cap is None else min(total, cap)
+    for first in range(top + 1):
+        for rest in compositions(total - first, parts - 1, cap):
+            yield (first,) + rest
+
+
 def random_points(count: int, rng) -> PointConfig:
     """Draw `count` distinct points from the fine rational grid on [0, 1)."""
     chosen: set[int] = set()

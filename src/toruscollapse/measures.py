@@ -390,37 +390,7 @@ def measure_leq(a: TorusMeasure, b: TorusMeasure) -> bool:
     return measure_leq_witness(a, b)[0]
 
 
-# ---- plateau decomposition ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PlateauDecomposition:
-    """Maximal closed cyclic intervals where two densities agree.
-
-    `full_torus` marks the degenerate case of measures equal a.e.
-    """
-
-    intervals: tuple[ClosedArc, ...]
-    full_torus: bool = False
-
-
-def pair_plateaus(pair: PairGrid) -> PlateauDecomposition:
-    """Plateaus of a merged pair of densities: the maximal cyclic runs of
-    cells where the two densities are equal, compared exactly.  Atoms are
-    not read: plateaus are defined only for densities."""
-    mask = [x == y for x, y in zip(pair.dens1, pair.dens2)]
-    if all(mask):
-        return PlateauDecomposition((), full_torus=True)
-    grid = pair.grid
-    return PlateauDecomposition(
-        tuple(
-            ClosedArc(grid[j], grid[(j + length) % len(grid)])
-            for j, length in cyclic_runs(mask)
-        )
-    )
-
-
-# ---- cumulative functions and concave envelopes -----------------------------
+# ---- cumulative functions, plateaus and concave envelopes --------------------
 
 
 class CumulativeFunction:
@@ -465,32 +435,44 @@ class CumulativeFunction:
         return f"CumulativeFunction({self.base}, {list(self.knots)})"
 
 
-def cumulative(rho: TorusMeasure, arc: ClosedArc) -> CumulativeFunction:
-    """Cumulative mass of rho along the arc, with a knot at every density
-    breakpoint inside it.  Requires rho to carry no atoms on the arc."""
-    L = arc.length
-    if L == 0:
-        raise ValueError("arc must have positive length")
-    for a in rho.atoms:
-        if a.at in arc:
-            raise ValueError("cumulative requires no atoms on the arc")
-    lo = arc.lo % 1
-    bps, dens = rho.breakpoints, rho.densities
-    n = len(bps)
-    # walk the cells from the one holding lo, wrapping through 0 at most once
-    cell = bisect.bisect_right(bps, lo) - 1
-    knots = [(ZERO, ZERO)]
-    acc = pos = ZERO
-    for j in range(cell + 1, cell + n + 1):
-        t = bps[j] - lo if j < n else bps[j - n] + 1 - lo
-        if t >= L:
-            break
-        acc += (t - pos) * dens[cell]
-        knots.append((t, acc))
-        pos, cell = t, j % n
-    acc += (L - pos) * dens[cell]
-    knots.append((L, acc))
-    return CumulativeFunction(arc, knots)
+@dataclass(frozen=True)
+class PlateauDecomposition:
+    """Maximal closed cyclic intervals where two densities agree, each as
+    the cumulative mass the two densities share along it.
+
+    `full_torus` marks the degenerate case of measures equal a.e.
+    """
+
+    cumulatives: tuple[CumulativeFunction, ...]
+    full_torus: bool = False
+
+    @property
+    def intervals(self) -> tuple[ClosedArc, ...]:
+        return tuple(F.base for F in self.cumulatives)
+
+
+def pair_plateaus(pair: PairGrid) -> PlateauDecomposition:
+    """Plateaus of a merged pair of densities: the maximal cyclic runs of
+    cells where the two densities are equal, compared exactly.  Each comes
+    with its cumulative, a knot at every grid point of the run, from running
+    sums of the cells' lengths and masses in ints.  Atoms are not read:
+    plateaus are defined only for densities."""
+    mask = [x == y for x, y in zip(pair.dens1, pair.dens2)]
+    if all(mask):
+        return PlateauDecomposition((), full_torus=True)
+    grid, lens, dens, n = pair.grid, pair.lens, pair.dens1, len(pair.grid)
+    offset, mass = int_fractions(pair.grid_den), int_fractions(pair.mass_den)
+    cumulatives = []
+    for start, length in cyclic_runs(mask):
+        t = v = 0
+        knots = [(ZERO, ZERO)]
+        for j in range(start, start + length):
+            t += lens[j % n]
+            v += dens[j % n] * lens[j % n]
+            knots.append((offset(t), mass(v)))
+        arc = ClosedArc(grid[start], grid[(start + length) % n])
+        cumulatives.append(CumulativeFunction(arc, knots))
+    return PlateauDecomposition(tuple(cumulatives))
 
 
 def concave_envelope(F: CumulativeFunction) -> CumulativeFunction:

@@ -11,8 +11,11 @@ three or more layers only such oracles exist here.
 
 `s2` and `s2_oracle` read a pair once, through its merged grid
 (`merge_pair`): domination and the plateaus are cell-by-cell comparisons
-there, the off-plateau term is a sum over its cells, and each plateau term
-of `s2` is a sum over the hull segments of the concave envelope.
+there, the off-plateau term is a sum over its cells, and each plateau
+comes with the cumulative both profiles share along it (`pair_plateaus`).
+A plateau term of `s2` is a sum over the hull segments of that
+cumulative's concave envelope; `s2_oracle` runs its DP on the same
+cumulative.
 
 Both minimizers of the contraction identities are collapses: of the
 constant profile onto the total profile, and of the mirrored first layer
@@ -34,6 +37,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .collapse import kept_measure
+from .lattice import compositions
 from .measures import (
     ONE,
     CumulativeFunction,
@@ -41,7 +45,6 @@ from .measures import (
     PlateauDecomposition,
     TorusMeasure,
     concave_envelope,
-    cumulative,
     envelope_density,
     frac,
     int_fractions,
@@ -210,7 +213,7 @@ def s2(
     if plateau.full_torus:
         raise RuntimeError("equal densities a.e. with distinct masses")
     complement = _off_plateau_integral(pair, k1)
-    envelopes = [concave_envelope(cumulative(rho1, arc)) for arc in plateau.intervals]
+    envelopes = [concave_envelope(F) for F in plateau.cumulatives]
     plateau_terms = tuple(_envelope_integral(env, k1) for env in envelopes)
     second = _integrate_kernel(rho2, k2)
     value = complement + sum(plateau_terms) + second
@@ -319,8 +322,7 @@ def s2_oracle(
         return _integrate_kernel(rho1, k1) if rho1 == rho2 else INF
     total = _integrate_kernel(rho2, k2)
     total += _off_plateau_integral(pair, k1)
-    for arc in pair_plateaus(pair).intervals:
-        F = cumulative(rho2, arc)
+    for F in pair_plateaus(pair).cumulatives:
         total += _plateau_dp_min(F, k1, bounded=(family == "tasep"))
     return total
 
@@ -449,18 +451,7 @@ def lattice_measures(cells: int, units: int, quantum: Fraction, family: str):
     if family == "tasep":
         cap = int(cell_len / quantum)  # densities at most 1
     bps = [Fraction(i, cells) for i in range(cells)]
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            if cap is None or total <= cap:
-                yield (total,)
-            return
-        top = total if cap is None else min(total, cap)
-        for first in range(top + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    for combo in compositions(units, cells):
+    for combo in compositions(units, cells, cap):
         dens = [c * quantum / cell_len for c in combo]
         yield TorusMeasure(bps, dens)
 
@@ -491,62 +482,51 @@ def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) ->
     """Brute-force multilayer rate: minimize the product-law integral over
     quantized tuples whose k-fold collapse reproduces the target tuple.
 
-    Exhaustive for up to three layers on coarse grids; reports the best
-    value, the witness tuple and how many near-minimizers were seen (the
-    preimage set need not be convex, so uniqueness is never claimed).
+    Exhaustive for up to three layers on coarse grids.  The search runs
+    from the outermost free layer inwards: a candidate for layer i is kept
+    when pushing it through the layers chosen outside it, then the last
+    layer, lands on rhos[i].  Reports the best value and how many
+    near-minimizers were seen (the preimage set need not be convex, so
+    uniqueness is never claimed).
     """
     k = len(rhos)
     if k not in (2, 3):
         raise ValueError("oracle supports two or three layers")
     masses, units = _quantized_masses(rhos, quantum, cells)
     kernels = [EntropyKernel(family, m) for m in masses]
-    best = INF
-    best_tuple = None
-    near = 0
-    feasible = 0
-    if k == 2:
-        for psi1 in lattice_measures(cells, units[0], quantum, family):
-            if kept_measure(psi1, rhos[1]) != rhos[0]:
-                continue
-            feasible += 1
-            val = _integrate_kernel(psi1, kernels[0]) + _integrate_kernel(rhos[1], kernels[1])
-            best, best_tuple, near = _track(best, best_tuple, near, val, (psi1, rhos[1]))
-    else:
-        base = _integrate_kernel(rhos[2], kernels[2])
-        psi1_pool = list(lattice_measures(cells, units[0], quantum, family))
-        # whether an intermediate collapses onto rhos[0] under the last
-        # layer; many (psi1, psi2) share one
+    last = rhos[-1]
+    # partial preimages, the layers chosen so far innermost first with
+    # their cost: from the last layer alone inwards, one free layer at a
+    # time; the outermost free layer's candidates are read once, lazily
+    partial = [((), _integrate_kernel(last, kernels[-1]))]
+    for i in range(k - 2, -1, -1):
+        pool = lattice_measures(cells, units[i], quantum, family)
+        pool = pool if i == k - 2 else list(pool)
+        # whether an intermediate pushed through at least one chosen layer
+        # lands on rhos[i] under the last; many share one
         hits: dict[TorusMeasure, bool] = {}
-        for psi2 in lattice_measures(cells, units[1], quantum, family):
-            if kept_measure(psi2, rhos[2]) != rhos[1]:
-                continue
-            mid_cost = _integrate_kernel(psi2, kernels[1])
-            for psi1 in psi1_pool:
-                inner = kept_measure(psi1, psi2)
-                hit = hits.get(inner)
-                if hit is None:
-                    hit = hits[inner] = kept_measure(inner, rhos[2]) == rhos[0]
-                if not hit:
-                    continue
-                feasible += 1
-                val = base + mid_cost + _integrate_kernel(psi1, kernels[0])
-                best, best_tuple, near = _track(
-                    best, best_tuple, near, val, (psi1, psi2, rhos[2])
-                )
-    return {
-        "value": best,
-        "witness": best_tuple,
-        "near_minimizers": near,
-        "feasible_count": feasible,
-    }
-
-
-def _track(best, best_tuple, near, val, tup):
-    if val < best - TIE_TOL:
-        return val, tup, 1
-    if abs(val - best) <= TIE_TOL:
-        return min(best, val), best_tuple if val >= best else tup, near + 1
-    return best, best_tuple, near
+        extended = []
+        for chosen, cost in partial:
+            for psi in pool:
+                if not chosen:
+                    hit = kept_measure(psi, last) == rhos[i]
+                else:
+                    inner = psi
+                    for outer in chosen:
+                        inner = kept_measure(inner, outer)
+                    hit = hits.get(inner)
+                    if hit is None:
+                        hit = hits[inner] = kept_measure(inner, last) == rhos[i]
+                if hit:
+                    extended.append(((psi, *chosen), cost + _integrate_kernel(psi, kernels[i])))
+        partial = extended
+    best, near = INF, 0
+    for _, val in partial:
+        if val < best - TIE_TOL:
+            best, near = val, 1
+        elif abs(val - best) <= TIE_TOL:
+            best, near = min(best, val), near + 1
+    return {"value": best, "near_minimizers": near, "feasible_count": len(partial)}
 
 
 def s3_recursive(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from typing import Sequence
 
 from .collapse import FluxProfile
@@ -12,29 +11,11 @@ from .lattice import PointConfig, TorusConfig
 from .measures import TorusMeasure, json_rationals
 
 
-def config_to_json(cfg: TorusConfig) -> list[int]:
-    return list(cfg.occupied)
-
-
-def config_from_json(data) -> TorusConfig:
-    if not isinstance(data, list) or not all(type(v) is int for v in data):
-        raise ValueError("a configuration's 'data' must be a list of integers")
-    return TorusConfig(data)
-
-
-def points_to_json(pts: PointConfig) -> list[str]:
-    return [str(p) for p in pts.points]
-
-
-def points_from_json(data) -> PointConfig:
-    return PointConfig(json_rationals(data, "a point set's 'data'"))
-
-
 def part_to_json(part) -> dict:
     if isinstance(part, TorusConfig):
-        return {"type": "config", "data": config_to_json(part)}
+        return {"type": "config", "data": list(part.occupied)}
     if isinstance(part, PointConfig):
-        return {"type": "points", "data": points_to_json(part)}
+        return {"type": "points", "data": [str(p) for p in part.points]}
     if isinstance(part, TorusMeasure):
         return {"type": "measure", "data": part.to_json_dict()}
     raise TypeError(f"unsupported part {type(part)!r}")
@@ -43,13 +24,15 @@ def part_to_json(part) -> dict:
 def part_from_json(data: dict):
     if not isinstance(data, dict) or "type" not in data or "data" not in data:
         raise ValueError("each part must be a JSON object with 'type' and 'data'")
-    kind = data["type"]
+    kind, body = data["type"], data["data"]
     if kind == "config":
-        return config_from_json(data["data"])
+        if not isinstance(body, list) or not all(type(v) is int for v in body):
+            raise ValueError("a configuration's 'data' must be a list of integers")
+        return TorusConfig(body)
     if kind == "points":
-        return points_from_json(data["data"])
+        return PointConfig(json_rationals(body, "a point set's 'data'"))
     if kind == "measure":
-        return TorusMeasure.from_json_dict(data["data"])
+        return TorusMeasure.from_json_dict(body)
     raise ValueError(f"unknown part type {kind!r}")
 
 
@@ -80,7 +63,3 @@ def rows_to_csv(rows: Sequence[dict]) -> str:
     for r in rows:
         w.writerow(r)
     return buf.getvalue()
-
-
-def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, default=str)

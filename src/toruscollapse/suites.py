@@ -42,7 +42,7 @@ from .dynamics import (
     pushforward_distribution,
     sample_invariant,
 )
-from .lattice import grid_numerators, random_config, random_points
+from .lattice import compositions, grid_numerators, random_config, random_points
 from .measures import TorusMeasure, measure_leq, measure_leq_witness, numerators
 from .rate import (
     contraction_identity_check,
@@ -226,11 +226,8 @@ def _stationarity_unit(args):
 def suite_stationarity(cfg: SuiteConfig) -> list[Check]:
     ns = cfg.get("ns", (3, 4, 5, 6, 7))
     ks = cfg.get("ks", (2, 3))
-    units = []
-    for n in ns:
-        for k in ks:
-            for counts in _class_vectors(n, k):
-                units.append((n, counts))
+    # class counts: the compositions of n into k classes and holes
+    units = [(n, c[:-1]) for n in ns for k in ks for c in compositions(n, k + 1)]
 
     def body():
         results = _map_units(_stationarity_unit, units, cfg.threads)
@@ -243,20 +240,6 @@ def suite_stationarity(cfg: SuiteConfig) -> list[Check]:
         )
 
     return [("stationarity.pushforward_equals_linear_solve", "TV == 0 exactly", body)]
-
-
-def _class_vectors(n: int, k: int):
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == k:
-            out.append(tuple(prefix))
-            return
-        for c in range(remaining + 1):
-            rec(prefix + [c], remaining - c)
-
-    rec([], n)
-    return out
 
 
 def suite_flux_equivalence(cfg: SuiteConfig) -> list[Check]:

@@ -13,10 +13,11 @@ from toruscollapse.lattice import TorusConfig
 from toruscollapse.measures import (
     ONE,
     ZERO,
+    ClosedArc,
     CumulativeFunction,
     PlateauDecomposition,
     TorusMeasure,
-    cumulative,
+    cyc_len,
     frac,
     merge_pair,
     pair_plateaus,
@@ -62,6 +63,15 @@ def interval_mass(rho: TorusMeasure, a, b) -> Fraction:
 
     a, b = frac(a) % 1, frac(b) % 1
     return prefix(b) - prefix(a) + (rho.total_mass if b <= a else ZERO)
+
+
+def cumulative(rho: TorusMeasure, arc: ClosedArc) -> CumulativeFunction:
+    """Cumulative mass of a density along the arc: a knot at every
+    breakpoint of rho inside it and at its end, each valued by
+    interval_mass."""
+    offsets = sorted({cyc_len(arc.lo, b) for b in rho.breakpoints} | {arc.length})
+    knots = [(t, interval_mass(rho, arc.lo, arc.lo + t)) for t in offsets if 0 < t <= arc.length]
+    return CumulativeFunction(arc, [(ZERO, ZERO), *knots])
 
 
 def left_limit(profile: FluxProfile, v) -> Fraction:

@@ -13,12 +13,9 @@ import pytest
 from toruscollapse import cli
 from toruscollapse.cli import build_parser, main
 from toruscollapse.measures import TorusMeasure
-from toruscollapse.serialize import (
-    part_from_json,
-    part_to_json,
-    points_from_json,
-    points_to_json,
-)
+from toruscollapse import collapse
+from toruscollapse.collapse import collapse_k, collapse_measure
+from toruscollapse.serialize import flux_to_json, part_from_json, part_to_json
 from toruscollapse.lattice import PointConfig, TorusConfig
 
 F = Fraction
@@ -41,8 +38,8 @@ class TestSerialize:
 
     def test_points_strings(self):
         p = PointConfig([F(1, 7)])
-        assert points_to_json(p) == ["1/7"]
-        assert points_from_json(["1/7"]) == p
+        assert part_to_json(p) == {"type": "points", "data": ["1/7"]}
+        assert part_from_json({"type": "points", "data": ["1/7"]}) == p
 
 
 class TestCli:
@@ -106,6 +103,30 @@ class TestCli:
         assert got == TorusMeasure.from_atoms([F(3, 4)], 1)
         assert data["flux"]["intervals"][0]["lo"] == "51/100"
 
+    def test_collapse_measures_runs_the_queue_once(self, capsys, tmp_path, monkeypatch):
+        parts = [
+            TorusMeasure([0, F(1, 4)], [F(1, 2), 0], [(F(3, 4), F(1, 8))]),
+            TorusMeasure([0, F(1, 2)], [F(1, 4), F(3, 4)], [(F(1, 8), F(1, 4))]),
+        ]
+        want = {
+            "parts": [part_to_json(p) for p in collapse_k(parts)],
+            "flux": flux_to_json(collapse_measure(*parts)[1]),
+        }
+        runs = []
+        queue = collapse._fluid_queue
+
+        def counted(*args):
+            runs.append(args)
+            return queue(*args)
+
+        monkeypatch.setattr(collapse, "_fluid_queue", counted)
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"parts": [part_to_json(p) for p in parts]}))
+        code, out = run_cli(capsys, "collapse", str(path))
+        assert code == 0
+        assert len(runs) == 1
+        assert out == json.dumps(want, indent=2) + "\n"
+
     def test_collapse_discrete(self, capsys, tmp_path):
         payload = {
             "parts": [
@@ -151,6 +172,18 @@ class TestCli:
         code2, out2 = run_cli(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("model", ["tasep", "had"])
+    def test_simulate_record_changes_only_the_events(self, capsys, model):
+        # without --record the same run is reported, its events counted
+        args = ["simulate", "--model", model, "--classes", "2,2", "--horizon", "3", "--seed", "5"]
+        args += ["--n", "6"] if model == "tasep" else []
+        code1, plain = run_cli(capsys, *args)
+        code2, recorded = run_cli(capsys, *args, "--record")
+        assert code1 == code2 == 0
+        data = json.loads(recorded)
+        assert len(data["events"]) > 0
+        assert plain == json.dumps({**data, "events": len(data["events"])}, indent=2) + "\n"
 
     def test_simulate_had(self, capsys):
         code, out = run_cli(
@@ -204,6 +237,42 @@ class TestCli:
         lines = out.splitlines()
         assert lines[0] == "interval_start,kind,offset,value"
         assert any("envelope" in l for l in lines)
+
+    def test_rate_eval_wrapping_plateau(self, capsys, tmp_path):
+        # one plateau, [7/8, 1/8], whose cumulative turns convex at the
+        # origin; the envelope straightens it
+        eighths = [F(i, 8) for i in range(8)]
+        rho1 = tmp_path / "rho1.json"
+        rho2 = tmp_path / "rho2.json"
+        rho1.write_text(json.dumps(TorusMeasure(eighths, [F(3, 4), 0, 0, F(1, 4), 0, 0, 0, F(1, 4)]).to_json_dict()))
+        rho2.write_text(json.dumps(TorusMeasure(eighths, [F(3, 4)] + [F(1, 2)] * 6 + [F(1, 4)]).to_json_dict()))
+        argv = ["rate-eval", "--rho1", str(rho1), "--rho2", str(rho2), "--m1", "5/32", "--m2", "1/2"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out) == {
+            "value": 0.22252319405869256,
+            "finite": True,
+            "exact_zero": False,
+            "diagonal": False,
+            "complement_integral": 0.10983235181826667,
+            "plateau_integrals": [0.07998783325514162],
+            "second_layer_integral": 0.03270300898528424,
+            "plateaus": [{"lo": "7/8", "hi": "1/8"}],
+            "envelope_densities": [
+                {"breakpoints": ["0", "1/8", "7/8"], "densities": ["1/2", "0", "1/2"], "atoms": []}
+            ],
+        }
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        rows = [
+            "interval_start,kind,offset,value",
+            "7/8,cumulative,0,0",
+            "7/8,cumulative,1/8,1/32",
+            "7/8,cumulative,1/4,1/8",
+            "7/8,envelope,0,0",
+            "7/8,envelope,1/4,1/8",
+        ]
+        assert out == "".join(r + "\r\n" for r in rows) + "\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -23,12 +23,12 @@ from toruscollapse.lattice import (
     POINT_GRID,
     PointConfig,
     TorusConfig,
+    compositions,
     enumerate_configs,
     random_points,
     validate_ordered,
 )
 from toruscollapse.measures import TorusMeasure
-from toruscollapse.suites import _class_vectors
 
 from oracles import tasep_state_frequencies
 
@@ -206,7 +206,9 @@ class TestExactStationary:
         # them (6, (2, 2)) with final orbits such as 120120, shorter than the
         # ring, and (4, (1, 1)); at N = 8 (2, 2, 2), with orbits such as
         # 12301230, and (1, 2, 3)
-        vectors = _class_vectors(n, 2) + _class_vectors(n, 3) if n < 8 else [(2, 2, 2), (1, 2, 3)]
+        # class vectors: compositions of n into classes and holes, holes dropped
+        small = [c[:-1] for k in (2, 3) for c in compositions(n, k + 1)]
+        vectors = small if n < 8 else [(2, 2, 2), (1, 2, 3)]
         for counts in vectors:
             spec = ProcessSpec("tasep", counts, n=n)
             got, want = pushforward_distribution(spec), reference_pushforward(spec)
@@ -247,9 +249,18 @@ class TestStationaryTable:
 class TestSimulation:
     def test_full_single_class_ring_frozen(self):
         labels = (1, 1, 1, 1)
-        final, events = tasep_simulate(labels, 1, 5.0, random.Random(0))
+        final, events = tasep_simulate(labels, 1, 5.0, random.Random(0), record=True)
         assert final == labels
         assert all(lab == labels for _, _, lab in events)
+
+    def test_unrecorded_runs_count_the_recorded_events(self):
+        labels = (2, 0, 1, 0, 2, 1)
+        final, events = tasep_simulate(labels, 2, 4.0, random.Random(3), record=True)
+        assert tasep_simulate(labels, 2, 4.0, random.Random(3)) == (final, len(events))
+        start = [PointConfig([F(1, 4)]), PointConfig([F(1, 4), F(1, 2)])]
+        out, marks = had_simulate(start, 30.0, random.Random(3), record=True)
+        assert len(events) > 0 and len(marks) > 0
+        assert had_simulate(start, 30.0, random.Random(3)) == (out, len(marks))
 
     def test_full_multiclass_ring_classes_still_swap(self):
         # occupancy is frozen but lower classes keep overtaking higher ones

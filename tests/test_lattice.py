@@ -11,6 +11,7 @@ from toruscollapse.lattice import (
     PointConfig,
     TorusConfig,
     class_label_encode,
+    compositions,
     enumerate_configs,
     enumerate_label_vectors,
     random_points,
@@ -121,6 +122,12 @@ class TestEnumeration:
         multiset = [0] * (n - sum(counts)) + [j for j, c in enumerate(counts, 1) for _ in range(c)]
         want = sorted(set(itertools.permutations(multiset)))
         assert list(enumerate_label_vectors(n, counts)) == want
+
+    @pytest.mark.parametrize("total,parts,cap", [(0, 1, None), (5, 1, 4), (4, 3, None), (6, 4, 2), (7, 3, 3)])
+    def test_compositions_are_the_sorted_capped_tuples(self, total, parts, cap):
+        top = total if cap is None else cap
+        want = [c for c in itertools.product(range(top + 1), repeat=parts) if sum(c) == total]
+        assert list(compositions(total, parts, cap)) == want
 
     @pytest.mark.parametrize(
         "counts,message", [((2, 2), "exceed ring size"), ((-1, 2), "must be nonnegative")]

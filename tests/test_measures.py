@@ -9,7 +9,6 @@ from toruscollapse.measures import (
     ClosedArc,
     TorusMeasure,
     concave_envelope,
-    cumulative,
     cyclic_runs,
     envelope_density,
     frac,
@@ -20,7 +19,7 @@ from toruscollapse.measures import (
 )
 from toruscollapse.rate import EntropyKernel
 
-from oracles import covers, interval_mass, value_at
+from oracles import covers, cumulative, interval_mass, value_at
 
 F = Fraction
 
@@ -274,15 +273,25 @@ class TestPlateau:
         assert not covers(dec, F(3, 8)) and not covers(dec, F(7, 8))
 
 
+def plateau_cumulatives(r1, r2):
+    return pair_plateaus(merge_pair(r1, r2)).cumulatives
+
+
 class TestCumulative:
+    """The cumulatives pair_plateaus reads off the merged pair."""
+
     def test_constant_density_single_segment(self):
         rho = TorusMeasure.constant(F(2, 3))
-        Fc = cumulative(rho, ClosedArc(F(0), F(1, 2)))
+        above = TorusMeasure.from_cells([(0, F(1, 2), F(2, 3)), (F(1, 2), 1, 1)])
+        (Fc,) = plateau_cumulatives(rho, above)
+        assert Fc.base == ClosedArc(F(0), F(1, 2))
         assert Fc.knots == ((F(0), F(0)), (F(1, 2), F(1, 3)))
 
     def test_indicator_knots(self):
         rho = TorusMeasure.indicator(F(1, 4), F(1, 2))
-        Fc = cumulative(rho, ClosedArc(F(0), F(1, 2)))
+        above = rho.add(TorusMeasure.indicator(F(1, 2), 1))
+        (Fc,) = plateau_cumulatives(rho, above)
+        assert Fc.base == ClosedArc(F(0), F(1, 2))
         assert Fc.knots == ((F(0), F(0)), (F(1, 4), F(0)), (F(1, 2), F(1, 4)))
 
     def test_knots_match_interval_mass(self):
@@ -291,23 +300,19 @@ class TestCumulative:
             bps = sorted(rng.sample([F(i, 16) for i in range(16)], 3))
             dens = [F(rng.randint(0, 8), 4) for _ in bps]
             rho = TorusMeasure(bps, dens)
-            arc = ClosedArc(F(1, 16), F(13, 16))
-            Fc = cumulative(rho, arc)
-            for t, v in Fc.knots:
-                if t == 0:
-                    assert v == 0
-                else:
-                    assert v == interval_mass(rho, arc.lo, (arc.lo + t) % 1)
+            above = rho.add(TorusMeasure.indicator(F(rng.randrange(16), 16), F(rng.randrange(16), 16)))
+            for Fc in plateau_cumulatives(rho, above):
+                lo = Fc.base.lo
+                assert Fc.knots[0] == (0, 0)
+                for t, v in Fc.knots[1:]:
+                    assert v == interval_mass(rho, lo, lo + t)
 
     def test_wrap_arc(self):
         rho = TorusMeasure.indicator(F(3, 4), F(1, 4))
-        Fc = cumulative(rho, ClosedArc(F(1, 2), F(3, 8)))
+        above = rho.add(TorusMeasure.indicator(F(3, 8), F(1, 2)))
+        (Fc,) = plateau_cumulatives(rho, above)
+        assert Fc.base == ClosedArc(F(1, 2), F(3, 8))
         assert Fc.knots[-1][1] == interval_mass(rho, F(1, 2), F(3, 8))
-
-    def test_rejects_atoms_on_arc(self):
-        rho = TorusMeasure([0], [1], [(F(1, 4), 1)])
-        with pytest.raises(ValueError):
-            cumulative(rho, ClosedArc(F(0), F(1, 2)))
 
 
 def chord_sup(knots, t):
