@@ -27,17 +27,20 @@ end of {J > 0} in each cell, rho1's after it; J just before an interval's
 end is the atom the interval deposits there.  Like the points, it runs on
 ints: merge_pair puts grid points over one common denominator and masses
 over another, so both laps are int arithmetic, and Fractions are built
-only for the results, through one int -> Fraction cache per denominator
-(measures.int_fractions).  The O(B^2) enumeration flux_values_direct, on
-the same ints, and the interval assembly collapse_measure_representation
-are kept as its oracles.
+only for the results that callers read as measures or flux profiles.
+The O(B^2) enumeration flux_values_direct, on the same ints, and the
+interval assembly collapse_measure_representation are kept as its
+oracles.
 
-The queue (_fluid_queue) runs both laps and every check once per call and
-returns the collapsed measure; the FluxProfile is assembled from lap 2's
+The queue (_fluid_queue) runs both laps and every check once per call.
+Lap 2 writes the collapsed measure's canonical form in ints
+(measures.MeasureForm) as it walks the cells, and every caller's measure
+is built from that form; the FluxProfile is assembled from lap 2's
 readings only for collapse_measure, whose flux the ledger and
 representation checks read.  kept_measure returns the collapsed measure
-alone, for collapse_k and the rate module's minimizers and quantized
-oracles.
+alone, for collapse_k and the rate module's minimizers; kept_form returns
+the form alone, for the quantized oracles, which only compare and hash
+collapses.
 
 A FluxProfile always describes a measure pair.  Configurations and point
 sets get one through their unit-atom encodings, atomic_measure(p, 1):
@@ -52,6 +55,7 @@ of the multiline queue of Ferrari and Martin (Ann. Probab. 35, 2007).
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -60,12 +64,14 @@ from .lattice import OrderedTuple, PointConfig, TorusConfig, grid_numerators
 from .measures import (
     ONE,
     ZERO,
+    MeasureForm,
     TorusMeasure,
     cyc_len,
     cyclic_runs,
     frac,
     int_fractions,
     merge_pair,
+    reduced_form,
     refined_cells,
 )
 
@@ -286,20 +292,22 @@ def flux_values_direct(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[Fraction
     return tuple(map(int_fractions(pair.mass_den), out))
 
 
-def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasure, tuple]:
+def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[MeasureForm, tuple]:
     """The collapse of rho1 onto rho2 as the fluid queue over their merged
     grid (module docstring), with every check on it.  Returns the collapsed
-    measure and lap 2's flux readings, from which _flux_of builds the
-    FluxProfile for the callers that read it.
+    measure's form (measures.MeasureForm) and lap 2's flux readings, from
+    which _flux_of builds the FluxProfile for the callers that read it.
 
     Both laps run on the pair's ints (measures.PairGrid): the queue counts
     units of 1/mass_den mass and a cell of n grid units changes it by
     (dens1 - dens2) * n.  Lap 2 reads off, per grid position, the kept
-    atom, J there (the length after the atom), the end of {J > 0} in the
-    cell (the exact root of the draining queue, the cell's edge, or None
-    when J vanishes on the open cell) and J just before that end.  The
-    root is the only Fraction built in the loop; the result's densities
-    and atoms are built from the ints afterwards, once per distinct value.
+    atom, J there (the length after the atom), where {J > 0} ends in the
+    cell (at the exact root of the draining queue, at the cell's edge, or
+    nowhere when J vanishes on the open cell) and J just before that end.
+    It writes the result's cells as it goes, every position a reduced int
+    ratio, merging equal-density neighbours but keeping the origin, and
+    tallies the mass they keep: no Fraction is built, and mass
+    conservation is an int identity.
     """
     if rho1.total_mass > rho2.total_mass:
         raise CollapseError("first measure has more mass")
@@ -310,33 +318,42 @@ def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasure, 
     for length, d1, d2, a1, a2 in cells:
         q = max(0, q + a1 - a2)
         q = max(0, q + (d1 - d2) * length)
-    edges = grid[1:] + grid[:1]
-    values, ends, tails, mask = [], [], [], []
+    values, roots, tails, mask = [], [], [], []
     bps, dens, atoms = [], [], []
+    last, kept_mass = None, 0
     for j, (length, d1, d2, a1, a2) in enumerate(cells):
         kept = min(a2, q + a1)
         if kept < 0:
             raise RuntimeError("collapse produced a negative atom")
         if kept > 0:
-            atoms.append((grid[j], kept))
+            atoms.append((grid[j].as_integer_ratio(), kept))
         q = max(0, q + a1 - a2)
         slope = d1 - d2
-        bps.append(grid[j])
+        root = None
         if 0 < q < -slope * length:
-            # the queue drains inside the cell, at g + q / (d2 - d1)
-            end = Fraction(nums[j] * -slope + q, -slope * grid_den)
-            dens += [d2, d1]
-            bps.append(end)
+            # the queue drains inside the cell, at g + q / (d2 - d1): rho2's
+            # density up to there and rho1's after it keep q + d1 * length
+            num, den = nums[j] * -slope + q, -slope * grid_den
+            g = math.gcd(num, den)
+            root, at_edge, d = (num // g, den // g), False, d2
+            kept_mass += kept + q + d1 * length
         elif q > 0 or slope > 0:
-            end = edges[j]
-            dens.append(d2)
+            at_edge, d = True, d2
+            kept_mass += kept + d2 * length
         else:
-            end = None
+            at_edge, d = False, d1
+            kept_mass += kept + d1 * length
+        if d != last:
+            bps.append(grid[j].as_integer_ratio())
+            dens.append(d)
+            last = d
+        if root is not None:
+            bps.append(root)
             dens.append(d1)
-        at_edge = end is edges[j]
+            last = d1
         values.append(q)
-        ends.append(end)
-        mask += [q > 0, end is not None, at_edge]
+        roots.append(root)
+        mask += [q > 0, at_edge or root is not None, at_edge]
         q = max(0, q + slope * length)
         tails.append(q if at_edge else 0)
     full = all(mask)
@@ -345,23 +362,25 @@ def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasure, 
             "positive-flux set covers the torus despite strictly smaller "
             "first mass; flux computation is inconsistent"
         )
-    density, mass = int_fractions(pair.mass_den // grid_den), int_fractions(pair.mass_den)
-    result = TorusMeasure(bps, [density(d) for d in dens], [(p, mass(k)) for p, k in atoms])
-    if result.total_mass != rho1.total_mass:
+    if kept_mass != sum(a1 + d1 * length for length, d1, _, a1, _ in cells):
         raise RuntimeError("collapse failed to conserve mass")
-    return result, (pair, values, ends, tails, mask, full, mass, density)
+    form = reduced_form(bps, dens, pair.mass_den // grid_den, atoms, pair.mass_den)
+    return form, (pair, values, roots, tails, mask, full)
 
 
-def _flux_of(pair, values, ends, tails, mask, full, mass, density) -> FluxProfile:
+def _flux_of(pair, values, roots, tails, mask, full) -> FluxProfile:
     """The FluxProfile from _fluid_queue's lap-2 readings."""
     grid = pair.grid
+    density, mass = int_fractions(pair.mass_den // pair.grid_den), int_fractions(pair.mass_den)
     intervals = []
     if not full:
         # a maximal run of positive items (point, stretch up to the end,
-        # rest of the cell) is left-closed when it starts at a point
+        # rest of the cell) is left-closed when it starts at a point, and
+        # ends at its last cell's edge or at the root inside that cell
         for start, length in cyclic_runs(mask):
             i, c = start // 3, (start + length - 1) % len(mask) // 3
-            intervals.append(JInterval(grid[i], ends[c], start % 3 == 0, mass(tails[c])))
+            hi = grid[(c + 1) % len(grid)] if mask[3 * c + 2] else Fraction(*roots[c])
+            intervals.append(JInterval(grid[i], hi, start % 3 == 0, mass(tails[c])))
     return FluxProfile(
         positions=tuple(grid),
         values=tuple(map(mass, values)),
@@ -371,10 +390,17 @@ def _flux_of(pair, values, ends, tails, mask, full, mass, density) -> FluxProfil
     )
 
 
+def kept_form(rho1: TorusMeasure, rho2: TorusMeasure) -> MeasureForm:
+    """The form (measures.MeasureForm) of the collapse of rho1 onto rho2,
+    for callers that only compare or hash collapses."""
+    return _fluid_queue(rho1, rho2)[0]
+
+
 def kept_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> TorusMeasure:
     """The collapse of rho1 onto rho2 without its flux profile: what
     collapse_measure returns first, for the callers that read nothing else."""
-    return _fluid_queue(rho1, rho2)[0]
+    form, (pair, *_) = _fluid_queue(rho1, rho2)
+    return TorusMeasure.from_form(form, pair.grid)
 
 
 def collapse_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasure, FluxProfile]:
@@ -387,8 +413,8 @@ def collapse_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasu
     start on the merged grid, left-closed exactly when J is positive there,
     and cover the torus only when the masses are equal.
     """
-    result, readings = _fluid_queue(rho1, rho2)
-    return result, _flux_of(*readings)
+    form, readings = _fluid_queue(rho1, rho2)
+    return TorusMeasure.from_form(form, readings[0].grid), _flux_of(*readings)
 
 
 def collapse_measure_representation(

@@ -43,7 +43,15 @@ from .lattice import (
     random_points,
 )
 
-MAX_SOLVE_STATES = 700
+# rotation orbits the exact solve may lump the chain onto: every vector of
+# up to three classes at N = 8 (at most 318 orbits, 2.6 s) is solved, and
+# N = 9 (2,2,3) (840 orbits, minutes) is refused
+MAX_SOLVE_ORBITS = 320
+# expected events of one simulated run (rate N per unit time on a ring of
+# N sites, rate 1 for the mark process): 0.3-0.75 M ring events/s on rings
+# of 4-1000 sites and 0.1-0.4 M marks/s on 2-10,000 points (2 vCPU,
+# Python 3.11), so an admitted run ends within about ten seconds
+MAX_EXPECTED_EVENTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -167,10 +175,17 @@ def bond_update(labels: tuple[int, ...], x: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check_horizon(horizon: float) -> None:
-    """A run must end: refuse a horizon that is negative, infinite or NaN."""
+def _check_horizon(horizon: float, rate: int) -> None:
+    """A run must end, and within seconds: refuse a horizon that is
+    negative, infinite or NaN, or at which a clock of the given total rate
+    expects more than MAX_EXPECTED_EVENTS events."""
     if not 0 <= horizon < math.inf:
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
+    if rate * horizon > MAX_EXPECTED_EVENTS:
+        raise ValueError(
+            f"horizon {horizon!r} expects about {rate * horizon:.3g} events, "
+            f"more than the cap of {MAX_EXPECTED_EVENTS}"
+        )
 
 
 def tasep_simulate(initial: Sequence[int], k: int, horizon: float, rng, record: bool = False):
@@ -178,9 +193,9 @@ def tasep_simulate(initial: Sequence[int], k: int, horizon: float, rng, record: 
     N, then a uniform bond.  Returns (final_labels, events) with events the
     (time, bond, labels-after) triples when record is set, else their
     number."""
-    _check_horizon(horizon)
     labels = tuple(initial)
     n = len(labels)
+    _check_horizon(horizon, n)
     t = 0.0
     events, count = [], 0
     while True:
@@ -260,12 +275,15 @@ def exact_stationary(spec: ProcessSpec) -> StationaryTable:
     n, k = spec.n, spec.k
     holes = n - sum(spec.class_counts)
     size = math.factorial(n) // math.prod(math.factorial(c) for c in (*spec.class_counts, holes))
-    if size > MAX_SOLVE_STATES:
+    # an orbit holds at most n states, so there are at least size // n
+    if size // n > MAX_SOLVE_ORBITS:
         raise ValueError("state space too large for an exact solve")
     orbit_of: dict[tuple[int, ...], int] = {}
     reps, orbit_sizes = [], []
     for s in enumerate_label_vectors(n, spec.class_counts):
         if s not in orbit_of:
+            if len(reps) == MAX_SOLVE_ORBITS:
+                raise ValueError("state space too large for an exact solve")
             orbit = _orbit(s)
             orbit_of.update(dict.fromkeys(orbit, len(reps)))
             reps.append(s)
@@ -384,7 +402,7 @@ def had_simulate(
     (final OrderedTuple, events) with events the (time, u) pairs when
     record is set, else their number.
     """
-    _check_horizon(horizon)
+    _check_horizon(horizon, 1)
     grid, layers = grid_numerators(initial, POINT_GRID)
     scale = grid // POINT_GRID
     t = 0.0

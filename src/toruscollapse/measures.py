@@ -67,6 +67,45 @@ class Atom(NamedTuple):
     mass: Fraction
 
 
+class MeasureForm(NamedTuple):
+    """A canonical measure in ints, so that equal forms are equal measures
+    and cost int comparisons and hashes only.
+
+    Each breakpoint and atom location is its reduced (numerator,
+    denominator); the densities are ints over density_den and the atom
+    masses ints over mass_den, each the least common denominator of its
+    values.  TorusMeasure.form gives a measure's form, TorusMeasure.from_form
+    the measure of a form."""
+
+    breakpoints: tuple[tuple[int, int], ...]
+    density_den: int
+    densities: tuple[int, ...]
+    atoms: tuple[tuple[tuple[int, int], int], ...]
+    mass_den: int
+
+
+def reduced_form(
+    breakpoints: Sequence[tuple[int, int]],
+    densities: Sequence[int],
+    density_den: int,
+    atoms: Sequence[tuple[tuple[int, int], int]],
+    mass_den: int,
+) -> MeasureForm:
+    """The form of a canonical measure (breakpoints from 0, equal-density
+    neighbours merged, atoms by location, no zero atom) given its densities
+    as ints over density_den and its (location, mass) atoms with masses as
+    ints over mass_den: both denominators are reduced to the least."""
+    g = math.gcd(density_den, *densities)
+    h = math.gcd(mass_den, *[m for _, m in atoms])
+    return MeasureForm(
+        tuple(breakpoints),
+        density_den // g,
+        tuple([d // g for d in densities]),
+        tuple([(p, m // h) for p, m in atoms]),
+        mass_den // h,
+    )
+
+
 @dataclass(frozen=True)
 class ClosedArc:
     """Closed cyclic interval [lo, hi]; wraps through 0 when hi < lo."""
@@ -175,6 +214,38 @@ class TorusMeasure:
     def from_atoms(cls, positions: Iterable, mass_each=1) -> "TorusMeasure":
         m = frac(mass_each)
         return cls([0], [0], [(p, m) for p in positions])
+
+    @classmethod
+    def from_form(cls, form: MeasureForm, places: Iterable[Fraction] = ()) -> "TorusMeasure":
+        """The measure of a form (MeasureForm), through the constructor's
+        checks.  Each distinct density and mass becomes one Fraction, and a
+        position equal to one of `places` is that Fraction, so a collapse
+        shares its positions with the grid it was run on."""
+        dens, mass = int_fractions(form.density_den), int_fractions(form.mass_den)
+        known = {p.as_integer_ratio(): p for p in places}
+
+        def at(ratio: tuple[int, int]) -> Fraction:
+            p = known.get(ratio)
+            return Fraction(*ratio) if p is None else p
+
+        return cls(
+            [at(r) for r in form.breakpoints],
+            [dens(x) for x in form.densities],
+            [(at(r), mass(m)) for r, m in form.atoms],
+        )
+
+    def form(self) -> MeasureForm:
+        """The canonical form in ints (MeasureForm): equal exactly when the
+        measures are."""
+        dens_den, dens = numerators(self.densities)
+        mass_den, masses = numerators([a.mass for a in self.atoms])
+        return reduced_form(
+            [b.as_integer_ratio() for b in self.breakpoints],
+            dens,
+            dens_den,
+            [(a.at.as_integer_ratio(), m) for a, m in zip(self.atoms, masses)],
+            mass_den,
+        )
 
     # ---- basic queries -------------------------------------------------
 

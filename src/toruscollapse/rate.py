@@ -19,9 +19,13 @@ cumulative.
 
 Both minimizers of the contraction identities are collapses: of the
 constant profile onto the total profile, and of the mirrored first layer
-onto a constant.  The rate's unique zero is the constant pair.  They and
-the quantized oracles sk_oracle and s3_recursive read only the collapsed
-measure (collapse.kept_measure), never the flux profile.
+onto a constant.  The rate's unique zero is the constant pair.  They read
+only the collapsed measure (collapse.kept_measure), never the flux
+profile.  The quantized oracles sk_oracle and s3_recursive only compare
+and hash collapses, so they read each as its int form
+(collapse.kept_form, measures.MeasureForm) and test it against the
+targets' forms, taken once per call; sk_oracle builds a measure only for
+each distinct intermediate it must collapse again.
 
 All cell data stays rational; floating point enters through log only.
 The kernel takes its argument as an int ratio and divides ints, which
@@ -36,11 +40,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .collapse import kept_measure
+from .collapse import kept_form, kept_measure
 from .lattice import compositions
 from .measures import (
     ONE,
     CumulativeFunction,
+    MeasureForm,
     PairGrid,
     PlateauDecomposition,
     TorusMeasure,
@@ -495,6 +500,7 @@ def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) ->
     masses, units = _quantized_masses(rhos, quantum, cells)
     kernels = [EntropyKernel(family, m) for m in masses]
     last = rhos[-1]
+    targets = [r.form() for r in rhos]
     # partial preimages, the layers chosen so far innermost first with
     # their cost: from the last layer alone inwards, one free layer at a
     # time; the outermost free layer's candidates are read once, lazily
@@ -502,21 +508,21 @@ def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) ->
     for i in range(k - 2, -1, -1):
         pool = lattice_measures(cells, units[i], quantum, family)
         pool = pool if i == k - 2 else list(pool)
-        # whether an intermediate pushed through at least one chosen layer
-        # lands on rhos[i] under the last; many share one
-        hits: dict[TorusMeasure, bool] = {}
+        # whether an intermediate (psi pushed through the chosen layer)
+        # lands on rhos[i] under the last, by the intermediate's form: many
+        # share one, and only a miss builds it as a measure to collapse again
+        hits: dict[MeasureForm, bool] = {}
         extended = []
         for chosen, cost in partial:
             for psi in pool:
                 if not chosen:
-                    hit = kept_measure(psi, last) == rhos[i]
+                    hit = kept_form(psi, last) == targets[i]
                 else:
-                    inner = psi
-                    for outer in chosen:
-                        inner = kept_measure(inner, outer)
-                    hit = hits.get(inner)
+                    (outer,) = chosen  # at most three layers
+                    key = kept_form(psi, outer)
+                    hit = hits.get(key)
                     if hit is None:
-                        hit = hits[inner] = kept_measure(inner, last) == rhos[i]
+                        hit = hits[key] = kept_form(TorusMeasure.from_form(key), last) == targets[i]
                 if hit:
                     extended.append(((psi, *chosen), cost + _integrate_kernel(psi, kernels[i])))
         partial = extended
@@ -539,15 +545,16 @@ def s3_recursive(
         raise ValueError("recursion route needs exactly three layers")
     masses, units = _quantized_masses(rhos, quantum, cells)
     base = _integrate_kernel(rhos[2], EntropyKernel(family, masses[2]))
+    first, second = rhos[0].form(), rhos[1].form()
     phi1_pool = [
         p
         for p in lattice_measures(cells, units[0], quantum, family)
-        if kept_measure(p, rhos[2]) == rhos[0]
+        if kept_form(p, rhos[2]) == first
     ]
     best = INF
     feasible = 0
     for phi2 in lattice_measures(cells, units[1], quantum, family):
-        if kept_measure(phi2, rhos[2]) != rhos[1]:
+        if kept_form(phi2, rhos[2]) != second:
             continue
         for phi1 in phi1_pool:
             res = s2(phi1, phi2, masses[0], masses[1], family)

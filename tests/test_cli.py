@@ -467,6 +467,25 @@ class TestCli:
             f"toruscollapse simulate: error: horizon must be finite and nonnegative, got {shown}"
         ]
 
+    @pytest.mark.parametrize(
+        "argv,shown",
+        [
+            (["--model", "tasep", "--n", "4", "--horizon", "1e12"], "1000000000000.0 expects about 4e+12"),
+            (["--model", "had", "--horizon", "2e6"], "2000000.0 expects about 2e+06"),
+        ],
+    )
+    def test_simulate_horizon_over_the_event_cap_is_one_line_exit_two(
+        self, capsys, monkeypatch, no_clock_random, argv, shown
+    ):
+        # finite, but the run would not end in seconds: refused before any event
+        monkeypatch.setattr(cli, "random", SimpleNamespace(Random=no_clock_random))
+        code = main(["simulate", "--classes", "1,1", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == [
+            f"toruscollapse simulate: error: horizon {shown} events, more than the cap of 1000000"
+        ]
+
     def test_negative_sample_count_is_one_line_exit_two(self, capsys):
         code = main(["sample-invariant", "--model", "had", "--classes", "1", "--samples", "-1"])
         captured = capsys.readouterr()

@@ -19,6 +19,7 @@ from toruscollapse.collapse import (
     commutation_check,
     discrete_flux_direct,
     flux_values_direct,
+    kept_form,
     kept_measure,
     queue_collapse,
 )
@@ -411,6 +412,19 @@ def off_grid_pairs(draw):
     return r1, r2
 
 
+@st.composite
+def plateau_pairs(draw):
+    """A measure and itself plus a few pieces of density and atoms on mixed
+    denominators: the densities agree off the pieces, so the pair has
+    plateaus, and pieces wrap through 0 when their first breakpoint is not
+    0."""
+    r1, _ = draw(off_grid_pairs())
+    bps = sorted(draw(st.sets(POSITIONS, min_size=1, max_size=4)))
+    dens = draw(st.lists(st.one_of(st.just(F(0)), DENSITIES), min_size=len(bps), max_size=len(bps)))
+    atoms = draw(st.dictionaries(POSITIONS, ATOM_MASSES, max_size=2))
+    return r1, r1.add(TorusMeasure(bps, dens, atoms.items()))
+
+
 def _fields(profile):
     return [(f.name, getattr(profile, f.name)) for f in dataclasses.fields(profile)]
 
@@ -439,9 +453,20 @@ class TestIntQueueAgainstFractions:
         assert _types(atom_values) == [F] * len(atom_values)
         assert flux_values_direct(r1, r2) == want_profile.values
 
+    @given(st.one_of(off_grid_pairs(), plateau_pairs()))
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_form_is_the_form_of_the_kept_measure(self, pair):
+        form = kept_form(*pair)
+        assert form == kept_measure(*pair).form()
+        assert TorusMeasure.from_form(form).form() == form
+        ints = [form.density_den, *form.densities, form.mass_den]
+        ints += [x for p in form.breakpoints for x in p]
+        ints += [x for (p, m) in form.atoms for x in (*p, m)]
+        assert _types(ints) == [int] * len(ints)
+
     def test_rejects_more_mass_like_reference(self):
         r1, r2 = TorusMeasure.constant(F(2, 3)), TorusMeasure.constant(F(4, 7))
-        for route in (reference_fluid_queue, collapse_measure, kept_measure):
+        for route in (reference_fluid_queue, collapse_measure, kept_measure, kept_form):
             with pytest.raises(CollapseError, match="first measure has more mass"):
                 route(r1, r2)
 

@@ -35,6 +35,13 @@ from oracles import tasep_state_frequencies
 F = Fraction
 
 
+class NeverTicks(random.Random):
+    """A generator whose event clock never rings: any run ends at once."""
+
+    def expovariate(self, rate):
+        return math.inf
+
+
 def had_simulate_on_fractions(initial, horizon, rng):
     """The mark process run on sorted Fraction lists: the reference the
     integer-grid had_simulate must match mark for mark and draw for draw."""
@@ -161,6 +168,8 @@ class TestExactStationary:
             (7, (2, 2, 2)),
             # orbits of size 3 (120120) besides full orbits of size 6
             (6, (2, 2)),
+            # 1680 states on 210 orbits: inside the orbit cap
+            (8, (1, 2, 3)),
         ],
     )
     def test_pushforward_matches(self, n, counts):
@@ -178,11 +187,21 @@ class TestExactStationary:
             exact_stationary(ProcessSpec("tasep", (2, 2, 2), n=11))
 
     def test_solve_cap_refuses_dense_solves_that_do_not_finish(self):
-        # 2520 states: the dense solve ran for minutes before the cap
+        # 7560 states on 840 orbits: the orbit solve would take minutes
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match="too large for an exact solve"):
-            exact_stationary(ProcessSpec("tasep", (2, 2, 2), n=8))
+            exact_stationary(ProcessSpec("tasep", (2, 2, 3), n=9))
         assert time.perf_counter() - t0 < 1.0
+
+    def test_solve_cap_counts_the_orbits_it_builds(self, monkeypatch):
+        # 90 states: size // n is 15, but the six states of period 3 make
+        # a sixteenth orbit
+        spec = ProcessSpec("tasep", (2, 2), n=6)
+        monkeypatch.setattr(dynamics, "MAX_SOLVE_ORBITS", 15)
+        with pytest.raises(ValueError, match="too large for an exact solve"):
+            exact_stationary(spec)
+        monkeypatch.setattr(dynamics, "MAX_SOLVE_ORBITS", 16)
+        assert exact_stationary(spec).tv_distance(pushforward_distribution(spec)) == 0
 
     @pytest.mark.parametrize(
         "n,counts",
@@ -330,6 +349,24 @@ class TestSimulation:
         assert events == want
         # the same generator consumption: the next draw agrees
         assert mine.random() == theirs.random()
+
+    def test_horizon_capped_by_its_expected_event_count(self, no_clock_random):
+        # refused before the first event: the clock of no_clock_random fails
+        rng = no_clock_random(0)
+        cap = dynamics.MAX_EXPECTED_EVENTS
+        with pytest.raises(ValueError, match="expects about 4e\\+12 events, more than the cap"):
+            tasep_simulate((1, 0, 2, 0), 2, 1e12, rng)
+        # N * horizon counts for the ring, the horizon alone for the marks
+        with pytest.raises(ValueError, match="more than the cap"):
+            tasep_simulate((1, 0, 2, 0), 2, cap / 2, rng)
+        start = [PointConfig([F(1, 4)]), PointConfig([F(1, 4), F(1, 2)])]
+        with pytest.raises(ValueError, match="more than the cap"):
+            had_simulate(start, 2.0 * cap, rng)
+        with pytest.raises(ValueError, match="more than the cap"):
+            had_sample_chain(start, rng, 1, 1.0, burn_in=2.0 * cap)
+        # at the cap itself a run starts (a clock that never ticks ends it)
+        assert tasep_simulate((1, 0, 2, 0), 2, cap / 4, NeverTicks(0)) == ((1, 0, 2, 0), 0)
+        assert had_simulate(start, float(cap), NeverTicks(0))[1] == 0
 
     @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
     def test_unreachable_horizon_refused(self, no_clock_random, horizon):

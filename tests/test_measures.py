@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from toruscollapse.measures import (
     ClosedArc,
@@ -172,6 +172,24 @@ class TestIntConstructorAgainstFractions:
             assert _outcome(reference_canonical, *args) == ("ValueError", message)
             with pytest.raises(ValueError, match=message):
                 TorusMeasure(*args)
+
+
+class TestForm:
+    @given(constructor_inputs(), st.sampled_from([1, F(1, 2), 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_forms_exactly_when_equal_measures(self, inputs, c):
+        rho = _outcome(TorusMeasure, *inputs)
+        assume(isinstance(rho, TorusMeasure))
+        form = rho.form()
+        assert TorusMeasure.from_form(form) == rho
+        assert TorusMeasure.from_form(form).form() == form
+        for other in (rho.scale(c), rho.add(rho), rho.add(TorusMeasure.indicator(0, F(1, 3)))):
+            assert (form == other.form()) == (rho == other)
+
+    def test_layout(self):
+        rho = TorusMeasure([0, F(1, 3)], [F(1, 2), F(2, 3)], [(F(3, 4), F(1, 6)), (F(1, 8), 2)])
+        assert rho.form() == (((0, 1), (1, 3)), 6, (3, 4), (((1, 8), 12), ((3, 4), 1)), 6)
+        assert TorusMeasure.zero().form() == (((0, 1),), 1, (0,), (), 1)
 
 
 class TestIntervalMass:

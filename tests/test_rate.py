@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from toruscollapse import collapse, measures
 from toruscollapse.collapse import collapse_measure
 from toruscollapse.measures import (
     ClosedArc,
@@ -778,6 +779,15 @@ class TestOraclesAgainstReferences:
         want = reference_s3_recursive(triple, "tasep", quantum, 4)
         assert _typed(s3_recursive(triple, "tasep", quantum, 4)) == _typed(want)
 
+    @pytest.mark.parametrize("triple", _eighth_triples(6))
+    def test_point_family_results_match(self, triple):
+        quantum = F(1, 8)
+        for rhos in (triple, triple[1:], triple[::2]):
+            want = reference_sk_oracle(rhos, "had", quantum, 4)
+            assert _typed(sk_oracle(rhos, "had", quantum, 4)) == _typed(want)
+        want = reference_s3_recursive(triple, "had", quantum, 4)
+        assert _typed(s3_recursive(triple, "had", quantum, 4)) == _typed(want)
+
 
 class TestMultilayerOracle:
     def test_constant_tuple_zero(self):
@@ -820,11 +830,34 @@ class TestMultilayerOracle:
         ]
         gaps = []
         for quantum in (F(1, 16), F(1, 32)):
-            direct = sk_oracle(triple, "tasep", quantum, 4)["value"]
-            gaps.append(abs(direct - s3_recursive(triple, "tasep", quantum, 4)["value"]))
+            direct = sk_oracle(triple, "tasep", quantum, 4)
+            gaps.append(abs(direct["value"] - s3_recursive(triple, "tasep", quantum, 4)["value"]))
         coarse, fine = gaps
         assert coarse > 1e-2
         assert fine <= coarse and fine <= 1e-2
+        assert (direct["near_minimizers"], direct["feasible_count"]) == (4, 1839)
+
+    def test_collapses_are_compared_as_forms(self, monkeypatch):
+        # sk_oracle at 1/32 on the known triple runs the queue 13,496 times;
+        # only the candidates and the distinct intermediates it collapses
+        # again become measures, not every collapse
+        counts = {"queue": 0, "measures": 0}
+        queue, build = collapse._fluid_queue, measures.TorusMeasure.__init__
+
+        def counted_queue(*args):
+            counts["queue"] += 1
+            return queue(*args)
+
+        def counted_build(self, *args):
+            counts["measures"] += 1
+            build(self, *args)
+
+        triple = BENCH_TRIPLES[0]  # the known triple
+        monkeypatch.setattr(collapse, "_fluid_queue", counted_queue)
+        monkeypatch.setattr(measures.TorusMeasure, "__init__", counted_build)
+        sk_oracle(triple, "tasep", F(1, 32), 4)
+        assert counts["queue"] == 13496
+        assert counts["measures"] <= 2000
 
     def test_caps(self):
         with pytest.raises(ValueError):
