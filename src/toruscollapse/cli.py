@@ -104,7 +104,7 @@ def cmd_simulate(args) -> int:
     if args.model == "tasep":
         spec = ProcessSpec("tasep", counts, n=args.n)
         labels = class_label_encode(list(sample_invariant(spec, rng)))
-        final, events = tasep_simulate(labels, spec.k, args.horizon, rng, record=args.record)
+        final, events = tasep_simulate(labels, args.horizon, rng, record=args.record)
         obj = {"model": "tasep", "final_labels": list(final)}
         rows = [
             {"time": f"{t:.6f}", "event": x, "labels": "".join(map(str, lab))}

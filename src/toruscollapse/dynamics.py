@@ -8,15 +8,16 @@ clocks and keeps the code auditable.  All randomness flows through an
 explicitly seeded generator.
 
 Both exact routes work on rotation orbits of label vectors rather than on
-single states.  The exact pushforward runs the fold of collapse_k (each new
-outer layer takes every collapsed layer so far through one binary
-collapse) over counts instead of over tuples: the label vector of the
-collapsed layers is all the next fold step needs, and since the uniform
-layers' law is rotation invariant and the collapse commutes with rotation,
-one count per orbit is enough.  The independent route, exact_stationary,
-solves the balance equations densely on the chain lumped onto orbits: the
-ring dynamics commute with rotation, so the stationary law is constant on
-each orbit.
+single states, keyed by least rotation through one memo.  The exact
+pushforward runs the fold of collapse_k (each new outer layer takes every
+collapsed layer so far through one binary collapse) over counts instead of
+over tuples: the label vector of the collapsed layers is all the next fold
+step needs, and since the uniform layers' law is rotation invariant and
+the collapse commutes with rotation, one count per orbit is enough.  The
+independent route, exact_stationary, walks the chain lumped onto orbits
+from the sorted state and solves its balance equations densely: the ring
+dynamics commute with rotation, so the stationary law is constant on each
+orbit.  The ring update needs no class count: holes rank last.
 
 had_simulate runs its layers as sorted ints over the common denominator of
 their points and POINT_GRID, the grid of its marks, and returns them through
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -36,8 +38,8 @@ from .lattice import (
     POINT_GRID,
     OrderedTuple,
     PointConfig,
+    check_enumerable,
     enumerate_configs,
-    enumerate_label_vectors,
     grid_numerators,
     random_config,
     random_points,
@@ -48,8 +50,8 @@ from .lattice import (
 # N = 9 (2,2,3) (840 orbits, minutes) is refused
 MAX_SOLVE_ORBITS = 320
 # expected events of one simulated run (rate N per unit time on a ring of
-# N sites, rate 1 for the mark process): 0.3-0.75 M ring events/s on rings
-# of 4-1000 sites and 0.1-0.4 M marks/s on 2-10,000 points (2 vCPU,
+# N sites, rate 1 for the mark process): 0.75-1 M ring events/s on rings
+# of 4-20,000 sites and 0.1-0.4 M marks/s on 2-10,000 points (2 vCPU,
 # Python 3.11), so an admitted run ends within about ten seconds
 MAX_EXPECTED_EVENTS = 10**6
 
@@ -73,10 +75,6 @@ class ProcessSpec:
                 raise ValueError("ring size n >= 2 required")
             if sum(self.class_counts) > self.n:
                 raise ValueError("class counts exceed ring size")
-
-    @property
-    def k(self) -> int:
-        return len(self.class_counts)
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
@@ -154,25 +152,25 @@ class StationaryTable:
 # ---------------------------------------------------------------------------
 
 
-def _label_key(label: int, k: int) -> int:
-    # class order 1 < 2 < ... < k < hole
-    return label if label >= 1 else k + 1
+def _update(labels: list[int], x: int) -> bool:
+    """Sort the labels on bond (x, x+1) in place, the lower class at x and
+    holes (label 0) ranked last; whether they swapped."""
+    y = (x + 1) % len(labels)
+    a, b = labels[x], labels[y]
+    if b != 0 and (a == 0 or a > b):
+        labels[x], labels[y] = b, a
+        return True
+    return False
 
 
-def bond_update(labels: tuple[int, ...], x: int, k: int) -> tuple[int, ...]:
+def bond_update(labels: tuple[int, ...], x: int) -> tuple[int, ...]:
     """Joint sorted update on bond (x, x+1): the lower class ends up at x.
 
     Applying the two-site decreasing rearrangement in every layer at once
     amounts to sorting the pair of labels with holes ranked last.
     """
-    n = len(labels)
-    y = (x + 1) % n
-    a, b = labels[x], labels[y]
-    if _label_key(a, k) <= _label_key(b, k):
-        return labels
     out = list(labels)
-    out[x], out[y] = b, a
-    return tuple(out)
+    return tuple(out) if _update(out, x) else labels
 
 
 def _check_horizon(horizon: float, rate: int) -> None:
@@ -188,12 +186,13 @@ def _check_horizon(horizon: float, rate: int) -> None:
         )
 
 
-def tasep_simulate(initial: Sequence[int], k: int, horizon: float, rng, record: bool = False):
+def tasep_simulate(initial: Sequence[int], horizon: float, rng, record: bool = False):
     """Continuous-time run up to the horizon; one exponential clock of rate
-    N, then a uniform bond.  Returns (final_labels, events) with events the
-    (time, bond, labels-after) triples when record is set, else their
-    number."""
-    labels = tuple(initial)
+    N, then a uniform bond, updated in place in O(1).  Returns
+    (final_labels, events) with events the (time, bond, labels-after)
+    triples when record is set, else their number."""
+    labels = list(initial)
+    after = tuple(labels)  # rebuilt only by a recorded swap, else shared
     n = len(labels)
     _check_horizon(horizon, n)
     t = 0.0
@@ -201,11 +200,12 @@ def tasep_simulate(initial: Sequence[int], k: int, horizon: float, rng, record: 
     while True:
         t += rng.expovariate(n)
         if t >= horizon:
-            return labels, events if record else count
+            return tuple(labels), events if record else count
         x = rng.randrange(n)
-        labels = bond_update(labels, x, k)
+        if _update(labels, x) and record:
+            after = tuple(labels)
         if record:
-            events.append((t, x, labels))
+            events.append((t, x, after))
         else:
             count += 1
 
@@ -252,9 +252,16 @@ def _solve_stationary_int(rates: list[list[int]]) -> tuple[list[int], int]:
     return y, D
 
 
-def _orbit(labels: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """The rotation orbit of a label vector: its distinct cyclic shifts."""
-    return {labels[r:] + labels[:r] for r in range(len(labels))}
+def _least_rotation(labels: tuple[int, ...], orbits: dict) -> tuple[int, ...]:
+    """The least rotation of a label vector, read from the memo `orbits`,
+    which maps every state of each orbit met so far to that orbit's least
+    rotation; an orbit met for the first time is recorded whole."""
+    rep = orbits.get(labels)
+    if rep is None:
+        orbit = {labels[r:] + labels[:r] for r in range(len(labels))}
+        rep = min(orbit)
+        orbits.update(dict.fromkeys(orbit, rep))
+    return rep
 
 
 def exact_stationary(spec: ProcessSpec) -> StationaryTable:
@@ -264,40 +271,52 @@ def exact_stationary(spec: ProcessSpec) -> StationaryTable:
     The ring dynamics commute with rotation, so the chain lumped onto
     rotation orbits of label vectors is again a Markov chain: from any state
     of orbit O, the rate into orbit O' != O is the number of bonds whose
-    update lands in O'.  Its stationary law y_O / D is the mass of O, and
-    the unique stationary law of the full chain is constant on each orbit,
-    so each state of O gets y_O * (n // |O|) over D * n (|O| divides n).
-    The route reads only the state space, bond_update and rotation, never
-    the collapse.
+    update lands in O'.  The orbits come from walking that chain from the
+    sorted state, updating each least rotation at every bond; a walk that
+    misses a state raises.  Its stationary law y_O / D is the mass of O,
+    and the unique stationary law of the full chain is constant on each
+    orbit, so each state of O gets y_O * (n // |O|) over D * n (|O|
+    divides n).  The route reads only bond_update and rotation, never the
+    collapse.
     """
     if spec.model != "tasep":
         raise ValueError("exact stationary tables exist only for the ring model")
-    n, k = spec.n, spec.k
+    n = spec.n
+    # the walk stores every state, n labels each
+    check_enumerable(n)
     holes = n - sum(spec.class_counts)
     size = math.factorial(n) // math.prod(math.factorial(c) for c in (*spec.class_counts, holes))
     # an orbit holds at most n states, so there are at least size // n
     if size // n > MAX_SOLVE_ORBITS:
         raise ValueError("state space too large for an exact solve")
-    orbit_of: dict[tuple[int, ...], int] = {}
-    reps, orbit_sizes = [], []
-    for s in enumerate_label_vectors(n, spec.class_counts):
-        if s not in orbit_of:
-            if len(reps) == MAX_SOLVE_ORBITS:
-                raise ValueError("state space too large for an exact solve")
-            orbit = _orbit(s)
-            orbit_of.update(dict.fromkeys(orbit, len(reps)))
-            reps.append(s)
-            orbit_sizes.append(len(orbit))
-    rates = [[0] * len(reps) for _ in reps]
-    for i, s in enumerate(reps):
+    start = (0,) * holes + tuple(j for j, c in enumerate(spec.class_counts, 1) for _ in range(c))
+    orbits: dict[tuple[int, ...], tuple[int, ...]] = {}
+    reps = [_least_rotation(start, orbits)]
+    index = {reps[0]: 0}
+    moves = []  # moves[i][x]: the orbit that bond x takes reps[i] to
+    for rep in reps:  # reps grows as the walk reaches new orbits
+        row = []
         for x in range(n):
-            j = orbit_of[bond_update(s, x, k)]
-            if j != i:
-                rates[i][j] += 1
-                rates[i][i] -= 1
+            to = _least_rotation(bond_update(rep, x), orbits)
+            j = index.get(to)
+            if j is None:
+                if len(reps) == MAX_SOLVE_ORBITS:
+                    raise ValueError("state space too large for an exact solve")
+                j = index[to] = len(reps)
+                reps.append(to)
+            row.append(j)
+        moves.append(row)
+    if len(orbits) != size:
+        raise RuntimeError(f"the walk from the sorted state reached {len(orbits)} of {size} states")
+    rates = [[0] * len(reps) for _ in reps]
+    for i, row in enumerate(moves):
+        for j in row:
+            rates[i][j] += 1
+        rates[i][i] -= n
     y, denominator = _solve_stationary_int(rates)
-    weights = [w * (n // m) for w, m in zip(y, orbit_sizes)]
-    return StationaryTable(((s, weights[o]) for s, o in orbit_of.items()), denominator * n)
+    sizes = Counter(orbits.values())
+    weights = {rep: w * (n // sizes[rep]) for rep, w in zip(reps, y)}
+    return StationaryTable(((s, weights[rep]) for s, rep in orbits.items()), denominator * n)
 
 
 def pushforward_distribution(spec: ProcessSpec) -> StationaryTable:
@@ -314,7 +333,7 @@ def pushforward_distribution(spec: ProcessSpec) -> StationaryTable:
     invariant and the collapse commutes with rotation, so every state of
     an orbit has the same count, and the step from any state of an orbit
     hits each orbit equally often.  After j layers the table maps each
-    orbit's canonical rotation to the number of tuples whose j collapsed
+    orbit's least rotation to the number of tuples whose j collapsed
     layers lie anywhere in the orbit; a step runs the kernel from that
     representative against every eta.  Only the final orbits are expanded,
     each state getting count // |O|.  A collapsed tuple is nested exactly
@@ -323,8 +342,8 @@ def pushforward_distribution(spec: ProcessSpec) -> StationaryTable:
     """
     if spec.model != "tasep":
         raise ValueError("exact pushforward tables exist only for the ring model")
-    n, k = spec.n, spec.k
-    canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
+    n = spec.n
+    orbits: dict[tuple[int, ...], tuple[int, ...]] = {}
     counts: dict[tuple[int, ...], int] = {(0,) * n: 1}
     for j, m in enumerate(spec.layer_sizes, start=1):
         etas = [c.occupied for c in enumerate_configs(n, m)]
@@ -337,25 +356,19 @@ def pushforward_distribution(spec: ProcessSpec) -> StationaryTable:
                 for i, theta in inner:
                     kept = queue_collapse(theta, eta)[0]
                     lab = [i if t else l for t, l in zip(kept, lab)]
-                lab = tuple(lab)
-                rep = canonical.get(lab)
-                if rep is None:
-                    orbit = _orbit(lab)
-                    rep = min(orbit)
-                    canonical.update(dict.fromkeys(orbit, rep))
+                rep = _least_rotation(tuple(lab), orbits)
                 grown[rep] = grown.get(rep, 0) + c
         counts = grown
-    entries = []
+    sizes = Counter(orbits.values())
+    weights = {}
     for rep, c in counts.items():
-        if tuple(rep.count(j) for j in range(1, k + 1)) != spec.class_counts:
+        if tuple(rep.count(j) for j in range(1, len(spec.class_counts) + 1)) != spec.class_counts:
             raise RuntimeError(f"collapsed tuple is not nested: labels {rep}")
-        orbit = _orbit(rep)
-        w, rem = divmod(c, len(orbit))
+        weights[rep], rem = divmod(c, sizes[rep])
         if rem:
             raise RuntimeError(f"count {c} of orbit {rep} is not a multiple of its size")
-        entries += ((s, w) for s in orbit)
     tuples = math.prod(math.comb(n, m) for m in spec.layer_sizes)
-    return StationaryTable(entries, tuples)
+    return StationaryTable(((s, weights[r]) for s, r in orbits.items() if r in weights), tuples)
 
 
 def sample_invariant(spec: ProcessSpec, rng) -> OrderedTuple:

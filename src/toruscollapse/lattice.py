@@ -4,6 +4,9 @@ Discrete side: occupation vectors on the ring of N sites and multiclass
 label encodings.  Continuous side: finite sets of exact-rational points on
 the unit torus.  Everything here is an immutable value and every function
 is pure.
+
+Only single layers are enumerated; the exact solve in dynamics reaches
+multiclass states by walking the ring dynamics instead.
 """
 
 from __future__ import annotations
@@ -15,9 +18,8 @@ from typing import Iterator, Sequence
 
 from .measures import TorusMeasure, frac, measure_leq_witness, numerators
 
-# Exhaustive enumeration guards (oracles stay tractable).
+# Largest ring that exhaustive helpers run on (oracles stay tractable).
 MAX_ENUM_N = 12
-MAX_ENUM_STATES = 10**7
 
 # Denominator of the sampling grid for random points on the torus.
 POINT_GRID = 2**53
@@ -227,46 +229,17 @@ class OrderedTuple:
         return f"OrderedTuple({list(self.parts)})"
 
 
+def check_enumerable(n: int) -> None:
+    """Refuse an exhaustive helper on a ring of more than MAX_ENUM_N sites."""
+    if n > MAX_ENUM_N:
+        raise EnumerationLimitError(f"refusing exhaustive enumeration for N={n} > {MAX_ENUM_N}")
+
+
 def enumerate_configs(n: int, m: int) -> Iterator[TorusConfig]:
     """All configurations with m particles on n sites (exhaustive helper)."""
-    if n > MAX_ENUM_N:
-        raise EnumerationLimitError(f"refusing exhaustive enumeration for N={n} > {MAX_ENUM_N}")
+    check_enumerable(n)
     for sites in itertools.combinations(range(n), m):
         yield TorusConfig.from_sites(n, sites)
-
-
-def enumerate_label_vectors(n: int, counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All label vectors on n sites with counts[j] sites of label j+1, in
-    lexicographic order, lazily: the distinct permutations of the sorted
-    multiset, each got from the last by the next-permutation step.
-
-    The number of states is capped so oracles stay tractable.
-    """
-    k = len(counts)
-    if n > MAX_ENUM_N:
-        raise EnumerationLimitError(f"refusing exhaustive enumeration for N={n} > {MAX_ENUM_N}")
-    if (k + 1) ** n > MAX_ENUM_STATES:
-        raise EnumerationLimitError("state space too large to enumerate")
-    if any(c < 0 for c in counts):
-        raise ValueError("class counts must be nonnegative")
-    holes = n - sum(counts)
-    if holes < 0:
-        raise ValueError("class counts exceed ring size")
-    labels = [j for j, c in enumerate((holes, *counts)) for _ in range(c)]
-    while True:
-        yield tuple(labels)
-        # the longest non-increasing suffix starts after i
-        i = len(labels) - 2
-        while i >= 0 and labels[i] >= labels[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        # swap labels[i] with the last larger label, then sort the suffix
-        j = len(labels) - 1
-        while labels[j] <= labels[i]:
-            j -= 1
-        labels[i], labels[j] = labels[j], labels[i]
-        labels[i + 1 :] = labels[:i:-1]
 
 
 def compositions(total: int, parts: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:

@@ -240,13 +240,14 @@ def s2(
 # ---------------------------------------------------------------------------
 
 
-def _plateau_dp_min(F: CumulativeFunction, kernel: EntropyKernel, bounded: bool) -> float:
+def _plateau_dp_min(F: CumulativeFunction, kernel: EntropyKernel) -> float:
     """Minimal kernel integral over monotone piecewise-linear cumulatives
     that dominate F, start at 0 and end at F's final value.
 
     Value levels per position are all chords of F's knots plus a uniform
     grid, so the set is closed under the optimum; slopes outside the
-    admissible range are priced at infinity.
+    admissible range are priced at infinity by the kernel itself (above 1
+    for the exclusion family).
 
     Everything runs on ints: knot positions over P, their lcm, and levels
     over D = V * L, with V the lcm of the knot values' denominators and L
@@ -292,9 +293,7 @@ def _plateau_dp_min(F: CumulativeFunction, kernel: EntropyKernel, bounded: bool)
                 rise = w - v
                 step_cost = priced.get(rise)
                 if step_cost is None:
-                    # a slope above 1 in a bounded family is never taken
-                    over = bounded and rise * P > run
-                    step_cost = priced[rise] = INF if over else width * kernel.at_ratio(rise * P, run)
+                    step_cost = priced[rise] = width * kernel.at_ratio(rise * P, run)
                 c = cost + step_cost
                 if c < nxt.get(w, INF):
                     nxt[w] = c
@@ -328,7 +327,7 @@ def s2_oracle(
     total = _integrate_kernel(rho2, k2)
     total += _off_plateau_integral(pair, k1)
     for F in pair_plateaus(pair).cumulatives:
-        total += _plateau_dp_min(F, k1, bounded=(family == "tasep"))
+        total += _plateau_dp_min(F, k1)
     return total
 
 

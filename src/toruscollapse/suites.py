@@ -56,6 +56,14 @@ from .rate import (
 )
 from .stats import ks_two_sample
 
+# acceptance thresholds: fixed here, never read from the overrides, so no
+# run can loosen a criterion
+S2_ORACLE_TOL = 1e-3  # |closed form - variational oracle| of s2
+CONTRACTION_TOL = 1e-12  # residuals of the contraction identities
+THREE_LAYER_TOL = 1e-2  # |min over the middle layer of S3 - S2|
+HAD_P_THRESHOLD = 0.01  # KS p-value a had-invariance seed must pass
+RECURSION_TOL = 1e-2  # |three-layer oracle - recursion|
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -224,7 +232,7 @@ def _stationarity_unit(args):
 
 
 def suite_stationarity(cfg: SuiteConfig) -> list[Check]:
-    ns = cfg.get("ns", (3, 4, 5, 6, 7))
+    ns = cfg.get("ns", (3, 4, 5, 6, 7, 8))
     ks = cfg.get("ks", (2, 3))
     # class counts: the compositions of n into k classes and holes
     units = [(n, c[:-1]) for n in ns for k in ks for c in compositions(n, k + 1)]
@@ -411,7 +419,6 @@ def suite_measure_collapse(cfg: SuiteConfig) -> list[Check]:
 
 def suite_s2_oracle(cfg: SuiteConfig) -> list[Check]:
     per_family = cfg.get("instances", 50)
-    tol = cfg.get("tol", 1e-3)
     rng = random.Random(derive_seed(cfg.seed, "s2"))
     checks = []
     for family in ("tasep", "had"):
@@ -431,20 +438,18 @@ def suite_s2_oracle(cfg: SuiteConfig) -> list[Check]:
                 slow = max(slow, time.perf_counter() - t0)
                 worst = max(worst, abs(closed - oracle))
                 done += 1
-            return worst <= tol and slow < 10.0, (
+            return worst <= S2_ORACLE_TOL and slow < 10.0, (
                 f"{per_family} instances: worst |closed - oracle| = {worst:.2e}"
             ), {}
 
         checks.append(
-            (f"s2.closed_vs_variational.{family}", f"<= {tol}", body)
+            (f"s2.closed_vs_variational.{family}", f"<= {S2_ORACLE_TOL}", body)
         )
     return checks
 
 
 def suite_minimizers(cfg: SuiteConfig) -> list[Check]:
     per_family = cfg.get("instances", 20)
-    tol = cfg.get("tol", 1e-12)
-    contrall_tol = cfg.get("contrall_tol", 1e-2)
     rng = random.Random(derive_seed(cfg.seed, "minimizers"))
     checks = []
     for family in ("tasep", "had"):
@@ -468,9 +473,10 @@ def suite_minimizers(cfg: SuiteConfig) -> list[Check]:
                 )
                 worst = max(worst, *res.values())
                 done += 1
-            return worst <= tol, f"{per_family} instances: worst residual {worst:.2e}", {}
+            stat = f"{per_family} instances: worst residual {worst:.2e}"
+            return worst <= CONTRACTION_TOL, stat, {}
 
-        checks.append((f"minimizers.contraction.{family}", f"<= {tol}", body))
+        checks.append((f"minimizers.contraction.{family}", f"<= {CONTRACTION_TOL}", body))
 
     def nested_body():
         rho1 = TorusMeasure.from_cells(
@@ -478,9 +484,9 @@ def suite_minimizers(cfg: SuiteConfig) -> list[Check]:
         )
         res = contraction_identity_check(rho1, "tasep", m_total=Fraction(11, 20))
         worst = res["total_layer_residual"]
-        return worst <= tol, f"nested stretches residual {worst:.2e}", {}
+        return worst <= CONTRACTION_TOL, f"nested stretches residual {worst:.2e}", {}
 
-    checks.append(("minimizers.nested_stretches", f"<= {tol}", nested_body))
+    checks.append(("minimizers.nested_stretches", f"<= {CONTRACTION_TOL}", nested_body))
 
     def contrall_body():
         # three-layer contraction: minimizing out the middle layer recovers
@@ -500,9 +506,9 @@ def suite_minimizers(cfg: SuiteConfig) -> list[Check]:
             best = min(best, val)
         target = s2(rho1, rho3, m1, m3, "tasep").value
         gap = abs(best - target)
-        return gap <= contrall_tol, f"|min_rho2 S3 - S2| = {gap:.2e}", {}
+        return gap <= THREE_LAYER_TOL, f"|min_rho2 S3 - S2| = {gap:.2e}", {}
 
-    checks.append(("minimizers.three_layer_contraction", f"<= {contrall_tol}", contrall_body))
+    checks.append(("minimizers.three_layer_contraction", f"<= {THREE_LAYER_TOL}", contrall_body))
     return checks
 
 
@@ -615,27 +621,26 @@ def suite_had_invariance(cfg: SuiteConfig) -> list[Check]:
     gap = cfg.get("sample_gap", 40.0)
     burn = cfg.get("burn_in", 100.0)
     seeds = cfg.get("seeds", tuple(range(1, 9)))
-    need = cfg.get("min_passing", 7)
-    threshold = cfg.get("p_threshold", 0.01)
+    need = -(-7 * len(seeds) // 8)  # seven in eight, rounded up
     units = [
         (derive_seed(cfg.seed, f"had:{s}"), n1, n2, samples, gap, burn) for s in seeds
     ]
 
     def body():
         results = _map_units(_had_unit, units, cfg.threads)
-        passing = sum(1 for _, p1, p2 in results if min(p1, p2) > threshold)
+        passing = sum(1 for _, p1, p2 in results if min(p1, p2) > HAD_P_THRESHOLD)
         detail = {
             f"seed_{s}": {"p_max_gap": round(p1, 4), "p_owned_gap": round(p2, 4)}
             for s, (_, p1, p2) in zip(seeds, results)
         }
-        return passing >= need, f"{passing}/{len(seeds)} seeds with both p > {threshold}", detail
+        stat = f"{passing}/{len(seeds)} seeds with both p > {HAD_P_THRESHOLD}"
+        return passing >= need, stat, detail
 
     return [("had.sampler_vs_simulation_ks", f">= {need} of {len(seeds)} seeds", body)]
 
 
 def suite_recursion(cfg: SuiteConfig) -> list[Check]:
     instances = cfg.get("instances", 10)
-    tol = cfg.get("tol", 1e-2)
     rng = random.Random(derive_seed(cfg.seed, "recursion"))
 
     def body():
@@ -656,9 +661,10 @@ def suite_recursion(cfg: SuiteConfig) -> list[Check]:
                     "near_minimizers": direct["near_minimizers"],
                 }
             )
-        return worst <= tol, f"{instances} instances: worst gap {worst:.2e}", {"rows": rows}
+        stat = f"{instances} instances: worst gap {worst:.2e}"
+        return worst <= RECURSION_TOL, stat, {"rows": rows}
 
-    return [("recursion.direct_vs_two_layer", f"<= {tol}", body)]
+    return [("recursion.direct_vs_two_layer", f"<= {RECURSION_TOL}", body)]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from toruscollapse.measures import (
 
 
 def tasep_state_frequencies(
-    initial: Sequence[int], k: int, steps: int, rng
+    initial: Sequence[int], steps: int, rng
 ) -> dict[tuple[int, ...], float]:
     """Visit frequencies of the uniformized chain (one uniform bond per
     step, self-loops counted); converges to the stationary law, and is kept
@@ -36,7 +36,7 @@ def tasep_state_frequencies(
     counts: dict[tuple[int, ...], int] = {}
     for _ in range(steps):
         x = rng.randrange(n)
-        labels = bond_update(labels, x, k)
+        labels = bond_update(labels, x)
         counts[labels] = counts.get(labels, 0) + 1
     return {s: c / steps for s, c in counts.items()}
 

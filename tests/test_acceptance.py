@@ -26,7 +26,7 @@ def _run(name, criterion, overrides=None, max_runtime=None):
 
 
 def test_criterion_01_stationarity_at_desk_scale():
-    # every ring size 3..7, two and three classes, all class-count vectors:
+    # every ring size 3..8, two and three classes, all class-count vectors:
     # exact pushforward equals exact linear-solve table, total variation 0
     _run("stationarity", "criterion 1", max_runtime=300.0)
 

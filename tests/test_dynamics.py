@@ -21,6 +21,7 @@ from toruscollapse.dynamics import (
 )
 from toruscollapse.lattice import (
     POINT_GRID,
+    EnumerationLimitError,
     PointConfig,
     TorusConfig,
     compositions,
@@ -86,7 +87,6 @@ def reference_pushforward(spec):
 def assert_stationary_certificate(tab, n, counts):
     """Certificate without a solve: every state present, integer balance at
     every state under bond_update, and every state reachable from one."""
-    k = len(counts)
     holes = n - sum(counts)
     states = math.factorial(n) // math.prod(math.factorial(c) for c in (*counts, holes))
     assert len(tab) == states
@@ -95,7 +95,7 @@ def assert_stationary_certificate(tab, n, counts):
     outflow = dict.fromkeys(weight, 0)
     for s, w in weight.items():
         for x in range(n):
-            t = bond_update(s, x, k)
+            t = bond_update(s, x)
             if t != s:
                 outflow[s] += w
                 inflow[t] += w
@@ -104,7 +104,7 @@ def assert_stationary_certificate(tab, n, counts):
     while frontier:
         s = frontier.pop()
         for x in range(n):
-            t = bond_update(s, x, k)
+            t = bond_update(s, x)
             if t not in seen:
                 seen.add(t)
                 frontier.append(t)
@@ -113,19 +113,28 @@ def assert_stationary_certificate(tab, n, counts):
 
 class TestBondUpdate:
     def test_particle_jumps_left(self):
-        assert bond_update((0, 1), 0, 1) == (1, 0)
+        assert bond_update((0, 1), 0) == (1, 0)
 
     def test_blocked_jump(self):
-        assert bond_update((1, 1), 0, 1) == (1, 1)
+        assert bond_update((1, 1), 0) == (1, 1)
 
     def test_first_class_overtakes_second(self):
-        assert bond_update((2, 1), 0, 2) == (1, 2)
+        assert bond_update((2, 1), 0) == (1, 2)
 
     def test_second_class_blocked_by_first(self):
-        assert bond_update((1, 2), 0, 2) == (1, 2)
+        assert bond_update((1, 2), 0) == (1, 2)
 
     def test_hole_ranks_last(self):
-        assert bond_update((0, 2), 0, 2) == (2, 0)
+        assert bond_update((0, 2), 0) == (2, 0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_rule_needs_no_class_count(self, k):
+        # the pair is sorted with class order 1 < ... < k < hole, whatever k
+        rank = lambda label: label or k + 1
+        for a in range(k + 1):
+            for b in range(k + 1):
+                want = (b, a) if rank(a) > rank(b) else (a, b)
+                assert bond_update((a, b, 0), 0) == (*want, 0)
 
 
 class TestSpec:
@@ -192,6 +201,30 @@ class TestExactStationary:
         with pytest.raises(ValueError, match="too large for an exact solve"):
             exact_stationary(ProcessSpec("tasep", (2, 2, 3), n=9))
         assert time.perf_counter() - t0 < 1.0
+
+    def test_walk_solves_three_classes_at_n12(self):
+        # 1320 states on 110 orbits, inside the orbit cap
+        spec = ProcessSpec("tasep", (1, 1, 1), n=12)
+        got, want = exact_stationary(spec), pushforward_distribution(spec)
+        assert len(got) == 1320
+        assert (got.states, got.weights, got.denominator) == (
+            want.states,
+            want.weights,
+            want.denominator,
+        )
+
+    def test_walk_refuses_rings_beyond_the_enumeration_cap(self):
+        # 13 states on one orbit pass the orbit cap; the walk would store
+        # every state, so the ring-size cap of the exhaustive helpers holds
+        with pytest.raises(EnumerationLimitError, match="N=13 > 12"):
+            exact_stationary(ProcessSpec("tasep", (1,), n=13))
+
+    def test_walk_that_misses_states_is_refused(self, monkeypatch):
+        # an update that never moves a particle keeps the walk on the
+        # sorted state's orbit: 4 of the 12 states of (4, (1, 1))
+        monkeypatch.setattr(dynamics, "bond_update", lambda labels, x: labels)
+        with pytest.raises(RuntimeError, match="reached 4 of 12 states"):
+            exact_stationary(ProcessSpec("tasep", (1, 1), n=4))
 
     def test_solve_cap_counts_the_orbits_it_builds(self, monkeypatch):
         # 90 states: size // n is 15, but the six states of period 3 make
@@ -268,29 +301,39 @@ class TestStationaryTable:
 class TestSimulation:
     def test_full_single_class_ring_frozen(self):
         labels = (1, 1, 1, 1)
-        final, events = tasep_simulate(labels, 1, 5.0, random.Random(0), record=True)
+        final, events = tasep_simulate(labels, 5.0, random.Random(0), record=True)
         assert final == labels
         assert all(lab == labels for _, _, lab in events)
 
     def test_unrecorded_runs_count_the_recorded_events(self):
         labels = (2, 0, 1, 0, 2, 1)
-        final, events = tasep_simulate(labels, 2, 4.0, random.Random(3), record=True)
-        assert tasep_simulate(labels, 2, 4.0, random.Random(3)) == (final, len(events))
+        final, events = tasep_simulate(labels, 4.0, random.Random(3), record=True)
+        assert tasep_simulate(labels, 4.0, random.Random(3)) == (final, len(events))
         start = [PointConfig([F(1, 4)]), PointConfig([F(1, 4), F(1, 2)])]
         out, marks = had_simulate(start, 30.0, random.Random(3), record=True)
         assert len(events) > 0 and len(marks) > 0
         assert had_simulate(start, 30.0, random.Random(3)) == (out, len(marks))
 
+    def test_recorded_run_replays_through_bond_update(self):
+        rng = random.Random(8)
+        labels = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(200))
+        final, events = tasep_simulate(labels, 5.0, random.Random(9), record=True)
+        assert len(events) > 500
+        for _, x, after in events:
+            labels = bond_update(labels, x)
+            assert after == labels
+        assert final == labels
+
     def test_full_multiclass_ring_classes_still_swap(self):
         # occupancy is frozen but lower classes keep overtaking higher ones
-        final, _ = tasep_simulate((2, 2, 1, 1), 2, 5.0, random.Random(0))
+        final, _ = tasep_simulate((2, 2, 1, 1), 5.0, random.Random(0))
         assert all(l != 0 for l in final)
         assert sorted(final) == [1, 1, 2, 2]
 
     def test_single_particle_uniform_position(self):
         rng = random.Random(3)
         tab = exact_stationary(ProcessSpec("tasep", (1,), n=4))
-        freq = tasep_state_frequencies((1, 0, 0, 0), 1, 80000, rng)
+        freq = tasep_state_frequencies((1, 0, 0, 0), 80000, rng)
         tv = sum(abs(freq.get(s, 0.0) - float(p)) for s, p in tab.items()) / 2
         assert tv < 0.02
 
@@ -298,7 +341,7 @@ class TestSimulation:
         rng = random.Random(42)
         spec = ProcessSpec("tasep", (1, 1), n=3)
         tab = exact_stationary(spec)
-        freq = tasep_state_frequencies(tab.states[0], 2, 200000, rng)
+        freq = tasep_state_frequencies(tab.states[0], 200000, rng)
         tv = sum(abs(freq.get(s, 0.0) - float(p)) for s, p in tab.items()) / 2
         assert tv < 0.02
 
@@ -355,24 +398,24 @@ class TestSimulation:
         rng = no_clock_random(0)
         cap = dynamics.MAX_EXPECTED_EVENTS
         with pytest.raises(ValueError, match="expects about 4e\\+12 events, more than the cap"):
-            tasep_simulate((1, 0, 2, 0), 2, 1e12, rng)
+            tasep_simulate((1, 0, 2, 0), 1e12, rng)
         # N * horizon counts for the ring, the horizon alone for the marks
         with pytest.raises(ValueError, match="more than the cap"):
-            tasep_simulate((1, 0, 2, 0), 2, cap / 2, rng)
+            tasep_simulate((1, 0, 2, 0), cap / 2, rng)
         start = [PointConfig([F(1, 4)]), PointConfig([F(1, 4), F(1, 2)])]
         with pytest.raises(ValueError, match="more than the cap"):
             had_simulate(start, 2.0 * cap, rng)
         with pytest.raises(ValueError, match="more than the cap"):
             had_sample_chain(start, rng, 1, 1.0, burn_in=2.0 * cap)
         # at the cap itself a run starts (a clock that never ticks ends it)
-        assert tasep_simulate((1, 0, 2, 0), 2, cap / 4, NeverTicks(0)) == ((1, 0, 2, 0), 0)
+        assert tasep_simulate((1, 0, 2, 0), cap / 4, NeverTicks(0)) == ((1, 0, 2, 0), 0)
         assert had_simulate(start, float(cap), NeverTicks(0))[1] == 0
 
     @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
     def test_unreachable_horizon_refused(self, no_clock_random, horizon):
         rng = no_clock_random(0)
         with pytest.raises(ValueError, match="horizon must be finite and nonnegative"):
-            tasep_simulate((1, 0, 2), 2, horizon, rng)
+            tasep_simulate((1, 0, 2), horizon, rng)
         start = [PointConfig([F(1, 4)]), PointConfig([F(1, 4), F(1, 2)])]
         with pytest.raises(ValueError, match="horizon must be finite and nonnegative"):
             had_simulate(start, horizon, rng)

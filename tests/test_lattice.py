@@ -13,7 +13,6 @@ from toruscollapse.lattice import (
     class_label_encode,
     compositions,
     enumerate_configs,
-    enumerate_label_vectors,
     random_points,
     validate_ordered,
 )
@@ -111,40 +110,15 @@ class TestEnumeration:
     def test_config_count(self):
         assert len(list(enumerate_configs(6, 2))) == 15
 
-    def test_label_count(self):
-        # multinomial 4! / (1! 1! 2!)
-        assert len(list(enumerate_label_vectors(4, (1, 1)))) == 12
-
-    @pytest.mark.parametrize(
-        "n,counts", [(0, ()), (1, (1,)), (3, (0, 0)), (5, (2, 1)), (6, (1, 2, 2)), (7, (2, 0, 3))]
-    )
-    def test_labels_are_the_sorted_distinct_permutations(self, n, counts):
-        multiset = [0] * (n - sum(counts)) + [j for j, c in enumerate(counts, 1) for _ in range(c)]
-        want = sorted(set(itertools.permutations(multiset)))
-        assert list(enumerate_label_vectors(n, counts)) == want
-
     @pytest.mark.parametrize("total,parts,cap", [(0, 1, None), (5, 1, 4), (4, 3, None), (6, 4, 2), (7, 3, 3)])
     def test_compositions_are_the_sorted_capped_tuples(self, total, parts, cap):
         top = total if cap is None else cap
         want = [c for c in itertools.product(range(top + 1), repeat=parts) if sum(c) == total]
         assert list(compositions(total, parts, cap)) == want
 
-    @pytest.mark.parametrize(
-        "counts,message", [((2, 2), "exceed ring size"), ((-1, 2), "must be nonnegative")]
-    )
-    def test_errors_are_raised_on_first_draw(self, counts, message):
-        labels = enumerate_label_vectors(3, counts)
-        with pytest.raises(ValueError, match=message):
-            next(labels)
-
     def test_refuses_large(self):
         with pytest.raises(EnumerationLimitError):
             list(enumerate_configs(13, 2))
-        with pytest.raises(EnumerationLimitError):
-            list(enumerate_label_vectors(13, (1,)))
-        with pytest.raises(EnumerationLimitError):
-            # (k+1)^N above the state cap even though N itself is allowed
-            list(enumerate_label_vectors(12, (4, 4, 4)))
 
 
 class TestPointConfig:

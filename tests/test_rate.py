@@ -494,24 +494,23 @@ class TestIntDp:
     def test_kernel_matches_fraction_kernel(self, family, m, x):
         assert repr(EntropyKernel(family, m)(x)) == repr(reference_kernel(family, m, x))
 
-    @given(plateau_cumulatives(), st.booleans())
+    @given(plateau_cumulatives())
     @example(
         ("tasep", F(1, 3), CumulativeFunction(ClosedArc(F(0), F(1, 2)), [(F(0), F(0)), (F(1, 2), F(0))])),
-        True,
     )
-    @example(  # a slope of exactly one is admissible when bounded
+    @example(  # a slope of exactly one is admissible for the exclusion family
         ("tasep", F(1, 3), CumulativeFunction(ClosedArc(F(0), F(3, 7)), [(F(0), F(0)), (F(3, 7), F(3, 7))])),
-        True,
     )
-    @example(  # a slope above one cannot be avoided: infinite when bounded
+    @example(  # a slope above one cannot be avoided: infinite for the exclusion family
         ("tasep", F(1, 2), CumulativeFunction(ClosedArc(F(0), F(1, 7)), [(F(0), F(0)), (F(1, 7), F(2, 7))])),
-        True,
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_fraction_dp_bit_for_bit(self, case, bounded):
+    def test_matches_fraction_dp_bit_for_bit(self, case):
         family, m, F_ = case
-        got = _plateau_dp_min(F_, EntropyKernel(family, m), bounded)
-        assert repr(got) == repr(reference_plateau_dp_min(F_, family, m, bounded))
+        got = _plateau_dp_min(F_, EntropyKernel(family, m))
+        # the reference bounds slopes by its own rule: at most 1 for exclusion
+        want = reference_plateau_dp_min(F_, family, m, bounded=(family == "tasep"))
+        assert repr(got) == repr(want)
 
 
 class TestPreimage:

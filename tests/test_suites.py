@@ -27,7 +27,14 @@ class TestSuiteHarness:
             run_suite(SuiteConfig(suite="nope"))
 
     @pytest.mark.parametrize(
-        "suite,overrides", [("nonconvexity", {"bogus_key": 1}), ("measure-collapse", {"pair": 5})]
+        "suite,overrides",
+        [
+            ("nonconvexity", {"bogus_key": 1}),
+            ("measure-collapse", {"pair": 5}),
+            # acceptance thresholds are constants, never overrides
+            ("recursion", {"tol": 1}),
+            ("had-invariance", {"min_passing": 1}),
+        ],
     )
     def test_unread_override_key_refused(self, suite, overrides):
         (key,) = overrides
@@ -81,16 +88,14 @@ class TestSuiteHarness:
         with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
             SuiteConfig(suite="had-invariance", threads=threads)
 
-    def test_failure_aggregation(self):
-        # an impossible threshold must fail without raising
-        cfg = SuiteConfig(
-            suite="had-invariance",
-            seed=0,
-            overrides={"samples": 60, "seeds": (1,), "min_passing": 1, "p_threshold": 1.1},
-        )
+    def test_failure_aggregation(self, monkeypatch):
+        # a seed whose p-values are all 0 must fail the check without raising
+        monkeypatch.setattr(suites, "_had_unit", lambda args: (args[0], 0.0, 0.0))
+        cfg = SuiteConfig(suite="had-invariance", seed=0, overrides={"seeds": (1,)})
         report = run_suite(cfg)
         assert not report.passed
         assert report.checks[0].statistic.startswith("0/1")
+        assert report.checks[0].threshold == ">= 1 of 1 seeds"
 
     @pytest.mark.parametrize(
         "suite,worker,overrides",
@@ -107,11 +112,6 @@ class TestSuiteHarness:
         (check,) = run_suite(SuiteConfig(suite=suite, overrides=overrides)).checks
         assert not check.passed
         assert "worker failed" in check.statistic
-
-    def test_contraction_threshold_reports_the_override(self):
-        cfg = SuiteConfig(suite="minimizers", overrides={"contrall_tol": 0.5})
-        thresholds = {cid: threshold for cid, threshold, _ in suites.suite_minimizers(cfg)}
-        assert thresholds["minimizers.three_layer_contraction"] == "<= 0.5"
 
     def test_s2_statistic_holds_no_timing(self):
         cfg = SuiteConfig(suite="s2-oracle", overrides={"instances": 3})
