@@ -17,6 +17,7 @@ from . import __version__
 from .collapse import atomic_measure, collapse_k, collapse_measure
 from .dynamics import (
     ProcessSpec,
+    bond_update,
     exact_stationary,
     had_simulate,
     pushforward_distribution,
@@ -106,10 +107,11 @@ def cmd_simulate(args) -> int:
         labels = class_label_encode(list(sample_invariant(spec, rng)))
         final, events = tasep_simulate(labels, args.horizon, rng, record=args.record)
         obj = {"model": "tasep", "final_labels": list(final)}
-        rows = [
-            {"time": f"{t:.6f}", "event": x, "labels": "".join(map(str, lab))}
-            for t, x, lab in (events if args.record else ())
-        ]
+        rows = []
+        # the labels after each recorded event, by replaying its bond
+        for t, x in events if args.record else ():
+            labels = bond_update(labels, x)
+            rows.append({"time": f"{t:.6f}", "event": x, "labels": "".join(map(str, labels))})
     else:
         spec = ProcessSpec("had", counts)
         start = list(sample_invariant(spec, rng))

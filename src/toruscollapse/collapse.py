@@ -26,21 +26,17 @@ atom min(atom2, q + atom1) at each grid point and rho2's density up to the
 end of {J > 0} in each cell, rho1's after it; J just before an interval's
 end is the atom the interval deposits there.  Like the points, it runs on
 ints: merge_pair puts grid points over one common denominator and masses
-over another, so both laps are int arithmetic, and Fractions are built
-only for the results that callers read as measures or flux profiles.
-The O(B^2) enumeration flux_values_direct, on the same ints, and the
-interval assembly collapse_measure_representation are kept as its
-oracles.
+over another, so both laps are int arithmetic.  The O(B^2) enumeration
+flux_values_direct, on the same ints, and the interval assembly
+collapse_measure_representation are kept as its oracles.
 
 The queue (_fluid_queue) runs both laps and every check once per call.
-Lap 2 writes the collapsed measure's canonical form in ints
-(measures.MeasureForm) as it walks the cells, and every caller's measure
-is built from that form; the FluxProfile is assembled from lap 2's
-readings only for collapse_measure, whose flux the ledger and
-representation checks read.  kept_measure returns the collapsed measure
-alone, for collapse_k and the rate module's minimizers; kept_form returns
-the form alone, for the quantized oracles, which only compare and hash
-collapses.
+Lap 2 writes the collapsed measure's ints as it walks the cells, and the
+measure stores them as they are (TorusMeasure.on_grid); the FluxProfile,
+in Fractions, is assembled from lap 2's readings only for
+collapse_measure, whose flux the ledger and representation checks read.
+kept_measure returns the collapsed measure alone, for collapse_k and the
+rate module's minimizers and quantized oracles.
 
 A FluxProfile always describes a measure pair.  Configurations and point
 sets get one through their unit-atom encodings, atomic_measure(p, 1):
@@ -60,19 +56,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import OrderedTuple, PointConfig, TorusConfig, grid_numerators
+from .lattice import OrderedTuple, PointConfig, TorusConfig
 from .measures import (
     ONE,
     ZERO,
-    MeasureForm,
     TorusMeasure,
     cyc_len,
     cyclic_runs,
     frac,
     int_fractions,
     merge_pair,
-    reduced_form,
     refined_cells,
+    rescale,
 )
 
 
@@ -200,7 +195,7 @@ def collapse_points(x: PointConfig, y: PointConfig) -> PointConfig:
     """
     if len(x) > len(y):
         raise CollapseError("first point set is larger")
-    grid, (xk, yk) = grid_numerators([x, y])
+    grid, (xk, yk) = rescale([(x.grid, x.nums), (y.grid, y.nums)])
     xs, ys = set(xk), set(yk)
     merged = dict.fromkeys(sorted(xk + yk))
     kept = queue_collapse([p in xs for p in merged], [p in ys for p in merged])[0]
@@ -292,11 +287,11 @@ def flux_values_direct(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[Fraction
     return tuple(map(int_fractions(pair.mass_den), out))
 
 
-def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[MeasureForm, tuple]:
+def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasure, tuple]:
     """The collapse of rho1 onto rho2 as the fluid queue over their merged
     grid (module docstring), with every check on it.  Returns the collapsed
-    measure's form (measures.MeasureForm) and lap 2's flux readings, from
-    which _flux_of builds the FluxProfile for the callers that read it.
+    measure and lap 2's flux readings, from which _flux_of builds the
+    FluxProfile for the callers that read it.
 
     Both laps run on the pair's ints (measures.PairGrid): the queue counts
     units of 1/mass_den mass and a cell of n grid units changes it by
@@ -304,38 +299,39 @@ def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[MeasureForm, t
     atom, J there (the length after the atom), where {J > 0} ends in the
     cell (at the exact root of the draining queue, at the cell's edge, or
     nowhere when J vanishes on the open cell) and J just before that end.
-    It writes the result's cells as it goes, every position a reduced int
-    ratio, merging equal-density neighbours but keeping the origin, and
-    tallies the mass they keep: no Fraction is built, and mass
-    conservation is an int identity.
+    It writes the result's cells as it goes, every position an int ratio,
+    merging equal-density neighbours, and tallies the mass they keep: no
+    Fraction is built, and mass conservation is an int identity.  The
+    result stores those ints over one denominator (TorusMeasure.on_grid).
     """
-    if rho1.total_mass > rho2.total_mass:
-        raise CollapseError("first measure has more mass")
     pair = merge_pair(rho1, rho2)
-    grid, nums, grid_den = pair.grid, pair.nums, pair.grid_den
+    nums, grid_den = pair.nums, pair.grid_den
     cells = list(zip(pair.lens, pair.dens1, pair.dens2, pair.atom1, pair.atom2))
+    mass1 = sum([a1 + d1 * length for length, d1, _, a1, _ in cells])
+    mass2 = sum([a2 + d2 * length for length, _, d2, _, a2 in cells])
+    if mass1 > mass2:
+        raise CollapseError("first measure has more mass")
     q = 0
     for length, d1, d2, a1, a2 in cells:
         q = max(0, q + a1 - a2)
         q = max(0, q + (d1 - d2) * length)
     values, roots, tails, mask = [], [], [], []
-    bps, dens, atoms = [], [], []
+    bps, dens, atoms, masses = [], [], [], []
     last, kept_mass = None, 0
     for j, (length, d1, d2, a1, a2) in enumerate(cells):
         kept = min(a2, q + a1)
         if kept < 0:
             raise RuntimeError("collapse produced a negative atom")
         if kept > 0:
-            atoms.append((grid[j].as_integer_ratio(), kept))
+            atoms.append(nums[j])
+            masses.append(kept)
         q = max(0, q + a1 - a2)
         slope = d1 - d2
         root = None
         if 0 < q < -slope * length:
             # the queue drains inside the cell, at g + q / (d2 - d1): rho2's
             # density up to there and rho1's after it keep q + d1 * length
-            num, den = nums[j] * -slope + q, -slope * grid_den
-            g = math.gcd(num, den)
-            root, at_edge, d = (num // g, den // g), False, d2
+            root, at_edge, d = (nums[j] * -slope + q, -slope * grid_den), False, d2
             kept_mass += kept + q + d1 * length
         elif q > 0 or slope > 0:
             at_edge, d = True, d2
@@ -344,7 +340,7 @@ def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[MeasureForm, t
             at_edge, d = False, d1
             kept_mass += kept + d1 * length
         if d != last:
-            bps.append(grid[j].as_integer_ratio())
+            bps.append((nums[j], grid_den))
             dens.append(d)
             last = d
         if root is not None:
@@ -357,20 +353,30 @@ def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[MeasureForm, t
         q = max(0, q + slope * length)
         tails.append(q if at_edge else 0)
     full = all(mask)
-    if full and rho1.total_mass < rho2.total_mass:
+    if full and mass1 < mass2:
         raise RuntimeError(
             "positive-flux set covers the torus despite strictly smaller "
             "first mass; flux computation is inconsistent"
         )
-    if kept_mass != sum(a1 + d1 * length for length, d1, _, a1, _ in cells):
+    if kept_mass != mass1:
         raise RuntimeError("collapse failed to conserve mass")
-    form = reduced_form(bps, dens, pair.mass_den // grid_den, atoms, pair.mass_den)
-    return form, (pair, values, roots, tails, mask, full)
+    # a root's denominator is its cell's slope times grid_den
+    den = math.lcm(*{d for _, d in bps})
+    result = TorusMeasure.on_grid(
+        den,
+        [n * (den // d) for n, d in bps],
+        pair.mass_den // grid_den,
+        dens,
+        [p * (den // grid_den) for p in atoms],
+        pair.mass_den,
+        masses,
+    )
+    return result, (pair, values, roots, tails, mask, full)
 
 
 def _flux_of(pair, values, roots, tails, mask, full) -> FluxProfile:
     """The FluxProfile from _fluid_queue's lap-2 readings."""
-    grid = pair.grid
+    grid = [Fraction(n, pair.grid_den) for n in pair.nums]
     density, mass = int_fractions(pair.mass_den // pair.grid_den), int_fractions(pair.mass_den)
     intervals = []
     if not full:
@@ -390,17 +396,10 @@ def _flux_of(pair, values, roots, tails, mask, full) -> FluxProfile:
     )
 
 
-def kept_form(rho1: TorusMeasure, rho2: TorusMeasure) -> MeasureForm:
-    """The form (measures.MeasureForm) of the collapse of rho1 onto rho2,
-    for callers that only compare or hash collapses."""
-    return _fluid_queue(rho1, rho2)[0]
-
-
 def kept_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> TorusMeasure:
     """The collapse of rho1 onto rho2 without its flux profile: what
     collapse_measure returns first, for the callers that read nothing else."""
-    form, (pair, *_) = _fluid_queue(rho1, rho2)
-    return TorusMeasure.from_form(form, pair.grid)
+    return _fluid_queue(rho1, rho2)[0]
 
 
 def collapse_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasure, FluxProfile]:
@@ -413,8 +412,8 @@ def collapse_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasu
     start on the merged grid, left-closed exactly when J is positive there,
     and cover the torus only when the masses are equal.
     """
-    form, readings = _fluid_queue(rho1, rho2)
-    return TorusMeasure.from_form(form, readings[0].grid), _flux_of(*readings)
+    kept, readings = _fluid_queue(rho1, rho2)
+    return kept, _flux_of(*readings)
 
 
 def collapse_measure_representation(

@@ -40,10 +40,10 @@ from .lattice import (
     PointConfig,
     check_enumerable,
     enumerate_configs,
-    grid_numerators,
     random_config,
     random_points,
 )
+from .measures import rescale
 
 # rotation orbits the exact solve may lump the chain onto: every vector of
 # up to three classes at N = 8 (at most 318 orbits, 2.6 s) is solved, and
@@ -189,10 +189,10 @@ def _check_horizon(horizon: float, rate: int) -> None:
 def tasep_simulate(initial: Sequence[int], horizon: float, rng, record: bool = False):
     """Continuous-time run up to the horizon; one exponential clock of rate
     N, then a uniform bond, updated in place in O(1).  Returns
-    (final_labels, events) with events the (time, bond, labels-after)
-    triples when record is set, else their number."""
+    (final_labels, events) with events the (time, bond) pairs when record
+    is set, else their number: replaying the bonds from `initial` through
+    bond_update gives the labels after each event."""
     labels = list(initial)
-    after = tuple(labels)  # rebuilt only by a recorded swap, else shared
     n = len(labels)
     _check_horizon(horizon, n)
     t = 0.0
@@ -202,10 +202,9 @@ def tasep_simulate(initial: Sequence[int], horizon: float, rng, record: bool = F
         if t >= horizon:
             return tuple(labels), events if record else count
         x = rng.randrange(n)
-        if _update(labels, x) and record:
-            after = tuple(labels)
+        _update(labels, x)
         if record:
-            events.append((t, x, after))
+            events.append((t, x))
         else:
             count += 1
 
@@ -314,9 +313,8 @@ def exact_stationary(spec: ProcessSpec) -> StationaryTable:
             rates[i][j] += 1
         rates[i][i] -= n
     y, denominator = _solve_stationary_int(rates)
-    sizes = Counter(orbits.values())
-    weights = {rep: w * (n // sizes[rep]) for rep, w in zip(reps, y)}
-    return StationaryTable(((s, weights[rep]) for s, rep in orbits.items()), denominator * n)
+    # over denominator * n, every orbit's mass splits evenly: |O| divides n
+    return _spread_orbits(orbits, {rep: w * n for rep, w in zip(reps, y)}, denominator * n)
 
 
 def pushforward_distribution(spec: ProcessSpec) -> StationaryTable:
@@ -359,16 +357,26 @@ def pushforward_distribution(spec: ProcessSpec) -> StationaryTable:
                 rep = _least_rotation(tuple(lab), orbits)
                 grown[rep] = grown.get(rep, 0) + c
         counts = grown
-    sizes = Counter(orbits.values())
-    weights = {}
-    for rep, c in counts.items():
+    for rep in counts:
         if tuple(rep.count(j) for j in range(1, len(spec.class_counts) + 1)) != spec.class_counts:
             raise RuntimeError(f"collapsed tuple is not nested: labels {rep}")
-        weights[rep], rem = divmod(c, sizes[rep])
+    return _spread_orbits(orbits, counts, math.prod(math.comb(n, m) for m in spec.layer_sizes))
+
+
+def _spread_orbits(orbits: dict, mass: dict, denominator: int) -> StationaryTable:
+    """The law giving every state of an orbit an equal share of its mass:
+    `orbits` maps each state to its orbit's least rotation (the memo of
+    _least_rotation), and `mass` each orbit to its probability times
+    `denominator`, an int; orbits without mass are left out.  Raises when
+    an orbit's mass is not a multiple of its size."""
+    sizes = Counter(orbits.values())
+    weights = {}
+    for rep, m in mass.items():
+        weights[rep], rem = divmod(m, sizes[rep])
         if rem:
-            raise RuntimeError(f"count {c} of orbit {rep} is not a multiple of its size")
-    tuples = math.prod(math.comb(n, m) for m in spec.layer_sizes)
-    return StationaryTable(((s, weights[r]) for s, r in orbits.items() if r in weights), tuples)
+            raise RuntimeError(f"mass {m} of orbit {rep} is not a multiple of its size")
+    entries = ((s, weights[r]) for s, r in orbits.items() if r in weights)
+    return StationaryTable(entries, denominator)
 
 
 def sample_invariant(spec: ProcessSpec, rng) -> OrderedTuple:
@@ -416,7 +424,7 @@ def had_simulate(
     record is set, else their number.
     """
     _check_horizon(horizon, 1)
-    grid, layers = grid_numerators(initial, POINT_GRID)
+    grid, layers = rescale([(c.grid, c.nums) for c in initial], POINT_GRID)
     scale = grid // POINT_GRID
     t = 0.0
     events, count = [], 0

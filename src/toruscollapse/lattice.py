@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .measures import TorusMeasure, frac, measure_leq_witness, numerators
+from .measures import TorusMeasure, frac, measure_leq_witness, numerators, rescale
 
 # Largest ring that exhaustive helpers run on (oracles stay tractable).
 MAX_ENUM_N = 12
@@ -131,19 +131,6 @@ class PointConfig:
         return f"PointConfig({[str(p) for p in self.points]})"
 
 
-def grid_numerators(
-    configs: Sequence[PointConfig], grid: int = 1
-) -> tuple[int, list[list[int]]]:
-    """Put point sets on one integer grid: the lcm of `grid` and their
-    grids, and each point as its numerator over it.
-
-    The map is injective and order-preserving, so the lists are sorted and
-    comparisons, hashing and differences can run on the ints.
-    """
-    grid = math.lcm(grid, *(c.grid for c in configs))
-    return grid, [[n * (grid // c.grid) for n in c.nums] for c in configs]
-
-
 def class_label_encode(parts: Sequence[TorusConfig]) -> tuple[int, ...]:
     """Encode an ordered k-tuple of configurations as a label vector.
 
@@ -182,7 +169,7 @@ def validate_ordered(parts: Sequence) -> tuple[bool, str | None]:
                 if p > q:
                     return False, f"parts {i},{i+1}: site {x}"
         elif isinstance(a, PointConfig):
-            grid, (inner, outer) = grid_numerators([a, b])
+            grid, (inner, outer) = rescale([(a.grid, a.nums), (b.grid, b.nums)])
             missing = set(inner).difference(outer)
             if missing:
                 return False, f"parts {i},{i+1}: point {Fraction(min(missing), grid)} not included"

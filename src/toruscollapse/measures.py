@@ -5,6 +5,13 @@ family is closed under every operation needed here (collapse, restriction,
 convex combination) and all masses, breakpoints and hull computations stay
 exact.  Every input is an int, a "p/q" string or a Fraction; floats are
 refused, and floating point enters only in the rate module, through log.
+
+A TorusMeasure has one format, that of a PointConfig: ints over least
+common denominators, one for its positions, one for its densities and one
+for its atom masses.  Package code reads and writes those ints; Fractions
+are built only for outside readers.  A pair of measures is read through
+merge_pair, which rescales both measures' ints onto common denominators
+with `rescale`, the helper the point sets use too.
 """
 
 from __future__ import annotations
@@ -21,23 +28,21 @@ ONE = Fraction(1)
 
 def frac(x) -> Fraction:
     """Coerce ints, 'p/q' strings and Fractions to Fraction.  A float raises
-    ValueError: its binary value is rarely the rational that was meant."""
+    ValueError: its binary value is rarely the rational that was meant; so
+    does a zero denominator, naming the value."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         raise ValueError(f"{x!r} is a float; give an int, a 'p/q' string or a Fraction")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{x!r} has a zero denominator") from None
 
 
 def cyc_len(a: Fraction, b: Fraction) -> Fraction:
     """Length of the cyclic segment from a rightward to b; 0 when a == b."""
     return (b - a) % 1
-
-
-def _on_torus(x: Fraction) -> Fraction:
-    """x reduced mod 1; x itself when it already lies in [0, 1)."""
-    n, d = x.as_integer_ratio()
-    return x if 0 <= n < d else x % 1
 
 
 def numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -46,6 +51,17 @@ def numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     ratios = [x.as_integer_ratio() for x in values]
     den = math.lcm(*[d for _, d in ratios])
     return den, [n * (den // d) for n, d in ratios]
+
+
+def rescale(parts: Sequence[tuple[int, Sequence[int]]], den: int = 1) -> tuple[int, list]:
+    """Put ints given over their own denominators, as (denominator, ints)
+    parts, onto one: the lcm of `den` and the parts' denominators, and each
+    part's ints over it.
+
+    The map is injective and order-preserving, so comparisons, hashing,
+    sums and differences can run on the ints."""
+    den = math.lcm(den, *[d for d, _ in parts])
+    return den, [[n * (den // d) for n in nums] for d, nums in parts]
 
 
 def int_fractions(den: int):
@@ -65,45 +81,6 @@ def int_fractions(den: int):
 class Atom(NamedTuple):
     at: Fraction
     mass: Fraction
-
-
-class MeasureForm(NamedTuple):
-    """A canonical measure in ints, so that equal forms are equal measures
-    and cost int comparisons and hashes only.
-
-    Each breakpoint and atom location is its reduced (numerator,
-    denominator); the densities are ints over density_den and the atom
-    masses ints over mass_den, each the least common denominator of its
-    values.  TorusMeasure.form gives a measure's form, TorusMeasure.from_form
-    the measure of a form."""
-
-    breakpoints: tuple[tuple[int, int], ...]
-    density_den: int
-    densities: tuple[int, ...]
-    atoms: tuple[tuple[tuple[int, int], int], ...]
-    mass_den: int
-
-
-def reduced_form(
-    breakpoints: Sequence[tuple[int, int]],
-    densities: Sequence[int],
-    density_den: int,
-    atoms: Sequence[tuple[tuple[int, int], int]],
-    mass_den: int,
-) -> MeasureForm:
-    """The form of a canonical measure (breakpoints from 0, equal-density
-    neighbours merged, atoms by location, no zero atom) given its densities
-    as ints over density_den and its (location, mass) atoms with masses as
-    ints over mass_den: both denominators are reduced to the least."""
-    g = math.gcd(density_den, *densities)
-    h = math.gcd(mass_den, *[m for _, m in atoms])
-    return MeasureForm(
-        tuple(breakpoints),
-        density_den // g,
-        tuple([d // g for d in densities]),
-        tuple([(p, m // h) for p, m in atoms]),
-        mass_den // h,
-    )
 
 
 @dataclass(frozen=True)
@@ -127,67 +104,93 @@ class TorusMeasure:
 
     Cells are [bp[i], bp[i+1]) with bp[0] == 0 and an implicit final edge at
     1; adjacent cells with equal density are merged (0 stays a breakpoint),
-    so equality of canonical forms is equality of measures.  The checks and
-    total_mass run on int numerators over common denominators, and values
-    already in [0, 1) are stored as given.
+    and atoms are sorted by location.  The measure is stored in ints, as a
+    PointConfig is:
+    - `grid`, the least common denominator of the breakpoints and atom
+      locations, with `bp_nums` and `atom_nums` their numerators over it;
+    - `dens_den` and `dens_nums`, the densities over their least common
+      denominator;
+    - `mass_den` and `mass_nums`, the atom masses over theirs.
+    Equal measures are equal ints, so comparing and hashing read only
+    those.  `breakpoints`, `densities`, `atoms` and `total_mass` build
+    Fractions for readers outside the package.
     """
 
-    __slots__ = ("breakpoints", "densities", "atoms", "total_mass")
+    __slots__ = ("grid", "bp_nums", "atom_nums", "dens_den", "dens_nums", "mass_den", "mass_nums")
 
     def __init__(self, breakpoints: Sequence, densities: Sequence, atoms: Iterable = ()):
-        bps = [_on_torus(frac(b)) for b in breakpoints]
+        bps = [frac(b) for b in breakpoints]
         dens = [frac(d) for d in densities]
         if len(bps) != len(dens):
             raise ValueError("need one density per cell")
-        if len(bps) == 0:
-            bps, dens = [ZERO], [ZERO]
-        # order, sign and mass run on int numerators over common denominators
-        grid, nums = numerators(bps)
-        if any(a >= b for a, b in zip(nums, nums[1:])):
+        ats = [(frac(p), frac(m)) for p, m in atoms]
+        # positions go onto one grid first and onto the torus after: x and
+        # x mod 1 share their reduced denominator
+        grid, nums = numerators(bps + [p for p, _ in ats])
+        dens_den, dens_nums = numerators(dens)
+        mass_den, mass_nums = numerators([m for _, m in ats])
+        nums = [n % grid for n in nums]
+        k = len(bps)
+        self._store(grid, nums[:k], dens_den, dens_nums, nums[k:], mass_den, mass_nums)
+
+    @classmethod
+    def on_grid(cls, grid, bp_nums, dens_den, dens_nums, atom_nums=(), mass_den=1, mass_nums=()):
+        """The measure with breakpoints bp_nums and atom locations atom_nums
+        over grid, in [0, grid), densities dens_nums over dens_den and atom
+        masses mass_nums over mass_den (all ints), through the constructor's
+        checks and canonical form."""
+        rho = object.__new__(cls)
+        rho._store(grid, bp_nums, dens_den, dens_nums, atom_nums, mass_den, mass_nums)
+        return rho
+
+    def _store(self, grid, bp_nums, dens_den, dens_nums, atom_nums, mass_den, mass_nums) -> None:
+        if min(grid, dens_den, mass_den) < 1:
+            raise ValueError("denominators must be positive ints")
+        if not len(bp_nums):
+            bp_nums, dens_nums = [0], [0]
+        if any(a >= b for a, b in zip(bp_nums, bp_nums[1:])):
             raise ValueError("breakpoints must be sorted and distinct")
-        ratios = [d.as_integer_ratio() for d in dens]
-        if any(n < 0 for n, _ in ratios):
+        if any(d < 0 for d in dens_nums):
             raise ValueError("densities must be nonnegative")
-        if nums[0] != 0:
+        if bp_nums[0] != 0:
             # split the wrapping cell at 0 so no cell crosses the origin
-            bps, dens = [ZERO, *bps], [dens[-1], *dens]
-            nums, ratios = [0, *nums], [ratios[-1], *ratios]
+            bp_nums, dens_nums = [0, *bp_nums], [dens_nums[-1], *dens_nums]
         # merge adjacent equal-density cells (keep the origin breakpoint)
-        keep = [0] + [i for i in range(1, len(ratios)) if ratios[i] != ratios[i - 1]]
-        ats = [Atom(_on_torus(frac(p)), frac(m)) for p, m in atoms]
-        _, at_nums = numerators([a.at for a in ats])
-        order = sorted(range(len(ats)), key=at_nums.__getitem__)
-        masses = [a.mass.as_integer_ratio() for a in ats]
-        if any(n <= 0 for n, _ in masses):
+        keep = [0] + [i for i in range(1, len(dens_nums)) if dens_nums[i] != dens_nums[i - 1]]
+        if any(m <= 0 for m in mass_nums):
             raise ValueError("atom masses must be positive")
-        if len(set(at_nums)) != len(ats):
+        order = sorted(range(len(atom_nums)), key=atom_nums.__getitem__)
+        ats = [atom_nums[i] for i in order]
+        if any(a == b for a, b in zip(ats, ats[1:])):
             raise ValueError("atom locations must be distinct")
-        object.__setattr__(self, "breakpoints", tuple([bps[i] for i in keep]))
-        object.__setattr__(self, "densities", tuple([dens[i] for i in keep]))
-        object.__setattr__(self, "atoms", tuple([ats[i] for i in order]))
-        # the cells carry cell_sum / (grid * dd) of mass, the atoms atom_sum / ad
-        dd = math.lcm(*[d for _, d in ratios])
-        ends = [nums[i] for i in keep[1:]] + [grid]
-        cell_sum = sum(
-            (e - nums[i]) * ratios[i][0] * (dd // ratios[i][1]) for i, e in zip(keep, ends)
-        )
-        ad = math.lcm(*[d for _, d in masses])
-        atom_sum = sum(n * (ad // d) for n, d in masses)
-        total = Fraction(cell_sum * ad + atom_sum * grid * dd, grid * dd * ad)
-        object.__setattr__(self, "total_mass", total)
+        if bp_nums[0] < 0 or bp_nums[-1] >= grid or ats and (ats[0] < 0 or ats[-1] >= grid):
+            raise ValueError("positions must lie in [0, 1)")
+        bps, dens = [bp_nums[i] for i in keep], [dens_nums[i] for i in keep]
+        masses = [mass_nums[i] for i in order]
+        # each denominator reduced with its numerators, to the least one
+        g, h, k = math.gcd(grid, *bps, *ats), math.gcd(dens_den, *dens), math.gcd(mass_den, *masses)
+        stored = (grid // g, [b // g for b in bps], [a // g for a in ats], dens_den // h)
+        stored += ([d // h for d in dens], mass_den // k, [m // k for m in masses])
+        for name, value in zip(self.__slots__, stored):
+            object.__setattr__(self, name, tuple(value) if isinstance(value, list) else value)
 
     def __setattr__(self, name, value):
         raise AttributeError("TorusMeasure is immutable")
+
+    def _key(self) -> tuple:
+        s = self
+        return (s.grid, s.bp_nums, s.atom_nums, s.dens_den, s.dens_nums, s.mass_den, s.mass_nums)
 
     # ---- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "TorusMeasure":
-        return cls([0], [0])
+        return cls.on_grid(1, [0], 1, [0])
 
     @classmethod
     def constant(cls, c) -> "TorusMeasure":
-        return cls([0], [frac(c)])
+        n, d = frac(c).as_integer_ratio()
+        return cls.on_grid(1, [0], d, [n])
 
     @classmethod
     def from_cells(cls, cells: Iterable) -> "TorusMeasure":
@@ -215,60 +218,50 @@ class TorusMeasure:
         m = frac(mass_each)
         return cls([0], [0], [(p, m) for p in positions])
 
-    @classmethod
-    def from_form(cls, form: MeasureForm, places: Iterable[Fraction] = ()) -> "TorusMeasure":
-        """The measure of a form (MeasureForm), through the constructor's
-        checks.  Each distinct density and mass becomes one Fraction, and a
-        position equal to one of `places` is that Fraction, so a collapse
-        shares its positions with the grid it was run on."""
-        dens, mass = int_fractions(form.density_den), int_fractions(form.mass_den)
-        known = {p.as_integer_ratio(): p for p in places}
-
-        def at(ratio: tuple[int, int]) -> Fraction:
-            p = known.get(ratio)
-            return Fraction(*ratio) if p is None else p
-
-        return cls(
-            [at(r) for r in form.breakpoints],
-            [dens(x) for x in form.densities],
-            [(at(r), mass(m)) for r, m in form.atoms],
-        )
-
-    def form(self) -> MeasureForm:
-        """The canonical form in ints (MeasureForm): equal exactly when the
-        measures are."""
-        dens_den, dens = numerators(self.densities)
-        mass_den, masses = numerators([a.mass for a in self.atoms])
-        return reduced_form(
-            [b.as_integer_ratio() for b in self.breakpoints],
-            dens,
-            dens_den,
-            [(a.at.as_integer_ratio(), m) for a, m in zip(self.atoms, masses)],
-            mass_den,
-        )
-
     # ---- basic queries -------------------------------------------------
 
     @property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(n, self.grid) for n in self.bp_nums])
+
+    @property
+    def densities(self) -> tuple[Fraction, ...]:
+        return tuple(map(int_fractions(self.dens_den), self.dens_nums))
+
+    @property
+    def atoms(self) -> tuple[Atom, ...]:
+        mass = int_fractions(self.mass_den)
+        ats = zip(self.atom_nums, self.mass_nums)
+        return tuple([Atom(Fraction(p, self.grid), mass(m)) for p, m in ats])
+
+    @property
+    def lens(self) -> list[int]:
+        """Cell lengths in units of 1/grid."""
+        return [hi - lo for lo, hi in zip(self.bp_nums, [*self.bp_nums[1:], self.grid])]
+
+    @property
+    def total_mass(self) -> Fraction:
+        # the cells carry cells / (grid * dens_den) of mass, the atoms atoms / mass_den
+        cells = sum([n * d for n, d in zip(self.lens, self.dens_nums)])
+        atoms, cell_den = sum(self.mass_nums), self.grid * self.dens_den
+        return Fraction(cells * self.mass_den + atoms * cell_den, cell_den * self.mass_den)
+
+    @property
     def is_absolutely_continuous(self) -> bool:
-        return not self.atoms
+        return not self.atom_nums
 
     def density_at(self, u) -> Fraction:
         """Density of the cell containing u (the a.e. value near u)."""
-        u = frac(u) % 1
-        i = bisect.bisect_right(self.breakpoints, u) - 1
-        return self.densities[i]
+        n, d = (frac(u) % 1).as_integer_ratio()
+        # the last breakpoint b / grid <= n / d is the last b <= n * grid // d
+        i = bisect.bisect_right(self.bp_nums, n * self.grid // d) - 1
+        return Fraction(self.dens_nums[i], self.dens_den)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TorusMeasure)
-            and self.breakpoints == other.breakpoints
-            and self.densities == other.densities
-            and self.atoms == other.atoms
-        )
+        return isinstance(other, TorusMeasure) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.breakpoints, self.densities, self.atoms))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         cells = ", ".join(
@@ -285,19 +278,28 @@ class TorusMeasure:
             raise ValueError("scale factor must be nonnegative")
         if c == 0:
             return TorusMeasure.zero()
-        return TorusMeasure(
-            self.breakpoints,
-            [d * c for d in self.densities],
-            [(a.at, a.mass * c) for a in self.atoms],
+        n, d = c.as_integer_ratio()
+        return TorusMeasure.on_grid(
+            self.grid,
+            self.bp_nums,
+            self.dens_den * d,
+            [x * n for x in self.dens_nums],
+            self.atom_nums,
+            self.mass_den * d,
+            [m * n for m in self.mass_nums],
         )
 
     def add(self, other: "TorusMeasure") -> "TorusMeasure":
         pair = merge_pair(self, other)
-        dens, mass = int_fractions(pair.mass_den // pair.grid_den), int_fractions(pair.mass_den)
-        return TorusMeasure(
-            pair.grid,
-            [dens(a + b) for a, b in zip(pair.dens1, pair.dens2)],
-            [(p, mass(a + b)) for p, a, b in zip(pair.grid, pair.atom1, pair.atom2) if a + b > 0],
+        atoms = [(p, a + b) for p, a, b in zip(pair.nums, pair.atom1, pair.atom2) if a + b > 0]
+        return TorusMeasure.on_grid(
+            pair.grid_den,
+            pair.nums,
+            pair.mass_den // pair.grid_den,
+            [a + b for a, b in zip(pair.dens1, pair.dens2)],
+            [p for p, _ in atoms],
+            pair.mass_den,
+            [m for _, m in atoms],
         )
 
     def __add__(self, other):
@@ -340,24 +342,19 @@ def json_rationals(values, field: str) -> list[Fraction]:
     it in the ValueError raised for anything else, JSON floats included."""
     if not isinstance(values, list) or not all(type(v) in (str, int) for v in values):
         raise ValueError(f"{field} must be a list of 'p/q' strings or integers")
-    try:
-        return [frac(v) for v in values]
-    except ZeroDivisionError:
-        raise ValueError(f"{field} holds a zero denominator") from None
+    return [frac(v) for v in values]
 
 
 class PairGrid(NamedTuple):
     """Two measures on their merged grid: every breakpoint and atom location
     of either, sorted from 0, in ints.
 
-    grid[j] is the grid point nums[j] / grid_den, kept as the measures' own
-    Fraction for outputs and messages.  atom*[j] is the atom mass at grid[j]
-    in units of 1/mass_den, and dens*[j] the density on the cell
-    [grid[j], grid[j + 1]) in units of 1/mass_den mass per 1/grid_den
+    nums[j] / grid_den is the j-th grid point.  atom*[j] is the atom mass
+    there in units of 1/mass_den, and dens*[j] the density on the cell from
+    it to the next point in units of 1/mass_den mass per 1/grid_den
     length, so a cell of lens[j] grid units carries dens*[j] * lens[j] /
     mass_den of mass."""
 
-    grid: list[Fraction]
     grid_den: int
     mass_den: int
     nums: list[int]
@@ -374,40 +371,44 @@ class PairGrid(NamedTuple):
 def merge_pair(rho1: TorusMeasure, rho2: TorusMeasure) -> PairGrid:
     """Merge a pair once, into aligned int arrays over the common grid.
 
-    The grid denominator is the lcm of the denominators of both measures'
-    breakpoints and atom locations; the mass denominator is the lcm of the
-    atom masses' denominators and of the grid denominator times those of
-    the densities.  Sorting and alignment run on numerators over the grid
-    denominator, and the grid reuses the measures' Fraction positions."""
-    places = [*rho1.breakpoints, *rho2.breakpoints, *(a.at for a in rho1.atoms + rho2.atoms)]
-    grid_den, keys = numerators(places)
-    point = dict(zip(keys, places))
-    nums = sorted(point)
-    dens_den = math.lcm(*[d.denominator for d in rho1.densities + rho2.densities])
-    mass_den = math.lcm(grid_den * dens_den, *[a.mass.denominator for a in rho1.atoms + rho2.atoms])
-    n1, n2, n3 = len(rho1.breakpoints), len(rho2.breakpoints), len(rho1.atoms)
-    bp1, bp2 = keys[:n1], keys[n1 : n1 + n2]
-    at1, at2 = keys[n1 + n2 : n1 + n2 + n3], keys[n1 + n2 + n3 :]
-    d1, a1 = _on_pair_grid(rho1, bp1, at1, nums, grid_den, mass_den)
-    d2, a2 = _on_pair_grid(rho2, bp2, at2, nums, grid_den, mass_den)
-    return PairGrid([point[k] for k in nums], grid_den, mass_den, nums, d1, d2, a1, a2)
+    The measures' stored ints are rescaled (`rescale`): positions to the
+    grid denominator, the lcm of both measures' grids; atom masses to the
+    mass denominator, the lcm of both atom-mass denominators and of the
+    grid denominator times the densities' common denominator; densities
+    to the mass denominator per grid unit."""
+    grid_den, (bp1, at1, bp2, at2) = rescale(
+        [(rho1.grid, rho1.bp_nums), (rho1.grid, rho1.atom_nums)]
+        + [(rho2.grid, rho2.bp_nums), (rho2.grid, rho2.atom_nums)]
+    )
+    dens_den = math.lcm(rho1.dens_den, rho2.dens_den)
+    mass_den, (m1, m2) = rescale(
+        [(rho1.mass_den, rho1.mass_nums), (rho2.mass_den, rho2.mass_nums)], grid_den * dens_den
+    )
+    _, (d1, d2) = rescale(
+        [(rho1.dens_den, rho1.dens_nums), (rho2.dens_den, rho2.dens_nums)], mass_den // grid_den
+    )
+    nums = sorted({*bp1, *bp2, *at1, *at2})
+    dens1, dens2 = _cellwise(nums, bp1, d1), _cellwise(nums, bp2, d2)
+    atom1, atom2 = _pointwise(nums, at1, m1), _pointwise(nums, at2, m2)
+    return PairGrid(grid_den, mass_den, nums, dens1, dens2, atom1, atom2)
 
 
-def _on_pair_grid(rho, bp_keys, at_keys, nums, grid_den, mass_den):
-    """One side of merge_pair: rho's int densities and atoms at every grid
-    point, given the int keys of its breakpoints and atom locations."""
-    cell, i, last = [], 0, len(bp_keys) - 1
+def _cellwise(nums: list[int], bps: list[int], dens: list[int]) -> list[int]:
+    """The density on each cell of the sorted grid nums, which holds the
+    breakpoints bps (from 0) of the cells of densities dens."""
+    starts, out, d = dict(zip(bps, dens)), [], 0
     for p in nums:
-        while i < last and bp_keys[i + 1] <= p:
-            i += 1
-        cell.append(i)
-    per_len = mass_den // grid_den
-    dens = [d.numerator * (per_len // d.denominator) for d in rho.densities]
-    dens = [dens[i] for i in cell]
-    if not at_keys:
-        return dens, [0] * len(nums)
-    mass = {k: m.numerator * (mass_den // m.denominator) for k, (_, m) in zip(at_keys, rho.atoms)}
-    return dens, [mass.get(k, 0) for k in nums]
+        d = starts.get(p, d)
+        out.append(d)
+    return out
+
+
+def _pointwise(nums: list[int], ats: list[int], masses: list[int]) -> list[int]:
+    """The atom mass at each point of the grid nums, 0 off the atoms."""
+    if not ats:
+        return [0] * len(nums)
+    at = dict(zip(ats, masses))
+    return [at.get(p, 0) for p in nums]
 
 
 def refined_cells(cuts: Iterable[Fraction]) -> list[tuple[Fraction, Fraction, Fraction]]:
@@ -446,14 +447,15 @@ def measure_leq_witness(a: TorusMeasure, b: TorusMeasure) -> tuple[bool, str | N
     grid plus pointwise atom domination.
     """
     pair = merge_pair(a, b)
-    for bp, x, y in zip(pair.grid, pair.dens1, pair.dens2):
+    for p, x, y in zip(pair.nums, pair.dens1, pair.dens2):
         if x > y:
             dens = int_fractions(pair.mass_den // pair.grid_den)
-            return False, f"density {dens(x)} > {dens(y)} on cell starting at {bp}"
-    for at, x, y in zip(pair.grid, pair.atom1, pair.atom2):
+            where = Fraction(p, pair.grid_den)
+            return False, f"density {dens(x)} > {dens(y)} on cell starting at {where}"
+    for p, x, y in zip(pair.nums, pair.atom1, pair.atom2):
         if x > y:
             mass = int_fractions(pair.mass_den)
-            return False, f"atom at {at}: {mass(x)} > {mass(y)}"
+            return False, f"atom at {Fraction(p, pair.grid_den)}: {mass(x)} > {mass(y)}"
     return True, None
 
 
@@ -531,7 +533,7 @@ def pair_plateaus(pair: PairGrid) -> PlateauDecomposition:
     mask = [x == y for x, y in zip(pair.dens1, pair.dens2)]
     if all(mask):
         return PlateauDecomposition((), full_torus=True)
-    grid, lens, dens, n = pair.grid, pair.lens, pair.dens1, len(pair.grid)
+    nums, lens, dens, n = pair.nums, pair.lens, pair.dens1, len(pair.nums)
     offset, mass = int_fractions(pair.grid_den), int_fractions(pair.mass_den)
     cumulatives = []
     for start, length in cyclic_runs(mask):
@@ -541,7 +543,7 @@ def pair_plateaus(pair: PairGrid) -> PlateauDecomposition:
             t += lens[j % n]
             v += dens[j % n] * lens[j % n]
             knots.append((offset(t), mass(v)))
-        arc = ClosedArc(grid[start], grid[(start + length) % n])
+        arc = ClosedArc(offset(nums[start]), offset(nums[(start + length) % n]))
         cumulatives.append(CumulativeFunction(arc, knots))
     return PlateauDecomposition(tuple(cumulatives))
 

@@ -9,28 +9,26 @@ profile is charged everywhere.  A dynamic program over discretized
 monotone cumulatives provides an independent variational oracle, and for
 three or more layers only such oracles exist here.
 
-`s2` and `s2_oracle` read a pair once, through its merged grid
-(`merge_pair`): domination and the plateaus are cell-by-cell comparisons
-there, the off-plateau term is a sum over its cells, and each plateau
-comes with the cumulative both profiles share along it (`pair_plateaus`).
-A plateau term of `s2` is a sum over the hull segments of that
-cumulative's concave envelope; `s2_oracle` runs its DP on the same
-cumulative.
+`s2` and `s2_oracle` share one prelude (`_admissible`) and read a pair
+once, through its merged grid (`merge_pair`): domination and the plateaus
+are cell-by-cell comparisons there, the off-plateau term is a sum over
+its cells, and each plateau comes with the cumulative both profiles share
+along it (`pair_plateaus`).  A plateau term of `s2` is a sum over the hull
+segments of that cumulative's concave envelope; `s2_oracle` runs its DP
+on the same cumulative.
 
 Both minimizers of the contraction identities are collapses: of the
 constant profile onto the total profile, and of the mirrored first layer
 onto a constant.  The rate's unique zero is the constant pair.  They read
 only the collapsed measure (collapse.kept_measure), never the flux
-profile.  The quantized oracles sk_oracle and s3_recursive only compare
-and hash collapses, so they read each as its int form
-(collapse.kept_form, measures.MeasureForm) and test it against the
-targets' forms, taken once per call; sk_oracle builds a measure only for
-each distinct intermediate it must collapse again.
+profile.  The quantized oracles sk_oracle and s3_recursive compare and
+hash collapsed measures, which costs int comparisons and hashes only.
 
 All cell data stays rational; floating point enters through log only.
 The kernel takes its argument as an int ratio and divides ints, which
-rounds as Fraction does, and the plateau DP runs on int value levels over
-one denominator, pricing each distinct rise of a segment once.
+rounds as Fraction does; kernel integrals run on a measure's or a merged
+pair's ints, and the plateau DP on int value levels over one denominator,
+pricing each distinct rise of a segment once.
 """
 
 from __future__ import annotations
@@ -40,19 +38,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .collapse import kept_form, kept_measure
+from .collapse import kept_measure
 from .lattice import compositions
 from .measures import (
     ONE,
     CumulativeFunction,
-    MeasureForm,
-    PairGrid,
     PlateauDecomposition,
     TorusMeasure,
     concave_envelope,
     envelope_density,
     frac,
-    int_fractions,
     merge_pair,
     numerators,
     pair_plateaus,
@@ -123,24 +118,20 @@ def _domain_ok(rho: TorusMeasure, m: Fraction, family: str) -> bool:
         return False
     if rho.total_mass != m:
         return False
-    if family == "tasep" and not all(d <= 1 for d in rho.densities):
+    if family == "tasep" and max(rho.dens_nums) > rho.dens_den:
         return False
     return True
 
 
+def _kernel_integral(kernel: EntropyKernel, cells, length_den: int, dens_den: int) -> float:
+    """Sum of length * kernel(density) over cells given as int pairs
+    (n, d): a cell n / length_den long with density d / dens_den."""
+    return sum((n / length_den * kernel.at_ratio(d, dens_den) for n, d in cells), 0.0)
+
+
 def _integrate_kernel(rho: TorusMeasure, kernel: EntropyKernel) -> float:
-    """Sum of cell_length * kernel(cell_density) over rho's cells."""
-    edges = zip(rho.breakpoints, [*rho.breakpoints[1:], ONE])
-    return sum((float(hi - lo) * kernel(d) for (lo, hi), d in zip(edges, rho.densities)), 0.0)
-
-
-def _off_plateau_integral(pair: PairGrid, kernel: EntropyKernel) -> float:
-    """Kernel integral of the first density over the merged cells where the
-    pair's densities differ, on the pair's ints: a cell of n grid units is
-    n / grid_den long and holds density d / (mass_den / grid_den)."""
-    per_len, grid_den = pair.mass_den // pair.grid_den, pair.grid_den
-    cells = zip(pair.lens, pair.dens1, pair.dens2)
-    return sum((n / grid_den * kernel.at_ratio(x, per_len) for n, x, y in cells if x != y), 0.0)
+    """Kernel integral of rho's density, on its stored ints."""
+    return _kernel_integral(kernel, zip(rho.lens, rho.dens_nums), rho.grid, rho.dens_den)
 
 
 def _envelope_integral(env: CumulativeFunction, kernel: EntropyKernel) -> float:
@@ -176,6 +167,25 @@ class RateResult:
         return cls(INF, False, False, False, None, (), 0.0, (), 0.0)
 
 
+def _admissible(rho1: TorusMeasure, rho2: TorusMeasure, m1, m2, family: str):
+    """The prelude s2 and s2_oracle share: None off the ordered admissible
+    pairs, else the merged pair, both layers' kernels and the first layer's
+    kernel integral.  For equal masses only the diagonal is admissible and
+    that integral covers the torus; otherwise it covers the merged cells
+    off the plateaus."""
+    m1, m2 = frac(m1), frac(m2)
+    if not (_domain_ok(rho1, m1, family) and _domain_ok(rho2, m2, family)):
+        return None
+    pair = merge_pair(rho1, rho2)
+    if not all(x <= y for x, y in zip(pair.dens1, pair.dens2)):
+        return None
+    k1, k2 = EntropyKernel(family, m1), EntropyKernel(family, m2)
+    if m1 == m2:
+        return (pair, k1, k2, _integrate_kernel(rho1, k1)) if rho1 == rho2 else None
+    off = [(n, x) for n, x, y in zip(pair.lens, pair.dens1, pair.dens2) if x != y]
+    return pair, k1, k2, _kernel_integral(k1, off, pair.grid_den, pair.mass_den // pair.grid_den)
+
+
 def s2(
     rho1: TorusMeasure,
     rho2: TorusMeasure,
@@ -188,21 +198,15 @@ def s2(
     Infinite off ordered admissible pairs.  For equal masses only the
     diagonal is admissible and the rate is the one-layer integral.
     """
-    m1, m2 = frac(m1), frac(m2)
-    if not (_domain_ok(rho1, m1, family) and _domain_ok(rho2, m2, family)):
+    admissible = _admissible(rho1, rho2, m1, m2, family)
+    if admissible is None:
         return RateResult.infinite()
-    pair = merge_pair(rho1, rho2)
-    if not all(x <= y for x, y in zip(pair.dens1, pair.dens2)):
-        return RateResult.infinite()
+    pair, k1, k2, first = admissible
     # the rate's unique zero is the constant pair
-    exact_zero = rho1 == TorusMeasure.constant(m1) and rho2 == TorusMeasure.constant(m2)
-    if m1 == m2:
-        if rho1 != rho2:
-            return RateResult.infinite()
-        kernel = EntropyKernel(family, m1)
-        val = _integrate_kernel(rho1, kernel)
+    exact_zero = rho1 == TorusMeasure.constant(k1.m) and rho2 == TorusMeasure.constant(k2.m)
+    if k1.m == k2.m:
         return RateResult(
-            value=val,
+            value=first,
             finite=True,
             exact_zero=exact_zero,
             diagonal=True,
@@ -210,18 +214,15 @@ def s2(
             envelope_densities=(),
             complement_integral=0.0,
             plateau_integrals=(),
-            second_layer_integral=val,
+            second_layer_integral=first,
         )
-    k1 = EntropyKernel(family, m1)
-    k2 = EntropyKernel(family, m2)
     plateau = pair_plateaus(pair)
     if plateau.full_torus:
         raise RuntimeError("equal densities a.e. with distinct masses")
-    complement = _off_plateau_integral(pair, k1)
     envelopes = [concave_envelope(F) for F in plateau.cumulatives]
     plateau_terms = tuple(_envelope_integral(env, k1) for env in envelopes)
     second = _integrate_kernel(rho2, k2)
-    value = complement + sum(plateau_terms) + second
+    value = first + sum(plateau_terms) + second
     return RateResult(
         value=value,
         finite=True,
@@ -229,7 +230,7 @@ def s2(
         diagonal=False,
         plateau=plateau,
         envelope_densities=tuple(envelope_density(env) for env in envelopes),
-        complement_integral=complement,
+        complement_integral=first,
         plateau_integrals=plateau_terms,
         second_layer_integral=second,
     )
@@ -314,18 +315,14 @@ def s2_oracle(
     Independent of the closed form: the per-plateau minimum is found by
     dynamic programming, not by an envelope construction.
     """
-    m1, m2 = frac(m1), frac(m2)
-    if not (_domain_ok(rho1, m1, family) and _domain_ok(rho2, m2, family)):
+    admissible = _admissible(rho1, rho2, m1, m2, family)
+    if admissible is None:
         return INF
-    pair = merge_pair(rho1, rho2)
-    if not all(x <= y for x, y in zip(pair.dens1, pair.dens2)):
-        return INF
-    k1 = EntropyKernel(family, m1)
-    k2 = EntropyKernel(family, m2)
-    if m1 == m2:
-        return _integrate_kernel(rho1, k1) if rho1 == rho2 else INF
+    pair, k1, k2, first = admissible
+    if k1.m == k2.m:
+        return first
     total = _integrate_kernel(rho2, k2)
-    total += _off_plateau_integral(pair, k1)
+    total += first
     for F in pair_plateaus(pair).cumulatives:
         total += _plateau_dp_min(F, k1)
     return total
@@ -350,8 +347,10 @@ def minimizer_rho1(rho2: TorusMeasure, m1) -> TorusMeasure:
 def _mirror(rho: TorusMeasure) -> TorusMeasure:
     """The density u -> rho(-u): the cell [b_i, b_{i+1}) becomes
     (-b_{i+1}, -b_i]."""
-    edges = [*rho.breakpoints[1:], ONE]
-    return TorusMeasure([ONE - e for e in reversed(edges)], rho.densities[::-1])
+    edges = [*rho.bp_nums[1:], rho.grid]
+    return TorusMeasure.on_grid(
+        rho.grid, [rho.grid - e for e in reversed(edges)], rho.dens_den, rho.dens_nums[::-1]
+    )
 
 
 def minimizer_rho2(rho1: TorusMeasure, m2) -> TorusMeasure:
@@ -373,8 +372,10 @@ def minimizer_rho2(rho1: TorusMeasure, m2) -> TorusMeasure:
     if kept.atoms:
         raise RuntimeError("collapse of a density onto a constant deposited atoms")
     pair = merge_pair(rho1, _mirror(kept))
-    dens = int_fractions(pair.mass_den // pair.grid_den)
-    out = TorusMeasure(pair.grid, [dens(d1 - k) + m2 for d1, k in zip(pair.dens1, pair.dens2)])
+    # rho1 - kept + m2 on every merged cell, over per_len * m2's denominator
+    per_len, (n2, d2) = pair.mass_den // pair.grid_den, m2.as_integer_ratio()
+    dens = [(d1 - k) * d2 + n2 * per_len for d1, k in zip(pair.dens1, pair.dens2)]
+    out = TorusMeasure.on_grid(pair.grid_den, pair.nums, per_len * d2, dens)
     if out.total_mass != m2:
         raise RuntimeError("constructed total profile has the wrong mass")
     return out
@@ -449,15 +450,11 @@ def lattice_measures(cells: int, units: int, quantum: Fraction, family: str):
     """All piecewise-constant measures on `cells` uniform cells whose cell
     masses are multiples of the quantum summing to units * quantum; the
     exclusion family caps densities at one."""
-    quantum = frac(quantum)
-    cell_len = Fraction(1, cells)
-    cap = None
-    if family == "tasep":
-        cap = int(cell_len / quantum)  # densities at most 1
-    bps = [Fraction(i, cells) for i in range(cells)]
+    qn, qd = frac(quantum).as_integer_ratio()
+    # a cell holding c quanta has density c * qn * cells / qd
+    cap = qd // (cells * qn) if family == "tasep" else None  # densities at most 1
     for combo in compositions(units, cells, cap):
-        dens = [c * quantum / cell_len for c in combo]
-        yield TorusMeasure(bps, dens)
+        yield TorusMeasure.on_grid(cells, range(cells), qd, [c * qn * cells for c in combo])
 
 
 def _quantized_masses(
@@ -499,7 +496,6 @@ def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) ->
     masses, units = _quantized_masses(rhos, quantum, cells)
     kernels = [EntropyKernel(family, m) for m in masses]
     last = rhos[-1]
-    targets = [r.form() for r in rhos]
     # partial preimages, the layers chosen so far innermost first with
     # their cost: from the last layer alone inwards, one free layer at a
     # time; the outermost free layer's candidates are read once, lazily
@@ -508,20 +504,20 @@ def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) ->
         pool = lattice_measures(cells, units[i], quantum, family)
         pool = pool if i == k - 2 else list(pool)
         # whether an intermediate (psi pushed through the chosen layer)
-        # lands on rhos[i] under the last, by the intermediate's form: many
-        # share one, and only a miss builds it as a measure to collapse again
-        hits: dict[MeasureForm, bool] = {}
+        # lands on rhos[i] under the last: many candidates share one, and
+        # each distinct one is collapsed again once
+        hits: dict[TorusMeasure, bool] = {}
         extended = []
         for chosen, cost in partial:
             for psi in pool:
                 if not chosen:
-                    hit = kept_form(psi, last) == targets[i]
+                    hit = kept_measure(psi, last) == rhos[i]
                 else:
                     (outer,) = chosen  # at most three layers
-                    key = kept_form(psi, outer)
+                    key = kept_measure(psi, outer)
                     hit = hits.get(key)
                     if hit is None:
-                        hit = hits[key] = kept_form(TorusMeasure.from_form(key), last) == targets[i]
+                        hit = hits[key] = kept_measure(key, last) == rhos[i]
                 if hit:
                     extended.append(((psi, *chosen), cost + _integrate_kernel(psi, kernels[i])))
         partial = extended
@@ -544,16 +540,15 @@ def s3_recursive(
         raise ValueError("recursion route needs exactly three layers")
     masses, units = _quantized_masses(rhos, quantum, cells)
     base = _integrate_kernel(rhos[2], EntropyKernel(family, masses[2]))
-    first, second = rhos[0].form(), rhos[1].form()
     phi1_pool = [
         p
         for p in lattice_measures(cells, units[0], quantum, family)
-        if kept_form(p, rhos[2]) == first
+        if kept_measure(p, rhos[2]) == rhos[0]
     ]
     best = INF
     feasible = 0
     for phi2 in lattice_measures(cells, units[1], quantum, family):
-        if kept_form(phi2, rhos[2]) != second:
+        if kept_measure(phi2, rhos[2]) != rhos[1]:
             continue
         for phi1 in phi1_pool:
             res = s2(phi1, phi2, masses[0], masses[1], family)

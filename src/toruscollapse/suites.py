@@ -42,8 +42,8 @@ from .dynamics import (
     pushforward_distribution,
     sample_invariant,
 )
-from .lattice import compositions, grid_numerators, random_config, random_points
-from .measures import TorusMeasure, measure_leq, measure_leq_witness, numerators
+from .lattice import compositions, random_config, random_points
+from .measures import TorusMeasure, measure_leq, measure_leq_witness, numerators, rescale
 from .rate import (
     contraction_identity_check,
     ldp_decay_exact,
@@ -591,7 +591,7 @@ def _had_statistics(state) -> tuple[float, float]:
     """Per-draw scalar statistics of a two-layer point state: the largest
     gap of the full layer, and the total length of full-layer gaps lying
     immediately to the right of a first-layer point."""
-    grid, (first, pts) = grid_numerators([state[0], state[1]])
+    grid, (first, pts) = rescale([(state[0].grid, state[0].nums), (state[1].grid, state[1].nums)])
     n = len(pts)
     # int / int is correctly rounded, so each gap is the float of the exact gap
     gaps = [((pts[(i + 1) % n] - pts[i]) % grid) / grid for i in range(n)]

@@ -404,6 +404,25 @@ class TestCli:
         ]
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate-eval", "--rho1", "{profile}", "--m1", "1/0"],
+            ["ldp-decay", "--bins", "1/0,0", "--m", "1/4"],
+            ["minimizer", "--which", "first", "--profile", "{profile}", "--mass", "1/0"],
+        ],
+    )
+    def test_zero_denominator_argument_is_one_line_exit_two(self, capsys, tmp_path, argv):
+        profile = tmp_path / "rho.json"
+        profile.write_text(json.dumps(TorusMeasure.constant(Fraction(1, 2)).to_json_dict()))
+        code = main([arg.format(profile=profile) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"toruscollapse {argv[0]}: error: '1/0' has a zero denominator"
+        ]
+
+    @pytest.mark.parametrize(
         "payload",
         [
             {"pieces": []},

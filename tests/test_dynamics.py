@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -302,8 +303,9 @@ class TestSimulation:
     def test_full_single_class_ring_frozen(self):
         labels = (1, 1, 1, 1)
         final, events = tasep_simulate(labels, 5.0, random.Random(0), record=True)
-        assert final == labels
-        assert all(lab == labels for _, _, lab in events)
+        assert final == labels and events
+        for _, x in events:
+            assert bond_update(labels, x) == labels
 
     def test_unrecorded_runs_count_the_recorded_events(self):
         labels = (2, 0, 1, 0, 2, 1)
@@ -319,10 +321,22 @@ class TestSimulation:
         labels = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(200))
         final, events = tasep_simulate(labels, 5.0, random.Random(9), record=True)
         assert len(events) > 500
-        for _, x, after in events:
+        for _, x in events:
             labels = bond_update(labels, x)
-            assert after == labels
         assert final == labels
+
+    def test_bond_update_mirror_identity(self):
+        # reversing the ring turns the move on bond x into the inverse move
+        # on the mirrored bond: bond_update undoes every swap it makes
+        moves = 0
+        for n in range(2, 7):
+            for labels in itertools.product(range(4), repeat=n):
+                for x in range(n):
+                    after = bond_update(labels, x)
+                    if after != labels:
+                        moves += 1
+                        assert bond_update(after[::-1], (n - 2 - x) % n) == labels[::-1]
+        assert moves == 11604
 
     def test_full_multiclass_ring_classes_still_swap(self):
         # occupancy is frozen but lower classes keep overtaking higher ones

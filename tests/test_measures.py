@@ -174,22 +174,58 @@ class TestIntConstructorAgainstFractions:
                 TorusMeasure(*args)
 
 
+def _stored(rho):
+    return (
+        rho.grid,
+        rho.bp_nums,
+        rho.atom_nums,
+        rho.dens_den,
+        rho.dens_nums,
+        rho.mass_den,
+        rho.mass_nums,
+    )
+
+
 class TestForm:
+    """A measure's stored ints are its canonical form."""
+
     @given(constructor_inputs(), st.sampled_from([1, F(1, 2), 3]))
     @settings(max_examples=100, deadline=None)
     def test_equal_forms_exactly_when_equal_measures(self, inputs, c):
         rho = _outcome(TorusMeasure, *inputs)
         assume(isinstance(rho, TorusMeasure))
-        form = rho.form()
-        assert TorusMeasure.from_form(form) == rho
-        assert TorusMeasure.from_form(form).form() == form
+        form = _stored(rho)
+        g, bps, ats, dd, dens, md, masses = form
+        assert all(type(x) is int for x in (g, *bps, *ats, dd, *dens, md, *masses))
+        rebuilt = TorusMeasure(rho.breakpoints, rho.densities, rho.atoms)
+        assert _stored(rebuilt) == form and hash(rebuilt) == hash(rho)
+        assert _stored(TorusMeasure.on_grid(g, bps, dd, dens, ats, md, masses)) == form
         for other in (rho.scale(c), rho.add(rho), rho.add(TorusMeasure.indicator(0, F(1, 3)))):
-            assert (form == other.form()) == (rho == other)
+            views = [(m.breakpoints, m.densities, m.atoms) for m in (rho, other)]
+            assert (form == _stored(other)) == (rho == other) == (views[0] == views[1])
 
     def test_layout(self):
         rho = TorusMeasure([0, F(1, 3)], [F(1, 2), F(2, 3)], [(F(3, 4), F(1, 6)), (F(1, 8), 2)])
-        assert rho.form() == (((0, 1), (1, 3)), 6, (3, 4), (((1, 8), 12), ((3, 4), 1)), 6)
-        assert TorusMeasure.zero().form() == (((0, 1),), 1, (0,), (), 1)
+        assert _stored(rho) == (24, (0, 8), (3, 18), 6, (3, 4), 6, (12, 1))
+        assert _stored(TorusMeasure.zero()) == (1, (0,), (), 1, (0,), 1, ())
+
+    def test_int_constructor_checks(self):
+        cases = [
+            ((4, [0, 4], 1, [1, 0]), "positions must lie in \\[0, 1\\)"),
+            ((4, [0], 1, [1], [4], 1, [1]), "positions must lie in \\[0, 1\\)"),
+            ((4, [2, 1], 1, [1, 0]), "breakpoints must be sorted and distinct"),
+            ((0, [0], 1, [1]), "denominators must be positive ints"),
+            ((4, [0], 1, [-1]), "densities must be nonnegative"),
+            ((4, [0], 1, [1], [1, 1], 2, [1, 1]), "atom locations must be distinct"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValueError, match=message):
+                TorusMeasure.on_grid(*args)
+        # the split at 0, the merge of equal neighbours and the reductions
+        rho = TorusMeasure.on_grid(8, [2, 4, 6], 4, [2, 2, 6], [6, 2], 6, [3, 9])
+        atoms = [(F(1, 4), F(3, 2)), (F(3, 4), F(1, 2))]
+        assert rho == TorusMeasure([F(1, 4), F(3, 4)], [F(1, 2), F(3, 2)], atoms)
+        assert _stored(rho) == (4, (0, 1, 3), (1, 3), 2, (3, 1, 3), 2, (3, 1))
 
 
 class TestIntervalMass:
@@ -464,7 +500,6 @@ class TestSharedHelpers:
                 {*a.breakpoints, *b.breakpoints, *(x.at for x in a.atoms), *(x.at for x in b.atoms)}
             )
             per_len = pair.mass_den // pair.grid_den
-            assert pair.grid == expected
             assert [F(n, pair.grid_den) for n in pair.nums] == expected
             assert [F(d, per_len) for d in pair.dens1] == [a.density_at(p) for p in expected]
             assert [F(d, per_len) for d in pair.dens2] == [b.density_at(p) for p in expected]
