@@ -24,6 +24,15 @@ only the collapsed measure (collapse.kept_measure), never the flux
 profile.  The quantized oracles sk_oracle and s3_recursive compare and
 hash collapsed measures, which costs int comparisons and hashes only.
 
+The quantized oracles collapse only candidates that can be feasible (the
+pin rule).  kept_measure(psi, under) has under's density where the flux
+J > 0 and psi's where J = 0, so if it equals a target, psi equals the
+target wherever the target differs from under: on each grid cell where
+both are constant and differ, a candidate must hold the target's quanta.
+Through a chosen layer and then the last, the rule pins the cells where
+the target differs from both.  A skipped candidate is one the collapse
+would reject, and the rest keep their order, so results are unchanged.
+
 All cell data stays rational; floating point enters through log only.
 The kernel takes its argument as an int ratio and divides ints, which
 rounds as Fraction does; kernel integrals run on a measure's or a merged
@@ -33,6 +42,7 @@ pricing each distinct rise of a segment once.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -450,11 +460,47 @@ def lattice_measures(cells: int, units: int, quantum: Fraction, family: str):
     """All piecewise-constant measures on `cells` uniform cells whose cell
     masses are multiples of the quantum summing to units * quantum; the
     exclusion family caps densities at one."""
+    for _, rho in _lattice(cells, units, quantum, family, {}):
+        yield rho
+
+
+def _lattice(cells: int, units: int, quantum: Fraction, family: str, pins: dict):
+    """The profiles of lattice_measures as (cell quanta, measure) pairs, in
+    its order, keeping only those that hold pins[c] quanta on each pinned
+    cell c; the measure is built for the kept ones only."""
     qn, qd = frac(quantum).as_integer_ratio()
     # a cell holding c quanta has density c * qn * cells / qd
     cap = qd // (cells * qn) if family == "tasep" else None  # densities at most 1
     for combo in compositions(units, cells, cap):
-        yield TorusMeasure.on_grid(cells, range(cells), qd, [c * qn * cells for c in combo])
+        if all(combo[c] == n for c, n in pins.items()):
+            dens = [c * qn * cells for c in combo]
+            yield combo, TorusMeasure.on_grid(cells, range(cells), qd, dens)
+
+
+def _cell_quanta(rho: TorusMeasure, cells: int, quantum: Fraction) -> list:
+    """rho's mass on each of `cells` uniform cells, in quanta (an int when
+    whole, else a Fraction), where rho's density is constant on the cell;
+    None on a cell that a breakpoint of rho cuts."""
+    qn, qd = frac(quantum).as_integer_ratio()
+    ends = [*rho.bp_nums[1:], rho.grid]
+    out = []
+    for c in range(cells):
+        # the last breakpoint b / grid <= c / cells, and the next edge
+        i = bisect.bisect_right(rho.bp_nums, c * rho.grid // cells) - 1
+        if ends[i] * cells < (c + 1) * rho.grid:
+            out.append(None)
+            continue
+        q = Fraction(rho.dens_nums[i] * qd, rho.dens_den * qn * cells)
+        out.append(q.numerator if q.denominator == 1 else q)
+    return out
+
+
+def _pins(target: list, under: list) -> dict:
+    """The cells on which a candidate collapsed onto `under` must hold the
+    target's quanta: those where both are constant and differ."""
+    return {
+        c: t for c, (t, u) in enumerate(zip(target, under)) if None not in (t, u) and t != u
+    }
 
 
 def _quantized_masses(
@@ -486,9 +532,10 @@ def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) ->
     Exhaustive for up to three layers on coarse grids.  The search runs
     from the outermost free layer inwards: a candidate for layer i is kept
     when pushing it through the layers chosen outside it, then the last
-    layer, lands on rhos[i].  Reports the best value and how many
-    near-minimizers were seen (the preimage set need not be convex, so
-    uniqueness is never claimed).
+    layer, lands on rhos[i]; one that breaks the pin rule (module
+    docstring) cannot, and is skipped uncollapsed.  Reports the best value
+    and how many near-minimizers were seen (the preimage set need not be
+    convex, so uniqueness is never claimed).
     """
     k = len(rhos)
     if k not in (2, 3):
@@ -496,12 +543,18 @@ def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) ->
     masses, units = _quantized_masses(rhos, quantum, cells)
     kernels = [EntropyKernel(family, m) for m in masses]
     last = rhos[-1]
-    # partial preimages, the layers chosen so far innermost first with
-    # their cost: from the last layer alone inwards, one free layer at a
-    # time; the outermost free layer's candidates are read once, lazily
+    quanta = [_cell_quanta(r, cells, quantum) for r in rhos]
+    # partial preimages, the layers chosen so far innermost first as
+    # (cell quanta, measure) pairs with their cost: from the last layer
+    # alone inwards, one free layer at a time
     partial = [((), _integrate_kernel(last, kernels[-1]))]
     for i in range(k - 2, -1, -1):
-        pool = lattice_measures(cells, units[i], quantum, family)
+        # the pins: where rhos[i] differs from the last layer, and then from
+        # every chosen layer too.  The outermost free layer has one partial
+        # preimage, so its candidates are pinned as they are drawn, lazily;
+        # an inner layer's are listed once and filtered per partial preimage
+        fixed = _pins(quanta[i], quanta[-1])
+        pool = _lattice(cells, units[i], quantum, family, fixed if i == k - 2 else {})
         pool = pool if i == k - 2 else list(pool)
         # whether an intermediate (psi pushed through the chosen layer)
         # lands on rhos[i] under the last: many candidates share one, and
@@ -509,17 +562,21 @@ def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) ->
         hits: dict[TorusMeasure, bool] = {}
         extended = []
         for chosen, cost in partial:
-            for psi in pool:
+            pins = [(c, n) for c, n in fixed.items() if all(q[c] != n for q, _ in chosen)]
+            for combo, psi in pool:
+                if any(combo[c] != n for c, n in pins):
+                    continue
                 if not chosen:
                     hit = kept_measure(psi, last) == rhos[i]
                 else:
-                    (outer,) = chosen  # at most three layers
+                    ((_, outer),) = chosen  # at most three layers
                     key = kept_measure(psi, outer)
                     hit = hits.get(key)
                     if hit is None:
                         hit = hits[key] = kept_measure(key, last) == rhos[i]
                 if hit:
-                    extended.append(((psi, *chosen), cost + _integrate_kernel(psi, kernels[i])))
+                    cost_in = cost + _integrate_kernel(psi, kernels[i])
+                    extended.append((((combo, psi), *chosen), cost_in))
         partial = extended
     best, near = INF, 0
     for _, val in partial:
@@ -535,19 +592,22 @@ def s3_recursive(
 ) -> dict:
     """Three-layer rate through the recursion: charge the last layer
     directly, then minimize the closed-form two-layer rate over quantized
-    pairs that collapse onto the first two layers under the last."""
+    pairs that collapse onto the first two layers under the last.  Both
+    filters skip, uncollapsed, the candidates that break the pin rule
+    (module docstring)."""
     if len(rhos) != 3:
         raise ValueError("recursion route needs exactly three layers")
     masses, units = _quantized_masses(rhos, quantum, cells)
     base = _integrate_kernel(rhos[2], EntropyKernel(family, masses[2]))
+    q1, q2, q3 = (_cell_quanta(r, cells, quantum) for r in rhos)
     phi1_pool = [
         p
-        for p in lattice_measures(cells, units[0], quantum, family)
+        for _, p in _lattice(cells, units[0], quantum, family, _pins(q1, q3))
         if kept_measure(p, rhos[2]) == rhos[0]
     ]
     best = INF
     feasible = 0
-    for phi2 in lattice_measures(cells, units[1], quantum, family):
+    for _, phi2 in _lattice(cells, units[1], quantum, family, _pins(q2, q3)):
         if kept_measure(phi2, rhos[2]) != rhos[1]:
             continue
         for phi1 in phi1_pool:

@@ -3,11 +3,12 @@ seeded config with byte-identical results (modulo platform log evaluation).
 
 A suite function reads its overrides and returns its checks unrun, as
 (check id, threshold, body) triples, so an override key that no suite reads
-is refused before any body runs.  Suites continue past failures and
-aggregate; the report says which checks failed and by how much.  Heavy
-suites fan independent units out to a process pool when threads > 1; the
-fold back into a report is ordered by check id, so parallelism never
-changes the output.
+is refused before any body runs, as is a count below 1 or an empty list:
+a check over no instances would pass having tested nothing.  Suites
+continue past failures and aggregate; the report says which checks failed
+and by how much.  Heavy suites fan independent units out to a process
+pool when threads > 1; the fold back into a report is ordered by check
+id, so parallelism never changes the output.
 """
 
 from __future__ import annotations
@@ -84,6 +85,20 @@ class SuiteConfig:
     def get(self, key, default):
         self.read.add(key)
         return self.overrides.get(key, default)
+
+    def count(self, key, default) -> int:
+        """A count override, refused unless an int of at least 1."""
+        n = self.get(key, default)
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"override {key!r} must be a count of at least 1, not {n!r}")
+        return n
+
+    def nonempty(self, key, default):
+        """A list override, refused unless a nonempty list."""
+        items = self.get(key, default)
+        if not isinstance(items, (list, tuple)) or not items:
+            raise ValueError(f"override {key!r} must be a nonempty list, not {items!r}")
+        return items
 
     def to_json_dict(self) -> dict:
         return {
@@ -232,8 +247,8 @@ def _stationarity_unit(args):
 
 
 def suite_stationarity(cfg: SuiteConfig) -> list[Check]:
-    ns = cfg.get("ns", (3, 4, 5, 6, 7, 8))
-    ks = cfg.get("ks", (2, 3))
+    ns = cfg.nonempty("ns", (3, 4, 5, 6, 7, 8))
+    ks = cfg.nonempty("ks", (2, 3))
     # class counts: the compositions of n into k classes and holes
     units = [(n, c[:-1]) for n in ns for k in ks for c in compositions(n, k + 1)]
 
@@ -251,9 +266,9 @@ def suite_stationarity(cfg: SuiteConfig) -> list[Check]:
 
 
 def suite_flux_equivalence(cfg: SuiteConfig) -> list[Check]:
-    pairs = cfg.get("pairs", 10**4)
+    pairs = cfg.count("pairs", 10**4)
     nmax = cfg.get("nmax", 64)
-    direct_pairs = cfg.get("direct_pairs", 500)
+    direct_pairs = cfg.count("direct_pairs", 500)
     rng = random.Random(derive_seed(cfg.seed, "flux"))
 
     def body():
@@ -293,8 +308,8 @@ def suite_flux_equivalence(cfg: SuiteConfig) -> list[Check]:
 
 
 def suite_order_independence(cfg: SuiteConfig) -> list[Check]:
-    pairs = cfg.get("pairs", 10**3)
-    orders = cfg.get("orders", 10)
+    pairs = cfg.count("pairs", 10**3)
+    orders = cfg.count("orders", 10)
     nmax = cfg.get("nmax", 32)
     rng = random.Random(derive_seed(cfg.seed, "order"))
 
@@ -319,7 +334,7 @@ def suite_order_independence(cfg: SuiteConfig) -> list[Check]:
 
 
 def suite_commutation(cfg: SuiteConfig) -> list[Check]:
-    per_regime = cfg.get("inputs", 10**3)
+    per_regime = cfg.count("inputs", 10**3)
     nmax = cfg.get("nmax", 32)
     rng = random.Random(derive_seed(cfg.seed, "commutation"))
     checks = []
@@ -369,7 +384,7 @@ def _prefix_masses(rho: TorusMeasure, grid) -> list[Fraction]:
 
 
 def suite_measure_collapse(cfg: SuiteConfig) -> list[Check]:
-    n_pairs = cfg.get("pairs", 10**3)
+    n_pairs = cfg.count("pairs", 10**3)
     rng = random.Random(derive_seed(cfg.seed, "measure"))
 
     def body():
@@ -418,7 +433,7 @@ def suite_measure_collapse(cfg: SuiteConfig) -> list[Check]:
 
 
 def suite_s2_oracle(cfg: SuiteConfig) -> list[Check]:
-    per_family = cfg.get("instances", 50)
+    per_family = cfg.count("instances", 50)
     rng = random.Random(derive_seed(cfg.seed, "s2"))
     checks = []
     for family in ("tasep", "had"):
@@ -449,7 +464,7 @@ def suite_s2_oracle(cfg: SuiteConfig) -> list[Check]:
 
 
 def suite_minimizers(cfg: SuiteConfig) -> list[Check]:
-    per_family = cfg.get("instances", 20)
+    per_family = cfg.count("instances", 20)
     rng = random.Random(derive_seed(cfg.seed, "minimizers"))
     checks = []
     for family in ("tasep", "had"):
@@ -558,8 +573,8 @@ def suite_nonconvexity(cfg: SuiteConfig) -> list[Check]:
 
 
 def suite_ldp_decay(cfg: SuiteConfig) -> list[Check]:
-    sizes = cfg.get("sizes", (100, 1000, 10000))
-    profiles = cfg.get(
+    sizes = cfg.nonempty("sizes", (100, 1000, 10000))
+    profiles = cfg.nonempty(
         "profiles",
         (
             ((Fraction(1, 2), Fraction(0)), Fraction(1, 4)),
@@ -617,10 +632,10 @@ def _had_unit(args):
 
 def suite_had_invariance(cfg: SuiteConfig) -> list[Check]:
     n1, n2 = cfg.get("n1", 8), cfg.get("n2", 16)
-    samples = cfg.get("samples", 10**3)
+    samples = cfg.count("samples", 10**3)
     gap = cfg.get("sample_gap", 40.0)
     burn = cfg.get("burn_in", 100.0)
-    seeds = cfg.get("seeds", tuple(range(1, 9)))
+    seeds = cfg.nonempty("seeds", tuple(range(1, 9)))
     need = -(-7 * len(seeds) // 8)  # seven in eight, rounded up
     units = [
         (derive_seed(cfg.seed, f"had:{s}"), n1, n2, samples, gap, burn) for s in seeds
@@ -640,7 +655,7 @@ def suite_had_invariance(cfg: SuiteConfig) -> list[Check]:
 
 
 def suite_recursion(cfg: SuiteConfig) -> list[Check]:
-    instances = cfg.get("instances", 10)
+    instances = cfg.count("instances", 10)
     rng = random.Random(derive_seed(cfg.seed, "recursion"))
 
     def body():

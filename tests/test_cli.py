@@ -352,6 +352,20 @@ class TestCli:
             "toruscollapse suite: error: suite measure-collapse reads no override 'pair'"
         ]
 
+    @pytest.mark.parametrize(
+        "name, overrides, message",
+        [
+            ("stationarity", '{"ns": []}', "override 'ns' must be a nonempty list, not []"),
+            ("recursion", '{"instances": -1}', "override 'instances' must be a count of at least 1, not -1"),
+        ],
+    )
+    def test_suite_override_testing_nothing_is_one_line_exit_two(self, capsys, name, overrides, message):
+        code = main(["suite", name, "--overrides", overrides])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"toruscollapse suite: error: {message}"]
+
     @pytest.mark.parametrize("name", ["had-invariance", "all"])
     def test_suite_threads_below_one_is_one_line_exit_two(self, capsys, name):
         code = main(["suite", name, "--threads", "0"])
@@ -512,6 +526,16 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "toruscollapse sample-invariant: error: --samples must be nonnegative"
+        ]
+
+    def test_oversized_sample_is_one_line_exit_two(self, capsys):
+        code = main(["sample-invariant", "--model", "tasep", "--n", "100000000", "--classes", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "toruscollapse sample-invariant: error: a draw would walk 100000000 sites "
+            "(100000000 in each of 1 walks), more than the cap of 3000000"
         ]
 
     def test_minimizer_non_measure_profile_is_one_line_exit_two(self, capsys, tmp_path):

@@ -497,6 +497,39 @@ class TestSampler:
             assert validate_ordered(out)[0]
 
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (ProcessSpec("tasep", (5,), n=10**8), r"100000000 sites \(100000000 in each of 1 walks"),
+            (ProcessSpec("tasep", (1, 1, 1), n=500_001), r"3000006 sites \(500001 in each of 6 walks"),
+            (ProcessSpec("had", (10**7,)), r"10000000 points \(10000000 in each of 1 walks"),
+            (ProcessSpec("had", (0,) * 2449 + (1,)), r"3002475 points \(1 in each of 3002475 walks"),
+        ],
+    )
+    def test_oversized_draw_refused_before_drawing(self, spec, message):
+        # the generator is None, so any draw would raise AttributeError
+        with pytest.raises(ValueError, match=rf"a draw would walk {message}\), more than the cap"):
+            sample_invariant(spec, None)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ProcessSpec("tasep", (1, 1), n=dynamics.MAX_SAMPLE_SITES // 3),
+            ProcessSpec("had", (dynamics.MAX_SAMPLE_POINTS // 3, 0)),
+            ProcessSpec("had", (0,) * 2447 + (1,)),
+        ],
+    )
+    def test_draw_at_the_cap_starts(self, spec):
+        with pytest.raises(AttributeError):
+            sample_invariant(spec, None)
+
+    def test_benchmark_draws_admitted(self):
+        tasep = sample_invariant(ProcessSpec("tasep", (4000, 4000), n=16000), random.Random(3))
+        assert [c.count for c in tasep] == [4000, 8000]
+        had = sample_invariant(ProcessSpec("had", (800, 800)), random.Random(4))
+        assert [len(layer) for layer in had] == [800, 1600]
+
+
 class TestEmpirical:
     def test_empty_config(self):
         assert atomic_measure(TorusConfig([0, 0]), 2) == TorusMeasure.zero()

@@ -766,7 +766,41 @@ def _eighth_triples(count, seed=3):
     return out
 
 
+def _sixteenth_triples(count, seed=11):
+    """The first `count` random lattice triples of a seeded generator, as
+    the recursion suite draws them: their own preimages on the 1/16
+    lattice."""
+    rng = random.Random(seed)
+    return [list(random_lattice_triple(rng)[:3]) for _ in range(count)]
+
+
+def _off_grid_triples(count, seed=5):
+    """Seeded triples that have a preimage on the 1/16 lattice of four
+    cells by construction, with a last layer cut at eighths and so off
+    that lattice's cells: random lattice layers p1 and p2 pushed through
+    the collapse, [kept(kept(p1, p2), last), kept(p2, last), last].  All
+    masses lie strictly between 0 and 1 and increase."""
+    rng, out = random.Random(seed), []
+    eighths = [F(i, 8) for i in range(8)]
+    while len(out) < count:
+        # densities in halves on cells of eighths: a mass in sixteenths
+        last = TorusMeasure(eighths, [F(rng.randint(0, 2), 2) for _ in eighths])
+        m3 = int(last.total_mass * 16)
+        if not 2 < m3 < 16:
+            continue
+        u1 = rng.randint(1, m3 - 2)
+        u2 = rng.randint(u1 + 1, m3 - 1)
+        p1 = rng.choice(list(lattice_measures(4, u1, F(1, 16), "tasep")))
+        p2 = rng.choice(list(lattice_measures(4, u2, F(1, 16), "tasep")))
+        k = collapse.kept_measure
+        out.append([k(k(p1, p2), last), k(p2, last), last])
+    return out
+
+
 class TestOraclesAgainstReferences:
+    """The pruned oracles give the unpruned references' whole results: a
+    pin drops only candidates whose collapse cannot reproduce the target."""
+
     @pytest.mark.parametrize(
         "triple, quantum",
         [(t, F(1, 8)) for t in _eighth_triples(6)] + [(t, F(1, 16)) for t in BENCH_TRIPLES],
@@ -786,6 +820,28 @@ class TestOraclesAgainstReferences:
             assert _typed(sk_oracle(rhos, "had", quantum, 4)) == _typed(want)
         want = reference_s3_recursive(triple, "had", quantum, 4)
         assert _typed(s3_recursive(triple, "had", quantum, 4)) == _typed(want)
+
+    @pytest.mark.parametrize("family", ["tasep", "had"])
+    @pytest.mark.parametrize("triple", _sixteenth_triples(40))
+    def test_recursion_suite_triples_match(self, triple, family):
+        quantum = F(1, 16)
+        for rhos in (triple, triple[1:], triple[::2]):
+            want = reference_sk_oracle(rhos, family, quantum, 4)
+            assert _typed(sk_oracle(rhos, family, quantum, 4)) == _typed(want)
+        want = reference_s3_recursive(triple, family, quantum, 4)
+        assert _typed(s3_recursive(triple, family, quantum, 4)) == _typed(want)
+
+    @pytest.mark.parametrize("family", ["tasep", "had"])
+    @pytest.mark.parametrize("triple", _off_grid_triples(20))
+    def test_off_grid_triples_match(self, triple, family):
+        quantum = F(1, 16)
+        for j, rhos in enumerate((triple, triple[1:], triple[::2])):
+            got = sk_oracle(rhos, family, quantum, 4)
+            assert _typed(got) == _typed(reference_sk_oracle(rhos, family, quantum, 4))
+            # (p1, p2) is a preimage of the triple, and p2 of its last pair
+            assert j == 2 or got["feasible_count"] >= 1
+        want = reference_s3_recursive(triple, family, quantum, 4)
+        assert _typed(s3_recursive(triple, family, quantum, 4)) == _typed(want)
 
 
 class TestMultilayerOracle:
@@ -837,9 +893,10 @@ class TestMultilayerOracle:
         assert (direct["near_minimizers"], direct["feasible_count"]) == (4, 1839)
 
     def test_collapses_are_compared_as_forms(self, monkeypatch):
-        # sk_oracle at 1/32 on the known triple runs the queue 13,496 times,
-        # once per candidate and distinct intermediate, and compares the
-        # collapses on their stored ints: no measure is built from Fractions
+        # sk_oracle at 1/32 on the known triple runs the queue 4,723 times,
+        # once per unpinned candidate and distinct intermediate, and
+        # compares the collapses on their stored ints: no measure is built
+        # from Fractions
         counts = {"queue": 0, "measures": 0}
         queue, build = collapse._fluid_queue, measures.TorusMeasure.__init__
 
@@ -855,8 +912,25 @@ class TestMultilayerOracle:
         monkeypatch.setattr(collapse, "_fluid_queue", counted_queue)
         monkeypatch.setattr(measures.TorusMeasure, "__init__", counted_build)
         sk_oracle(triple, "tasep", F(1, 32), 4)
-        assert counts["queue"] == 13496
+        assert counts["queue"] == 4723
         assert counts["measures"] == 0
+
+    @pytest.mark.parametrize(
+        "first",
+        [
+            [F(1, 8), F(1, 8), 0, 0],  # half a quantum on the first two cells
+            [2, 0, 0, 0],  # above the exclusion cap of four quanta
+        ],
+    )
+    def test_unreachable_pin_empties_the_pool(self, monkeypatch, first):
+        # the first layer differs from the constant last layer on a cell
+        # where no candidate can hold it: no candidate is collapsed
+        quarters = [F(i, 4) for i in range(4)]
+        pair = [TorusMeasure(quarters, first), TorusMeasure.constant(F(3, 4))]
+        want = reference_sk_oracle(pair, "tasep", F(1, 16), 4)
+        monkeypatch.setattr(collapse, "_fluid_queue", None)
+        assert _typed(sk_oracle(pair, "tasep", F(1, 16), 4)) == _typed(want)
+        assert want["feasible_count"] == 0
 
     def test_caps(self):
         with pytest.raises(ValueError):

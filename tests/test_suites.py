@@ -41,6 +41,33 @@ class TestSuiteHarness:
         with pytest.raises(ValueError, match=f"suite {suite} reads no override '{key}'"):
             run_suite(SuiteConfig(suite=suite, overrides=overrides))
 
+    @pytest.mark.parametrize("value", [0, -1, []])
+    @pytest.mark.parametrize(
+        "suite,key",
+        [
+            ("stationarity", "ns"),
+            ("stationarity", "ks"),
+            ("flux-equivalence", "pairs"),
+            ("flux-equivalence", "direct_pairs"),
+            ("order-independence", "pairs"),
+            ("order-independence", "orders"),
+            ("commutation", "inputs"),
+            ("measure-collapse", "pairs"),
+            ("s2-oracle", "instances"),
+            ("minimizers", "instances"),
+            ("ldp-decay", "sizes"),
+            ("ldp-decay", "profiles"),
+            ("had-invariance", "seeds"),
+            ("had-invariance", "samples"),
+            ("recursion", "instances"),
+        ],
+    )
+    def test_override_that_tests_nothing_refused(self, monkeypatch, suite, key, value):
+        # refused while the checks are built: no check body runs
+        monkeypatch.setattr(suites, "_timed", None)
+        with pytest.raises(ValueError, match=f"override '{key}' must be a"):
+            run_suite(SuiteConfig(suite=suite, overrides={key: value}))
+
     def test_rerun_identical(self):
         cfg = SuiteConfig(suite="measure-collapse", seed=3, overrides={"pairs": 40})
         a = run_suite(cfg)
