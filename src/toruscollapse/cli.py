@@ -18,6 +18,7 @@ from .collapse import atomic_measure, collapse_k, collapse_measure
 from .dynamics import (
     ProcessSpec,
     bond_update,
+    check_draws,
     exact_stationary,
     had_simulate,
     pushforward_distribution,
@@ -151,6 +152,7 @@ def cmd_sample_invariant(args) -> int:
         if args.model == "tasep"
         else ProcessSpec("had", counts)
     )
+    check_draws(spec, args.samples)
     samples = []
     for _ in range(args.samples):
         drawn = sample_invariant(spec, rng)

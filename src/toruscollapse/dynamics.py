@@ -54,12 +54,25 @@ MAX_SOLVE_ORBITS = 320
 # of 4-20,000 sites and 0.1-0.4 M marks/s on 2-10,000 points (2 vCPU,
 # Python 3.11), so an admitted run ends within about ten seconds
 MAX_EXPECTED_EVENTS = 10**6
-# sites (exclusion) or points (Hammersley) one invariant draw walks: the
-# ring, or the largest layer, once per layer drawn and once per pairwise
-# collapse, k(k+1)/2 times for k classes.  Two classes on 10^6 sites take
-# 0.5 s, and on 500,000 + 500,000 points 2.3 s (2 vCPU, Python 3.11)
+# the fixed cost of one walk of an invariant draw, in sites or points: a
+# walk of empty point sets takes 3.7 us, as long as ten points at 0.37 us
+# each, and one of an empty two-site ring 1.3 us, as long as ten sites of a
+# half-filled ring of 10^6 sites at 0.13 us each (2 vCPU, Python 3.11)
+WALK_OVERHEAD = 10
+# sites (exclusion) or points (Hammersley) one invariant draw walks, each
+# walk charged WALK_OVERHEAD more: the ring, or the largest layer, once per
+# layer drawn and once per pairwise collapse, k(k+1)/2 times for k classes.
+# Near the cap, two classes on 10^6 sites take 0.5 s, and on 500,000 +
+# 500,000 points 2.3 s (2 vCPU, Python 3.11)
 MAX_SAMPLE_SITES = 3 * 10**6
 MAX_SAMPLE_POINTS = 3 * 10**6
+# the same charge, summed over the draws of one command (CLI
+# sample-invariant), which also encodes, holds and prints every draw.  From
+# start to exit at this cap, eight draws of 100,000 + 100,000 points take
+# 6.3 s (1.3 us per charged point, 640 MiB peak) and 416,666 draws on a
+# two-site ring 2.8 s (0.6 us per charged site) (2 vCPU, Python 3.11), so
+# an admitted command ends within about ten seconds
+MAX_DRAWS_CHARGE = 5 * 10**6
 
 
 @dataclass(frozen=True)
@@ -385,26 +398,38 @@ def _spread_orbits(orbits: dict, mass: dict, denominator: int) -> StationaryTabl
     return StationaryTable(entries, denominator)
 
 
-def _check_walk(size: int, walks: int, what: str, cap: int) -> None:
-    if size * walks > cap:
+def check_draws(spec: ProcessSpec, draws: int = 1) -> None:
+    """Refuse, before anything is drawn, `draws` invariant draws of spec
+    charged more than the caps: one draw more than MAX_SAMPLE_SITES (or
+    MAX_SAMPLE_POINTS), all of them more than MAX_DRAWS_CHARGE."""
+    k = len(spec.class_counts)
+    walks = k * (k + 1) // 2
+    size, what, cap = (
+        (spec.n, "sites", MAX_SAMPLE_SITES)
+        if spec.model == "tasep"
+        else (sum(spec.class_counts), "points", MAX_SAMPLE_POINTS)
+    )
+    charge = (size + WALK_OVERHEAD) * walks
+    if charge > cap:
         raise ValueError(
-            f"a draw would walk {size * walks} {what} ({size} in each of {walks} walks), "
-            f"more than the cap of {cap}"
+            f"a draw would walk {size} {what} in each of {walks} walks, charged {charge} "
+            f"with {WALK_OVERHEAD} more per walk, more than the cap of {cap}"
+        )
+    if charge * draws > MAX_DRAWS_CHARGE:
+        raise ValueError(
+            f"{draws} draws would be charged {charge * draws} {what} ({charge} each), "
+            f"more than the cap of {MAX_DRAWS_CHARGE}"
         )
 
 
 def sample_invariant(spec: ProcessSpec, rng) -> OrderedTuple:
     """One draw from the invariant law: independent uniform layers, then
-    the k-fold collapse.  A draw that would walk more than MAX_SAMPLE_SITES
-    sites or MAX_SAMPLE_POINTS points is refused before anything is drawn."""
-    k = len(spec.class_counts)
-    walks = k * (k + 1) // 2
+    the k-fold collapse.  A draw charged more than its cap (check_draws) is
+    refused before anything is drawn."""
+    check_draws(spec)
     if spec.model == "tasep":
-        _check_walk(spec.n, walks, "sites", MAX_SAMPLE_SITES)
         layers = [random_config(spec.n, m, rng) for m in spec.layer_sizes]
     else:
-        # a collapse of empty layers still costs a walk
-        _check_walk(max(1, sum(spec.class_counts)), walks, "points", MAX_SAMPLE_POINTS)
         layers = [random_points(m, rng) for m in spec.layer_sizes]
     return collapse_k(layers)
 

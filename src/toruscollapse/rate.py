@@ -21,17 +21,18 @@ Both minimizers of the contraction identities are collapses: of the
 constant profile onto the total profile, and of the mirrored first layer
 onto a constant.  The rate's unique zero is the constant pair.  They read
 only the collapsed measure (collapse.kept_measure), never the flux
-profile.  The quantized oracles sk_oracle and s3_recursive compare and
-hash collapsed measures, which costs int comparisons and hashes only.
+profile.
 
-The quantized oracles collapse only candidates that can be feasible (the
-pin rule).  kept_measure(psi, under) has under's density where the flux
-J > 0 and psi's where J = 0, so if it equals a target, psi equals the
-target wherever the target differs from under: on each grid cell where
-both are constant and differ, a candidate must hold the target's quanta.
-Through a chosen layer and then the last, the rule pins the cells where
-the target differs from both.  A skipped candidate is one the collapse
-would reject, and the rest keep their order, so results are unchanged.
+The quantized three-layer routes draw the layer under the last from one
+pool, its pinned preimages (_preimages), and differ only in how they
+charge the first layer: sk_oracle by brute force through the chosen
+middle layer, s3_recursive through s2.  They compare and hash collapsed
+measures: int comparisons and hashes only.  A collapse keeps psi's
+density where the flux is zero and under's elsewhere, so a preimage of a
+target equals it wherever target and under differ: each candidate cell
+where both are constant and differ is pinned to the target's quanta
+(through the middle layer, where the target differs from both), and only
+candidates that hold the pins are collapsed, in their order.
 
 All cell data stays rational; floating point enters through log only.
 The kernel takes its argument as an int ratio and divides ints, which
@@ -525,17 +526,30 @@ def _quantized_masses(
     return masses, units
 
 
+def _preimages(target, under, cells: int, units: int, quantum, family: str) -> list:
+    """The (cell quanta, measure) profiles of lattice_measures, in its
+    order, that collapse onto `under` as `target`; the ones that break the
+    pin rule (module docstring) are skipped uncollapsed."""
+    pins = _pins(_cell_quanta(target, cells, quantum), _cell_quanta(under, cells, quantum))
+    return [
+        (combo, psi)
+        for combo, psi in _lattice(cells, units, quantum, family, pins)
+        if kept_measure(psi, under) == target
+    ]
+
+
 def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) -> dict:
     """Brute-force multilayer rate: minimize the product-law integral over
     quantized tuples whose k-fold collapse reproduces the target tuple.
 
-    Exhaustive for up to three layers on coarse grids.  The search runs
-    from the outermost free layer inwards: a candidate for layer i is kept
-    when pushing it through the layers chosen outside it, then the last
-    layer, lands on rhos[i]; one that breaks the pin rule (module
-    docstring) cannot, and is skipped uncollapsed.  Reports the best value
-    and how many near-minimizers were seen (the preimage set need not be
-    convex, so uniqueness is never claimed).
+    Exhaustive for two or three layers on coarse grids.  The layer under
+    the last comes from its pinned preimage pool, as in s3_recursive; the
+    first of three layers is charged by brute force: a lattice profile is
+    kept when pushing it through the chosen middle layer, then the last,
+    lands on rhos[0], and one that breaks the pin rule against both is
+    skipped uncollapsed.  Reports the best value and how many
+    near-minimizers were seen (the preimage set need not be convex, so
+    uniqueness is never claimed).
     """
     k = len(rhos)
     if k not in (2, 3):
@@ -543,74 +557,55 @@ def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) ->
     masses, units = _quantized_masses(rhos, quantum, cells)
     kernels = [EntropyKernel(family, m) for m in masses]
     last = rhos[-1]
-    quanta = [_cell_quanta(r, cells, quantum) for r in rhos]
-    # partial preimages, the layers chosen so far innermost first as
-    # (cell quanta, measure) pairs with their cost: from the last layer
-    # alone inwards, one free layer at a time
-    partial = [((), _integrate_kernel(last, kernels[-1]))]
-    for i in range(k - 2, -1, -1):
-        # the pins: where rhos[i] differs from the last layer, and then from
-        # every chosen layer too.  The outermost free layer has one partial
-        # preimage, so its candidates are pinned as they are drawn, lazily;
-        # an inner layer's are listed once and filtered per partial preimage
-        fixed = _pins(quanta[i], quanta[-1])
-        pool = _lattice(cells, units[i], quantum, family, fixed if i == k - 2 else {})
-        pool = pool if i == k - 2 else list(pool)
-        # whether an intermediate (psi pushed through the chosen layer)
-        # lands on rhos[i] under the last: many candidates share one, and
+    base = _integrate_kernel(last, kernels[-1])
+    middle = _preimages(rhos[-2], last, cells, units[-2], quantum, family)
+    if k == 2:
+        values = [base + _integrate_kernel(psi, kernels[0]) for _, psi in middle]
+    else:
+        # the pins against the last layer; each middle layer keeps those
+        # where it differs from rhos[0] too
+        fixed = _pins(_cell_quanta(rhos[0], cells, quantum), _cell_quanta(last, cells, quantum))
+        pool = list(_lattice(cells, units[0], quantum, family, {}))
+        # whether an intermediate (psi pushed through the middle layer)
+        # lands on rhos[0] under the last: many candidates share one, and
         # each distinct one is collapsed again once
         hits: dict[TorusMeasure, bool] = {}
-        extended = []
-        for chosen, cost in partial:
-            pins = [(c, n) for c, n in fixed.items() if all(q[c] != n for q, _ in chosen)]
+        values = []
+        for chosen, phi in middle:
+            cost = base + _integrate_kernel(phi, kernels[1])
+            pins = [(c, n) for c, n in fixed.items() if chosen[c] != n]
             for combo, psi in pool:
                 if any(combo[c] != n for c, n in pins):
                     continue
-                if not chosen:
-                    hit = kept_measure(psi, last) == rhos[i]
-                else:
-                    ((_, outer),) = chosen  # at most three layers
-                    key = kept_measure(psi, outer)
-                    hit = hits.get(key)
-                    if hit is None:
-                        hit = hits[key] = kept_measure(key, last) == rhos[i]
+                key = kept_measure(psi, phi)
+                hit = hits.get(key)
+                if hit is None:
+                    hit = hits[key] = kept_measure(key, last) == rhos[0]
                 if hit:
-                    cost_in = cost + _integrate_kernel(psi, kernels[i])
-                    extended.append((((combo, psi), *chosen), cost_in))
-        partial = extended
+                    values.append(cost + _integrate_kernel(psi, kernels[0]))
     best, near = INF, 0
-    for _, val in partial:
+    for val in values:
         if val < best - TIE_TOL:
             best, near = val, 1
         elif abs(val - best) <= TIE_TOL:
             best, near = min(best, val), near + 1
-    return {"value": best, "near_minimizers": near, "feasible_count": len(partial)}
+    return {"value": best, "near_minimizers": near, "feasible_count": len(values)}
 
 
-def s3_recursive(
-    rhos: Sequence[TorusMeasure], family: str, quantum, cells: int
-) -> dict:
+def s3_recursive(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) -> dict:
     """Three-layer rate through the recursion: charge the last layer
-    directly, then minimize the closed-form two-layer rate over quantized
-    pairs that collapse onto the first two layers under the last.  Both
-    filters skip, uncollapsed, the candidates that break the pin rule
-    (module docstring)."""
+    directly, then minimize s2 over quantized pairs whose layers collapse
+    onto the first two under the last, each drawn from its pinned
+    preimage pool (the middle one as in sk_oracle)."""
     if len(rhos) != 3:
         raise ValueError("recursion route needs exactly three layers")
     masses, units = _quantized_masses(rhos, quantum, cells)
     base = _integrate_kernel(rhos[2], EntropyKernel(family, masses[2]))
-    q1, q2, q3 = (_cell_quanta(r, cells, quantum) for r in rhos)
-    phi1_pool = [
-        p
-        for _, p in _lattice(cells, units[0], quantum, family, _pins(q1, q3))
-        if kept_measure(p, rhos[2]) == rhos[0]
-    ]
+    phi1_pool = _preimages(rhos[0], rhos[2], cells, units[0], quantum, family)
     best = INF
     feasible = 0
-    for _, phi2 in _lattice(cells, units[1], quantum, family, _pins(q2, q3)):
-        if kept_measure(phi2, rhos[2]) != rhos[1]:
-            continue
-        for phi1 in phi1_pool:
+    for _, phi2 in _preimages(rhos[1], rhos[2], cells, units[1], quantum, family):
+        for _, phi1 in phi1_pool:
             res = s2(phi1, phi2, masses[0], masses[1], family)
             if not res.finite:
                 continue

@@ -534,8 +534,19 @@ class TestCli:
         assert code == 2
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "toruscollapse sample-invariant: error: a draw would walk 100000000 sites "
-            "(100000000 in each of 1 walks), more than the cap of 3000000"
+            "toruscollapse sample-invariant: error: a draw would walk 100000000 sites in each "
+            "of 1 walks, charged 100000010 with 10 more per walk, more than the cap of 3000000"
+        ]
+
+    def test_oversized_sample_count_is_one_line_exit_two(self, capsys):
+        argv = "--model tasep --n 1000 --classes 500 --samples 100000000"
+        code = main(["sample-invariant", *argv.split()])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "toruscollapse sample-invariant: error: 100000000 draws would be charged "
+            "101000000000 sites (1010 each), more than the cap of 5000000"
         ]
 
     def test_minimizer_non_measure_profile_is_one_line_exit_two(self, capsys, tmp_path):

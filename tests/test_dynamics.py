@@ -13,6 +13,7 @@ from toruscollapse.dynamics import (
     ProcessSpec,
     StationaryTable,
     bond_update,
+    check_draws,
     exact_stationary,
     had_sample_chain,
     had_simulate,
@@ -500,28 +501,40 @@ class TestSampler:
     @pytest.mark.parametrize(
         "spec, message",
         [
-            (ProcessSpec("tasep", (5,), n=10**8), r"100000000 sites \(100000000 in each of 1 walks"),
-            (ProcessSpec("tasep", (1, 1, 1), n=500_001), r"3000006 sites \(500001 in each of 6 walks"),
-            (ProcessSpec("had", (10**7,)), r"10000000 points \(10000000 in each of 1 walks"),
-            (ProcessSpec("had", (0,) * 2449 + (1,)), r"3002475 points \(1 in each of 3002475 walks"),
+            (ProcessSpec("tasep", (5,), n=10**8), "100000000 sites in each of 1 walks, charged 100000010"),
+            (ProcessSpec("tasep", (1, 1, 1), n=499_991), "499991 sites in each of 6 walks, charged 3000006"),
+            (ProcessSpec("had", (10**7,)), "10000000 points in each of 1 walks, charged 10000010"),
+            (ProcessSpec("had", (0,) * 738 + (1,)), "1 points in each of 273430 walks, charged 3007730"),
+            # empty layers: each walk costs its fixed overhead only
+            (ProcessSpec("had", (0,) * 2400), "0 points in each of 2881200 walks, charged 28812000"),
         ],
     )
     def test_oversized_draw_refused_before_drawing(self, spec, message):
         # the generator is None, so any draw would raise AttributeError
-        with pytest.raises(ValueError, match=rf"a draw would walk {message}\), more than the cap"):
+        with pytest.raises(
+            ValueError, match=rf"a draw would walk {message} with 10 more per walk, more than the cap"
+        ):
             sample_invariant(spec, None)
 
     @pytest.mark.parametrize(
         "spec",
         [
-            ProcessSpec("tasep", (1, 1), n=dynamics.MAX_SAMPLE_SITES // 3),
-            ProcessSpec("had", (dynamics.MAX_SAMPLE_POINTS // 3, 0)),
-            ProcessSpec("had", (0,) * 2447 + (1,)),
+            ProcessSpec("tasep", (1, 1), n=dynamics.MAX_SAMPLE_SITES // 3 - dynamics.WALK_OVERHEAD),
+            ProcessSpec("tasep", (1, 1, 1), n=499_990),
+            ProcessSpec("had", (dynamics.MAX_SAMPLE_POINTS // 3 - dynamics.WALK_OVERHEAD, 0)),
+            ProcessSpec("had", (0,) * 737 + (1,)),
         ],
     )
     def test_draw_at_the_cap_starts(self, spec):
         with pytest.raises(AttributeError):
             sample_invariant(spec, None)
+
+    def test_draws_together_capped(self):
+        # 990 sites and 10 of fixed cost: 1000 charged per draw
+        spec = ProcessSpec("tasep", (1,), n=990)
+        check_draws(spec, dynamics.MAX_DRAWS_CHARGE // 1000)
+        with pytest.raises(ValueError, match=r"^5001 draws would be charged 5001000 sites \(1000 each\)"):
+            check_draws(spec, dynamics.MAX_DRAWS_CHARGE // 1000 + 1)
 
     def test_benchmark_draws_admitted(self):
         tasep = sample_invariant(ProcessSpec("tasep", (4000, 4000), n=16000), random.Random(3))

@@ -844,6 +844,19 @@ class TestOraclesAgainstReferences:
         assert _typed(s3_recursive(triple, family, quantum, 4)) == _typed(want)
 
 
+class TestDyadicLadder:
+    """The 1/16, 1/32 and 1/64 lattices nest, so every candidate of a rung
+    is a candidate of the next, at the same cost: each route's value is
+    non-increasing from rung to rung."""
+
+    @pytest.mark.parametrize("family", ["tasep", "had"])
+    @pytest.mark.parametrize("route", [sk_oracle, s3_recursive])
+    def test_each_route_is_non_increasing(self, route, family):
+        for triple in _sixteenth_triples(10):
+            values = [route(triple, family, F(1, 2**j), 4)["value"] for j in (4, 5, 6)]
+            assert values == sorted(values, reverse=True), values
+
+
 class TestMultilayerOracle:
     def test_constant_tuple_zero(self):
         cells, q = 4, F(1, 16)
