@@ -26,7 +26,7 @@ from .dynamics import (
     tasep_simulate,
 )
 from .lattice import OrderedTuple, class_label_encode
-from .measures import TorusMeasure, concave_envelope, frac
+from .measures import TorusMeasure, frac
 from .rate import (
     EntropyKernel,
     ldp_decay_exact,
@@ -58,14 +58,25 @@ def _emit(args, obj, rows=None):
         text = rows_to_csv(rows)
     else:
         text = json.dumps(obj, indent=2, default=str)
+    _write(args, fmt, [text])
+
+
+def _write(args, fmt: str, chunks):
+    """Write the text chunks as they come, to stdout with a newline, or to
+    the command's file under --out, ending in one newline, printing its path."""
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"{args.command}.{fmt}")
         with open(path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            last = ""
+            for last in chunks:
+                fh.write(last)
+            if not last.endswith("\n"):
+                fh.write("\n")
         print(path)
     else:
-        print(text)
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
 
 
 def _parse_classes(text: str) -> tuple[int, ...]:
@@ -147,20 +158,24 @@ def cmd_sample_invariant(args) -> int:
         raise ValueError("--samples must be nonnegative")
     rng = random.Random(args.seed)
     counts = _parse_classes(args.classes)
-    spec = (
-        ProcessSpec("tasep", counts, n=args.n)
-        if args.model == "tasep"
-        else ProcessSpec("had", counts)
-    )
+    spec = ProcessSpec(args.model, counts, n=args.n)  # the point model reads no ring size
     check_draws(spec, args.samples)
-    samples = []
-    for _ in range(args.samples):
-        drawn = sample_invariant(spec, rng)
-        if args.model == "tasep":
-            samples.append("".join(map(str, class_label_encode(list(drawn)))))
-        else:
-            samples.append([[str(p) for p in layer.points] for layer in drawn])
-    _emit(args, {"model": args.model, "samples": samples})
+
+    def chunks():
+        # the text json.dumps(..., indent=2) gives the whole document, with
+        # each sample written as soon as it is drawn
+        yield f'{{\n  "model": {json.dumps(args.model)},\n  "samples": ['
+        for i in range(args.samples):
+            drawn = sample_invariant(spec, rng)
+            if args.model == "tasep":
+                sample = "".join(map(str, class_label_encode(list(drawn))))
+            else:
+                sample = [[str(p) for p in layer.points] for layer in drawn]
+            text = json.dumps(sample, indent=2).replace("\n", "\n    ")
+            yield f"{',' if i else ''}\n    {text}"
+        yield "\n  ]\n}" if args.samples else "]\n}"
+
+    _write(args, "json", chunks())
     return 0
 
 
@@ -183,9 +198,7 @@ def cmd_rate_eval(args) -> int:
         "complement_integral": res.complement_integral,
         "plateau_integrals": list(res.plateau_integrals),
         "second_layer_integral": res.second_layer_integral,
-        "plateaus": [
-            {"lo": str(a.lo), "hi": str(a.hi)} for a in res.plateau.intervals
-        ]
+        "plateaus": [{"lo": str(a.lo), "hi": str(a.hi)} for a in res.plateau.intervals]
         if res.plateau
         else None,
         "envelope_densities": [e.to_json_dict() for e in res.envelope_densities],
@@ -194,9 +207,9 @@ def cmd_rate_eval(args) -> int:
     # of its envelope on every plateau interval; none for an infinite or
     # diagonal rate
     rows = []
-    for F in res.plateau.cumulatives if res.plateau else ():
+    for F, env in zip(res.plateau.cumulatives if res.plateau else (), res.envelopes):
         start = str(F.base.lo)
-        for kind, knots in (("cumulative", F.knots), ("envelope", concave_envelope(F).knots)):
+        for kind, knots in (("cumulative", F.knots), ("envelope", env.knots)):
             rows += [
                 {"interval_start": start, "kind": kind, "offset": str(t), "value": str(v)}
                 for t, v in knots

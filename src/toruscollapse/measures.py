@@ -11,7 +11,9 @@ common denominators, one for its positions, one for its densities and one
 for its atom masses.  Package code reads and writes those ints; Fractions
 are built only for outside readers.  A pair of measures is read through
 merge_pair, which rescales both measures' ints onto common denominators
-with `rescale`, the helper the point sets use too.
+with `rescale`, the helper the point sets use too.  A plateau's
+cumulative keeps the pair's ints, and its concave envelope is a hull on
+them.
 """
 
 from __future__ import annotations
@@ -215,8 +217,10 @@ class TorusMeasure:
 
     @classmethod
     def from_atoms(cls, positions: Iterable, mass_each=1) -> "TorusMeasure":
-        m = frac(mass_each)
-        return cls([0], [0], [(p, m) for p in positions])
+        """Atoms of mass_each at the positions, taken mod 1."""
+        n, d = frac(mass_each).as_integer_ratio()
+        grid, nums = numerators([frac(p) for p in positions])
+        return cls.on_grid(grid, [0], 1, [0], [x % grid for x in nums], d, [n] * len(nums))
 
     # ---- basic queries -------------------------------------------------
 
@@ -469,40 +473,46 @@ def measure_leq(a: TorusMeasure, b: TorusMeasure) -> bool:
 class CumulativeFunction:
     """Piecewise-linear cumulative mass along a closed arc of the torus.
 
-    Knots are (offset, value) pairs with offset measured rightward from the
-    arc's left endpoint; F(0) = 0 and F(L) is the arc mass.
+    Stored in ints, as a TorusMeasure is: `base`, the arc; the knot
+    offsets `offs`, measured rightward from the arc's left endpoint, over
+    `len_den`; the knot values `vals` over `mass_den`.  Each denominator is
+    reduced with its ints to the least one, so equal cumulatives are equal
+    ints.  F(0) = 0 and F(L) is the arc mass.  `knots` and `length` build
+    Fractions for readers outside the package.
     """
 
-    __slots__ = ("base", "knots")
+    __slots__ = ("base", "len_den", "offs", "mass_den", "vals")
 
-    def __init__(self, base: ClosedArc, knots: Sequence[tuple[Fraction, Fraction]]):
-        knots = tuple([(frac(t), frac(v)) for t, v in knots])
-        if len(knots) < 2:
-            raise ValueError("need at least two knots")
-        if knots[0] != (ZERO, ZERO):
+    def __init__(self, base: ClosedArc, len_den: int, offs: Sequence, mass_den: int, vals: Sequence):
+        if len(offs) != len(vals) or len(offs) < 2:
+            raise ValueError("need at least two knots, one value per offset")
+        if offs[0] != 0 or vals[0] != 0:
             raise ValueError("cumulative must start at (0, 0)")
-        for (t0, _), (t1, _) in zip(knots, knots[1:]):
-            if t1 <= t0:
-                raise ValueError("knot offsets must increase")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "knots", knots)
+        if any(t1 <= t0 for t0, t1 in zip(offs, offs[1:])):
+            raise ValueError("knot offsets must increase")
+        g, h = math.gcd(len_den, *offs), math.gcd(mass_den, *vals)
+        stored = (base, len_den // g, tuple([t // g for t in offs]))
+        stored += (mass_den // h, tuple([v // h for v in vals]))
+        for name, value in zip(self.__slots__, stored):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("CumulativeFunction is immutable")
 
     @property
-    def length(self) -> Fraction:
-        return self.knots[-1][0]
+    def knots(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        offset, mass = int_fractions(self.len_den), int_fractions(self.mass_den)
+        return tuple([(offset(t), mass(v)) for t, v in zip(self.offs, self.vals)])
 
-    def is_nondecreasing(self) -> bool:
-        return all(v1 >= v0 for (_, v0), (_, v1) in zip(self.knots, self.knots[1:]))
+    @property
+    def length(self) -> Fraction:
+        return Fraction(self.offs[-1], self.len_den)
+
+    def _key(self) -> tuple:
+        return (self.base, self.len_den, self.offs, self.mass_den, self.vals)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CumulativeFunction)
-            and self.base == other.base
-            and self.knots == other.knots
-        )
+        return isinstance(other, CumulativeFunction) and self._key() == other._key()
 
     def __repr__(self) -> str:
         return f"CumulativeFunction({self.base}, {list(self.knots)})"
@@ -528,36 +538,35 @@ def pair_plateaus(pair: PairGrid) -> PlateauDecomposition:
     """Plateaus of a merged pair of densities: the maximal cyclic runs of
     cells where the two densities are equal, compared exactly.  Each comes
     with its cumulative, a knot at every grid point of the run, from running
-    sums of the cells' lengths and masses in ints.  Atoms are not read:
-    plateaus are defined only for densities."""
+    sums of the cells' lengths and masses in the pair's ints.  Atoms are not
+    read: plateaus are defined only for densities."""
     mask = [x == y for x, y in zip(pair.dens1, pair.dens2)]
     if all(mask):
         return PlateauDecomposition((), full_torus=True)
     nums, lens, dens, n = pair.nums, pair.lens, pair.dens1, len(pair.nums)
-    offset, mass = int_fractions(pair.grid_den), int_fractions(pair.mass_den)
     cumulatives = []
     for start, length in cyclic_runs(mask):
-        t = v = 0
-        knots = [(ZERO, ZERO)]
+        offs, vals = [0], [0]
         for j in range(start, start + length):
-            t += lens[j % n]
-            v += dens[j % n] * lens[j % n]
-            knots.append((offset(t), mass(v)))
-        arc = ClosedArc(offset(nums[start]), offset(nums[(start + length) % n]))
-        cumulatives.append(CumulativeFunction(arc, knots))
+            offs.append(offs[-1] + lens[j % n])
+            vals.append(vals[-1] + dens[j % n] * lens[j % n])
+        ends = (nums[start], nums[(start + length) % n])
+        arc = ClosedArc(*[Fraction(p, pair.grid_den) for p in ends])
+        cumulatives.append(CumulativeFunction(arc, pair.grid_den, offs, pair.mass_den, vals))
     return PlateauDecomposition(tuple(cumulatives))
 
 
 def concave_envelope(F: CumulativeFunction) -> CumulativeFunction:
     """Smallest concave majorant of a nondecreasing piecewise-linear function.
 
-    Computed as the upper hull of the knot set; the result has nonincreasing
-    slopes and agrees with F at both endpoints.
+    Computed as the upper hull of the knot set, on F's ints: scaling either
+    axis by a positive constant keeps the sign of every turn.  The result
+    has nonincreasing slopes and agrees with F at both endpoints.
     """
-    if not F.is_nondecreasing():
+    if any(v1 < v0 for v0, v1 in zip(F.vals, F.vals[1:])):
         raise ValueError("envelope requires a nondecreasing function")
-    hull: list[tuple[Fraction, Fraction]] = []
-    for p in F.knots:
+    hull: list[tuple[int, int]] = []
+    for p in zip(F.offs, F.vals):
         while len(hull) >= 2:
             (ox, oy), (ax, ay) = hull[-2], hull[-1]
             # keep only clockwise turns: slopes must strictly decrease
@@ -566,17 +575,22 @@ def concave_envelope(F: CumulativeFunction) -> CumulativeFunction:
             else:
                 break
         hull.append(p)
-    return CumulativeFunction(F.base, hull)
+    offs, vals = zip(*hull)
+    return CumulativeFunction(F.base, F.len_den, offs, F.mass_den, vals)
 
 
 def envelope_density(env: CumulativeFunction) -> TorusMeasure:
     """Density on the torus whose cumulative on env's arc is env, read off
-    its knots (the slope of each segment), and which vanishes off the arc."""
-    lo = env.base.lo
-    cells = [
-        ((lo + t0) % 1, (v1 - v0) / (t1 - t0))
-        for (t0, v0), (t1, v1) in zip(env.knots, env.knots[1:])
-    ]
-    cells.append(((lo + env.length) % 1, ZERO))
-    cells.sort()
-    return TorusMeasure([p for p, _ in cells], [d for _, d in cells])
+    its knots (the slope of each segment), and which vanishes off the arc.
+
+    On ints: positions over the lcm of the arc's and the offsets'
+    denominators, and each segment's slope, rise * len_den / (run *
+    mass_den), over mass_den times the lcm of the runs."""
+    lo_n, lo_d = env.base.lo.as_integer_ratio()
+    grid, ([lo], offs) = rescale([(lo_d, [lo_n]), (env.len_den, env.offs)])
+    runs = [t1 - t0 for t0, t1 in zip(env.offs, env.offs[1:])]
+    run_den = math.lcm(*runs)
+    rises = [v1 - v0 for v0, v1 in zip(env.vals, env.vals[1:])]
+    slopes = [v * env.len_den * (run_den // r) for v, r in zip(rises, runs)]
+    bps, dens = zip(*sorted(zip([(lo + t) % grid for t in offs], [*slopes, 0])))
+    return TorusMeasure.on_grid(grid, bps, env.mass_den * run_den, dens)

@@ -13,9 +13,10 @@ three or more layers only such oracles exist here.
 once, through its merged grid (`merge_pair`): domination and the plateaus
 are cell-by-cell comparisons there, the off-plateau term is a sum over
 its cells, and each plateau comes with the cumulative both profiles share
-along it (`pair_plateaus`).  A plateau term of `s2` is a sum over the hull
-segments of that cumulative's concave envelope; `s2_oracle` runs its DP
-on the same cumulative.
+along it (`pair_plateaus`), in the pair's ints.  A plateau term of `s2`
+is a sum over the hull segments of that cumulative's concave envelope,
+which RateResult keeps (a density is built only when read); `s2_oracle`
+runs its DP on the same cumulative.
 
 Both minimizers of the contraction identities are collapses: of the
 constant profile onto the total profile, and of the mirrored first layer
@@ -36,9 +37,9 @@ candidates that hold the pins are collapsed, in their order.
 
 All cell data stays rational; floating point enters through log only.
 The kernel takes its argument as an int ratio and divides ints, which
-rounds as Fraction does; kernel integrals run on a measure's or a merged
-pair's ints, and the plateau DP on int value levels over one denominator,
-pricing each distinct rise of a segment once.
+rounds as Fraction does; kernel integrals run on the ints of a measure,
+a merged pair or an envelope, and the plateau DP on int value levels over
+one denominator, pricing each distinct rise of a segment once.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from .measures import (
     envelope_density,
     frac,
     merge_pair,
-    numerators,
     pair_plateaus,
 )
 
@@ -125,13 +125,12 @@ class EntropyKernel:
 
 
 def _domain_ok(rho: TorusMeasure, m: Fraction, family: str) -> bool:
-    if not rho.is_absolutely_continuous:
-        return False
-    if rho.total_mass != m:
-        return False
-    if family == "tasep" and max(rho.dens_nums) > rho.dens_den:
-        return False
-    return True
+    # no atoms, the right mass, and densities at most 1 for exclusion
+    return (
+        rho.is_absolutely_continuous
+        and rho.total_mass == m
+        and not (family == "tasep" and max(rho.dens_nums) > rho.dens_den)
+    )
 
 
 def _kernel_integral(kernel: EntropyKernel, cells, length_den: int, dens_den: int) -> float:
@@ -146,9 +145,15 @@ def _integrate_kernel(rho: TorusMeasure, kernel: EntropyKernel) -> float:
 
 
 def _envelope_integral(env: CumulativeFunction, kernel: EntropyKernel) -> float:
-    """Kernel integral of the slopes of a piecewise-linear cumulative."""
-    segs = [(t1 - t0, v1 - v0) for (t0, v0), (t1, v1) in zip(env.knots, env.knots[1:])]
-    return sum((float(dt) * kernel(dv / dt) for dt, dv in segs), 0.0)
+    """Kernel integral of the slopes of a piecewise-linear cumulative, on
+    its ints: a segment dt / len_den long rising dv / mass_den has slope
+    dv * len_den / (dt * mass_den)."""
+    T, V = env.len_den, env.mass_den
+    segs = zip(env.offs, env.offs[1:], env.vals, env.vals[1:])
+    return sum(
+        ((t1 - t0) / T * kernel.at_ratio((v1 - v0) * T, (t1 - t0) * V) for t0, t1, v0, v1 in segs),
+        0.0,
+    )
 
 
 def s1(rho: TorusMeasure, kernel: EntropyKernel) -> float:
@@ -161,29 +166,30 @@ def s1(rho: TorusMeasure, kernel: EntropyKernel) -> float:
 
 @dataclass(frozen=True)
 class RateResult:
-    """Two-layer rate value with the certificates used to compute it."""
+    """Two-layer rate value with the certificates used to compute it: the
+    plateaus and, on each, the concave envelope of its cumulative."""
 
     value: float
     finite: bool
     exact_zero: bool
     diagonal: bool
     plateau: PlateauDecomposition | None
-    envelope_densities: tuple[TorusMeasure, ...]
+    envelopes: tuple[CumulativeFunction, ...]
     complement_integral: float
     plateau_integrals: tuple[float, ...]
     second_layer_integral: float
 
-    @classmethod
-    def infinite(cls) -> "RateResult":
-        return cls(INF, False, False, False, None, (), 0.0, (), 0.0)
+    @property
+    def envelope_densities(self) -> tuple[TorusMeasure, ...]:
+        """Each plateau's envelope as a density on the torus, built on read."""
+        return tuple([envelope_density(env) for env in self.envelopes])
 
 
 def _admissible(rho1: TorusMeasure, rho2: TorusMeasure, m1, m2, family: str):
     """The prelude s2 and s2_oracle share: None off the ordered admissible
     pairs, else the merged pair, both layers' kernels and the first layer's
-    kernel integral.  For equal masses only the diagonal is admissible and
-    that integral covers the torus; otherwise it covers the merged cells
-    off the plateaus."""
+    kernel integral over the merged cells off the plateaus.  Domination
+    with equal masses leaves only the diagonal, which has no such cell."""
     m1, m2 = frac(m1), frac(m2)
     if not (_domain_ok(rho1, m1, family) and _domain_ok(rho2, m2, family)):
         return None
@@ -191,8 +197,6 @@ def _admissible(rho1: TorusMeasure, rho2: TorusMeasure, m1, m2, family: str):
     if not all(x <= y for x, y in zip(pair.dens1, pair.dens2)):
         return None
     k1, k2 = EntropyKernel(family, m1), EntropyKernel(family, m2)
-    if m1 == m2:
-        return (pair, k1, k2, _integrate_kernel(rho1, k1)) if rho1 == rho2 else None
     off = [(n, x) for n, x, y in zip(pair.lens, pair.dens1, pair.dens2) if x != y]
     return pair, k1, k2, _kernel_integral(k1, off, pair.grid_den, pair.mass_den // pair.grid_den)
 
@@ -211,36 +215,23 @@ def s2(
     """
     admissible = _admissible(rho1, rho2, m1, m2, family)
     if admissible is None:
-        return RateResult.infinite()
+        return RateResult(INF, False, False, False, None, (), 0.0, (), 0.0)
     pair, k1, k2, first = admissible
     # the rate's unique zero is the constant pair
     exact_zero = rho1 == TorusMeasure.constant(k1.m) and rho2 == TorusMeasure.constant(k2.m)
-    if k1.m == k2.m:
-        return RateResult(
-            value=first,
-            finite=True,
-            exact_zero=exact_zero,
-            diagonal=True,
-            plateau=PlateauDecomposition((), full_torus=True),
-            envelope_densities=(),
-            complement_integral=0.0,
-            plateau_integrals=(),
-            second_layer_integral=first,
-        )
     plateau = pair_plateaus(pair)
-    if plateau.full_torus:
+    if plateau.full_torus and k1.m != k2.m:
         raise RuntimeError("equal densities a.e. with distinct masses")
-    envelopes = [concave_envelope(F) for F in plateau.cumulatives]
+    envelopes = tuple([concave_envelope(F) for F in plateau.cumulatives])
     plateau_terms = tuple(_envelope_integral(env, k1) for env in envelopes)
     second = _integrate_kernel(rho2, k2)
-    value = first + sum(plateau_terms) + second
     return RateResult(
-        value=value,
+        value=first + sum(plateau_terms) + second,
         finite=True,
         exact_zero=exact_zero,
-        diagonal=False,
+        diagonal=plateau.full_torus,
         plateau=plateau,
-        envelope_densities=tuple(envelope_density(env) for env in envelopes),
+        envelopes=envelopes,
         complement_integral=first,
         plateau_integrals=plateau_terms,
         second_layer_integral=second,
@@ -261,15 +252,14 @@ def _plateau_dp_min(F: CumulativeFunction, kernel: EntropyKernel) -> float:
     admissible range are priced at infinity by the kernel itself (above 1
     for the exclusion family).
 
-    Everything runs on ints: knot positions over P, their lcm, and levels
-    over D = V * L, with V the lcm of the knot values' denominators and L
-    the lcm of DP_EXTRA_LEVELS and every knot-position gap, so every chord
-    and uniform level is an int.  A step of rise r over a segment of s
+    Everything runs on F's ints: knot positions over P, its len_den, and
+    levels over D = V * L, with V its mass_den and L the lcm of
+    DP_EXTRA_LEVELS and every knot-position gap, so every chord and
+    uniform level is an int.  A step of rise r over a segment of s
     units of 1/P has slope r * P / (D * s); its cost is priced once per
     distinct rise and segment.
     """
-    P, pos = numerators([t for t, _ in F.knots])
-    V, vals = numerators([v for _, v in F.knots])
+    P, pos, V, vals = F.len_den, F.offs, F.mass_den, F.vals
     n = len(pos) - 1
     L = math.lcm(DP_EXTRA_LEVELS, *[pos[b] - pos[a] for b in range(n + 1) for a in range(b)])
     D = V * L
@@ -330,8 +320,6 @@ def s2_oracle(
     if admissible is None:
         return INF
     pair, k1, k2, first = admissible
-    if k1.m == k2.m:
-        return first
     total = _integrate_kernel(rho2, k2)
     total += first
     for F in pair_plateaus(pair).cumulatives:
@@ -448,7 +436,6 @@ def nonconvexity_certificate(cs: Sequence = (Fraction(9, 10), Fraction(99, 100),
         "margins": margins,
         "most_negative": min(margins.values()),
         "limit_defect": float(limit),
-        "profiles": (rho1, rho1s, rho2),
     }
 
 
@@ -657,15 +644,6 @@ def ldp_decay_exact(
             counts.append(int(j))
         mm = sum(counts)
         log_p = sum(math.log(math.comb(nb, j)) for j in counts) - math.log(math.comb(n, mm))
-        decay = -log_p / n
-        gap = decay - s1_val
-        rows.append(
-            {
-                "n": n,
-                "decay": decay,
-                "rate": s1_val,
-                "gap": gap,
-                "bound": B * (1 + math.log(n + 1)) / n,
-            }
-        )
+        decay, bound = -log_p / n, B * (1 + math.log(n + 1)) / n
+        rows.append({"n": n, "decay": decay, "rate": s1_val, "gap": decay - s1_val, "bound": bound})
     return rows

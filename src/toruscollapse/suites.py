@@ -740,15 +740,17 @@ def _run(configs: list[SuiteConfig]) -> list[SuiteReport]:
 
 def _report(config: SuiteConfig, pending: list[Check]) -> SuiteReport:
     t0 = time.perf_counter()
-    checks = [_timed(*check) for check in pending]
+    checks = sorted([_timed(*check) for check in pending], key=lambda c: c.check_id)
     cfg_json = config.to_json_dict()
+    # the hash covers what a rerun must reproduce, never runtimes or the invocation
+    results = [(c.check_id, c.passed, c.statistic, c.threshold, c.details) for c in checks]
     content_hash = hashlib.sha256(
-        json.dumps(cfg_json, sort_keys=True, default=str).encode()
+        json.dumps([cfg_json, results], sort_keys=True, default=str).encode()
     ).hexdigest()[:16]
     report = SuiteReport(
         suite=config.suite,
         config=cfg_json,
-        checks=sorted(checks, key=lambda c: c.check_id),
+        checks=checks,
         runtime=time.perf_counter() - t0,
         invocation=" ".join(sys.argv),
         content_hash=content_hash,

@@ -20,6 +20,7 @@ from toruscollapse.measures import (
     cyc_len,
     frac,
     merge_pair,
+    numerators,
     pair_plateaus,
     refined_cells,
 )
@@ -71,7 +72,16 @@ def cumulative(rho: TorusMeasure, arc: ClosedArc) -> CumulativeFunction:
     interval_mass."""
     offsets = sorted({cyc_len(arc.lo, b) for b in rho.breakpoints} | {arc.length})
     knots = [(t, interval_mass(rho, arc.lo, arc.lo + t)) for t in offsets if 0 < t <= arc.length]
-    return CumulativeFunction(arc, [(ZERO, ZERO), *knots])
+    return knotted(arc, [(ZERO, ZERO), *knots])
+
+
+def knotted(arc: ClosedArc, knots: Sequence[tuple]) -> CumulativeFunction:
+    """The cumulative along arc with the given (offset, value) knots, ints,
+    'p/q' strings or Fractions, put on ints over their least common
+    denominators."""
+    len_den, offs = numerators([frac(t) for t, _ in knots])
+    mass_den, vals = numerators([frac(v) for _, v in knots])
+    return CumulativeFunction(arc, len_den, offs, mass_den, vals)
 
 
 def left_limit(profile: FluxProfile, v) -> Fraction:

@@ -206,6 +206,19 @@ class TestCli:
             assert sorted(s) == sorted("120200"[:0] + s)  # labels only
             assert s.count("1") == 1 and s.count("2") == 2
 
+    @pytest.mark.parametrize("samples", ["0", "1", "3"])
+    @pytest.mark.parametrize("model", ["--model tasep --n 6 --classes 1,2", "--model had --classes 0,2,1"])
+    def test_sample_invariant_streams_the_json_document(self, capsys, tmp_path, model, samples):
+        # written sample by sample, the text is the one json.dumps gives
+        argv = ["sample-invariant", *model.split(), "--samples", samples, "--seed", "5"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        data = json.loads(out)
+        assert len(data["samples"]) == int(samples)
+        assert out == json.dumps(data, indent=2) + "\n"
+        code, path = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert code == 0 and Path(path.strip()).read_text() == out
+
     def test_rate_eval(self, capsys, tmp_path):
         rho1 = tmp_path / "rho1.json"
         rho2 = tmp_path / "rho2.json"
@@ -571,8 +584,8 @@ class TestCli:
 
 def test_every_option_is_read_by_its_command():
     """Each option's dest occurs as args.<dest> in its subcommand's fn.
-    --out and --format may be read through _emit instead, and --format is
-    allowed only where fn passes rows to _emit."""
+    --out may be read through _emit or _write instead, --format through
+    _emit, and --format is allowed only where fn passes rows to _emit."""
     (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     unread = []
     for name, parser in commands.choices.items():
@@ -582,11 +595,9 @@ def test_every_option_is_read_by_its_command():
             for n in ast.walk(tree)
             if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "args"
         }
-        emits = [
-            n for n in ast.walk(tree)
-            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_emit"
-        ]
-        if emits:
+        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+        emits = [n for n in calls if n.func.id == "_emit"]
+        if any(n.func.id in ("_emit", "_write") for n in calls):
             read.add("out")
         if any(len(call.args) + len(call.keywords) > 2 for call in emits):
             read.add("format")

@@ -19,7 +19,7 @@ from toruscollapse.measures import (
 )
 from toruscollapse.rate import EntropyKernel
 
-from oracles import covers, cumulative, interval_mass, value_at
+from oracles import covers, cumulative, interval_mass, knotted, value_at
 
 F = Fraction
 
@@ -47,6 +47,34 @@ class TestConstruction:
     def test_membership_flags(self):
         assert TorusMeasure.constant(2).is_absolutely_continuous
         assert not TorusMeasure.from_atoms([F(1, 2)], 1).is_absolutely_continuous
+
+    def test_from_atoms_matches_constructor(self):
+        rng = random.Random(43)
+        for _ in range(50):
+            count = rng.randint(0, 6)
+            positions = {F(rng.randint(-40, 40), rng.choice([3, 8, 12])) for _ in range(count)}
+            if len({p % 1 for p in positions}) < len(positions):
+                continue
+            mass = F(rng.randint(1, 9), rng.choice([1, 4, 7]))
+            got = TorusMeasure.from_atoms(iter(positions), mass)
+            assert got == TorusMeasure([0], [0], [(p, mass) for p in positions])
+        assert TorusMeasure.from_atoms([F(5, 4), -1, F(-1, 3)], F(1, 2)).atoms == (
+            (0, F(1, 2)), (F(1, 4), F(1, 2)), (F(2, 3), F(1, 2))
+        )
+
+    @pytest.mark.parametrize(
+        "positions,mass,message",
+        [
+            ([0.5], 1, "float"),
+            ([F(1, 2)], 0.5, "float"),
+            ([F(1, 4), F(5, 4)], 1, "atom locations must be distinct"),
+            ([F(1, 4)], 0, "atom masses must be positive"),
+            ([F(1, 4)], F(-1, 2), "atom masses must be positive"),
+        ],
+    )
+    def test_from_atoms_refusals(self, positions, mass, message):
+        with pytest.raises(ValueError, match=message):
+            TorusMeasure.from_atoms(positions, mass)
 
     def test_rejects_negative_density(self):
         with pytest.raises(ValueError):
@@ -424,11 +452,8 @@ class TestEnvelope:
                 assert all(0 <= s <= 1 for s in slopes)
 
     def test_rejects_decreasing(self):
-        from toruscollapse.measures import CumulativeFunction
-
-        bad = CumulativeFunction(
-            ClosedArc(F(0), F(1, 2)), [(F(0), F(0)), (F(1, 4), F(1, 4)), (F(1, 2), F(1, 8))]
-        )
+        knots = [(F(0), F(0)), (F(1, 4), F(1, 4)), (F(1, 2), F(1, 8))]
+        bad = knotted(ClosedArc(F(0), F(1, 2)), knots)
         with pytest.raises(ValueError):
             concave_envelope(bad)
 

@@ -9,7 +9,6 @@ from toruscollapse import collapse, measures
 from toruscollapse.collapse import collapse_measure
 from toruscollapse.measures import (
     ClosedArc,
-    CumulativeFunction,
     TorusMeasure,
     concave_envelope,
     measure_leq,
@@ -21,6 +20,7 @@ from toruscollapse.rate import (
     DP_EXTRA_LEVELS,
     TIE_TOL,
     EntropyKernel,
+    _envelope_integral,
     _plateau_dp_min,
     contraction_identity_check,
     lattice_measures,
@@ -34,9 +34,9 @@ from toruscollapse.rate import (
     s3_recursive,
     sk_oracle,
 )
-from toruscollapse.suites import random_lattice_triple
+from toruscollapse.suites import random_lattice_triple, random_ordered_pair
 
-from oracles import covers, cumulative, preimage_conditions
+from oracles import covers, cumulative, knotted, preimage_conditions
 
 F = Fraction
 
@@ -196,6 +196,33 @@ class TestS2:
         assert abs(res.value - s1(rho, EntropyKernel("tasep", F(1, 2)))) < 1e-15
         other = TorusMeasure.indicator(F(1, 4), F(3, 4))
         assert not s2(rho, other, F(1, 2), F(1, 2)).finite
+
+    def test_plateaus_build_no_measure(self, monkeypatch):
+        # s2 keeps each plateau's envelope as a cumulative in ints and
+        # builds no measure from Fractions; the envelope densities are built
+        # from those ints on read, and are the densities of the Fraction hulls
+        rng = random.Random(29)
+        cases = [(fam, *random_ordered_pair(rng, family=fam)) for fam in ("tasep", "had") * 10]
+        built, init = [], measures.TorusMeasure.__init__
+
+        def counted_build(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(measures.TorusMeasure, "__init__", counted_build)
+        results = [s2(r1, r2, r1.total_mass, r2.total_mass, fam) for fam, r1, r2 in cases]
+        densities = [res.envelope_densities for res in results]
+        assert built == []
+        monkeypatch.undo()
+        assert sum(len(res.envelopes) for res in results) > 20
+        for res, envs in zip(results, densities):
+            assert len(envs) == len(res.plateau.cumulatives)
+            for Fc, env in zip(res.plateau.cumulatives, envs):
+                lo, knots = Fc.base.lo, reference_concave_envelope(Fc.knots)
+                assert env == TorusMeasure.from_cells(
+                    ((lo + t0) % 1, (lo + t1) % 1, (v1 - v0) / (t1 - t0))
+                    for (t0, v0), (t1, v1) in zip(knots, knots[1:])
+                )
 
     def test_value_nonnegative_random(self):
         rng = random.Random(17)
@@ -460,6 +487,28 @@ def reference_plateau_dp_min(F_, family, m, bounded):
     return dp.get(T, math.inf)
 
 
+def reference_concave_envelope(knots):
+    """The upper hull of a nondecreasing cumulative's (offset, value)
+    knots, in Fractions: the reference for concave_envelope on ints."""
+    hull = []
+    for p in knots:
+        while len(hull) >= 2:
+            (ox, oy), (ax, ay) = hull[-2], hull[-1]
+            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) >= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull
+
+
+def reference_envelope_integral(knots, family, m):
+    """The kernel integral of the slopes of a piecewise-linear cumulative,
+    in Fractions: the reference for _envelope_integral on ints."""
+    segs = [(t1 - t0, v1 - v0) for (t0, v0), (t1, v1) in zip(knots, knots[1:])]
+    return sum((float(dt) * reference_kernel(family, m, dv / dt) for dt, dv in segs), 0.0)
+
+
 # knot offsets and values over denominators that do not divide each other
 MIXED = st.sampled_from([3, 7, 16, 48])
 
@@ -481,7 +530,7 @@ def plateau_cumulatives(draw):
         value += slope * (t - prev)
         knots.append((t, value))
         prev = t
-    return family, m, CumulativeFunction(ClosedArc(F(0), prev), knots)
+    return family, m, knotted(ClosedArc(F(0), prev), knots)
 
 
 class TestIntDp:
@@ -496,13 +545,13 @@ class TestIntDp:
 
     @given(plateau_cumulatives())
     @example(
-        ("tasep", F(1, 3), CumulativeFunction(ClosedArc(F(0), F(1, 2)), [(F(0), F(0)), (F(1, 2), F(0))])),
+        ("tasep", F(1, 3), knotted(ClosedArc(F(0), F(1, 2)), [(F(0), F(0)), (F(1, 2), F(0))])),
     )
     @example(  # a slope of exactly one is admissible for the exclusion family
-        ("tasep", F(1, 3), CumulativeFunction(ClosedArc(F(0), F(3, 7)), [(F(0), F(0)), (F(3, 7), F(3, 7))])),
+        ("tasep", F(1, 3), knotted(ClosedArc(F(0), F(3, 7)), [(F(0), F(0)), (F(3, 7), F(3, 7))])),
     )
     @example(  # a slope above one cannot be avoided: infinite for the exclusion family
-        ("tasep", F(1, 2), CumulativeFunction(ClosedArc(F(0), F(1, 7)), [(F(0), F(0)), (F(1, 7), F(2, 7))])),
+        ("tasep", F(1, 2), knotted(ClosedArc(F(0), F(1, 7)), [(F(0), F(0)), (F(1, 7), F(2, 7))])),
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_fraction_dp_bit_for_bit(self, case):
@@ -511,6 +560,33 @@ class TestIntDp:
         # the reference bounds slopes by its own rule: at most 1 for exclusion
         want = reference_plateau_dp_min(F_, family, m, bounded=(family == "tasep"))
         assert repr(got) == repr(want)
+
+    @given(plateau_cumulatives())
+    @settings(max_examples=300, deadline=None)
+    def test_envelope_matches_fraction_hull_bit_for_bit(self, case):
+        family, m, F_ = case
+        env = concave_envelope(F_)
+        want = reference_concave_envelope(F_.knots)
+        assert env == knotted(F_.base, want)
+        assert list(env.knots) == want
+        got = _envelope_integral(env, EntropyKernel(family, m))
+        assert got.hex() == reference_envelope_integral(want, family, m).hex()
+
+    @pytest.mark.parametrize("family", ["tasep", "had"])
+    def test_plateau_envelopes_match_fraction_hull_bit_for_bit(self, family):
+        # the cumulatives s2 reads: one per plateau of a merged pair
+        rng = random.Random(31)
+        checked = 0
+        for _ in range(60):
+            r1, r2 = random_ordered_pair(rng, family=family)
+            k1 = EntropyKernel(family, r1.total_mass)
+            for F_ in pair_plateaus(merge_pair(r1, r2)).cumulatives:
+                env, want = concave_envelope(F_), reference_concave_envelope(F_.knots)
+                assert list(env.knots) == want
+                got = _envelope_integral(env, k1)
+                assert got.hex() == reference_envelope_integral(want, family, k1.m).hex()
+                checked += 1
+        assert checked > 100
 
 
 class TestPreimage:

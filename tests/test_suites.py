@@ -75,6 +75,24 @@ class TestSuiteHarness:
         assert [c.statistic for c in a.checks] == [c.statistic for c in b.checks]
         assert a.content_hash == b.content_hash
 
+    def test_hash_covers_results_not_runtimes(self, monkeypatch):
+        # a report's hash changes with a check's statistic, verdict or
+        # details, and not with its runtime or the invocation
+        result = {"passed": True, "statistic": "1 of 2", "details": {"rows": [1]}}
+
+        def one_check(cfg):
+            return [("fake.check", "exact", lambda: tuple(result.values()))]
+
+        monkeypatch.setitem(SUITES, "fake", one_check)
+        hashes = [run_suite(SuiteConfig(suite="fake")).content_hash]
+        monkeypatch.setattr(suites.sys, "argv", ["elsewhere"])
+        hashes.append(run_suite(SuiteConfig(suite="fake")).content_hash)
+        for key, value in (("statistic", "2 of 2"), ("passed", False), ("details", {"rows": [2]})):
+            result[key] = value
+            hashes.append(run_suite(SuiteConfig(suite="fake")).content_hash)
+        assert hashes[0] == hashes[1]
+        assert len(set(hashes)) == 4
+
     def test_thread_fanout_matches_sequential(self):
         over = {"ns": (3, 4), "ks": (2,)}
         seq = run_suite(SuiteConfig(suite="stationarity", seed=1, threads=1, overrides=over))
