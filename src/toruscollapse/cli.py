@@ -36,7 +36,7 @@ from .rate import (
     s1,
     s2,
 )
-from .serialize import flux_to_json, part_from_json, part_to_json, rows_to_csv
+from .serialize import flux_to_json, part_from_json, part_to_json, rows_to_csv, to_json
 from .suites import SUITES, SuiteConfig, run_all, run_suite
 
 
@@ -57,7 +57,7 @@ def _emit(args, obj, rows=None):
             raise ValueError("this command has no table to write as CSV")
         text = rows_to_csv(rows)
     else:
-        text = json.dumps(obj, indent=2, default=str)
+        text = to_json(obj, indent=2)
     _write(args, fmt, [text])
 
 
@@ -252,20 +252,11 @@ def cmd_suite(args) -> int:
     overrides = json.loads(args.overrides) if args.overrides else {}
     if not isinstance(overrides, dict):
         raise ValueError("--overrides must be a JSON object")
+    config = dict(seed=args.seed, threads=args.threads, out_dir=args.out, overrides=overrides)
     if args.name == "all":
-        reports = run_all(seed=args.seed, threads=args.threads, out_dir=args.out, overrides=overrides)
+        reports = run_all(**config)
     else:
-        reports = [
-            run_suite(
-                SuiteConfig(
-                    suite=args.name,
-                    seed=args.seed,
-                    threads=args.threads,
-                    out_dir=args.out,
-                    overrides=overrides,
-                )
-            )
-        ]
+        reports = [run_suite(SuiteConfig(suite=args.name, **config))]
     failed = 0
     for rep in reports:
         for c in rep.checks:

@@ -30,13 +30,13 @@ over another, so both laps are int arithmetic.  The O(B^2) enumeration
 flux_values_direct, on the same ints, and the interval assembly
 collapse_measure_representation are kept as its oracles.
 
-The queue (_fluid_queue) runs both laps and every check once per call.
-Lap 2 writes the collapsed measure's ints as it walks the cells, and the
-measure stores them as they are (TorusMeasure.on_grid); the FluxProfile,
-in Fractions, is assembled from lap 2's readings only for
-collapse_measure, whose flux the ledger and representation checks read.
-kept_measure returns the collapsed measure alone, for collapse_k and the
-rate module's minimizers and quantized oracles.
+collapse_measure is that queue, and the only measure collapse: one call
+runs both laps and every check.  Lap 2 writes the collapsed measure's
+ints as it walks the cells, and the measure stores them as they are
+(TorusMeasure.on_grid); the FluxProfile keeps lap 2's flux readings as
+ints too, and builds Fractions only when read.  collapse_k and the rate
+module's minimizers and quantized oracles take the measure and leave the
+profile unread.
 
 A FluxProfile always describes a measure pair.  Configurations and point
 sets get one through their unit-atom encodings, atomic_measure(p, 1):
@@ -54,12 +54,13 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lattice import OrderedTuple, PointConfig, TorusConfig
 from .measures import (
     ONE,
     ZERO,
+    PairGrid,
     TorusMeasure,
     cyc_len,
     cyclic_runs,
@@ -230,30 +231,66 @@ class JInterval:
         return t < self.span()
 
 
-@dataclass(frozen=True)
-class FluxProfile:
-    """Flux J of a measure pair over their merged grid, with its positive
-    set and increments.
+class FluxProfile(NamedTuple):
+    """Flux J of a measure pair, as the queue's second lap read it, in
+    ints: the merged `pair`; `flux`, J at each grid point over mass_den;
+    per cell, the `roots` where {J > 0} ends inside it (int ratios, or
+    None) and the `tails`, J just before an end at its edge; the `mask` of
+    J > 0 on each cell's point, its stretch up to that end and the rest;
+    and `full_torus`.  Equality compares these.
 
     J is affine with slope slopes[j] on the open cell right of
-    positions[j], clipped at zero; values[j] = J(positions[j]) and J is
-    right-continuous.  The signed difference measure gamma is determined by
-    J through gamma((a, b]) = J(b) - J(a) and has total mass zero.
+    positions[j], clipped at zero, and right-continuous; gamma((a, b]) =
+    J(b) - J(a) is a signed measure of total mass zero.  `positions`,
+    `values`, `slopes` and `intervals` build Fractions on read.
     """
 
-    positions: tuple
-    values: tuple
-    slopes: tuple
-    intervals: tuple[JInterval, ...]
-    full_torus: bool = False
+    pair: PairGrid
+    flux: list[int]
+    roots: list[tuple[int, int] | None]
+    tails: list[int]
+    mask: list[bool]
+    full_torus: bool
+
+    @property
+    def positions(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(n, self.pair.grid_den) for n in self.pair.nums])
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(map(int_fractions(self.pair.mass_den), self.flux))
+
+    @property
+    def slopes(self) -> tuple[Fraction, ...]:
+        pair = self.pair
+        density = int_fractions(pair.mass_den // pair.grid_den)
+        return tuple([density(d1 - d2) for d1, d2 in zip(pair.dens1, pair.dens2)])
+
+    @property
+    def intervals(self) -> tuple[JInterval, ...]:
+        """The maximal intervals of positive flux; none when full_torus."""
+        if self.full_torus:
+            return ()
+        grid, mass, mask = self.positions, int_fractions(self.pair.mass_den), self.mask
+        intervals = []
+        # a maximal run of positive items (point, stretch up to the end,
+        # rest of the cell) is left-closed when it starts at a point, and
+        # ends at its last cell's edge or at the root inside that cell
+        for start, length in cyclic_runs(mask):
+            i, c = start // 3, (start + length - 1) % len(mask) // 3
+            hi = grid[(c + 1) % len(grid)] if mask[3 * c + 2] else Fraction(*self.roots[c])
+            intervals.append(JInterval(grid[i], hi, start % 3 == 0, mass(self.tails[c])))
+        return tuple(intervals)
 
     def at(self, v) -> Fraction:
-        """Exact J(v) at any point of the torus."""
-        v = frac(v) % 1
-        j = bisect.bisect_right(self.positions, v) - 1
-        if self.positions[j] == v:
-            return self.values[j]
-        return max(ZERO, self.values[j] + self.slopes[j] * (v - self.positions[j]))
+        """Exact J(v) at any point of the torus, on the ints: for v = n/d
+        in cell j, J = max(0, flux[j] d + (dens1 - dens2)[j] (nG - nums[j] d)) / (Md)."""
+        pair = self.pair
+        n, d = (frac(v) % 1).as_integer_ratio()
+        g = n * pair.grid_den
+        j = bisect.bisect_right(pair.nums, g // d) - 1
+        rise = (pair.dens1[j] - pair.dens2[j]) * (g - pair.nums[j] * d)
+        return Fraction(max(0, self.flux[j] * d + rise), pair.mass_den * d)
 
 
 def flux_values_direct(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[Fraction, ...]:
@@ -287,22 +324,23 @@ def flux_values_direct(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[Fraction
     return tuple(map(int_fractions(pair.mass_den), out))
 
 
-def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasure, tuple]:
-    """The collapse of rho1 onto rho2 as the fluid queue over their merged
-    grid (module docstring), with every check on it.  Returns the collapsed
-    measure and lap 2's flux readings, from which _flux_of builds the
-    FluxProfile for the callers that read it.
+def collapse_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasure, FluxProfile]:
+    """Collapse rho1 onto rho2: the unique measure charging every (a, b]
+    with rho1's mass plus J(a) - J(b), and the FluxProfile of J.
 
-    Both laps run on the pair's ints (measures.PairGrid): the queue counts
-    units of 1/mass_den mass and a cell of n grid units changes it by
-    (dens1 - dens2) * n.  Lap 2 reads off, per grid position, the kept
-    atom, J there (the length after the atom), where {J > 0} ends in the
-    cell (at the exact root of the draining queue, at the cell's edge, or
-    nowhere when J vanishes on the open cell) and J just before that end.
-    It writes the result's cells as it goes, every position an int ratio,
-    merging equal-density neighbours, and tallies the mass they keep: no
-    Fraction is built, and mass conservation is an int identity.  The
-    result stores those ints over one denominator (TorusMeasure.on_grid).
+    Where the flux is positive the result carries rho2's density, elsewhere
+    rho1's; flux jumps down deposit atoms.  The result is positive, keeps
+    rho1's total mass and is dominated by rho2.  The profile's intervals
+    start on the merged grid, left-closed exactly when J is positive there,
+    and cover the torus only when the masses are equal.
+
+    Both laps of the queue run on the pair's ints (measures.PairGrid), in
+    units of 1/mass_den mass: a cell of n grid units changes the queue by
+    (dens1 - dens2) * n.  Lap 2 reads off the kept atom and J at each grid
+    point and where {J > 0} ends in each cell (at the root of the draining
+    queue, at its edge, or nowhere), and writes the result's cells as it
+    goes, merging equal-density neighbours and tallying their mass in ints,
+    so mass conservation is an int identity.
     """
     pair = merge_pair(rho1, rho2)
     nums, grid_den = pair.nums, pair.grid_den
@@ -315,7 +353,7 @@ def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasure, 
     for length, d1, d2, a1, a2 in cells:
         q = max(0, q + a1 - a2)
         q = max(0, q + (d1 - d2) * length)
-    values, roots, tails, mask = [], [], [], []
+    flux, roots, tails, mask = [], [], [], []
     bps, dens, atoms, masses = [], [], [], []
     last, kept_mass = None, 0
     for j, (length, d1, d2, a1, a2) in enumerate(cells):
@@ -347,7 +385,7 @@ def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasure, 
             bps.append(root)
             dens.append(d1)
             last = d1
-        values.append(q)
+        flux.append(q)
         roots.append(root)
         mask += [q > 0, at_edge or root is not None, at_edge]
         q = max(0, q + slope * length)
@@ -371,49 +409,7 @@ def _fluid_queue(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasure, 
         pair.mass_den,
         masses,
     )
-    return result, (pair, values, roots, tails, mask, full)
-
-
-def _flux_of(pair, values, roots, tails, mask, full) -> FluxProfile:
-    """The FluxProfile from _fluid_queue's lap-2 readings."""
-    grid = [Fraction(n, pair.grid_den) for n in pair.nums]
-    density, mass = int_fractions(pair.mass_den // pair.grid_den), int_fractions(pair.mass_den)
-    intervals = []
-    if not full:
-        # a maximal run of positive items (point, stretch up to the end,
-        # rest of the cell) is left-closed when it starts at a point, and
-        # ends at its last cell's edge or at the root inside that cell
-        for start, length in cyclic_runs(mask):
-            i, c = start // 3, (start + length - 1) % len(mask) // 3
-            hi = grid[(c + 1) % len(grid)] if mask[3 * c + 2] else Fraction(*roots[c])
-            intervals.append(JInterval(grid[i], hi, start % 3 == 0, mass(tails[c])))
-    return FluxProfile(
-        positions=tuple(grid),
-        values=tuple(map(mass, values)),
-        slopes=tuple([density(d1 - d2) for d1, d2 in zip(pair.dens1, pair.dens2)]),
-        intervals=tuple(intervals),
-        full_torus=full,
-    )
-
-
-def kept_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> TorusMeasure:
-    """The collapse of rho1 onto rho2 without its flux profile: what
-    collapse_measure returns first, for the callers that read nothing else."""
-    return _fluid_queue(rho1, rho2)[0]
-
-
-def collapse_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasure, FluxProfile]:
-    """Collapse rho1 onto rho2: the unique measure charging every (a, b]
-    with rho1's mass plus J(a) - J(b).
-
-    Where the flux is positive the result carries rho2's density, elsewhere
-    rho1's; flux jumps down deposit atoms.  The result is positive, keeps
-    rho1's total mass and is dominated by rho2.  The profile's intervals
-    start on the merged grid, left-closed exactly when J is positive there,
-    and cover the torus only when the masses are equal.
-    """
-    kept, readings = _fluid_queue(rho1, rho2)
-    return kept, _flux_of(*readings)
+    return result, FluxProfile(pair, flux, roots, tails, mask, full)
 
 
 def collapse_measure_representation(
@@ -469,7 +465,7 @@ def _collapse_binary(a, b):
     if isinstance(a, PointConfig):
         return collapse_points(a, b)
     if isinstance(a, TorusMeasure):
-        return kept_measure(a, b)
+        return collapse_measure(a, b)[0]
     raise TypeError(f"unsupported part type {type(a)!r}")
 
 

@@ -92,14 +92,6 @@ class ClosedArc:
     lo: Fraction
     hi: Fraction
 
-    @property
-    def length(self) -> Fraction:
-        return cyc_len(self.lo, self.hi)
-
-    def __contains__(self, u) -> bool:
-        u = frac(u) % 1
-        return cyc_len(self.lo, u) <= cyc_len(self.lo, self.hi)
-
 
 class TorusMeasure:
     """Piecewise-constant density plus atoms, in canonical form.
@@ -477,8 +469,8 @@ class CumulativeFunction:
     offsets `offs`, measured rightward from the arc's left endpoint, over
     `len_den`; the knot values `vals` over `mass_den`.  Each denominator is
     reduced with its ints to the least one, so equal cumulatives are equal
-    ints.  F(0) = 0 and F(L) is the arc mass.  `knots` and `length` build
-    Fractions for readers outside the package.
+    ints.  F(0) = 0 and F(L) is the arc mass.  `knots` builds Fractions for
+    readers outside the package.
     """
 
     __slots__ = ("base", "len_den", "offs", "mass_den", "vals")
@@ -503,10 +495,6 @@ class CumulativeFunction:
     def knots(self) -> tuple[tuple[Fraction, Fraction], ...]:
         offset, mass = int_fractions(self.len_den), int_fractions(self.mass_den)
         return tuple([(offset(t), mass(v)) for t, v in zip(self.offs, self.vals)])
-
-    @property
-    def length(self) -> Fraction:
-        return Fraction(self.offs[-1], self.len_den)
 
     def _key(self) -> tuple:
         return (self.base, self.len_den, self.offs, self.mass_den, self.vals)

@@ -20,9 +20,9 @@ runs its DP on the same cumulative.
 
 Both minimizers of the contraction identities are collapses: of the
 constant profile onto the total profile, and of the mirrored first layer
-onto a constant.  The rate's unique zero is the constant pair.  They read
-only the collapsed measure (collapse.kept_measure), never the flux
-profile.
+onto a constant.  The rate's unique zero is the constant pair.  They,
+like the quantized routes below, read only the measure that
+collapse.collapse_measure returns, never its flux profile.
 
 The quantized three-layer routes draw the layer under the last from one
 pool, its pinned preimages (_preimages), and differ only in how they
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .collapse import kept_measure
+from .collapse import collapse_measure
 from .lattice import compositions
 from .measures import (
     ONE,
@@ -69,6 +69,12 @@ INF = math.inf
 DP_EXTRA_LEVELS = 16
 # values within this distance of the best count as near-minimizers in sk_oracle
 TIE_TOL = 1e-9
+# ring sites one ldp_decay_exact call may sum over its sizes.  Its
+# binomials cost about N^1.8 and are largest at mass 1/2: one size at this
+# cap takes 3.4 s with one bin at density 1/2 and 2.7 s with two, and one
+# of 10^6 sites 12 s (2 vCPU, Python 3.11), so an admitted call ends within
+# a few seconds
+MAX_DECAY_SITES = 5 * 10**5
 
 
 @dataclass(frozen=True)
@@ -340,7 +346,7 @@ def minimizer_rho1(rho2: TorusMeasure, m1) -> TorusMeasure:
         raise ValueError("total profile must be a density")
     if m1 > rho2.total_mass:
         raise ValueError("first-layer mass exceeds the total mass")
-    return kept_measure(TorusMeasure.constant(m1), rho2)
+    return collapse_measure(TorusMeasure.constant(m1), rho2)[0]
 
 
 def _mirror(rho: TorusMeasure) -> TorusMeasure:
@@ -367,7 +373,7 @@ def minimizer_rho2(rho1: TorusMeasure, m2) -> TorusMeasure:
         raise ValueError("first-layer profile must be a density")
     if not rho1.total_mass < m2:
         raise ValueError("total mass must strictly exceed the first-layer mass")
-    kept = kept_measure(_mirror(rho1), TorusMeasure.constant(m2))
+    kept = collapse_measure(_mirror(rho1), TorusMeasure.constant(m2))[0]
     if kept.atoms:
         raise RuntimeError("collapse of a density onto a constant deposited atoms")
     pair = merge_pair(rho1, _mirror(kept))
@@ -521,7 +527,7 @@ def _preimages(target, under, cells: int, units: int, quantum, family: str) -> l
     return [
         (combo, psi)
         for combo, psi in _lattice(cells, units, quantum, family, pins)
-        if kept_measure(psi, under) == target
+        if collapse_measure(psi, under)[0] == target
     ]
 
 
@@ -564,10 +570,10 @@ def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) ->
             for combo, psi in pool:
                 if any(combo[c] != n for c, n in pins):
                     continue
-                key = kept_measure(psi, phi)
+                key = collapse_measure(psi, phi)[0]
                 hit = hits.get(key)
                 if hit is None:
-                    hit = hits[key] = kept_measure(key, last) == rhos[0]
+                    hit = hits[key] = collapse_measure(key, last)[0] == rhos[0]
                 if hit:
                     values.append(cost + _integrate_kernel(psi, kernels[0]))
     best, near = INF, 0
@@ -617,6 +623,8 @@ def ldp_decay_exact(
     The profile is constant on B equal bins; at ring size N the bin counts
     must be integers.  Probabilities are exact binomial ratios; the decay
     is -log(P)/N and the reported bound dominates the Stirling error.
+    Sizes that sum to more than MAX_DECAY_SITES are refused before any
+    binomial is computed.
     """
     dens = [frac(d) for d in bin_densities]
     m = frac(m)
@@ -627,12 +635,14 @@ def ldp_decay_exact(
         raise ValueError("bin densities must average to the mass parameter")
     if any(d < 0 or d > 1 for d in dens):
         raise ValueError("bin densities must lie in [0, 1]")
+    if min(sizes, default=1) < 1:
+        raise ValueError(f"ring size {min(sizes)} must be at least 1")
+    if sum(sizes) > MAX_DECAY_SITES:
+        raise ValueError(f"ring sizes summing to {sum(sizes)} exceed the cap of {MAX_DECAY_SITES} sites")
     kern = EntropyKernel("tasep", m)
     s1_val = sum(float(Fraction(1, B)) * kern(d) for d in dens)
     rows = []
     for n in sizes:
-        if n < 1:
-            raise ValueError(f"ring size {n} must be at least 1")
         if n % B:
             raise ValueError(f"bin count {B} must divide the ring size {n}")
         nb = n // B

@@ -1,9 +1,12 @@
-"""JSON and CSV encodings: rationals as "p/q" strings throughout."""
+"""JSON and CSV encodings: rationals as "p/q" strings throughout, and
+floats that are not finite as the strings "inf", "-inf" and "nan"."""
 
 from __future__ import annotations
 
 import csv
 import io
+import json
+import math
 from typing import Sequence
 
 from .collapse import FluxProfile
@@ -52,6 +55,20 @@ def flux_to_json(profile: FluxProfile) -> dict:
             for iv in profile.intervals
         ],
     }
+
+
+def to_json(obj, **kwargs) -> str:
+    """obj as standard JSON text, through json.dumps(**kwargs): a float that
+    is not finite is written as its str, as is any value JSON has no type for."""
+    return json.dumps(_finite(obj), allow_nan=False, default=str, **kwargs)
+
+
+def _finite(obj):
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return str(obj) if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def rows_to_csv(rows: Sequence[dict]) -> str:

@@ -14,7 +14,6 @@ id, so parallelism never changes the output.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import random
@@ -55,6 +54,7 @@ from .rate import (
     s3_recursive,
     sk_oracle,
 )
+from .serialize import rows_to_csv, to_json
 from .stats import ks_two_sample
 
 # acceptance thresholds: fixed here, never read from the overrides, so no
@@ -742,10 +742,12 @@ def _report(config: SuiteConfig, pending: list[Check]) -> SuiteReport:
     t0 = time.perf_counter()
     checks = sorted([_timed(*check) for check in pending], key=lambda c: c.check_id)
     cfg_json = config.to_json_dict()
-    # the hash covers what a rerun must reproduce, never runtimes or the invocation
+    # the hash covers what a rerun must reproduce, never runtimes, the
+    # invocation or the worker count, which changes no result
+    hashed = {k: v for k, v in cfg_json.items() if k != "threads"}
     results = [(c.check_id, c.passed, c.statistic, c.threshold, c.details) for c in checks]
     content_hash = hashlib.sha256(
-        json.dumps([cfg_json, results], sort_keys=True, default=str).encode()
+        to_json([hashed, results], sort_keys=True).encode()
     ).hexdigest()[:16]
     report = SuiteReport(
         suite=config.suite,
@@ -759,13 +761,10 @@ def _report(config: SuiteConfig, pending: list[Check]) -> SuiteReport:
         os.makedirs(config.out_dir, exist_ok=True)
         path = os.path.join(config.out_dir, f"{config.suite}.report.json")
         with open(path, "w") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, default=str)
-            fh.write("\n")
+            fh.write(to_json(report.to_json_dict(), indent=2) + "\n")
         for check in report.checks:
             rows = check.details.get("rows")
             if rows:
-                from .serialize import rows_to_csv
-
                 csv_path = os.path.join(config.out_dir, f"{check.check_id}.csv")
                 with open(csv_path, "w") as fh:
                     fh.write(rows_to_csv(rows))

@@ -66,12 +66,23 @@ def interval_mass(rho: TorusMeasure, a, b) -> Fraction:
     return prefix(b) - prefix(a) + (rho.total_mass if b <= a else ZERO)
 
 
+def arc_length(arc: ClosedArc) -> Fraction:
+    """Length of the closed arc [lo, hi], rightward from lo."""
+    return cyc_len(arc.lo, arc.hi)
+
+
+def on_arc(arc: ClosedArc, u) -> bool:
+    """Whether u lies on the closed arc [lo, hi]."""
+    return cyc_len(arc.lo, frac(u) % 1) <= arc_length(arc)
+
+
 def cumulative(rho: TorusMeasure, arc: ClosedArc) -> CumulativeFunction:
     """Cumulative mass of a density along the arc: a knot at every
     breakpoint of rho inside it and at its end, each valued by
     interval_mass."""
-    offsets = sorted({cyc_len(arc.lo, b) for b in rho.breakpoints} | {arc.length})
-    knots = [(t, interval_mass(rho, arc.lo, arc.lo + t)) for t in offsets if 0 < t <= arc.length]
+    length = arc_length(arc)
+    offsets = sorted({cyc_len(arc.lo, b) for b in rho.breakpoints} | {length})
+    knots = [(t, interval_mass(rho, arc.lo, arc.lo + t)) for t in offsets if 0 < t <= length]
     return knotted(arc, [(ZERO, ZERO), *knots])
 
 
@@ -101,13 +112,13 @@ def left_limit(profile: FluxProfile, v) -> Fraction:
 def covers(plateau: PlateauDecomposition, u) -> bool:
     """Whether u lies on the plateau set: in one of its closed arcs, or
     anywhere when it is the full torus."""
-    return plateau.full_torus or any(u in arc for arc in plateau.intervals)
+    return plateau.full_torus or any(on_arc(arc, u) for arc in plateau.intervals)
 
 
 def value_at(F: CumulativeFunction, t) -> Fraction:
     """Exact value of F at offset t in [0, L], by linear interpolation."""
     t = frac(t)
-    if not 0 <= t <= F.length:
+    if not 0 <= t <= arc_length(F.base):
         raise ValueError("offset outside the base interval")
     i = bisect.bisect_right([k[0] for k in F.knots], t) - 1
     if i == len(F.knots) - 1:

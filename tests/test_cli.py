@@ -10,10 +10,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from toruscollapse import cli
+from toruscollapse import cli, rate
 from toruscollapse.cli import build_parser, main
 from toruscollapse.measures import TorusMeasure
-from toruscollapse import collapse
 from toruscollapse.collapse import collapse_k, collapse_measure
 from toruscollapse.serialize import flux_to_json, part_from_json, part_to_json
 from toruscollapse.lattice import PointConfig, TorusConfig
@@ -25,6 +24,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _refuse(token):
+    raise ValueError(f"{token} is not standard JSON")
+
+
+def loads(text):
+    """Parse CLI output as standard JSON: NaN, Infinity and -Infinity are
+    refused, as a strict parser such as JavaScript's JSON.parse does."""
+    return json.loads(text, parse_constant=_refuse)
 
 
 class TestSerialize:
@@ -53,7 +62,7 @@ class TestCli:
             capsys, "stationary", "--n", "3", "--classes", "1,1", "--compare-pushforward"
         )
         assert code == 0
-        data = json.loads(out)
+        data = loads(out)
         assert data["pushforward_tv_distance"] == "0"
         assert len(data["states"]) == 6
 
@@ -62,7 +71,7 @@ class TestCli:
             capsys, "stationary", "--n", "7", "--classes", "2,2,2", "--compare-pushforward"
         )
         assert code == 0
-        data = json.loads(out)
+        data = loads(out)
         assert data["pushforward_tv_distance"] == "0"
         assert len(data["states"]) == 630
 
@@ -98,7 +107,7 @@ class TestCli:
         path.write_text(json.dumps(payload))
         code, out = run_cli(capsys, "collapse", str(path))
         assert code == 0
-        data = json.loads(out)
+        data = loads(out)
         got = TorusMeasure.from_json_dict(data["parts"][0]["data"])
         assert got == TorusMeasure.from_atoms([F(3, 4)], 1)
         assert data["flux"]["intervals"][0]["lo"] == "51/100"
@@ -113,13 +122,13 @@ class TestCli:
             "flux": flux_to_json(collapse_measure(*parts)[1]),
         }
         runs = []
-        queue = collapse._fluid_queue
+        queue = cli.collapse_measure
 
         def counted(*args):
             runs.append(args)
             return queue(*args)
 
-        monkeypatch.setattr(collapse, "_fluid_queue", counted)
+        monkeypatch.setattr(cli, "collapse_measure", counted)
         path = tmp_path / "pair.json"
         path.write_text(json.dumps({"parts": [part_to_json(p) for p in parts]}))
         code, out = run_cli(capsys, "collapse", str(path))
@@ -138,7 +147,7 @@ class TestCli:
         path.write_text(json.dumps(payload))
         code, out = run_cli(capsys, "collapse", str(path))
         assert code == 0
-        data = json.loads(out)
+        data = loads(out)
         assert data["parts"][0]["data"] == [0, 1, 0, 0, 0, 1]
         # the flux of the unit-atom encodings: at x/6 it is the queue
         # length after site x, (1, 0, 0, 1, 1, 0)
@@ -158,7 +167,7 @@ class TestCli:
         path.write_text(json.dumps(payload))
         code, out = run_cli(capsys, "collapse", str(path))
         assert code == 0
-        data = json.loads(out)
+        data = loads(out)
         assert data["parts"][0]["data"] == ["1/5", "3/10"]
         assert data["flux"]["positions"] == ["0", "1/10", "1/5", "3/10", "7/10"]
         assert data["flux"]["values"] == ["0", "1", "0", "0", "0"]
@@ -181,7 +190,7 @@ class TestCli:
         code1, plain = run_cli(capsys, *args)
         code2, recorded = run_cli(capsys, *args, "--record")
         assert code1 == code2 == 0
-        data = json.loads(recorded)
+        data = loads(recorded)
         assert len(data["events"]) > 0
         assert plain == json.dumps({**data, "events": len(data["events"])}, indent=2) + "\n"
 
@@ -191,7 +200,7 @@ class TestCli:
             "--horizon", "2", "--seed", "3",
         )
         assert code == 0
-        data = json.loads(out)
+        data = loads(out)
         assert len(data["final_layers"]) == 2
 
     def test_sample_invariant(self, capsys):
@@ -200,7 +209,7 @@ class TestCli:
             "--classes", "1,2", "--samples", "4", "--seed", "9",
         )
         assert code == 0
-        data = json.loads(out)
+        data = loads(out)
         assert len(data["samples"]) == 4
         for s in data["samples"]:
             assert sorted(s) == sorted("120200"[:0] + s)  # labels only
@@ -213,7 +222,7 @@ class TestCli:
         argv = ["sample-invariant", *model.split(), "--samples", samples, "--seed", "5"]
         code, out = run_cli(capsys, *argv)
         assert code == 0
-        data = json.loads(out)
+        data = loads(out)
         assert len(data["samples"]) == int(samples)
         assert out == json.dumps(data, indent=2) + "\n"
         code, path = run_cli(capsys, *argv, "--out", str(tmp_path))
@@ -233,7 +242,7 @@ class TestCli:
             "--m1", "1/4", "--m2", "3/4",
         )
         assert code == 0
-        data = json.loads(out)
+        data = loads(out)
         assert data["finite"] and abs(data["value"] - 0.7780966989576439) < 1e-12
         assert data["plateaus"] == [{"lo": "0", "hi": "1/2"}]
 
@@ -262,7 +271,7 @@ class TestCli:
         argv = ["rate-eval", "--rho1", str(rho1), "--rho2", str(rho2), "--m1", "5/32", "--m2", "1/2"]
         code, out = run_cli(capsys, *argv)
         assert code == 0
-        assert json.loads(out) == {
+        assert loads(out) == {
             "value": 0.22252319405869256,
             "finite": True,
             "exact_zero": False,
@@ -286,6 +295,23 @@ class TestCli:
             "7/8,envelope,1/4,1/8",
         ]
         assert out == "".join(r + "\r\n" for r in rows) + "\n"
+
+    def test_infinite_values_are_written_as_strings(self, capsys, tmp_path):
+        # density 1 on half the torus at mass 1/4 has an infinite one-layer
+        # rate, and two distinct layers of equal mass are inadmissible (only
+        # the diagonal is): both rates are written as "inf"
+        half, flat = tmp_path / "half.json", tmp_path / "flat.json"
+        half.write_text(json.dumps(TorusMeasure.indicator(0, F(1, 2)).to_json_dict()))
+        flat.write_text(json.dumps(TorusMeasure.constant(F(1, 2)).to_json_dict()))
+        code, out = run_cli(capsys, "rate-eval", "--rho1", str(half), "--m1", "1/4")
+        assert code == 0 and loads(out) == {"s1": "inf"}
+        argv = ["rate-eval", "--rho1", str(flat), "--rho2", str(half), "--m1", "1/2", "--m2", "1/2"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        data = loads(out)
+        assert data["value"] == "inf" and data["finite"] is False
+        with pytest.raises(ValueError, match="Infinity is not standard JSON"):
+            loads(json.dumps({"s1": float("inf")}))
 
     @pytest.mark.parametrize(
         "argv",
@@ -325,7 +351,7 @@ class TestCli:
             capsys, "minimizer", "--which", "first", "--profile", str(prof), "--mass", "1/4"
         )
         assert code == 0
-        assert TorusMeasure.from_json_dict(json.loads(out)) == TorusMeasure.constant(F(1, 4))
+        assert TorusMeasure.from_json_dict(loads(out)) == TorusMeasure.constant(F(1, 4))
 
     def test_ldp_decay_csv(self, capsys):
         code, out = run_cli(
@@ -338,7 +364,7 @@ class TestCli:
     def test_certify_nonconvex(self, capsys):
         code, out = run_cli(capsys, "certify-nonconvex")
         assert code == 0
-        assert json.loads(out)["nonconvex"] is True
+        assert loads(out)["nonconvex"] is True
 
     def test_suite_exit_codes(self, capsys):
         code, out = run_cli(
@@ -352,7 +378,7 @@ class TestCli:
             capsys, "suite", "nonconvexity", "--out", str(tmp_path),
         )
         assert code == 0
-        report = json.loads((tmp_path / "nonconvexity.report.json").read_text())
+        report = loads((tmp_path / "nonconvexity.report.json").read_text())
         assert report["passed"] is True
         assert report["config"]["suite"] == "nonconvexity"
         assert "invocation" in report and "content_hash" in report
@@ -428,6 +454,17 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             f"toruscollapse ldp-decay: error: ring size {size} must be at least 1"
+        ]
+
+    def test_ldp_decay_over_the_cap_is_one_line_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(rate.math, "comb", None)  # refused before any binomial
+        code = main(["ldp-decay", "--bins", "1/2,0", "--m", "1/4", "--sizes", "10000000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "toruscollapse ldp-decay: error: ring sizes summing to 10000000 exceed the cap "
+            f"of {rate.MAX_DECAY_SITES} sites"
         ]
 
     @pytest.mark.parametrize(

@@ -1,13 +1,13 @@
-import dataclasses
+import bisect
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from toruscollapse.collapse import (
     CollapseError,
-    FluxProfile,
     JInterval,
     atomic_measure,
     collapse_discrete,
@@ -19,7 +19,6 @@ from toruscollapse.collapse import (
     commutation_check,
     discrete_flux_direct,
     flux_values_direct,
-    kept_measure,
     queue_collapse,
 )
 from toruscollapse.lattice import PointConfig, TorusConfig, validate_ordered
@@ -207,8 +206,6 @@ class TestMeasure:
     def test_mass_ordering_required(self):
         with pytest.raises(CollapseError):
             collapse_measure(TorusMeasure.constant(1), TorusMeasure.constant(F(1, 2)))
-        with pytest.raises(CollapseError):
-            kept_measure(TorusMeasure.constant(1), TorusMeasure.constant(F(1, 2)))
 
     def test_equal_mass_full_flux_set(self):
         c, prof = collapse_measure(delta(F(1, 2)), TorusMeasure.constant(1))
@@ -321,8 +318,9 @@ class TestMergedGridProperties:
 
 def reference_fluid_queue(rho1, rho2):
     """The fluid queue in Fractions, on a grid merged by pointwise queries:
-    the reference for the int queue of collapse_measure and kept_measure.
-    Returns the flux profile and the collapsed measure."""
+    the reference for the int queue of collapse_measure.  Returns the flux
+    profile, as a record of its public fields in Fractions, and the
+    collapsed measure."""
     if rho1.total_mass > rho2.total_mass:
         raise CollapseError("first measure has more mass")
     at1, at2 = dict(rho1.atoms), dict(rho2.atoms)
@@ -369,7 +367,13 @@ def reference_fluid_queue(rho1, rho2):
         for start, length in cyclic_runs(mask):
             i, c = start // 3, (start + length - 1) % len(mask) // 3
             intervals.append(JInterval(grid[i], ends[c] % 1, start % 3 == 0, tails[c]))
-    profile = FluxProfile(tuple(grid), tuple(values), tuple(slopes), tuple(intervals), full)
+    profile = SimpleNamespace(
+        positions=tuple(grid),
+        values=tuple(values),
+        slopes=tuple(slopes),
+        intervals=tuple(intervals),
+        full_torus=full,
+    )
     return profile, TorusMeasure(bps, dens, atoms)
 
 
@@ -425,7 +429,21 @@ def plateau_pairs(draw):
 
 
 def _fields(profile):
-    return [(f.name, getattr(profile, f.name)) for f in dataclasses.fields(profile)]
+    names = ("positions", "values", "slopes", "intervals", "full_torus")
+    return [(name, getattr(profile, name)) for name in names]
+
+
+def reference_at(profile, v):
+    """J(v) interpolated in Fractions from a profile's public fields."""
+    v = F(v) % 1
+    j = bisect.bisect_right(profile.positions, v) - 1
+    if profile.positions[j] == v:
+        return profile.values[j]
+    return max(F(0), profile.values[j] + profile.slopes[j] * (v - profile.positions[j]))
+
+
+# off-grid probes of J on denominators 3 and 2^53
+OFF_GRID = [F(1, 3), F(2, 3)] + [F(n, 2**53) for n in (1, 2**52 + 1, 3 * 2**51 - 7, 2**53 - 1)]
 
 
 def _types(values):
@@ -439,9 +457,15 @@ class TestIntQueueAgainstFractions:
         r1, r2 = pair
         want_profile, want = reference_fluid_queue(r1, r2)
         got, profile = collapse_measure(r1, r2)
-        kept = kept_measure(r1, r2)
-        assert kept == got and kept.total_mass == got.total_mass
         assert _fields(profile) == _fields(want_profile)
+        # a rerun on the same pair gives an equal result, profile included
+        assert collapse_measure(r1, r2) == (got, profile)
+        grid = list(want_profile.positions)
+        mids = [(lo + hi) / 2 for lo, hi in zip(grid, grid[1:] + [F(1)])]
+        probes = grid + mids + OFF_GRID
+        at = [profile.at(v) for v in probes]
+        assert at == [reference_at(want_profile, v) for v in probes]
+        assert _types(at) == [F] * len(at)
         flux = profile.values + profile.slopes
         assert _types(flux) == [F] * len(flux)
         assert got.breakpoints == want.breakpoints
@@ -457,7 +481,7 @@ class TestIntQueueAgainstFractions:
     def test_kernel_form_is_the_form_of_the_kept_measure(self, pair):
         # the ints lap 2 writes are the canonical ints of the measure the
         # constructor builds from the result's Fractions
-        kept = kept_measure(*pair)
+        kept = collapse_measure(*pair)[0]
         rebuilt = TorusMeasure(kept.breakpoints, kept.densities, kept.atoms)
         names = TorusMeasure.__slots__
         assert [getattr(kept, n) for n in names] == [getattr(rebuilt, n) for n in names]
@@ -467,7 +491,7 @@ class TestIntQueueAgainstFractions:
 
     def test_rejects_more_mass_like_reference(self):
         r1, r2 = TorusMeasure.constant(F(2, 3)), TorusMeasure.constant(F(4, 7))
-        for route in (reference_fluid_queue, collapse_measure, kept_measure):
+        for route in (reference_fluid_queue, collapse_measure):
             with pytest.raises(CollapseError, match="first measure has more mass"):
                 route(r1, r2)
 

@@ -19,7 +19,7 @@ from toruscollapse.measures import (
 )
 from toruscollapse.rate import EntropyKernel
 
-from oracles import covers, cumulative, interval_mass, knotted, value_at
+from oracles import arc_length, covers, cumulative, interval_mass, knotted, value_at
 
 F = Fraction
 
@@ -431,7 +431,7 @@ class TestEnvelope:
         Fc = cumulative(rho, arc)
         env = concave_envelope(Fc)
         for i in range(1000):
-            t = Fc.length * F(i, 1000)
+            t = arc_length(arc) * F(i, 1000)
             assert value_at(env, t) == chord_sup(Fc.knots, t)
 
     def test_idempotent_and_slopes_nonincreasing(self):

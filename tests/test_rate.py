@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from toruscollapse import collapse, measures
+from toruscollapse import measures, rate
 from toruscollapse.collapse import collapse_measure
 from toruscollapse.measures import (
     ClosedArc,
@@ -24,6 +24,7 @@ from toruscollapse.rate import (
     _plateau_dp_min,
     contraction_identity_check,
     lattice_measures,
+    MAX_DECAY_SITES,
     ldp_decay_exact,
     minimizer_rho1,
     minimizer_rho2,
@@ -36,7 +37,7 @@ from toruscollapse.rate import (
 )
 from toruscollapse.suites import random_lattice_triple, random_ordered_pair
 
-from oracles import covers, cumulative, knotted, preimage_conditions
+from oracles import covers, cumulative, knotted, on_arc, preimage_conditions
 
 F = Fraction
 
@@ -75,7 +76,7 @@ def midpoint_s2(r1, r2, k1, k2):
             ((arc.lo + t0) % 1, (arc.lo + t1) % 1, (v1 - v0) / (t1 - t0))
             for (t0, v0), (t1, v1) in zip(knots, knots[1:])
         )
-        terms.append(midpoint_integral(env, k1, (arc.lo, arc.hi), lambda mid, a=arc: mid in a))
+        terms.append(midpoint_integral(env, k1, (arc.lo, arc.hi), lambda mid, a=arc: on_arc(a, mid)))
     return complement, terms, midpoint_integral(r2, k2)
 
 
@@ -300,7 +301,7 @@ class TestS2:
             cuts = [p for a in res.plateau.intervals for p in (a.lo, a.hi)]
             rhs = midpoint_integral(r2, k2, cuts, lambda mid: not covers(res.plateau, mid))
             for arc, env in zip(res.plateau.intervals, res.envelope_densities):
-                rhs += midpoint_integral(env, k2, (arc.lo, arc.hi), lambda mid, a=arc: mid in a)
+                rhs += midpoint_integral(env, k2, (arc.lo, arc.hi), lambda mid, a=arc: on_arc(a, mid))
             assert rhs >= -1e-12
             assert abs(lhs - rhs) < 1e-12
 
@@ -753,6 +754,26 @@ class TestLdpDecay:
         with pytest.raises(ValueError, match="at least one bin"):
             ldp_decay_exact([], F(1, 4), [100])
 
+    @pytest.mark.parametrize(
+        "sizes,message",
+        [
+            ([MAX_DECAY_SITES + 2], "exceed the cap"),
+            ([MAX_DECAY_SITES // 2 + 2] * 2, "exceed the cap"),
+            # a size below one cannot lower the sum under the cap
+            ([10**7, -(10**7)], "at least 1"),
+        ],
+    )
+    def test_sizes_over_the_cap_refused_before_any_binomial(self, monkeypatch, sizes, message):
+        monkeypatch.setattr(rate.math, "comb", None)
+        with pytest.raises(ValueError, match=message):
+            ldp_decay_exact([F(1, 2), F(0)], F(1, 4), sizes)
+
+    def test_sizes_summing_to_the_cap_admitted(self, monkeypatch):
+        monkeypatch.setattr(rate, "MAX_DECAY_SITES", 1100)
+        assert [r["n"] for r in ldp_decay_exact([F(1, 2), F(0)], F(1, 4), [100, 1000])] == [100, 1000]
+        with pytest.raises(ValueError, match="exceed the cap of 1100 sites"):
+            ldp_decay_exact([F(1, 2), F(0)], F(1, 4), [100, 1002])
+
 
 def reference_sk_oracle(rhos, family, quantum, cells):
     """The brute-force multilayer oracle with every collapse taken through
@@ -858,6 +879,10 @@ def _off_grid_triples(count, seed=5):
     masses lie strictly between 0 and 1 and increase."""
     rng, out = random.Random(seed), []
     eighths = [F(i, 8) for i in range(8)]
+
+    def kept(a, b):
+        return collapse_measure(a, b)[0]
+
     while len(out) < count:
         # densities in halves on cells of eighths: a mass in sixteenths
         last = TorusMeasure(eighths, [F(rng.randint(0, 2), 2) for _ in eighths])
@@ -868,8 +893,7 @@ def _off_grid_triples(count, seed=5):
         u2 = rng.randint(u1 + 1, m3 - 1)
         p1 = rng.choice(list(lattice_measures(4, u1, F(1, 16), "tasep")))
         p2 = rng.choice(list(lattice_measures(4, u2, F(1, 16), "tasep")))
-        k = collapse.kept_measure
-        out.append([k(k(p1, p2), last), k(p2, last), last])
+        out.append([kept(kept(p1, p2), last), kept(p2, last), last])
     return out
 
 
@@ -987,7 +1011,7 @@ class TestMultilayerOracle:
         # compares the collapses on their stored ints: no measure is built
         # from Fractions
         counts = {"queue": 0, "measures": 0}
-        queue, build = collapse._fluid_queue, measures.TorusMeasure.__init__
+        queue, build = rate.collapse_measure, measures.TorusMeasure.__init__
 
         def counted_queue(*args):
             counts["queue"] += 1
@@ -998,7 +1022,7 @@ class TestMultilayerOracle:
             build(self, *args)
 
         triple = BENCH_TRIPLES[0]  # the known triple
-        monkeypatch.setattr(collapse, "_fluid_queue", counted_queue)
+        monkeypatch.setattr(rate, "collapse_measure", counted_queue)
         monkeypatch.setattr(measures.TorusMeasure, "__init__", counted_build)
         sk_oracle(triple, "tasep", F(1, 32), 4)
         assert counts["queue"] == 4723
@@ -1017,7 +1041,7 @@ class TestMultilayerOracle:
         quarters = [F(i, 4) for i in range(4)]
         pair = [TorusMeasure(quarters, first), TorusMeasure.constant(F(3, 4))]
         want = reference_sk_oracle(pair, "tasep", F(1, 16), 4)
-        monkeypatch.setattr(collapse, "_fluid_queue", None)
+        monkeypatch.setattr(rate, "collapse_measure", None)
         assert _typed(sk_oracle(pair, "tasep", F(1, 16), 4)) == _typed(want)
         assert want["feasible_count"] == 0
 

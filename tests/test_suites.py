@@ -93,6 +93,12 @@ class TestSuiteHarness:
         assert hashes[0] == hashes[1]
         assert len(set(hashes)) == 4
 
+    def test_hash_does_not_depend_on_threads(self):
+        # the worker count changes no result, so it stays out of the hash
+        one, two = (run_suite(SuiteConfig(suite="ldp-decay", threads=t)) for t in (1, 2))
+        assert one.config["threads"] == 1 and two.config["threads"] == 2
+        assert one.content_hash == two.content_hash
+
     def test_thread_fanout_matches_sequential(self):
         over = {"ns": (3, 4), "ks": (2,)}
         seq = run_suite(SuiteConfig(suite="stationarity", seed=1, threads=1, overrides=over))
@@ -194,6 +200,19 @@ class TestSuiteHarness:
         # tabular artifacts land next to the report
         csv_text = (tmp_path / "ldp.decay_b2.csv").read_text()
         assert csv_text.splitlines()[0].startswith("n,decay,rate,gap")
+
+    def test_report_is_standard_json(self, monkeypatch, tmp_path):
+        # an infinite value in a check's rows is written as the string "inf"
+        def one_check(cfg):
+            return [("fake.check", "exact", lambda: (True, "ok", {"rows": [{"value": -math.inf}]}))]
+
+        def refuse(token):
+            raise ValueError(f"{token} is not standard JSON")
+
+        monkeypatch.setitem(SUITES, "fake", one_check)
+        run_suite(SuiteConfig(suite="fake", out_dir=str(tmp_path)))
+        data = json.loads((tmp_path / "fake.report.json").read_text(), parse_constant=refuse)
+        assert data["checks"][0]["details"] == {"rows": [{"value": "-inf"}]}
 
     def test_derive_seed_stable(self):
         assert derive_seed(0, "x") == derive_seed(0, "x")
