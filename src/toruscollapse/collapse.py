@@ -33,10 +33,11 @@ collapse_measure_representation are kept as its oracles.
 collapse_measure is that queue, and the only measure collapse: one call
 runs both laps and every check.  Lap 2 writes the collapsed measure's
 ints as it walks the cells, and the measure stores them as they are
-(TorusMeasure.on_grid); the FluxProfile keeps lap 2's flux readings as
-ints too, and builds Fractions only when read.  collapse_k and the rate
-module's minimizers and quantized oracles take the measure and leave the
-profile unread.
+(TorusMeasure.on_grid).  The FluxProfile stores the five int fields
+that define J and derives its intervals and full_torus on read, by the
+rule lap 2 uses for where {J > 0} ends in a cell (_cell_end).  collapse_k
+and the rate module's minimizers and quantized oracles take the measure
+and leave the profile unread.
 
 A FluxProfile always describes a measure pair.  Configurations and point
 sets get one through their unit-atom encodings, atomic_measure(p, 1):
@@ -60,7 +61,6 @@ from .lattice import OrderedTuple, PointConfig, TorusConfig
 from .measures import (
     ONE,
     ZERO,
-    PairGrid,
     TorusMeasure,
     cyc_len,
     cyclic_runs,
@@ -231,66 +231,79 @@ class JInterval:
         return t < self.span()
 
 
+def _cell_end(q: int, drift: int, length: int, num: int, grid_den: int):
+    """(root, at_edge): where {J > 0} ends in the cell of `length` grid units
+    from grid point `num`, J being q there and rising by `drift` per unit:
+    at the int ratio root of the draining queue, at the edge, or nowhere."""
+    if 0 < q < -drift * length:
+        return (num * -drift + q, -drift * grid_den), False
+    return None, q > 0 or drift > 0
+
+
 class FluxProfile(NamedTuple):
-    """Flux J of a measure pair, as the queue's second lap read it, in
-    ints: the merged `pair`; `flux`, J at each grid point over mass_den;
-    per cell, the `roots` where {J > 0} ends inside it (int ratios, or
-    None) and the `tails`, J just before an end at its edge; the `mask` of
-    J > 0 on each cell's point, its stretch up to that end and the rest;
-    and `full_torus`.  Equality compares these.
+    """Flux J of a measure pair, in the ints that define it: grid point j
+    is nums[j] / grid_den, J there is flux[j] / mass_den, and J rises by
+    drift[j] = dens1 - dens2 (over mass_den per grid unit) across the cell
+    right of it, clipped at zero, and is right-continuous; gamma((a, b]) =
+    J(b) - J(a) is a signed measure of total mass zero.  Equality compares
+    the ints; `positions`, `values`, `slopes` and `intervals` build
+    Fractions on read."""
 
-    J is affine with slope slopes[j] on the open cell right of
-    positions[j], clipped at zero, and right-continuous; gamma((a, b]) =
-    J(b) - J(a) is a signed measure of total mass zero.  `positions`,
-    `values`, `slopes` and `intervals` build Fractions on read.
-    """
-
-    pair: PairGrid
+    grid_den: int
+    mass_den: int
+    nums: list[int]
+    drift: list[int]
     flux: list[int]
-    roots: list[tuple[int, int] | None]
-    tails: list[int]
-    mask: list[bool]
-    full_torus: bool
 
     @property
     def positions(self) -> tuple[Fraction, ...]:
-        return tuple([Fraction(n, self.pair.grid_den) for n in self.pair.nums])
+        return tuple([Fraction(n, self.grid_den) for n in self.nums])
 
     @property
     def values(self) -> tuple[Fraction, ...]:
-        return tuple(map(int_fractions(self.pair.mass_den), self.flux))
+        return tuple(map(int_fractions(self.mass_den), self.flux))
 
     @property
     def slopes(self) -> tuple[Fraction, ...]:
-        pair = self.pair
-        density = int_fractions(pair.mass_den // pair.grid_den)
-        return tuple([density(d1 - d2) for d1, d2 in zip(pair.dens1, pair.dens2)])
+        return tuple(map(int_fractions(self.mass_den // self.grid_den), self.drift))
+
+    @property
+    def full_torus(self) -> bool:
+        """Whether J > 0 on the whole torus."""
+        # no interval means J > 0 everywhere or J = 0 everywhere
+        return self.flux[0] > 0 and not self.intervals
 
     @property
     def intervals(self) -> tuple[JInterval, ...]:
         """The maximal intervals of positive flux; none when full_torus."""
-        if self.full_torus:
+        mask, ends = [], []
+        edges = self.nums[1:] + [self.grid_den]
+        for q, drift, lo, hi in zip(self.flux, self.drift, self.nums, edges):
+            root, at_edge = _cell_end(q, drift, hi - lo, lo, self.grid_den)
+            # J > 0 at the cell's point, and on the cell up to its edge
+            mask += [q > 0, at_edge]
+            # where a run ends in the cell, and J just before an end at the edge
+            ends.append(((hi, self.grid_den), q + drift * (hi - lo)) if at_edge else (root, 0))
+        if all(mask):
             return ()
-        grid, mass, mask = self.positions, int_fractions(self.pair.mass_den), self.mask
+        grid, mass = self.positions, int_fractions(self.mass_den)
         intervals = []
-        # a maximal run of positive items (point, stretch up to the end,
-        # rest of the cell) is left-closed when it starts at a point, and
-        # ends at its last cell's edge or at the root inside that cell
+        # a maximal run is left-closed when it starts at a point; one that
+        # ends at a point goes on to the root where J drains inside its cell
         for start, length in cyclic_runs(mask):
-            i, c = start // 3, (start + length - 1) % len(mask) // 3
-            hi = grid[(c + 1) % len(grid)] if mask[3 * c + 2] else Fraction(*self.roots[c])
-            intervals.append(JInterval(grid[i], hi, start % 3 == 0, mass(self.tails[c])))
+            i, c = start // 2, (start + length - 1) % len(mask) // 2
+            end, tail = ends[c]
+            intervals.append(JInterval(grid[i], Fraction(*end) % 1, start % 2 == 0, mass(tail)))
         return tuple(intervals)
 
     def at(self, v) -> Fraction:
         """Exact J(v) at any point of the torus, on the ints: for v = n/d
-        in cell j, J = max(0, flux[j] d + (dens1 - dens2)[j] (nG - nums[j] d)) / (Md)."""
-        pair = self.pair
+        in cell j, J = max(0, flux[j] d + drift[j] (nG - nums[j] d)) / (Md)."""
         n, d = (frac(v) % 1).as_integer_ratio()
-        g = n * pair.grid_den
-        j = bisect.bisect_right(pair.nums, g // d) - 1
-        rise = (pair.dens1[j] - pair.dens2[j]) * (g - pair.nums[j] * d)
-        return Fraction(max(0, self.flux[j] * d + rise), pair.mass_den * d)
+        g = n * self.grid_den
+        j = bisect.bisect_right(self.nums, g // d) - 1
+        rise = self.drift[j] * (g - self.nums[j] * d)
+        return Fraction(max(0, self.flux[j] * d + rise), self.mass_den * d)
 
 
 def flux_values_direct(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[Fraction, ...]:
@@ -344,19 +357,19 @@ def collapse_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasu
     """
     pair = merge_pair(rho1, rho2)
     nums, grid_den = pair.nums, pair.grid_den
-    cells = list(zip(pair.lens, pair.dens1, pair.dens2, pair.atom1, pair.atom2))
-    mass1 = sum([a1 + d1 * length for length, d1, _, a1, _ in cells])
-    mass2 = sum([a2 + d2 * length for length, _, d2, _, a2 in cells])
+    drift = [d1 - d2 for d1, d2 in zip(pair.dens1, pair.dens2)]
+    cells = list(zip(pair.lens, pair.dens1, pair.dens2, pair.atom1, pair.atom2, drift))
+    mass1 = sum([a1 + d1 * length for length, d1, _, a1, _, _ in cells])
+    mass2 = sum([a2 + d2 * length for length, _, d2, _, a2, _ in cells])
     if mass1 > mass2:
         raise CollapseError("first measure has more mass")
     q = 0
-    for length, d1, d2, a1, a2 in cells:
+    for length, _, _, a1, a2, slope in cells:
         q = max(0, q + a1 - a2)
-        q = max(0, q + (d1 - d2) * length)
-    flux, roots, tails, mask = [], [], [], []
-    bps, dens, atoms, masses = [], [], [], []
-    last, kept_mass = None, 0
-    for j, (length, d1, d2, a1, a2) in enumerate(cells):
+        q = max(0, q + slope * length)
+    flux, bps, dens, atoms, masses = [], [], [], [], []
+    last, kept_mass, full = None, 0, True
+    for j, (length, d1, d2, a1, a2, slope) in enumerate(cells):
         kept = min(a2, q + a1)
         if kept < 0:
             raise RuntimeError("collapse produced a negative atom")
@@ -364,19 +377,11 @@ def collapse_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasu
             atoms.append(nums[j])
             masses.append(kept)
         q = max(0, q + a1 - a2)
-        slope = d1 - d2
-        root = None
-        if 0 < q < -slope * length:
-            # the queue drains inside the cell, at g + q / (d2 - d1): rho2's
-            # density up to there and rho1's after it keep q + d1 * length
-            root, at_edge, d = (nums[j] * -slope + q, -slope * grid_den), False, d2
-            kept_mass += kept + q + d1 * length
-        elif q > 0 or slope > 0:
-            at_edge, d = True, d2
-            kept_mass += kept + d2 * length
-        else:
-            at_edge, d = False, d1
-            kept_mass += kept + d1 * length
+        root, at_edge = _cell_end(q, slope, length, nums[j], grid_den)
+        # rho2's density where J > 0, rho1's after its end: a root's cell
+        # keeps q + d1 * length, since the queue drains q there
+        d = d2 if root is not None or at_edge else d1
+        kept_mass += kept + (q + d1 * length if root is not None else d * length)
         if d != last:
             bps.append((nums[j], grid_den))
             dens.append(d)
@@ -386,11 +391,8 @@ def collapse_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasu
             dens.append(d1)
             last = d1
         flux.append(q)
-        roots.append(root)
-        mask += [q > 0, at_edge or root is not None, at_edge]
+        full = full and q > 0 and at_edge
         q = max(0, q + slope * length)
-        tails.append(q if at_edge else 0)
-    full = all(mask)
     if full and mass1 < mass2:
         raise RuntimeError(
             "positive-flux set covers the torus despite strictly smaller "
@@ -409,7 +411,7 @@ def collapse_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasu
         pair.mass_den,
         masses,
     )
-    return result, FluxProfile(pair, flux, roots, tails, mask, full)
+    return result, FluxProfile(grid_den, pair.mass_den, nums, drift, flux)
 
 
 def collapse_measure_representation(

@@ -176,14 +176,20 @@ class RateResult:
     plateaus and, on each, the concave envelope of its cumulative."""
 
     value: float
-    finite: bool
     exact_zero: bool
-    diagonal: bool
     plateau: PlateauDecomposition | None
     envelopes: tuple[CumulativeFunction, ...]
     complement_integral: float
     plateau_integrals: tuple[float, ...]
     second_layer_integral: float
+
+    @property
+    def finite(self) -> bool:
+        return self.plateau is not None
+
+    @property
+    def diagonal(self) -> bool:
+        return self.plateau is not None and self.plateau.full_torus
 
     @property
     def envelope_densities(self) -> tuple[TorusMeasure, ...]:
@@ -221,7 +227,7 @@ def s2(
     """
     admissible = _admissible(rho1, rho2, m1, m2, family)
     if admissible is None:
-        return RateResult(INF, False, False, False, None, (), 0.0, (), 0.0)
+        return RateResult(INF, False, None, (), 0.0, (), 0.0)
     pair, k1, k2, first = admissible
     # the rate's unique zero is the constant pair
     exact_zero = rho1 == TorusMeasure.constant(k1.m) and rho2 == TorusMeasure.constant(k2.m)
@@ -233,9 +239,7 @@ def s2(
     second = _integrate_kernel(rho2, k2)
     return RateResult(
         value=first + sum(plateau_terms) + second,
-        finite=True,
         exact_zero=exact_zero,
-        diagonal=plateau.full_torus,
         plateau=plateau,
         envelopes=envelopes,
         complement_integral=first,

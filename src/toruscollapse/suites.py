@@ -86,12 +86,19 @@ class SuiteConfig:
         self.read.add(key)
         return self.overrides.get(key, default)
 
-    def count(self, key, default) -> int:
-        """A count override, refused unless an int of at least 1."""
+    def count(self, key, default, low=1) -> int:
+        """A count override, refused unless an int of at least `low`."""
         n = self.get(key, default)
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError(f"override {key!r} must be a count of at least 1, not {n!r}")
+        if isinstance(n, bool) or not isinstance(n, int) or n < low:
+            raise ValueError(f"override {key!r} must be a count of at least {low}, not {n!r}")
         return n
+
+    def duration(self, key, default) -> float:
+        """A time override, refused unless a finite number of at least 0."""
+        t = self.get(key, default)
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0 <= t < math.inf:
+            raise ValueError(f"override {key!r} must be a finite time of at least 0, not {t!r}")
+        return t
 
     def nonempty(self, key, default):
         """A list override, refused unless a nonempty list."""
@@ -268,7 +275,7 @@ def suite_stationarity(cfg: SuiteConfig) -> list[Check]:
 
 def suite_flux_equivalence(cfg: SuiteConfig) -> list[Check]:
     pairs = cfg.count("pairs", 10**4)
-    nmax = cfg.get("nmax", 64)
+    nmax = cfg.count("nmax", 64, low=2)
     direct_pairs = cfg.count("direct_pairs", 500)
     rng = random.Random(derive_seed(cfg.seed, "flux"))
 
@@ -311,7 +318,7 @@ def suite_flux_equivalence(cfg: SuiteConfig) -> list[Check]:
 def suite_order_independence(cfg: SuiteConfig) -> list[Check]:
     pairs = cfg.count("pairs", 10**3)
     orders = cfg.count("orders", 10)
-    nmax = cfg.get("nmax", 32)
+    nmax = cfg.count("nmax", 32, low=2)
     rng = random.Random(derive_seed(cfg.seed, "order"))
 
     def body():
@@ -336,7 +343,7 @@ def suite_order_independence(cfg: SuiteConfig) -> list[Check]:
 
 def suite_commutation(cfg: SuiteConfig) -> list[Check]:
     per_regime = cfg.count("inputs", 10**3)
-    nmax = cfg.get("nmax", 32)
+    nmax = cfg.count("nmax", 32, low=2)
     rng = random.Random(derive_seed(cfg.seed, "commutation"))
     checks = []
 
@@ -624,10 +631,11 @@ def _had_unit(args):
 
 
 def suite_had_invariance(cfg: SuiteConfig) -> list[Check]:
-    n1, n2 = cfg.get("n1", 8), cfg.get("n2", 16)
+    n1 = cfg.count("n1", 8, low=0)
+    n2 = cfg.count("n2", 16, low=max(n1, 1))
     samples = cfg.count("samples", 10**3)
-    gap = cfg.get("sample_gap", 40.0)
-    burn = cfg.get("burn_in", 100.0)
+    gap = cfg.duration("sample_gap", 40.0)
+    burn = cfg.duration("burn_in", 100.0)
     seeds = cfg.nonempty("seeds", tuple(range(1, 9)))
     need = -(-7 * len(seeds) // 8)  # seven in eight, rounded up
     units = [

@@ -476,6 +476,21 @@ class TestIntQueueAgainstFractions:
         assert _types(atom_values) == [F] * len(atom_values)
         assert flux_values_direct(r1, r2) == want_profile.values
 
+    @given(off_grid_pairs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_profile_is_the_flux_alone(self, pair, data):
+        # one atom added to both layers where each has a breakpoint or an
+        # atom, of a whole mass, so that no grid point or mass denominator
+        # changes, leaves J alone: the profiles are equal and the collapse
+        # keeps the atom
+        r1, r2 = pair
+        shared = {*r1.breakpoints, *(a.at for a in r1.atoms)}
+        shared &= {*r2.breakpoints, *(a.at for a in r2.atoms)}
+        at = data.draw(st.sampled_from(sorted(shared)))
+        atom = TorusMeasure.from_atoms([at], data.draw(st.integers(1, 3)))
+        kept, profile = collapse_measure(r1, r2)
+        assert collapse_measure(r1.add(atom), r2.add(atom)) == (kept.add(atom), profile)
+
     @given(st.one_of(off_grid_pairs(), plateau_pairs()))
     @settings(max_examples=200, deadline=None)
     def test_kernel_form_is_the_form_of_the_kept_measure(self, pair):
