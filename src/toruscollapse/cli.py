@@ -113,9 +113,8 @@ def cmd_simulate(args) -> int:
     """Run one model from an invariant state: the events are kept and
     written only under --record, otherwise only their count."""
     rng = random.Random(args.seed)
-    counts = _parse_classes(args.classes)
+    spec = ProcessSpec(args.model, _parse_classes(args.classes), n=args.n)
     if args.model == "tasep":
-        spec = ProcessSpec("tasep", counts, n=args.n)
         labels = class_label_encode(list(sample_invariant(spec, rng)))
         final, events = tasep_simulate(labels, args.horizon, rng, record=args.record)
         obj = {"model": "tasep", "final_labels": list(final)}
@@ -125,7 +124,6 @@ def cmd_simulate(args) -> int:
             labels = bond_update(labels, x)
             rows.append({"time": f"{t:.6f}", "event": x, "labels": "".join(map(str, labels))})
     else:
-        spec = ProcessSpec("had", counts)
         start = list(sample_invariant(spec, rng))
         final, events = had_simulate(start, args.horizon, rng, record=args.record)
         obj = {"model": "had", "final_layers": [[str(p) for p in layer.points] for layer in final]}
@@ -157,8 +155,7 @@ def cmd_sample_invariant(args) -> int:
     if args.samples < 0:
         raise ValueError("--samples must be nonnegative")
     rng = random.Random(args.seed)
-    counts = _parse_classes(args.classes)
-    spec = ProcessSpec(args.model, counts, n=args.n)  # the point model reads no ring size
+    spec = ProcessSpec(args.model, _parse_classes(args.classes), n=args.n)
     check_draws(spec, args.samples)
 
     def chunks():
@@ -231,7 +228,7 @@ def cmd_minimizer(args) -> int:
 def cmd_ldp_decay(args) -> int:
     dens = [frac(x) for x in args.bins.split(",")]
     sizes = [int(x) for x in args.sizes.split(",")]
-    rows = ldp_decay_exact(dens, frac(args.m), sizes)
+    rows = ldp_decay_exact(dens, sizes)
     _emit(args, {"rows": rows}, rows)
     return 0
 
@@ -252,7 +249,7 @@ def cmd_suite(args) -> int:
     overrides = json.loads(args.overrides) if args.overrides else {}
     if not isinstance(overrides, dict):
         raise ValueError("--overrides must be a JSON object")
-    config = dict(seed=args.seed, threads=args.threads, out_dir=args.out, overrides=overrides)
+    config = dict(seed=args.seed, out_dir=args.out, overrides=overrides)
     if args.name == "all":
         reports = run_all(**config)
     else:
@@ -323,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("ldp-decay", parents=[out, fmt], help="exact decay vs rate")
     c.add_argument("--bins", required=True, help="comma list of bin densities")
-    c.add_argument("--m", required=True)
     c.add_argument("--sizes", default="100,1000,10000")
     c.set_defaults(fn=cmd_ldp_decay)
 
@@ -333,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("suite", parents=[out, seed], help="run a verification suite")
     c.add_argument("name", choices=sorted(SUITES) + ["all"])
     c.add_argument("--overrides", default=None, help="JSON dict of size overrides")
-    c.add_argument("--threads", type=int, default=1, help="worker processes")
     c.set_defaults(fn=cmd_suite)
     return p
 

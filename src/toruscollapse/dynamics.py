@@ -94,6 +94,8 @@ class ProcessSpec:
                 raise ValueError("ring size n >= 2 required")
             if sum(self.class_counts) > self.n:
                 raise ValueError("class counts exceed ring size")
+        elif self.n is not None:
+            raise ValueError("the point model takes no ring size n")
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:

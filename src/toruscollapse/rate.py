@@ -618,32 +618,28 @@ def s3_recursive(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int)
 # ---------------------------------------------------------------------------
 
 
-def ldp_decay_exact(
-    bin_densities: Sequence, m, sizes: Sequence[int]
-) -> list[dict]:
+def ldp_decay_exact(bin_densities: Sequence, sizes: Sequence[int]) -> list[dict]:
     """Exact decay of the probability that uniform sampling produces a
-    coarse profile, against the one-layer rate.
+    coarse profile, against the one-layer rate at the profile's own mass.
 
-    The profile is constant on B equal bins; at ring size N the bin counts
-    must be integers.  Probabilities are exact binomial ratios; the decay
-    is -log(P)/N and the reported bound dominates the Stirling error.
+    The profile is constant on B equal bins, and its mass is their mean
+    density; at ring size N the bin counts must be integers.  Probabilities
+    are exact binomial ratios; the decay is -log(P)/N and the reported
+    bound dominates the Stirling error.
     Sizes that sum to more than MAX_DECAY_SITES are refused before any
     binomial is computed.
     """
     dens = [frac(d) for d in bin_densities]
-    m = frac(m)
     B = len(dens)
     if B == 0:
         raise ValueError("need at least one bin density")
-    if sum(dens) / B != m:
-        raise ValueError("bin densities must average to the mass parameter")
     if any(d < 0 or d > 1 for d in dens):
         raise ValueError("bin densities must lie in [0, 1]")
     if min(sizes, default=1) < 1:
         raise ValueError(f"ring size {min(sizes)} must be at least 1")
     if sum(sizes) > MAX_DECAY_SITES:
         raise ValueError(f"ring sizes summing to {sum(sizes)} exceed the cap of {MAX_DECAY_SITES} sites")
-    kern = EntropyKernel("tasep", m)
+    kern = EntropyKernel("tasep", sum(dens) / B)
     s1_val = sum(float(Fraction(1, B)) * kern(d) for d in dens)
     rows = []
     for n in sizes:

@@ -6,9 +6,7 @@ A suite function reads its overrides and returns its checks unrun, as
 is refused before any body runs, as is a count below 1 or an empty list:
 a check over no instances would pass having tested nothing.  Suites
 continue past failures and aggregate; the report says which checks failed
-and by how much.  Heavy suites fan independent units out to a process
-pool when threads > 1; the fold back into a report is ordered by check
-id, so parallelism never changes the output.
+and by how much.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -66,21 +63,20 @@ HAD_P_THRESHOLD = 0.01  # KS p-value a had-invariance seed must pass
 RECURSION_TOL = 1e-2  # |three-layer oracle - recursion|
 
 
+def _is_count(n, low) -> bool:
+    return not isinstance(n, bool) and isinstance(n, int) and n >= low
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Everything that determines a suite run, byte for byte."""
 
     suite: str
     seed: int = 0
-    threads: int = 1
     out_dir: str | None = None
     overrides: dict = field(default_factory=dict)
     # override keys the suite has asked for, so run_suite can refuse the rest
     read: set = field(default_factory=set, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.threads < 1:
-            raise ValueError(f"threads must be at least 1, got {self.threads}")
 
     def get(self, key, default):
         self.read.add(key)
@@ -89,7 +85,7 @@ class SuiteConfig:
     def count(self, key, default, low=1) -> int:
         """A count override, refused unless an int of at least `low`."""
         n = self.get(key, default)
-        if isinstance(n, bool) or not isinstance(n, int) or n < low:
+        if not _is_count(n, low):
             raise ValueError(f"override {key!r} must be a count of at least {low}, not {n!r}")
         return n
 
@@ -107,11 +103,20 @@ class SuiteConfig:
             raise ValueError(f"override {key!r} must be a nonempty list, not {items!r}")
         return items
 
+    def counts(self, key, default, low=1) -> list:
+        """A list override, refused unless a nonempty list of counts, each
+        an int of at least `low`."""
+        items = self.nonempty(key, default)
+        if not all(_is_count(n, low) for n in items):
+            raise ValueError(
+                f"override {key!r} must be a list of counts of at least {low}, not {items!r}"
+            )
+        return items
+
     def to_json_dict(self) -> dict:
         return {
             "suite": self.suite,
             "seed": self.seed,
-            "threads": self.threads,
             "overrides": dict(self.overrides),
             "version": __version__,
         }
@@ -255,13 +260,13 @@ def _stationarity_unit(args):
 
 
 def suite_stationarity(cfg: SuiteConfig) -> list[Check]:
-    ns = cfg.nonempty("ns", (3, 4, 5, 6, 7, 8))
-    ks = cfg.nonempty("ks", (2, 3))
+    ns = cfg.counts("ns", (3, 4, 5, 6, 7, 8), low=2)
+    ks = cfg.counts("ks", (2, 3))
     # class counts: the compositions of n into k classes and holes
     units = [(n, c[:-1]) for n in ns for k in ks for c in compositions(n, k + 1)]
 
     def body():
-        results = _map_units(_stationarity_unit, units, cfg.threads)
+        results = [_stationarity_unit(u) for u in units]
         worst = max((Fraction(r[2]) for r in results), default=Fraction(0))
         bad = [r for r in results if not r[3]]
         return (
@@ -573,23 +578,20 @@ def suite_nonconvexity(cfg: SuiteConfig) -> list[Check]:
 
 
 def suite_ldp_decay(cfg: SuiteConfig) -> list[Check]:
-    sizes = cfg.nonempty("sizes", (100, 1000, 10000))
+    sizes = cfg.counts("sizes", (100, 1000, 10000))
     profiles = cfg.nonempty(
         "profiles",
         (
-            ((Fraction(1, 2), Fraction(0)), Fraction(1, 4)),
-            (
-                (Fraction(3, 5), Fraction(2, 5), Fraction(1, 5), Fraction(4, 5)),
-                Fraction(1, 2),
-            ),
+            (Fraction(1, 2), Fraction(0)),
+            (Fraction(3, 5), Fraction(2, 5), Fraction(1, 5), Fraction(4, 5)),
         ),
     )
     checks = []
-    for dens, m in profiles:
+    for dens in profiles:
         b = len(dens)
 
-        def body(dens=dens, m=m, b=b):
-            rows = ldp_decay_exact(dens, m, sizes)
+        def body(dens=dens, b=b):
+            rows = ldp_decay_exact(dens, sizes)
             gaps = [abs(r["gap"]) for r in rows]
             bounded = all(abs(r["gap"]) <= r["bound"] for r in rows)
             decreasing = all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
@@ -643,7 +645,7 @@ def suite_had_invariance(cfg: SuiteConfig) -> list[Check]:
     ]
 
     def body():
-        results = _map_units(_had_unit, units, cfg.threads)
+        results = [_had_unit(u) for u in units]
         passing = sum(1 for _, p1, p2 in results if min(p1, p2) > HAD_P_THRESHOLD)
         detail = {
             f"seed_{s}": {"p_max_gap": round(p1, 4), "p_owned_gap": round(p2, 4)}
@@ -702,30 +704,18 @@ SUITES = {
 }
 
 
-def _map_units(fn, units, threads):
-    """fn over units, in order.  With threads > 1 they run in a process
-    pool of at most one worker per unit and per CPU: a forking pool starts
-    every worker it is given at the first submit."""
-    workers = min(threads, len(units), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, units))
-    return [fn(u) for u in units]
-
-
 def run_suite(config: SuiteConfig) -> SuiteReport:
     if config.suite not in SUITES:
         raise ValueError(f"unknown suite {config.suite!r}; known: {sorted(SUITES)}")
     return _run([config])[0]
 
 
-def run_all(seed=0, threads=1, out_dir=None, overrides=None) -> list[SuiteReport]:
+def run_all(seed=0, out_dir=None, overrides=None) -> list[SuiteReport]:
     return _run(
         [
             SuiteConfig(
                 suite=name,
                 seed=seed,
-                threads=threads,
                 out_dir=out_dir,
                 overrides=dict(overrides or {}),
             )
@@ -750,12 +740,11 @@ def _report(config: SuiteConfig, pending: list[Check]) -> SuiteReport:
     t0 = time.perf_counter()
     checks = sorted([_timed(*check) for check in pending], key=lambda c: c.check_id)
     cfg_json = config.to_json_dict()
-    # the hash covers what a rerun must reproduce, never runtimes, the
-    # invocation or the worker count, which changes no result
-    hashed = {k: v for k, v in cfg_json.items() if k != "threads"}
+    # the hash covers what a rerun must reproduce, never runtimes or the
+    # invocation
     results = [(c.check_id, c.passed, c.statistic, c.threshold, c.details) for c in checks]
     content_hash = hashlib.sha256(
-        to_json([hashed, results], sort_keys=True).encode()
+        to_json([cfg_json, results], sort_keys=True).encode()
     ).hexdigest()[:16]
     report = SuiteReport(
         suite=config.suite,

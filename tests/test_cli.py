@@ -355,7 +355,7 @@ class TestCli:
 
     def test_ldp_decay_csv(self, capsys):
         code, out = run_cli(
-            capsys, "ldp-decay", "--bins", "1/2,0", "--m", "1/4",
+            capsys, "ldp-decay", "--bins", "1/2,0",
             "--sizes", "100,1000", "--format", "csv",
         )
         assert code == 0
@@ -396,6 +396,7 @@ class TestCli:
         [
             ("stationarity", '{"ns": []}', "override 'ns' must be a nonempty list, not []"),
             ("recursion", '{"instances": -1}', "override 'instances' must be a count of at least 1, not -1"),
+            ("stationarity", '{"ns": ["a"]}', "override 'ns' must be a list of counts of at least 2, not ['a']"),
         ],
     )
     def test_suite_override_testing_nothing_is_one_line_exit_two(self, capsys, name, overrides, message):
@@ -405,28 +406,39 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"toruscollapse suite: error: {message}"]
 
-    @pytest.mark.parametrize("name", ["had-invariance", "all"])
-    def test_suite_threads_below_one_is_one_line_exit_two(self, capsys, name):
-        code = main(["suite", name, "--threads", "0"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "toruscollapse suite: error: threads must be at least 1, got 0"
-        ]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suite", "had-invariance", "--threads", "2"],
+            ["suite", "all", "--threads", "2"],
+            ["ldp-decay", "--bins", "1/2,0", "--m", "1/4"],
+        ],
+    )
+    def test_removed_option_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["suite", "nope"])
 
-    def test_domain_error_is_one_line_exit_two(self, capsys):
-        code = main(["stationary", "--n", "3", "--classes", "5"])
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["stationary", "--n", "3", "--classes", "5"], "class counts exceed ring size"),
+            # the point model has no ring, so a ring size is refused, not ignored
+            (["simulate", "--model", "had", "--n", "5", "--classes", "1,1"], "the point model takes no ring size n"),
+            (["sample-invariant", "--model", "had", "--n", "5", "--classes", "1"], "the point model takes no ring size n"),
+        ],
+    )
+    def test_domain_error_is_one_line_exit_two(self, capsys, argv, message):
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "toruscollapse stationary: error: class counts exceed ring size"
-        ]
+        assert captured.err.splitlines() == [f"toruscollapse {argv[0]}: error: {message}"]
 
     def test_collapse_error_is_one_line_exit_two(self, capsys, tmp_path):
         heavy, light = TorusMeasure.constant(1), TorusMeasure.constant(F(1, 2))
@@ -448,7 +460,7 @@ class TestCli:
 
     @pytest.mark.parametrize("size", ["0", "-4"])
     def test_ldp_decay_size_below_one_is_one_line_exit_two(self, capsys, size):
-        code = main(["ldp-decay", "--bins", "1/2,0", "--m", "1/4", "--sizes", size])
+        code = main(["ldp-decay", "--bins", "1/2,0", "--sizes", size])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -458,7 +470,7 @@ class TestCli:
 
     def test_ldp_decay_over_the_cap_is_one_line_exit_two(self, capsys, monkeypatch):
         monkeypatch.setattr(rate.math, "comb", None)  # refused before any binomial
-        code = main(["ldp-decay", "--bins", "1/2,0", "--m", "1/4", "--sizes", "10000000"])
+        code = main(["ldp-decay", "--bins", "1/2,0", "--sizes", "10000000"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -471,7 +483,7 @@ class TestCli:
         "argv",
         [
             ["rate-eval", "--rho1", "{profile}", "--m1", "1/0"],
-            ["ldp-decay", "--bins", "1/0,0", "--m", "1/4"],
+            ["ldp-decay", "--bins", "1/0,0"],
             ["minimizer", "--which", "first", "--profile", "{profile}", "--mass", "1/0"],
         ],
     )

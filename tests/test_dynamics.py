@@ -148,6 +148,10 @@ class TestSpec:
         with pytest.raises(ValueError):
             ProcessSpec("tasep", (3, 3), n=5)
 
+    def test_point_model_refuses_a_ring_size(self):
+        with pytest.raises(ValueError, match="the point model takes no ring size n"):
+            ProcessSpec("had", (1, 1), n=5)
+
 
 class TestExactStationary:
     def test_one_class_uniform(self):

@@ -730,13 +730,13 @@ class TestNonconvexity:
 
 class TestLdpDecay:
     def test_typical_profile_decays_to_zero(self):
-        rows = ldp_decay_exact([F(1, 2), F(1, 2)], F(1, 2), [100, 1000, 10000])
+        rows = ldp_decay_exact([F(1, 2), F(1, 2)], [100, 1000, 10000])
         assert rows[0]["rate"] == 0.0
         decays = [abs(r["decay"]) for r in rows]
         assert decays[0] > decays[1] > decays[2]
 
     def test_two_bin_profile(self):
-        rows = ldp_decay_exact([F(1, 2), F(0)], F(1, 4), [100, 1000, 10000])
+        rows = ldp_decay_exact([F(1, 2), F(0)], [100, 1000, 10000])
         for r in rows:
             assert abs(r["gap"]) <= r["bound"]
         gaps = [abs(r["gap"]) for r in rows]
@@ -744,15 +744,11 @@ class TestLdpDecay:
 
     def test_unrealizable_profile_rejected(self):
         with pytest.raises(ValueError):
-            ldp_decay_exact([F(1, 2), F(0)], F(1, 4), [50])  # 25 sites per bin, 12.5 particles
-
-    def test_wrong_mean_rejected(self):
-        with pytest.raises(ValueError):
-            ldp_decay_exact([F(1, 2), F(1, 2)], F(1, 4), [100])
+            ldp_decay_exact([F(1, 2), F(0)], [50])  # 25 sites per bin, 12.5 particles
 
     def test_no_bins_rejected(self):
         with pytest.raises(ValueError, match="at least one bin"):
-            ldp_decay_exact([], F(1, 4), [100])
+            ldp_decay_exact([], [100])
 
     @pytest.mark.parametrize(
         "sizes,message",
@@ -766,13 +762,13 @@ class TestLdpDecay:
     def test_sizes_over_the_cap_refused_before_any_binomial(self, monkeypatch, sizes, message):
         monkeypatch.setattr(rate.math, "comb", None)
         with pytest.raises(ValueError, match=message):
-            ldp_decay_exact([F(1, 2), F(0)], F(1, 4), sizes)
+            ldp_decay_exact([F(1, 2), F(0)], sizes)
 
     def test_sizes_summing_to_the_cap_admitted(self, monkeypatch):
         monkeypatch.setattr(rate, "MAX_DECAY_SITES", 1100)
-        assert [r["n"] for r in ldp_decay_exact([F(1, 2), F(0)], F(1, 4), [100, 1000])] == [100, 1000]
+        assert [r["n"] for r in ldp_decay_exact([F(1, 2), F(0)], [100, 1000])] == [100, 1000]
         with pytest.raises(ValueError, match="exceed the cap of 1100 sites"):
-            ldp_decay_exact([F(1, 2), F(0)], F(1, 4), [100, 1002])
+            ldp_decay_exact([F(1, 2), F(0)], [100, 1002])
 
 
 def reference_sk_oracle(rhos, family, quantum, cells):

@@ -82,6 +82,15 @@ class TestSuiteHarness:
             ("had-invariance", {"n1": 9, "n2": 8}, "n2"),
             ("had-invariance", {"n1": 17}, "n2"),
             ("had-invariance", {"burn_in": 0, "sample_gap": math.nan}, "sample_gap"),
+            # the elements of a list of sizes
+            ("stationarity", {"ns": ["a"]}, "ns"),
+            ("stationarity", {"ns": [1]}, "ns"),
+            ("stationarity", {"ns": [3, 4.0]}, "ns"),
+            ("stationarity", {"ks": [0]}, "ks"),
+            ("stationarity", {"ks": [True]}, "ks"),
+            ("ldp-decay", {"sizes": ["a"]}, "sizes"),
+            ("ldp-decay", {"sizes": [0]}, "sizes"),
+            ("ldp-decay", {"sizes": [100, None]}, "sizes"),
             *[
                 ("had-invariance", {key: value}, key)
                 for key in ("sample_gap", "burn_in")
@@ -100,6 +109,7 @@ class TestSuiteHarness:
         "suite,overrides,content_hash",
         [
             ("measure-collapse", {}, "51e479754b7cff45"),
+            ("stationarity", {"ns": [3, 4, 5, 6], "ks": [2, 3]}, "ac5cc0134aea42ef"),
             ("commutation", {"inputs": 200}, "dc6668a551d4a684"),
             ("flux-equivalence", {"pairs": 500}, "2aecd5d1cbab399c"),
             ("order-independence", {"pairs": 200}, "42a29140c1b2ad50"),
@@ -135,52 +145,6 @@ class TestSuiteHarness:
             hashes.append(run_suite(SuiteConfig(suite="fake")).content_hash)
         assert hashes[0] == hashes[1]
         assert len(set(hashes)) == 4
-
-    def test_hash_does_not_depend_on_threads(self):
-        # the worker count changes no result, so it stays out of the hash
-        one, two = (run_suite(SuiteConfig(suite="ldp-decay", threads=t)) for t in (1, 2))
-        assert one.config["threads"] == 1 and two.config["threads"] == 2
-        assert one.content_hash == two.content_hash
-
-    def test_thread_fanout_matches_sequential(self):
-        over = {"ns": (3, 4), "ks": (2,)}
-        seq = run_suite(SuiteConfig(suite="stationarity", seed=1, threads=1, overrides=over))
-        par = run_suite(SuiteConfig(suite="stationarity", seed=1, threads=2, overrides=over))
-        assert [c.statistic for c in seq.checks] == [c.statistic for c in par.checks]
-        assert seq.passed and par.passed
-
-    @pytest.mark.parametrize(
-        "threads,units,cpus,workers",
-        [(5000, 8, 64, 8), (5000, 8, 2, 2), (3, 8, 64, 3), (5000, 1, 64, None), (4, 8, None, None)],
-    )
-    def test_pool_never_outgrows_units_or_cpus(self, monkeypatch, threads, units, cpus, workers):
-        """The pool gets at most one worker per unit and per CPU, and none
-        when that is one.  A recording stand-in replaces the executor, so no
-        process starts whatever `threads` is."""
-        made = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(suites.os, "cpu_count", lambda: cpus)
-        assert suites._map_units(abs, list(range(-units, 0)), threads) == list(range(units, 0, -1))
-        assert made == ([] if workers is None else [workers])
-
-    @pytest.mark.parametrize("threads", [0, -1])
-    def test_threads_below_one_refused(self, threads):
-        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
-            SuiteConfig(suite="had-invariance", threads=threads)
 
     def test_failure_aggregation(self, monkeypatch):
         # a seed whose p-values are all 0 must fail the check without raising
