@@ -37,7 +37,7 @@ from .rate import (
     s2,
 )
 from .serialize import flux_to_json, part_from_json, part_to_json, rows_to_csv, to_json
-from .suites import SUITES, SuiteConfig, run_all, run_suite
+from .suites import SUITES, SuiteConfig, run_suites
 
 
 def _read_json(path: str):
@@ -249,11 +249,8 @@ def cmd_suite(args) -> int:
     overrides = json.loads(args.overrides) if args.overrides else {}
     if not isinstance(overrides, dict):
         raise ValueError("--overrides must be a JSON object")
-    config = dict(seed=args.seed, out_dir=args.out, overrides=overrides)
-    if args.name == "all":
-        reports = run_all(**config)
-    else:
-        reports = [run_suite(SuiteConfig(suite=args.name, **config))]
+    names = list(SUITES) if args.name == "all" else [args.name]
+    reports = run_suites([SuiteConfig(name, args.seed, args.out, overrides) for name in names])
     failed = 0
     for rep in reports:
         for c in rep.checks:

@@ -178,10 +178,6 @@ class TorusMeasure:
     # ---- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "TorusMeasure":
-        return cls.on_grid(1, [0], 1, [0])
-
-    @classmethod
     def constant(cls, c) -> "TorusMeasure":
         n, d = frac(c).as_integer_ratio()
         return cls.on_grid(1, [0], d, [n])
@@ -273,7 +269,7 @@ class TorusMeasure:
         if c < 0:
             raise ValueError("scale factor must be nonnegative")
         if c == 0:
-            return TorusMeasure.zero()
+            return TorusMeasure.constant(0)
         n, d = c.as_integer_ratio()
         return TorusMeasure.on_grid(
             self.grid,
@@ -297,9 +293,6 @@ class TorusMeasure:
             pair.mass_den,
             [m for _, m in atoms],
         )
-
-    def __add__(self, other):
-        return self.add(other)
 
     # ---- serialization ---------------------------------------------------
 

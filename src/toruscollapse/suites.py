@@ -40,7 +40,14 @@ from .dynamics import (
     sample_invariant,
 )
 from .lattice import compositions, random_config, random_points
-from .measures import TorusMeasure, measure_leq, measure_leq_witness, numerators, rescale
+from .measures import (
+    TorusMeasure,
+    json_rationals,
+    measure_leq,
+    measure_leq_witness,
+    numerators,
+    rescale,
+)
 from .rate import (
     contraction_identity_check,
     ldp_decay_exact,
@@ -75,7 +82,7 @@ class SuiteConfig:
     seed: int = 0
     out_dir: str | None = None
     overrides: dict = field(default_factory=dict)
-    # override keys the suite has asked for, so run_suite can refuse the rest
+    # override keys the suite has asked for, so run_suites can refuse the rest
     read: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def get(self, key, default):
@@ -252,11 +259,9 @@ def random_lattice_triple(rng):
 # ---------------------------------------------------------------------------
 
 
-def _stationarity_unit(args):
-    n, counts = args
-    spec = ProcessSpec("tasep", tuple(counts), n=n)
-    tv = exact_stationary(spec).tv_distance(pushforward_distribution(spec))
-    return (n, counts, str(tv), tv == 0)
+def _stationarity_unit(n, counts) -> Fraction:
+    spec = ProcessSpec("tasep", counts, n=n)
+    return exact_stationary(spec).tv_distance(pushforward_distribution(spec))
 
 
 def suite_stationarity(cfg: SuiteConfig) -> list[Check]:
@@ -266,13 +271,12 @@ def suite_stationarity(cfg: SuiteConfig) -> list[Check]:
     units = [(n, c[:-1]) for n in ns for k in ks for c in compositions(n, k + 1)]
 
     def body():
-        results = [_stationarity_unit(u) for u in units]
-        worst = max((Fraction(r[2]) for r in results), default=Fraction(0))
-        bad = [r for r in results if not r[3]]
+        tvs = [_stationarity_unit(*u) for u in units]
+        bad = [u for u, tv in zip(units, tvs) if tv]
         return (
             not bad,
-            f"max TV = {worst} over {len(results)} instances",
-            {"instances": len(results), "failures": [r[:2] for r in bad][:10]},
+            f"max TV = {max(tvs, default=Fraction(0))} over {len(tvs)} instances",
+            {"instances": len(tvs), "failures": bad[:10]},
         )
 
     return [("stationarity.pushforward_equals_linear_solve", "TV == 0 exactly", body)]
@@ -579,13 +583,19 @@ def suite_nonconvexity(cfg: SuiteConfig) -> list[Check]:
 
 def suite_ldp_decay(cfg: SuiteConfig) -> list[Check]:
     sizes = cfg.counts("sizes", (100, 1000, 10000))
-    profiles = cfg.nonempty(
-        "profiles",
-        (
-            (Fraction(1, 2), Fraction(0)),
-            (Fraction(3, 5), Fraction(2, 5), Fraction(1, 5), Fraction(4, 5)),
-        ),
-    )
+    given = cfg.nonempty("profiles", [["1/2", "0"], ["3/5", "2/5", "1/5", "4/5"]])
+    profiles = [json_rationals(p, "each of override 'profiles'") for p in given]
+    # one check per bin count, named by it, and each profile realizable at
+    # every size (the bins divide it, each bin count d N / B an int), so a
+    # failed check is a failed criterion, never a malformed profile
+    for g, p in zip(given, profiles):
+        if not p or any(not 0 <= d <= 1 for d in p) or [len(q) for q in profiles].count(len(p)) > 1:
+            raise ValueError(
+                f"override 'profiles' must be density lists in [0, 1] of distinct lengths, not {g!r}"
+            )
+        for n in sizes:
+            if any(Fraction(x * n, len(p)).denominator > 1 for x in (1, *p)):
+                raise ValueError(f"override 'profiles': {g!r} is not realizable at size {n}")
     checks = []
     for dens in profiles:
         b = len(dens)
@@ -617,8 +627,9 @@ def _had_statistics(state) -> tuple[float, float]:
     return max(gaps), owned
 
 
-def _had_unit(args):
-    seed, n1, n2, samples, gap, burn = args
+def _had_unit(seed, n1, n2, samples, gap, burn) -> tuple[float, float]:
+    """KS p-values of the largest and the owned gap, direct draws against
+    a simulated chain, from one seed."""
     rng = random.Random(seed)
     spec = ProcessSpec("had", (n1, n2 - n1))
     direct = [
@@ -629,7 +640,7 @@ def _had_unit(args):
     simulated = [_had_statistics(s) for s in chain]
     _, p_max = ks_two_sample([d[0] for d in direct], [s[0] for s in simulated])
     _, p_owned = ks_two_sample([d[1] for d in direct], [s[1] for s in simulated])
-    return seed, p_max, p_owned
+    return p_max, p_owned
 
 
 def suite_had_invariance(cfg: SuiteConfig) -> list[Check]:
@@ -640,16 +651,15 @@ def suite_had_invariance(cfg: SuiteConfig) -> list[Check]:
     burn = cfg.duration("burn_in", 100.0)
     seeds = cfg.nonempty("seeds", tuple(range(1, 9)))
     need = -(-7 * len(seeds) // 8)  # seven in eight, rounded up
-    units = [
-        (derive_seed(cfg.seed, f"had:{s}"), n1, n2, samples, gap, burn) for s in seeds
-    ]
 
     def body():
-        results = [_had_unit(u) for u in units]
-        passing = sum(1 for _, p1, p2 in results if min(p1, p2) > HAD_P_THRESHOLD)
+        results = [
+            _had_unit(derive_seed(cfg.seed, f"had:{s}"), n1, n2, samples, gap, burn) for s in seeds
+        ]
+        passing = sum(1 for p1, p2 in results if min(p1, p2) > HAD_P_THRESHOLD)
         detail = {
             f"seed_{s}": {"p_max_gap": round(p1, 4), "p_owned_gap": round(p2, 4)}
-            for s, (_, p1, p2) in zip(seeds, results)
+            for s, (p1, p2) in zip(seeds, results)
         }
         stat = f"{passing}/{len(seeds)} seeds with both p > {HAD_P_THRESHOLD}"
         return passing >= need, stat, detail
@@ -704,30 +714,14 @@ SUITES = {
 }
 
 
-def run_suite(config: SuiteConfig) -> SuiteReport:
-    if config.suite not in SUITES:
-        raise ValueError(f"unknown suite {config.suite!r}; known: {sorted(SUITES)}")
-    return _run([config])[0]
-
-
-def run_all(seed=0, out_dir=None, overrides=None) -> list[SuiteReport]:
-    return _run(
-        [
-            SuiteConfig(
-                suite=name,
-                seed=seed,
-                out_dir=out_dir,
-                overrides=dict(overrides or {}),
-            )
-            for name in SUITES
-        ]
-    )
-
-
-def _run(configs: list[SuiteConfig]) -> list[SuiteReport]:
+def run_suites(configs: list[SuiteConfig]) -> list[SuiteReport]:
     """Build the checks of every config, which reads its overrides; raise
-    ValueError naming any override key that none of them read, before any
-    check runs; then run each suite's checks and report them."""
+    ValueError naming an unknown suite, or any override key that none of
+    them read, before any check runs; then run each suite's checks and
+    report them."""
+    for config in configs:
+        if config.suite not in SUITES:
+            raise ValueError(f"unknown suite {config.suite!r}; known: {sorted(SUITES)}")
     pending = [SUITES[config.suite](config) for config in configs]
     unread = set().union(*(c.overrides for c in configs)) - set().union(*(c.read for c in configs))
     if unread:

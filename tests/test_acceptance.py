@@ -5,11 +5,11 @@ verification suites; each emits one PASS/FAIL line (visible with -s or in
 captured output on failure).
 """
 
-from toruscollapse.suites import SuiteConfig, run_suite
+from toruscollapse.suites import SuiteConfig, run_suites
 
 
 def _run(name, criterion, overrides=None, max_runtime=None):
-    report = run_suite(SuiteConfig(suite=name, seed=0, overrides=overrides or {}))
+    report = run_suites([SuiteConfig(suite=name, seed=0, overrides=overrides or {})])[0]
     for check in report.checks:
         mark = "PASS" if check.passed else "FAIL"
         print(f"[{mark}] {criterion} / {check.check_id}: {check.statistic}"

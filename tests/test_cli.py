@@ -16,6 +16,7 @@ from toruscollapse.measures import TorusMeasure
 from toruscollapse.collapse import collapse_k, collapse_measure
 from toruscollapse.serialize import flux_to_json, part_from_json, part_to_json
 from toruscollapse.lattice import PointConfig, TorusConfig
+from toruscollapse.suites import SUITES
 
 F = Fraction
 
@@ -383,12 +384,31 @@ class TestCli:
         assert report["config"]["suite"] == "nonconvexity"
         assert "invocation" in report and "content_hash" in report
 
-    def test_suite_unread_override_is_one_line_exit_two(self, capsys):
-        code = main(["suite", "measure-collapse", "--overrides", '{"pair": 5}'])
+    def test_suite_all_runs_every_suite_in_order(self, capsys, tmp_path):
+        overrides = {
+            "ns": [3, 4], "ks": [2], "pairs": 20, "inputs": 10, "instances": 2,
+            "samples": 50, "seeds": [1], "sizes": [100, 1000],
+        }
+        code, out = run_cli(
+            capsys, "suite", "all", "--overrides", json.dumps(overrides), "--out", str(tmp_path),
+        )
+        assert code == 0
+        reports = [loads((tmp_path / f"{name}.report.json").read_text()) for name in SUITES]
+        assert len(list(tmp_path.glob("*.report.json"))) == len(SUITES) == 11
+        assert [r["config"]["suite"] for r in reports] == list(SUITES)
+        ids = [c["id"] for r in reports for c in r["checks"]]
+        lines = out.splitlines()
+        assert len(lines) == len(ids) == 18
+        assert all(line.startswith(f"[PASS] {i}: ") for line, i in zip(lines, ids))
+
+    @pytest.mark.parametrize("name, key", [("measure-collapse", "pair"), ("all", "bogus")])
+    def test_suite_unread_override_is_one_line_exit_two(self, capsys, name, key):
+        code = main(["suite", name, "--overrides", json.dumps({key: 5})])
         captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == ""
         assert captured.err.splitlines() == [
-            "toruscollapse suite: error: suite measure-collapse reads no override 'pair'"
+            f"toruscollapse suite: error: suite {name} reads no override '{key}'"
         ]
 
     @pytest.mark.parametrize(
@@ -397,6 +417,16 @@ class TestCli:
             ("stationarity", '{"ns": []}', "override 'ns' must be a nonempty list, not []"),
             ("recursion", '{"instances": -1}', "override 'instances' must be a count of at least 1, not -1"),
             ("stationarity", '{"ns": ["a"]}', "override 'ns' must be a list of counts of at least 2, not ['a']"),
+            # malformed decay profiles, and two profiles sharing one check id
+            ("ldp-decay", '{"profiles": [["1/2", "0"]], "sizes": [10]}', "override 'profiles': ['1/2', '0'] is not realizable at size 10"),
+            ("ldp-decay", '{"profiles": [["1/2", "0"]], "sizes": [9]}', "override 'profiles': ['1/2', '0'] is not realizable at size 9"),
+            ("ldp-decay", '{"profiles": [["3/2", "0"]]}', "override 'profiles' must be density lists in [0, 1] of distinct lengths, not ['3/2', '0']"),
+            ("ldp-decay", '{"profiles": [["-1/2", "0"]]}', "override 'profiles' must be density lists in [0, 1] of distinct lengths, not ['-1/2', '0']"),
+            ("ldp-decay", '{"profiles": [[]]}', "override 'profiles' must be density lists in [0, 1] of distinct lengths, not []"),
+            ("ldp-decay", '{"profiles": [["1/2", "0"], ["0", "1/2"]]}', "override 'profiles' must be density lists in [0, 1] of distinct lengths, not ['1/2', '0']"),
+            ("ldp-decay", '{"profiles": [["a"]]}', "Invalid literal for Fraction: 'a'"),
+            ("ldp-decay", '{"profiles": [[0.5, 0]]}', "each of override 'profiles' must be a list of 'p/q' strings or integers"),
+            ("ldp-decay", '{"profiles": ["1/2"]}', "each of override 'profiles' must be a list of 'p/q' strings or integers"),
         ],
     )
     def test_suite_override_testing_nothing_is_one_line_exit_two(self, capsys, name, overrides, message):

@@ -549,7 +549,7 @@ class TestSampler:
 
 class TestEmpirical:
     def test_empty_config(self):
-        assert atomic_measure(TorusConfig([0, 0]), 2) == TorusMeasure.zero()
+        assert atomic_measure(TorusConfig([0, 0]), 2) == TorusMeasure.constant(0)
 
     def test_atomic_example(self):
         got = atomic_measure(TorusConfig.from_sites(4, [0, 2]), 4)

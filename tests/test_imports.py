@@ -105,3 +105,19 @@ def test_every_oracle_is_called_by_a_test():
             if isinstance(node, ast.Call):
                 called.add(getattr(node.func, "id", getattr(node.func, "attr", None)))
     assert sorted(public - called) == []
+
+
+def test_package_root_binds_only_the_version():
+    """Each name is imported from its defining module: the package root
+    re-exports nothing, so no caller has a second way in."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    assert bound == ["__version__"]

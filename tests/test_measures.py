@@ -235,7 +235,7 @@ class TestForm:
     def test_layout(self):
         rho = TorusMeasure([0, F(1, 3)], [F(1, 2), F(2, 3)], [(F(3, 4), F(1, 6)), (F(1, 8), 2)])
         assert _stored(rho) == (24, (0, 8), (3, 18), 6, (3, 4), 6, (12, 1))
-        assert _stored(TorusMeasure.zero()) == (1, (0,), (), 1, (0,), 1, ())
+        assert _stored(TorusMeasure.constant(0)) == (1, (0,), (), 1, (0,), 1, ())
 
     def test_int_constructor_checks(self):
         cases = [
@@ -470,6 +470,7 @@ class TestArithmetic:
         b = TorusMeasure.constant(F(1, 3))
         assert a.add(b).total_mass == a.total_mass + b.total_mass
         assert a.scale(F(3, 2)).total_mass == a.total_mass * F(3, 2)
+        assert a.scale(0) == TorusMeasure.constant(0)
 
 
 def _runs_by_definition(mask):

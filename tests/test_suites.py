@@ -14,7 +14,7 @@ from toruscollapse.suites import (
     derive_seed,
     random_lattice_triple,
     random_measure,
-    run_suite,
+    run_suites,
 )
 
 from oracles import interval_mass
@@ -23,7 +23,7 @@ from oracles import interval_mass
 class TestSuiteHarness:
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
-            run_suite(SuiteConfig(suite="nope"))
+            run_suites([SuiteConfig(suite="nope")])
 
     @pytest.mark.parametrize(
         "suite,overrides",
@@ -38,7 +38,7 @@ class TestSuiteHarness:
     def test_unread_override_key_refused(self, suite, overrides):
         (key,) = overrides
         with pytest.raises(ValueError, match=f"suite {suite} reads no override '{key}'"):
-            run_suite(SuiteConfig(suite=suite, overrides=overrides))
+            run_suites([SuiteConfig(suite=suite, overrides=overrides)])
 
     @pytest.mark.parametrize("value", [0, -1, []])
     @pytest.mark.parametrize(
@@ -65,7 +65,7 @@ class TestSuiteHarness:
         # refused while the checks are built: no check body runs
         monkeypatch.setattr(suites, "_timed", None)
         with pytest.raises(ValueError, match=f"override '{key}' must be a"):
-            run_suite(SuiteConfig(suite=suite, overrides={key: value}))
+            run_suites([SuiteConfig(suite=suite, overrides={key: value})])
 
     @pytest.mark.parametrize(
         "suite,overrides,key",
@@ -103,7 +103,7 @@ class TestSuiteHarness:
         # failing inside a check body
         monkeypatch.setattr(suites, "_timed", None)
         with pytest.raises(ValueError, match=f"override '{key}' must be a"):
-            run_suite(SuiteConfig(suite=suite, overrides=overrides))
+            run_suites([SuiteConfig(suite=suite, overrides=overrides)])
 
     @pytest.mark.parametrize(
         "suite,overrides,content_hash",
@@ -118,13 +118,13 @@ class TestSuiteHarness:
     def test_exact_suites_keep_their_hash(self, suite, overrides, content_hash):
         # these suites take no log and no float, so their seed-0 reports are
         # fixed bit for bit: any change to a verdict, statistic or detail shows
-        report = run_suite(SuiteConfig(suite=suite, overrides=overrides))
+        report = run_suites([SuiteConfig(suite=suite, overrides=overrides)])[0]
         assert report.passed and report.content_hash == content_hash
 
     def test_rerun_identical(self):
         cfg = SuiteConfig(suite="measure-collapse", seed=3, overrides={"pairs": 40})
-        a = run_suite(cfg)
-        b = run_suite(cfg)
+        a = run_suites([cfg])[0]
+        b = run_suites([cfg])[0]
         assert [c.statistic for c in a.checks] == [c.statistic for c in b.checks]
         assert a.content_hash == b.content_hash
 
@@ -137,43 +137,43 @@ class TestSuiteHarness:
             return [("fake.check", "exact", lambda: tuple(result.values()))]
 
         monkeypatch.setitem(SUITES, "fake", one_check)
-        hashes = [run_suite(SuiteConfig(suite="fake")).content_hash]
+        hashes = [run_suites([SuiteConfig(suite="fake")])[0].content_hash]
         monkeypatch.setattr(suites.sys, "argv", ["elsewhere"])
-        hashes.append(run_suite(SuiteConfig(suite="fake")).content_hash)
+        hashes.append(run_suites([SuiteConfig(suite="fake")])[0].content_hash)
         for key, value in (("statistic", "2 of 2"), ("passed", False), ("details", {"rows": [2]})):
             result[key] = value
-            hashes.append(run_suite(SuiteConfig(suite="fake")).content_hash)
+            hashes.append(run_suites([SuiteConfig(suite="fake")])[0].content_hash)
         assert hashes[0] == hashes[1]
         assert len(set(hashes)) == 4
 
     def test_failure_aggregation(self, monkeypatch):
         # a seed whose p-values are all 0 must fail the check without raising
-        monkeypatch.setattr(suites, "_had_unit", lambda args: (args[0], 0.0, 0.0))
+        monkeypatch.setattr(suites, "_had_unit", lambda seed, n1, n2, samples, gap, burn: (0.0, 0.0))
         cfg = SuiteConfig(suite="had-invariance", seed=0, overrides={"seeds": (1,)})
-        report = run_suite(cfg)
+        report = run_suites([cfg])[0]
         assert not report.passed
         assert report.checks[0].statistic.startswith("0/1")
         assert report.checks[0].threshold == ">= 1 of 1 seeds"
 
     @pytest.mark.parametrize(
-        "suite,worker,overrides",
+        "suite,unit,overrides",
         [
             ("stationarity", "_stationarity_unit", {"ns": (3,), "ks": (2,)}),
             ("had-invariance", "_had_unit", {"samples": 10, "seeds": (1,)}),
         ],
     )
-    def test_worker_exception_is_a_failed_check(self, monkeypatch, suite, worker, overrides):
-        def boom(args):
-            raise RuntimeError("worker failed")
+    def test_unit_exception_is_a_failed_check(self, monkeypatch, suite, unit, overrides):
+        def boom(*args):
+            raise RuntimeError("unit failed")
 
-        monkeypatch.setattr(suites, worker, boom)
-        (check,) = run_suite(SuiteConfig(suite=suite, overrides=overrides)).checks
+        monkeypatch.setattr(suites, unit, boom)
+        (check,) = run_suites([SuiteConfig(suite=suite, overrides=overrides)])[0].checks
         assert not check.passed
-        assert "worker failed" in check.statistic
+        assert "unit failed" in check.statistic
 
     def test_s2_statistic_holds_no_timing(self):
         cfg = SuiteConfig(suite="s2-oracle", overrides={"instances": 3})
-        a, b = run_suite(cfg), run_suite(cfg)
+        a, b = run_suites([cfg])[0], run_suites([cfg])[0]
         assert [c.statistic for c in a.checks] == [c.statistic for c in b.checks]
         pattern = r"3 instances: worst \|closed - oracle\| = \S+"
         assert all(re.fullmatch(pattern, c.statistic) for c in a.checks)
@@ -193,7 +193,7 @@ class TestSuiteHarness:
 
     def test_report_written(self, tmp_path):
         cfg = SuiteConfig(suite="ldp-decay", out_dir=str(tmp_path))
-        run_suite(cfg)
+        run_suites([cfg])
         data = json.loads((tmp_path / "ldp-decay.report.json").read_text())
         assert data["passed"] and data["config"]["suite"] == "ldp-decay"
         # tabular artifacts land next to the report
@@ -209,7 +209,7 @@ class TestSuiteHarness:
             raise ValueError(f"{token} is not standard JSON")
 
         monkeypatch.setitem(SUITES, "fake", one_check)
-        run_suite(SuiteConfig(suite="fake", out_dir=str(tmp_path)))
+        run_suites([SuiteConfig(suite="fake", out_dir=str(tmp_path))])
         data = json.loads((tmp_path / "fake.report.json").read_text(), parse_constant=refuse)
         assert data["checks"][0]["details"] == {"rows": [{"value": "-inf"}]}
 
