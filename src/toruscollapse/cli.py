@@ -26,7 +26,7 @@ from .dynamics import (
     tasep_simulate,
 )
 from .lattice import OrderedTuple, class_label_encode
-from .measures import TorusMeasure, frac
+from .measures import TorusMeasure, read_field
 from .rate import (
     EntropyKernel,
     ldp_decay_exact,
@@ -80,7 +80,7 @@ def _write(args, fmt: str, chunks):
 
 
 def _parse_classes(text: str) -> tuple[int, ...]:
-    return tuple(int(c) for c in text.split(",") if c != "")
+    return tuple(read_field("--classes", c, int) for c in text.split(",") if c != "")
 
 
 def cmd_collapse(args) -> int:
@@ -179,14 +179,14 @@ def cmd_sample_invariant(args) -> int:
 def cmd_rate_eval(args) -> int:
     if args.rho2 is None:
         rho = TorusMeasure.from_json_dict(_read_json(args.rho1))
-        kernel = EntropyKernel(args.family, frac(args.m1))
+        kernel = EntropyKernel(args.family, read_field("--m1", args.m1))
         _emit(args, {"s1": s1(rho, kernel)})
         return 0
     if args.m2 is None:
         raise ValueError("--rho2 needs --m2")
     rho1 = TorusMeasure.from_json_dict(_read_json(args.rho1))
     rho2 = TorusMeasure.from_json_dict(_read_json(args.rho2))
-    res = s2(rho1, rho2, frac(args.m1), frac(args.m2), args.family)
+    res = s2(rho1, rho2, read_field("--m1", args.m1), read_field("--m2", args.m2), args.family)
     obj = {
         "value": res.value,
         "finite": res.finite,
@@ -217,17 +217,15 @@ def cmd_rate_eval(args) -> int:
 
 def cmd_minimizer(args) -> int:
     rho = TorusMeasure.from_json_dict(_read_json(args.profile))
-    if args.which == "first":
-        out = minimizer_rho1(rho, frac(args.mass))
-    else:
-        out = minimizer_rho2(rho, frac(args.mass))
+    mass = read_field("--mass", args.mass)
+    out = minimizer_rho1(rho, mass) if args.which == "first" else minimizer_rho2(rho, mass)
     _emit(args, out.to_json_dict())
     return 0
 
 
 def cmd_ldp_decay(args) -> int:
-    dens = [frac(x) for x in args.bins.split(",")]
-    sizes = [int(x) for x in args.sizes.split(",")]
+    dens = [read_field("--bins", x) for x in args.bins.split(",")]
+    sizes = [read_field("--sizes", x, int) for x in args.sizes.split(",")]
     rows = ldp_decay_exact(dens, sizes)
     _emit(args, {"rows": rows}, rows)
     return 0

@@ -15,9 +15,10 @@ over tuples: the label vector of the collapsed layers is all the next fold
 step needs, and since the uniform layers' law is rotation invariant and
 the collapse commutes with rotation, one count per orbit is enough.  The
 independent route, exact_stationary, walks the chain lumped onto orbits
-from the sorted state and solves its balance equations densely: the ring
-dynamics commute with rotation, so the stationary law is constant on each
-orbit.  The ring update needs no class count: holes rank last.
+from the sorted state, writing one sparse balance row per orbit, and
+solves those rows by fraction-free elimination: the ring dynamics commute
+with rotation, so the stationary law is constant on each orbit.  The ring
+update needs no class count: holes rank last.
 
 had_simulate runs its layers as sorted ints over the common denominator of
 their points and POINT_GRID, the grid of its marks, and returns them through
@@ -46,9 +47,12 @@ from .lattice import (
 from .measures import rescale
 
 # rotation orbits the exact solve may lump the chain onto: every vector of
-# up to three classes at N = 8 (at most 318 orbits, 2.6 s) is solved, and
-# N = 9 (2,2,3) (840 orbits, minutes) is refused
-MAX_SOLVE_ORBITS = 320
+# up to three classes at N = 9 (at most 840 orbits) is solved.  Of every
+# admitted vector of at least 400 orbits, the slowest, N = 11 (3,5) (840
+# orbits), takes 2.2 s, N = 9 (2,2,3) 1.5 s and N = 12 (1,1,1,1) (990
+# orbits) 0.8 s (2 vCPU, Python 3.11); N = 10 (2,3,3) (2520 orbits) is
+# refused
+MAX_SOLVE_ORBITS = 1000
 # expected events of one simulated run (rate N per unit time on a ring of
 # N sites, rate 1 for the mark process): 0.75-1 M ring events/s on rings
 # of 4-20,000 sites and 0.1-0.4 M marks/s on 2-10,000 points (2 vCPU,
@@ -230,46 +234,43 @@ def tasep_simulate(initial: Sequence[int], horizon: float, rng, record: bool = F
             count += 1
 
 
-def _solve_stationary_int(rates: list[list[int]]) -> tuple[list[int], int]:
-    """Stationary row vector of an integer rate matrix, exactly, as integer
-    weights y over a positive denominator D.
+def _solve_stationary_int(eqs: list[dict[int, int]]) -> tuple[list[int], int]:
+    """Stationary law of a chain with one closed class as int weights y
+    over D = sum(y), from its balance rows: eqs[t][s] is the rate from s
+    into t, less the total rate out of t on the diagonal.
 
-    Solves pi Q = 0 with the normalization row appended, by fraction-free
-    (Bareiss) elimination and fraction-free back-substitution: D is the
-    last pivot, the system's determinant up to sign, so by Cramer's rule
-    every y_i = D * pi_i is an integer.
-    """
-    n = len(rates)
-    # A = Q^T with the last equation replaced by sum(pi) = 1
-    A = [[rates[s][t] for s in range(n)] for t in range(n)]
-    b = [0] * n
-    A[n - 1] = [1] * n
-    b[n - 1] = 1
-    M = [row[:] + [bi] for row, bi in zip(A, b)]
-    prev = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
+    The last state's weight is free; every other state is eliminated, in
+    order, through the shortest remaining row that holds it, and each new
+    row is divided by the gcd of its entries.  Back-substitution stays in
+    ints by scaling y by each reduced pivot.  A final pass checks every
+    balance equation, the one left unused included."""
+    rows = dict(enumerate(eqs))
+    pivots = []
+    for col in range(len(eqs) - 1):
+        holding = [i for i, row in rows.items() if row.get(col)]
+        if not holding:
             raise ValueError("singular stationary system; chain not irreducible?")
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-        for i in range(col + 1, n):
-            Mi, Mc = M[i], M[col]
-            f1, f2 = Mc[col], Mi[col]
-            for j in range(col + 1, n + 1):
-                Mi[j] = (Mi[j] * f1 - f2 * Mc[j]) // prev
-            Mi[col] = 0
-        prev = M[col][col]
-    D = prev
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        s = D * M[i][n] - sum(M[i][j] * y[j] for j in range(i + 1, n))
-        y[i], rem = divmod(s, M[i][i])
-        if rem:
-            raise RuntimeError("inexact division in the integer back-substitution")
-    if D < 0:
-        D, y = -D, [-w for w in y]
-    return y, D
+        piv = rows.pop(min(holding, key=lambda i: len(rows[i])))
+        pivots.append((col, piv))
+        for i in rows.keys() & holding:  # the rows holding col, the pivot's gone
+            g = math.gcd(piv[col], rows[i][col])
+            a, b = piv[col] // g, rows[i][col] // g
+            new = dict(rows[i]) if a == 1 else {j: a * v for j, v in rows[i].items()}
+            for j, v in piv.items():
+                new[j] = new.get(j, 0) - b * v
+            del new[col]  # now 0, as any other entry that cancels may be
+            g = math.gcd(*new.values())
+            rows[i] = {j: v // g for j, v in new.items()} if g > 1 else new
+    y = [0] * (len(eqs) - 1) + [1]
+    for col, piv in reversed(pivots):
+        s = sum(v * y[j] for j, v in piv.items() if j != col)
+        g = math.gcd(piv[col], s)
+        if piv[col] != g:
+            y = [w * (piv[col] // g) for w in y]
+        y[col] = -s // g
+    if any(sum(v * y[j] for j, v in row.items()) for row in eqs):
+        raise RuntimeError("the solve breaks a balance equation")
+    return (y, sum(y)) if y[-1] > 0 else ([-w for w in y], -sum(y))
 
 
 def _least_rotation(labels: tuple[int, ...], orbits: dict) -> tuple[int, ...]:
@@ -286,19 +287,19 @@ def _least_rotation(labels: tuple[int, ...], orbits: dict) -> tuple[int, ...]:
 
 def exact_stationary(spec: ProcessSpec) -> StationaryTable:
     """Exact stationary distribution of the multiclass exclusion process by
-    rational linear solve of the balance equations on rotation orbits.
+    an integer solve of the balance equations on rotation orbits.
 
     The ring dynamics commute with rotation, so the chain lumped onto
     rotation orbits of label vectors is again a Markov chain: from any state
     of orbit O, the rate into orbit O' != O is the number of bonds whose
     update lands in O'.  The orbits come from walking that chain from the
     sorted state, updating each least rotation at every bond; a walk that
-    misses a state raises.  Its stationary law y_O / D is the mass of O,
-    and the unique stationary law of the full chain is constant on each
-    orbit, so each state of O gets y_O * (n // |O|) over D * n (|O|
-    divides n).  The route reads only bond_update and rotation, never the
-    collapse.
-    """
+    misses a state raises.  As the reverse of a move is the forward move on
+    the mirrored ring, every state then reaches the mirrored sorted state:
+    one closed class.  Its stationary law y_O / D is the mass of O, and
+    that of the full chain is constant on each orbit, so each state of O
+    gets y_O * (n // |O|) over D * n (|O| divides n).  The route reads only
+    bond_update and rotation, never the collapse."""
     if spec.model != "tasep":
         raise ValueError("exact stationary tables exist only for the ring model")
     n = spec.n
@@ -313,27 +314,23 @@ def exact_stationary(spec: ProcessSpec) -> StationaryTable:
     orbits: dict[tuple[int, ...], tuple[int, ...]] = {}
     reps = [_least_rotation(start, orbits)]
     index = {reps[0]: 0}
-    moves = []  # moves[i][x]: the orbit that bond x takes reps[i] to
-    for rep in reps:  # reps grows as the walk reaches new orbits
-        row = []
+    # eqs[t][s]: the bonds that take orbit s into orbit t, less n on the diagonal
+    eqs = [Counter()]
+    for s, rep in enumerate(reps):  # reps grows as the walk reaches new orbits
         for x in range(n):
             to = _least_rotation(bond_update(rep, x), orbits)
-            j = index.get(to)
-            if j is None:
+            t = index.get(to)
+            if t is None:
                 if len(reps) == MAX_SOLVE_ORBITS:
                     raise ValueError("state space too large for an exact solve")
-                j = index[to] = len(reps)
+                t = index[to] = len(reps)
                 reps.append(to)
-            row.append(j)
-        moves.append(row)
+                eqs.append(Counter())
+            eqs[t][s] += 1
+        eqs[s][s] -= n
     if len(orbits) != size:
         raise RuntimeError(f"the walk from the sorted state reached {len(orbits)} of {size} states")
-    rates = [[0] * len(reps) for _ in reps]
-    for i, row in enumerate(moves):
-        for j in row:
-            rates[i][j] += 1
-        rates[i][i] -= n
-    y, denominator = _solve_stationary_int(rates)
+    y, denominator = _solve_stationary_int(eqs)
     # over denominator * n, every orbit's mass splits evenly: |O| divides n
     return _spread_orbits(orbits, {rep: w * n for rep, w in zip(reps, y)}, denominator * n)
 

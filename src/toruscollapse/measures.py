@@ -331,7 +331,15 @@ def json_rationals(values, field: str) -> list[Fraction]:
     it in the ValueError raised for anything else, JSON floats included."""
     if not isinstance(values, list) or not all(type(v) in (str, int) for v in values):
         raise ValueError(f"{field} must be a list of 'p/q' strings or integers")
-    return [frac(v) for v in values]
+    return [read_field(field, v) for v in values]
+
+
+def read_field(field: str, value, read=frac):
+    """read(value), with `field` named in the ValueError it raises."""
+    try:
+        return read(value)
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
 
 
 class PairGrid(NamedTuple):

@@ -42,6 +42,49 @@ def tasep_state_frequencies(
     return {s: c / steps for s, c in counts.items()}
 
 
+def bareiss_stationary(rates: list[list[int]]) -> tuple[list[int], int]:
+    """Stationary row vector of an integer rate matrix, exactly, as integer
+    weights y over a positive denominator D; the dense reference for the
+    sparse solve of dynamics.exact_stationary.
+
+    Solves pi Q = 0 with the normalization row appended, by fraction-free
+    (Bareiss) elimination and fraction-free back-substitution: D is the
+    last pivot, the system's determinant up to sign, so by Cramer's rule
+    every y_i = D * pi_i is an integer.
+    """
+    n = len(rates)
+    # A = Q^T with the last equation replaced by sum(pi) = 1
+    A = [[rates[s][t] for s in range(n)] for t in range(n)]
+    b = [0] * n
+    A[n - 1] = [1] * n
+    b[n - 1] = 1
+    M = [row[:] + [bi] for row, bi in zip(A, b)]
+    prev = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular stationary system; chain not irreducible?")
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+        for i in range(col + 1, n):
+            Mi, Mc = M[i], M[col]
+            f1, f2 = Mc[col], Mi[col]
+            for j in range(col + 1, n + 1):
+                Mi[j] = (Mi[j] * f1 - f2 * Mc[j]) // prev
+            Mi[col] = 0
+        prev = M[col][col]
+    D = prev
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        s = D * M[i][n] - sum(M[i][j] * y[j] for j in range(i + 1, n))
+        y[i], rem = divmod(s, M[i][i])
+        if rem:
+            raise RuntimeError("inexact division in the integer back-substitution")
+    if D < 0:
+        D, y = -D, [-w for w in y]
+    return y, D
+
+
 def class_label_decode(labels: Sequence[int], k: int) -> tuple[TorusConfig, ...]:
     """Inverse of class_label_encode for a k-class label vector: layer j
     holds the sites labelled 1..j."""

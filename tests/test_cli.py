@@ -424,7 +424,8 @@ class TestCli:
             ("ldp-decay", '{"profiles": [["-1/2", "0"]]}', "override 'profiles' must be density lists in [0, 1] of distinct lengths, not ['-1/2', '0']"),
             ("ldp-decay", '{"profiles": [[]]}', "override 'profiles' must be density lists in [0, 1] of distinct lengths, not []"),
             ("ldp-decay", '{"profiles": [["1/2", "0"], ["0", "1/2"]]}', "override 'profiles' must be density lists in [0, 1] of distinct lengths, not ['1/2', '0']"),
-            ("ldp-decay", '{"profiles": [["a"]]}', "Invalid literal for Fraction: 'a'"),
+            ("ldp-decay", '{"profiles": [["a"]]}', "each of override 'profiles': Invalid literal for Fraction: 'a'"),
+            ("ldp-decay", '{"profiles": [["1/2", "1/0"]]}', "each of override 'profiles': '1/0' has a zero denominator"),
             ("ldp-decay", '{"profiles": [[0.5, 0]]}', "each of override 'profiles' must be a list of 'p/q' strings or integers"),
             ("ldp-decay", '{"profiles": ["1/2"]}', "each of override 'profiles' must be a list of 'p/q' strings or integers"),
         ],
@@ -513,6 +514,7 @@ class TestCli:
         "argv",
         [
             ["rate-eval", "--rho1", "{profile}", "--m1", "1/0"],
+            ["rate-eval", "--rho1", "{profile}", "--rho2", "{profile}", "--m1", "1/4", "--m2", "1/0"],
             ["ldp-decay", "--bins", "1/0,0"],
             ["minimizer", "--which", "first", "--profile", "{profile}", "--mass", "1/0"],
         ],
@@ -525,7 +527,39 @@ class TestCli:
         assert code == 2
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            f"toruscollapse {argv[0]}: error: '1/0' has a zero denominator"
+            f"toruscollapse {argv[0]}: error: {argv[-2]}: '1/0' has a zero denominator"
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["stationary", "--n", "4", "--classes", "1,a"], "--classes: invalid literal for int() with base 10: 'a'"),
+            (["sample-invariant", "--model", "had", "--classes", "1/2"], "--classes: invalid literal for int() with base 10: '1/2'"),
+            (["ldp-decay", "--bins", "1/2,0", "--sizes", "10,b"], "--sizes: invalid literal for int() with base 10: 'b'"),
+            (["ldp-decay", "--bins", "1/2,x"], "--bins: Invalid literal for Fraction: 'x'"),
+            (["ldp-decay", "--bins", "1/2,0", "--sizes", ""], "--sizes: invalid literal for int() with base 10: ''"),
+            (["minimizer", "--which", "total", "--profile", "{profile}", "--mass", "half"], "--mass: Invalid literal for Fraction: 'half'"),
+            (["rate-eval", "--rho1", "{profile}", "--m1", "1/2/3"], "--m1: Invalid literal for Fraction: '1/2/3'"),
+        ],
+    )
+    def test_unreadable_number_names_its_flag_one_line_exit_two(self, capsys, tmp_path, argv, message):
+        profile = tmp_path / "rho.json"
+        profile.write_text(json.dumps(TorusMeasure.constant(Fraction(1, 2)).to_json_dict()))
+        code = main([arg.format(profile=profile) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"toruscollapse {argv[0]}: error: {message}"]
+
+    def test_unreadable_measure_field_is_named_one_line_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        measure = {"breakpoints": ["a"], "densities": ["1"]}
+        path.write_text(json.dumps({"parts": [{"type": "measure", "data": measure}]}))
+        code = main(["collapse", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == [
+            "toruscollapse collapse: error: a measure's 'breakpoints': Invalid literal for Fraction: 'a'"
         ]
 
     @pytest.mark.parametrize(

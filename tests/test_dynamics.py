@@ -33,7 +33,7 @@ from toruscollapse.lattice import (
 )
 from toruscollapse.measures import TorusMeasure
 
-from oracles import tasep_state_frequencies
+from oracles import bareiss_stationary, tasep_state_frequencies
 
 F = Fraction
 
@@ -139,6 +139,98 @@ class TestBondUpdate:
                 assert bond_update((a, b, 0), 0) == (*want, 0)
 
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_reverse_move_is_the_forward_move_on_the_mirrored_ring(self, n):
+        # so every state reaches the mirror of any state that reaches it:
+        # a walk from the sorted state that meets every state proves the
+        # chain has one closed class, which the solve needs
+        moves = 0
+        for s in itertools.product(range(4), repeat=n):
+            for x in range(n):
+                t = bond_update(s, x)
+                if t != s:
+                    moves += 1
+                    assert bond_update(t[::-1], (n - 2 - x) % n) == s[::-1]
+        assert moves == {2: 12, 3: 72, 4: 384, 5: 1920}[n]  # 2388 in all
+
+
+def _random_rates(rng, k):
+    """A k-state int rate matrix with unequal rates, irreducible through a
+    random cycle over all states, plus random chords."""
+    rates = [[0] * k for _ in range(k)]
+    order = rng.sample(range(k), k)
+    for s, t in zip(order, order[1:] + order[:1]):
+        if s != t:
+            rates[s][t] = rng.randint(1, 5)
+    for _ in range(rng.randint(0, 2 * k)):
+        s, t = rng.randrange(k), rng.randrange(k)
+        if s != t:
+            rates[s][t] = rng.randint(1, 9)
+    for s in range(k):
+        rates[s][s] = -sum(rates[s])
+    return rates
+
+
+def _balance_rows(rates):
+    """The sparse balance rows of a dense rate matrix: rows[t][s] is the
+    rate from s into t, zeros left out."""
+    return [{s: row[t] for s, row in enumerate(rates) if row[t]} for t in range(len(rates))]
+
+
+def _reduced(weights):
+    g = math.gcd(*weights)
+    return [w // g for w in weights]
+
+
+class TestSparseSolve:
+    """The sparse elimination of exact_stationary, held to the dense
+    Bareiss solve of tests/oracles.py after gcd reduction."""
+
+    def test_random_irreducible_chains_match_bareiss(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            rates = _random_rates(rng, rng.randint(1, 30))
+            y, d = dynamics._solve_stationary_int(_balance_rows(rates))
+            assert d == sum(y) > 0
+            assert _reduced(y) == _reduced(bareiss_stationary(rates)[0])
+
+    @pytest.mark.parametrize(
+        "n,counts", [(3, (1, 1)), (5, (2, 1)), (6, (2, 2)), (6, (1, 1, 1, 1)), (7, (1, 2, 3))]
+    )
+    def test_lumped_chains_match_bareiss(self, monkeypatch, n, counts):
+        # (6, (2, 2)) has orbits of sizes 3 and 6
+        solve, seen = dynamics._solve_stationary_int, []
+        monkeypatch.setattr(dynamics, "_solve_stationary_int", lambda eqs: seen.append(eqs) or solve(eqs))
+        exact_stationary(ProcessSpec("tasep", counts, n=n))
+        (eqs,) = seen
+        rates = [[row.get(s, 0) for row in eqs] for s in range(len(eqs))]
+        # each orbit's n bonds leave it or keep it: every rate row sums to 0
+        assert all(sum(row) == 0 for row in rates)
+        y, d = solve(eqs)
+        assert d == sum(y) > 0
+        assert _reduced(y) == _reduced(bareiss_stationary(rates)[0])
+
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            # 0 <-> 1 and 2 <-> 3 never meet
+            [[-1, 1, 0, 0], [2, -2, 0, 0], [0, 0, -3, 3], [0, 0, 1, -1]],
+            # 0 falls into 1 or into 2, both absorbing
+            [[-3, 1, 2], [0, 0, 0], [0, 0, 0]],
+        ],
+    )
+    def test_two_closed_classes_are_singular(self, rates):
+        with pytest.raises(ValueError, match="singular"):
+            dynamics._solve_stationary_int(_balance_rows(rates))
+        with pytest.raises(ValueError, match="singular"):
+            bareiss_stationary(rates)
+
+    def test_rows_of_no_rate_matrix_break_the_unused_equation(self):
+        # y = (1, 1) solves the first row, the pivot, but not the second
+        with pytest.raises(RuntimeError, match="breaks a balance equation"):
+            dynamics._solve_stationary_int([{0: -1, 1: 1}, {0: 1, 1: -2}])
+
+
 class TestSpec:
     def test_layer_sizes(self):
         spec = ProcessSpec("tasep", (1, 2), n=5)
@@ -201,12 +293,18 @@ class TestExactStationary:
         with pytest.raises(ValueError, match="too large for an exact solve"):
             exact_stationary(ProcessSpec("tasep", (2, 2, 2), n=11))
 
-    def test_solve_cap_refuses_dense_solves_that_do_not_finish(self):
-        # 7560 states on 840 orbits: the orbit solve would take minutes
+    def test_solve_cap_refuses_above_its_orbits_at_once(self):
+        # 25200 states on 2520 orbits, above the cap of 1000
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match="too large for an exact solve"):
-            exact_stationary(ProcessSpec("tasep", (2, 2, 3), n=9))
+            exact_stationary(ProcessSpec("tasep", (2, 3, 3), n=10))
         assert time.perf_counter() - t0 < 1.0
+
+    def test_solve_admits_every_three_class_vector_at_n9(self):
+        # 7560 states on 840 orbits, the most of any vector of at most
+        # three classes at N = 9
+        spec = ProcessSpec("tasep", (2, 2, 3), n=9)
+        assert exact_stationary(spec) == pushforward_distribution(spec)
 
     def test_walk_solves_three_classes_at_n12(self):
         # 1320 states on 110 orbits, inside the orbit cap
