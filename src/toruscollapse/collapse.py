@@ -27,8 +27,8 @@ end of {J > 0} in each cell, rho1's after it; J just before an interval's
 end is the atom the interval deposits there.  Like the points, it runs on
 ints: merge_pair puts grid points over one common denominator and masses
 over another, so both laps are int arithmetic.  The O(B^2) enumeration
-flux_values_direct, on the same ints, and the interval assembly
-collapse_measure_representation are kept as its oracles.
+flux_values_direct, on the same ints, and collapse_measure_representation,
+which reads {J > 0} point by point off FluxProfile.at, are its oracles.
 
 collapse_measure is that queue, and the only measure collapse: one call
 runs both laps and every check.  Lap 2 writes the collapsed measure's
@@ -47,22 +47,21 @@ integer flux.
 collapse_k folds the binary collapse over the layers, outermost last: each
 new layer collapses every collapsed layer so far onto itself, as one row
 of the multiline queue of Ferrari and Martin (Ann. Probab. 35, 2007).
+The binary collapses own the mass order; collapse_k only words their
+refusal as "masses must be nondecreasing".
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .lattice import OrderedTuple, PointConfig, TorusConfig
 from .measures import (
-    ONE,
     ZERO,
     TorusMeasure,
-    cyc_len,
     cyclic_runs,
     frac,
     int_fractions,
@@ -173,10 +172,11 @@ def discrete_flux_direct(eta1: TorusConfig, eta2: TorusConfig) -> tuple[int, ...
 def collapse_discrete(eta1: TorusConfig, eta2: TorusConfig) -> TorusConfig:
     """Default discrete collapse: one pass of the cyclic queue (equal to
     the algorithmic one)."""
-    if eta1.n != eta2.n:
-        raise ValueError("ring sizes differ")
+    # the mass order first, so collapse_k refuses a heavier first part on any ring
     if eta1.count > eta2.count:
         raise CollapseError("first configuration has more particles")
+    if eta1.n != eta2.n:
+        raise ValueError("ring sizes differ")
     return TorusConfig(bytes(queue_collapse(eta1.occupied, eta2.occupied)[0]))
 
 
@@ -208,8 +208,7 @@ def collapse_points(x: PointConfig, y: PointConfig) -> PointConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JInterval:
+class JInterval(NamedTuple):
     """Maximal interval of positive flux: [lo, hi) when left_closed, else
     (lo, hi); hi == lo encodes the almost-full interval (lo, lo + 1).
     mass_delta is the first-layer mass excess the interval deposits at hi."""
@@ -218,17 +217,6 @@ class JInterval:
     hi: Fraction
     left_closed: bool
     mass_delta: Fraction
-
-    def span(self) -> Fraction:
-        L = cyc_len(self.lo, self.hi)
-        return L if L > 0 else ONE
-
-    def contains(self, u) -> bool:
-        u = frac(u) % 1
-        t = cyc_len(self.lo, u)
-        if t == 0:
-            return self.left_closed
-        return t < self.span()
 
 
 def _cell_end(q: int, drift: int, length: int, num: int, grid_den: int):
@@ -417,28 +405,28 @@ def collapse_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasu
 def collapse_measure_representation(
     rho1: TorusMeasure, rho2: TorusMeasure, profile: FluxProfile
 ) -> TorusMeasure:
-    """Independent assembly of the collapse from the positive-flux set:
-    rho1 off it, rho2 on it, plus one atom per interval at its right end.
+    """Independent assembly of the collapse from {J > 0}, read off profile.at:
+    rho1 off it, rho2 on it, plus each interval's mass_delta at its end hi.
 
     Defined only when the positive-flux set is not the whole torus.
     """
     if profile.full_torus:
         raise ValueError("representation requires a nonfull positive-flux set")
+    intervals = profile.intervals
     cuts = [*rho1.breakpoints, *rho2.breakpoints]
-    cuts += [p for iv in profile.intervals for p in (iv.lo, iv.hi)]
+    cuts += [p for iv in intervals for p in (iv.lo, iv.hi)]
     grid, dens = [], []
     for lo, _, mid in refined_cells(cuts):
-        inside = any(iv.contains(mid) for iv in profile.intervals)
         grid.append(lo)
-        dens.append((rho2 if inside else rho1).density_at(mid))
+        dens.append((rho2 if profile.at(mid) > 0 else rho1).density_at(mid))
     atoms: dict[Fraction, Fraction] = {}
     for a in rho1.atoms:
-        if not any(iv.contains(a.at) for iv in profile.intervals):
+        if profile.at(a.at) == 0:
             atoms[a.at] = atoms.get(a.at, ZERO) + a.mass
     for a in rho2.atoms:
-        if any(iv.contains(a.at) for iv in profile.intervals):
+        if profile.at(a.at) > 0:
             atoms[a.at] = atoms.get(a.at, ZERO) + a.mass
-    for iv in profile.intervals:
+    for iv in intervals:
         if iv.mass_delta < 0:
             raise RuntimeError("interval mass excess must be nonnegative")
         if iv.mass_delta > 0:
@@ -449,16 +437,6 @@ def collapse_measure_representation(
 # ---------------------------------------------------------------------------
 # k-fold composition and commutation
 # ---------------------------------------------------------------------------
-
-
-def _mass_of(part):
-    if isinstance(part, TorusConfig):
-        return part.count
-    if isinstance(part, PointConfig):
-        return len(part)
-    if isinstance(part, TorusMeasure):
-        return part.total_mass
-    raise TypeError(f"unsupported part type {type(part)!r}")
 
 
 def _collapse_binary(a, b):
@@ -475,16 +453,17 @@ def collapse_k(parts: Sequence) -> OrderedTuple:
     """k-fold collapse as a fold over the layers: each new outer layer is
     kept, and every collapsed layer so far collapses onto it.  Layer i is
     thus pushed through layers i+1, ..., k in turn.  The parts must be of
-    one type and their masses nondecreasing."""
+    one type and their masses nondecreasing: the first binary collapse to
+    meet a heavier first part stops the fold."""
     parts = list(parts)
     if len({type(p) for p in parts}) > 1:
         raise ValueError("parts must all be of one type")
-    masses = [_mass_of(p) for p in parts]
-    if any(m1 > m2 for m1, m2 in zip(masses, masses[1:])):
-        raise CollapseError("masses must be nondecreasing")
     out = []
-    for part in parts:
-        out = [_collapse_binary(theta, part) for theta in out] + [part]
+    try:
+        for part in parts:
+            out = [_collapse_binary(theta, part) for theta in out] + [part]
+    except CollapseError:
+        raise CollapseError("masses must be nondecreasing") from None
     return OrderedTuple(out)
 
 

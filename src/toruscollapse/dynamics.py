@@ -198,7 +198,7 @@ def bond_update(labels: tuple[int, ...], x: int) -> tuple[int, ...]:
     return tuple(out) if _update(out, x) else labels
 
 
-def _check_horizon(horizon: float, rate: int) -> None:
+def check_horizon(horizon: float, rate: int) -> None:
     """A run must end, and within seconds: refuse a horizon that is
     negative, infinite or NaN, or at which a clock of the given total rate
     expects more than MAX_EXPECTED_EVENTS events."""
@@ -219,7 +219,7 @@ def tasep_simulate(initial: Sequence[int], horizon: float, rng, record: bool = F
     bond_update gives the labels after each event."""
     labels = list(initial)
     n = len(labels)
-    _check_horizon(horizon, n)
+    check_horizon(horizon, n)
     t = 0.0
     events, count = [], 0
     while True:
@@ -285,6 +285,21 @@ def _least_rotation(labels: tuple[int, ...], orbits: dict) -> tuple[int, ...]:
     return rep
 
 
+def check_solvable(spec: ProcessSpec) -> int:
+    """Refuse, before any walk, a spec the exact solve cannot take: the point
+    model, a ring of more than MAX_ENUM_N sites (the walk stores every
+    state), or size // n > MAX_SOLVE_ORBITS (an orbit holds at most n
+    states).  Returns size, the state count."""
+    if spec.model != "tasep":
+        raise ValueError("exact stationary tables exist only for the ring model")
+    check_enumerable(spec.n)
+    counts = (*spec.class_counts, spec.n - sum(spec.class_counts))
+    size = math.factorial(spec.n) // math.prod(math.factorial(c) for c in counts)
+    if size // spec.n > MAX_SOLVE_ORBITS:
+        raise ValueError("state space too large for an exact solve")
+    return size
+
+
 def exact_stationary(spec: ProcessSpec) -> StationaryTable:
     """Exact stationary distribution of the multiclass exclusion process by
     an integer solve of the balance equations on rotation orbits.
@@ -300,16 +315,9 @@ def exact_stationary(spec: ProcessSpec) -> StationaryTable:
     that of the full chain is constant on each orbit, so each state of O
     gets y_O * (n // |O|) over D * n (|O| divides n).  The route reads only
     bond_update and rotation, never the collapse."""
-    if spec.model != "tasep":
-        raise ValueError("exact stationary tables exist only for the ring model")
+    size = check_solvable(spec)
     n = spec.n
-    # the walk stores every state, n labels each
-    check_enumerable(n)
     holes = n - sum(spec.class_counts)
-    size = math.factorial(n) // math.prod(math.factorial(c) for c in (*spec.class_counts, holes))
-    # an orbit holds at most n states, so there are at least size // n
-    if size // n > MAX_SOLVE_ORBITS:
-        raise ValueError("state space too large for an exact solve")
     start = (0,) * holes + tuple(j for j, c in enumerate(spec.class_counts, 1) for _ in range(c))
     orbits: dict[tuple[int, ...], tuple[int, ...]] = {}
     reps = [_least_rotation(start, orbits)]
@@ -467,7 +475,7 @@ def had_simulate(
     (final OrderedTuple, events) with events the (time, u) pairs when
     record is set, else their number.
     """
-    _check_horizon(horizon, 1)
+    check_horizon(horizon, 1)
     grid, layers = rescale([(c.grid, c.nums) for c in initial], POINT_GRID)
     scale = grid // POINT_GRID
     t = 0.0

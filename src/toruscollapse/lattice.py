@@ -182,38 +182,20 @@ def validate_ordered(parts: Sequence) -> tuple[bool, str | None]:
     return True, None
 
 
-class OrderedTuple:
+class OrderedTuple(tuple):
     """k-tuple of configurations / point sets / measures satisfying the order."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Sequence):
+    def __new__(cls, parts: Sequence):
         parts = tuple(parts)
         ok, violation = validate_ordered(parts)
         if not ok:
             raise ValueError(f"ordering violated: {violation}")
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrderedTuple is immutable")
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, OrderedTuple) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
+        return super().__new__(cls, parts)
 
     def __repr__(self) -> str:
-        return f"OrderedTuple({list(self.parts)})"
+        return f"OrderedTuple({list(self)})"
 
 
 def check_enumerable(n: int) -> None:

@@ -618,18 +618,10 @@ def s3_recursive(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int)
 # ---------------------------------------------------------------------------
 
 
-def ldp_decay_exact(bin_densities: Sequence, sizes: Sequence[int]) -> list[dict]:
-    """Exact decay of the probability that uniform sampling produces a
-    coarse profile, against the one-layer rate at the profile's own mass.
-
-    The profile is constant on B equal bins, and its mass is their mean
-    density; at ring size N the bin counts must be integers.  Probabilities
-    are exact binomial ratios; the decay is -log(P)/N and the reported
-    bound dominates the Stirling error.
-    Sizes that sum to more than MAX_DECAY_SITES are refused before any
-    binomial is computed.
-    """
-    dens = [frac(d) for d in bin_densities]
+def check_decay_profile(dens: Sequence[Fraction], sizes: Sequence[int]) -> None:
+    """Refuse, before any binomial is computed, what ldp_decay_exact cannot
+    take; the one-layer rate at the mean density exists only strictly
+    between 0 and 1, and every bin must hold whole sites and particles."""
     B = len(dens)
     if B == 0:
         raise ValueError("need at least one bin density")
@@ -639,21 +631,35 @@ def ldp_decay_exact(bin_densities: Sequence, sizes: Sequence[int]) -> list[dict]
         raise ValueError(f"ring size {min(sizes)} must be at least 1")
     if sum(sizes) > MAX_DECAY_SITES:
         raise ValueError(f"ring sizes summing to {sum(sizes)} exceed the cap of {MAX_DECAY_SITES} sites")
+    if not 0 < sum(dens) / B < 1:
+        raise ValueError(f"mean density {sum(dens) / B} must lie strictly between 0 and 1")
+    for n in sizes:
+        if n % B:
+            raise ValueError(f"bin count {B} must divide the ring size {n}")
+        if any((d * (n // B)).denominator != 1 for d in dens):
+            raise ValueError(f"profile not realizable at size {n}")
+
+
+def ldp_decay_exact(bin_densities: Sequence, sizes: Sequence[int]) -> list[dict]:
+    """Exact decay of the probability that uniform sampling produces a
+    coarse profile, against the one-layer rate at the profile's own mass.
+
+    The profile is constant on B equal bins, and its mass is their mean
+    density; at ring size N the bin counts must be integers.  Probabilities
+    are exact binomial ratios; the decay is -log(P)/N and the reported
+    bound dominates the Stirling error.  What check_decay_profile refuses
+    is refused before any binomial is computed.
+    """
+    dens = [frac(d) for d in bin_densities]
+    check_decay_profile(dens, sizes)
+    B = len(dens)
     kern = EntropyKernel("tasep", sum(dens) / B)
     s1_val = sum(float(Fraction(1, B)) * kern(d) for d in dens)
     rows = []
     for n in sizes:
-        if n % B:
-            raise ValueError(f"bin count {B} must divide the ring size {n}")
         nb = n // B
-        counts = []
-        for d in dens:
-            j = d * nb
-            if j.denominator != 1:
-                raise ValueError(f"profile not realizable at size {n}")
-            counts.append(int(j))
-        mm = sum(counts)
-        log_p = sum(math.log(math.comb(nb, j)) for j in counts) - math.log(math.comb(n, mm))
+        counts = [int(d * nb) for d in dens]
+        log_p = sum(math.log(math.comb(nb, j)) for j in counts) - math.log(math.comb(n, sum(counts)))
         decay, bound = -log_p / n, B * (1 + math.log(n + 1)) / n
         rows.append({"n": n, "decay": decay, "rate": s1_val, "gap": decay - s1_val, "bound": bound})
     return rows

@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+# fewest samples on each side the asymptotic KS p-value is taken on
+KS_MIN_SAMPLES = 50
+
 
 def kolmogorov_q(lam: float) -> float:
     """Asymptotic Kolmogorov tail Q(lambda) = 2 sum (-1)^{j-1} exp(-2 j^2 lam^2)."""
@@ -22,8 +25,8 @@ def kolmogorov_q(lam: float) -> float:
 def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
     n, m = len(a), len(b)
-    if n < 50 or m < 50:
-        raise ValueError("need at least 50 samples on each side")
+    if n < KS_MIN_SAMPLES or m < KS_MIN_SAMPLES:
+        raise ValueError(f"need at least {KS_MIN_SAMPLES} samples on each side")
     xs = sorted(float(v) for v in a)
     ys = sorted(float(v) for v in b)
     d = 0.0

@@ -3,10 +3,10 @@ seeded config with byte-identical results (modulo platform log evaluation).
 
 A suite function reads its overrides and returns its checks unrun, as
 (check id, threshold, body) triples, so an override key that no suite reads
-is refused before any body runs, as is a count below 1 or an empty list:
-a check over no instances would pass having tested nothing.  Suites
-continue past failures and aggregate; the report says which checks failed
-and by how much.
+is refused before any body runs, as is a count below 1 or an empty list
+(a check over no instances would pass having tested nothing) and a size
+the routes of its checks refuse (_refusing).  Suites continue past
+failures and aggregate; the report says which checks failed and by how much.
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ from .collapse import (
 )
 from .dynamics import (
     ProcessSpec,
+    check_draws,
+    check_horizon,
+    check_solvable,
     exact_stationary,
     had_sample_chain,
     pushforward_distribution,
@@ -49,6 +52,7 @@ from .measures import (
     rescale,
 )
 from .rate import (
+    check_decay_profile,
     contraction_identity_check,
     ldp_decay_exact,
     lattice_measures,
@@ -59,7 +63,7 @@ from .rate import (
     sk_oracle,
 )
 from .serialize import rows_to_csv, to_json
-from .stats import ks_two_sample
+from .stats import KS_MIN_SAMPLES, ks_two_sample
 
 # acceptance thresholds: fixed here, never read from the overrides, so no
 # run can loosen a criterion
@@ -197,6 +201,14 @@ def _timed(check_id, threshold, fn) -> CheckResult:
     )
 
 
+def _refusing(what: str, check, *args) -> None:
+    """Run a route's own refusal on what the overrides ask, naming them."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # random generators shared by suites
 # ---------------------------------------------------------------------------
@@ -259,8 +271,7 @@ def random_lattice_triple(rng):
 # ---------------------------------------------------------------------------
 
 
-def _stationarity_unit(n, counts) -> Fraction:
-    spec = ProcessSpec("tasep", counts, n=n)
+def _stationarity_unit(spec) -> Fraction:
     return exact_stationary(spec).tv_distance(pushforward_distribution(spec))
 
 
@@ -268,11 +279,16 @@ def suite_stationarity(cfg: SuiteConfig) -> list[Check]:
     ns = cfg.counts("ns", (3, 4, 5, 6, 7, 8), low=2)
     ks = cfg.counts("ks", (2, 3))
     # class counts: the compositions of n into k classes and holes
-    units = [(n, c[:-1]) for n in ns for k in ks for c in compositions(n, k + 1)]
+    specs = [
+        ProcessSpec("tasep", c[:-1], n=n) for n in ns for k in ks for c in compositions(n, k + 1)
+    ]
+    for spec in specs:
+        what = f"overrides 'ns' and 'ks': classes {spec.class_counts} on N={spec.n}"
+        _refusing(what, check_solvable, spec)
 
     def body():
-        tvs = [_stationarity_unit(*u) for u in units]
-        bad = [u for u, tv in zip(units, tvs) if tv]
+        tvs = [_stationarity_unit(spec) for spec in specs]
+        bad = [(spec.n, spec.class_counts) for spec, tv in zip(specs, tvs) if tv]
         return (
             not bad,
             f"max TV = {max(tvs, default=Fraction(0))} over {len(tvs)} instances",
@@ -585,17 +601,16 @@ def suite_ldp_decay(cfg: SuiteConfig) -> list[Check]:
     sizes = cfg.counts("sizes", (100, 1000, 10000))
     given = cfg.nonempty("profiles", [["1/2", "0"], ["3/5", "2/5", "1/5", "4/5"]])
     profiles = [json_rationals(p, "each of override 'profiles'") for p in given]
-    # one check per bin count, named by it, and each profile realizable at
-    # every size (the bins divide it, each bin count d N / B an int), so a
-    # failed check is a failed criterion, never a malformed profile
+    # one check per bin count, named by it, and each profile one that
+    # ldp_decay_exact takes at these sizes, so a failed check is a failed
+    # criterion, never a malformed profile
     for g, p in zip(given, profiles):
         if not p or any(not 0 <= d <= 1 for d in p) or [len(q) for q in profiles].count(len(p)) > 1:
             raise ValueError(
                 f"override 'profiles' must be density lists in [0, 1] of distinct lengths, not {g!r}"
             )
-        for n in sizes:
-            if any(Fraction(x * n, len(p)).denominator > 1 for x in (1, *p)):
-                raise ValueError(f"override 'profiles': {g!r} is not realizable at size {n}")
+        what = f"overrides 'profiles' and 'sizes': {g!r} at sizes {sizes!r}"
+        _refusing(what, check_decay_profile, p, sizes)
     checks = []
     for dens in profiles:
         b = len(dens)
@@ -627,11 +642,10 @@ def _had_statistics(state) -> tuple[float, float]:
     return max(gaps), owned
 
 
-def _had_unit(seed, n1, n2, samples, gap, burn) -> tuple[float, float]:
+def _had_unit(seed, spec, samples, gap, burn) -> tuple[float, float]:
     """KS p-values of the largest and the owned gap, direct draws against
     a simulated chain, from one seed."""
     rng = random.Random(seed)
-    spec = ProcessSpec("had", (n1, n2 - n1))
     direct = [
         _had_statistics(sample_invariant(spec, rng)) for _ in range(samples)
     ]
@@ -646,15 +660,20 @@ def _had_unit(seed, n1, n2, samples, gap, burn) -> tuple[float, float]:
 def suite_had_invariance(cfg: SuiteConfig) -> list[Check]:
     n1 = cfg.count("n1", 8, low=0)
     n2 = cfg.count("n2", 16, low=max(n1, 1))
-    samples = cfg.count("samples", 10**3)
+    samples = cfg.count("samples", 10**3, low=KS_MIN_SAMPLES)
     gap = cfg.duration("sample_gap", 40.0)
     burn = cfg.duration("burn_in", 100.0)
     seeds = cfg.nonempty("seeds", tuple(range(1, 9)))
     need = -(-7 * len(seeds) // 8)  # seven in eight, rounded up
+    # each seed draws samples direct states and one to start the chain from
+    spec = ProcessSpec("had", (n1, n2 - n1))
+    _refusing("overrides 'n1', 'n2' and 'samples'", check_draws, spec, samples + 1)
+    _refusing("override 'burn_in'", check_horizon, burn, 1)
+    _refusing("override 'sample_gap'", check_horizon, gap, 1)
 
     def body():
         results = [
-            _had_unit(derive_seed(cfg.seed, f"had:{s}"), n1, n2, samples, gap, burn) for s in seeds
+            _had_unit(derive_seed(cfg.seed, f"had:{s}"), spec, samples, gap, burn) for s in seeds
         ]
         passing = sum(1 for p1, p2 in results if min(p1, p2) > HAD_P_THRESHOLD)
         detail = {

@@ -7,7 +7,7 @@ import bisect
 from fractions import Fraction
 from typing import Sequence
 
-from toruscollapse.collapse import FluxProfile
+from toruscollapse.collapse import FluxProfile, JInterval
 from toruscollapse.dynamics import bond_update
 from toruscollapse.lattice import TorusConfig
 from toruscollapse.measures import (
@@ -150,6 +150,23 @@ def left_limit(profile: FluxProfile, v) -> Fraction:
     else:
         seg = v - pos[j]
     return max(ZERO, profile.values[j] + profile.slopes[j] * seg)
+
+
+def interval_span(iv: JInterval) -> Fraction:
+    """Length of a positive-flux interval; the almost-full one (hi == lo)
+    spans the whole torus."""
+    L = cyc_len(iv.lo, iv.hi)
+    return L if L > 0 else ONE
+
+
+def in_interval(iv: JInterval, u) -> bool:
+    """Whether u lies in the positive-flux interval, [lo, hi) when
+    left_closed, else (lo, hi): the reference for membership in {J > 0}."""
+    u = frac(u) % 1
+    t = cyc_len(iv.lo, u)
+    if t == 0:
+        return iv.left_closed
+    return t < interval_span(iv)
 
 
 def covers(plateau: PlateauDecomposition, u) -> bool:

@@ -418,8 +418,8 @@ class TestCli:
             ("recursion", '{"instances": -1}', "override 'instances' must be a count of at least 1, not -1"),
             ("stationarity", '{"ns": ["a"]}', "override 'ns' must be a list of counts of at least 2, not ['a']"),
             # malformed decay profiles, and two profiles sharing one check id
-            ("ldp-decay", '{"profiles": [["1/2", "0"]], "sizes": [10]}', "override 'profiles': ['1/2', '0'] is not realizable at size 10"),
-            ("ldp-decay", '{"profiles": [["1/2", "0"]], "sizes": [9]}', "override 'profiles': ['1/2', '0'] is not realizable at size 9"),
+            ("ldp-decay", '{"profiles": [["1/2", "0"]], "sizes": [10]}', "overrides 'profiles' and 'sizes': ['1/2', '0'] at sizes [10]: profile not realizable at size 10"),
+            ("ldp-decay", '{"profiles": [["1/2", "0"]], "sizes": [9]}', "overrides 'profiles' and 'sizes': ['1/2', '0'] at sizes [9]: bin count 2 must divide the ring size 9"),
             ("ldp-decay", '{"profiles": [["3/2", "0"]]}', "override 'profiles' must be density lists in [0, 1] of distinct lengths, not ['3/2', '0']"),
             ("ldp-decay", '{"profiles": [["-1/2", "0"]]}', "override 'profiles' must be density lists in [0, 1] of distinct lengths, not ['-1/2', '0']"),
             ("ldp-decay", '{"profiles": [[]]}', "override 'profiles' must be density lists in [0, 1] of distinct lengths, not []"),
@@ -428,6 +428,16 @@ class TestCli:
             ("ldp-decay", '{"profiles": [["1/2", "1/0"]]}', "each of override 'profiles': '1/0' has a zero denominator"),
             ("ldp-decay", '{"profiles": [[0.5, 0]]}', "each of override 'profiles' must be a list of 'p/q' strings or integers"),
             ("ldp-decay", '{"profiles": ["1/2"]}', "each of override 'profiles' must be a list of 'p/q' strings or integers"),
+            # sizes the suite's own routes refuse, refused before any check runs
+            ("ldp-decay", '{"sizes": [600000]}', "overrides 'profiles' and 'sizes': ['1/2', '0'] at sizes [600000]: ring sizes summing to 600000 exceed the cap of 500000 sites"),
+            ("ldp-decay", '{"profiles": [["0", "0"]], "sizes": [10]}', "overrides 'profiles' and 'sizes': ['0', '0'] at sizes [10]: mean density 0 must lie strictly between 0 and 1"),
+            ("ldp-decay", '{"profiles": [["1", "1", "1"]], "sizes": [30]}', "overrides 'profiles' and 'sizes': ['1', '1', '1'] at sizes [30]: mean density 1 must lie strictly between 0 and 1"),
+            ("stationarity", '{"ns": [13], "ks": [2]}', "overrides 'ns' and 'ks': classes (0, 0) on N=13: refusing exhaustive enumeration for N=13 > 12"),
+            ("stationarity", '{"ns": [12], "ks": [3]}', "overrides 'ns' and 'ks': classes (0, 2, 4) on N=12: state space too large for an exact solve"),
+            ("had-invariance", '{"samples": 10, "seeds": [1]}', "override 'samples' must be a count of at least 50, not 10"),
+            ("had-invariance", '{"n1": 2000000, "n2": 4000000, "seeds": [1]}', "overrides 'n1', 'n2' and 'samples': a draw would walk 4000000 points in each of 3 walks, charged 12000030 with 10 more per walk, more than the cap of 3000000"),
+            ("had-invariance", '{"burn_in": 2000000, "seeds": [1]}', "override 'burn_in': horizon 2000000 expects about 2e+06 events, more than the cap of 1000000"),
+            ("had-invariance", '{"sample_gap": 2000000, "seeds": [1], "samples": 50, "burn_in": 0}', "override 'sample_gap': horizon 2000000 expects about 2e+06 events, more than the cap of 1000000"),
         ],
     )
     def test_suite_override_testing_nothing_is_one_line_exit_two(self, capsys, name, overrides, message):
@@ -471,15 +481,27 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"toruscollapse {argv[0]}: error: {message}"]
 
-    def test_collapse_error_is_one_line_exit_two(self, capsys, tmp_path):
-        heavy, light = TorusMeasure.constant(1), TorusMeasure.constant(F(1, 2))
-        path = tmp_path / "pair.json"
-        path.write_text(json.dumps({"parts": [part_to_json(heavy), part_to_json(light)]}))
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            # a heavier first part of two and a heavier middle part of three
+            [TorusConfig([1, 1, 0, 1]), TorusConfig([1, 0, 0, 0])],
+            [TorusConfig([1, 0, 0, 0]), TorusConfig([1, 1, 1, 0]), TorusConfig([0, 1, 0, 1])],
+            [PointConfig([F(1, 3), F(1, 2)]), PointConfig([0])],
+            [PointConfig([F(1, 7)]), PointConfig([F(1, 3), F(1, 2), F(3, 4)]), PointConfig([0, F(1, 4)])],
+            [TorusMeasure.constant(1), TorusMeasure.constant(F(1, 2))],
+            [TorusMeasure.constant(F(1, 4)), TorusMeasure.constant(1), TorusMeasure.constant(F(1, 2))],
+        ],
+        ids=["configs-pair", "configs-triple", "points-pair", "points-triple", "measures-pair", "measures-triple"],
+    )
+    def test_collapse_error_is_one_line_exit_two(self, capsys, tmp_path, parts):
+        path = tmp_path / "parts.json"
+        path.write_text(json.dumps({"parts": [part_to_json(p) for p in parts]}))
         code = main(["collapse", str(path)])
         captured = capsys.readouterr()
         assert code == 2
-        assert len(captured.err.splitlines()) == 1
-        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["toruscollapse collapse: error: masses must be nondecreasing"]
 
     def test_rate_eval_without_m2_is_one_line_exit_two(self, capsys, tmp_path):
         rho = tmp_path / "rho.json"

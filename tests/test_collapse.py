@@ -22,9 +22,9 @@ from toruscollapse.collapse import (
     queue_collapse,
 )
 from toruscollapse.lattice import PointConfig, TorusConfig, validate_ordered
-from toruscollapse.measures import TorusMeasure, cyc_len, cyclic_runs, measure_leq
+from toruscollapse.measures import TorusMeasure, cyc_len, cyclic_runs, measure_leq, refined_cells
 
-from oracles import interval_mass, left_limit
+from oracles import in_interval, interval_mass, interval_span, left_limit
 
 F = Fraction
 
@@ -253,6 +253,33 @@ class TestMeasure:
         r2 = TorusMeasure.indicator(F(1, 2), 1, F(3, 2))
         _, prof = collapse_measure(r1, r2)
         assert any(not iv.left_closed for iv in prof.intervals)
+
+    def test_intervals_are_where_the_flux_is_positive(self):
+        # collapse_measure_representation reads {J > 0} off profile.at, and
+        # CLI collapse prints profile.intervals: on seeded random pairs, a
+        # quarter of them of equal masses, the two agree at every grid
+        # point, interval end, refined-cell midpoint and interval middle,
+        # and at a few random points
+        rng = random.Random(30)
+        almost_full = left_open = 0
+        for trial in range(300):
+            r1, r2 = _random_measure(rng), _random_measure(rng)
+            if r1.total_mass > r2.total_mass:
+                r1, r2 = r2, r1
+            if trial % 4 == 0 and r2.total_mass:
+                r2 = r2.scale(r1.total_mass / r2.total_mass)
+            prof = collapse_measure(r1, r2)[1]
+            ivs = prof.intervals
+            almost_full += any(iv.lo == iv.hi for iv in ivs)
+            left_open += any(not iv.left_closed for iv in ivs)
+            cuts = [*prof.positions, *(p for iv in ivs for p in (iv.lo, iv.hi))]
+            probes = cuts + [mid for _, _, mid in refined_cells(cuts)]
+            probes += [iv.lo + interval_span(iv) / 2 for iv in ivs]
+            probes += [F(rng.getrandbits(53), 2**53) for _ in range(4)]
+            for u in probes:
+                inside = prof.full_torus or any(in_interval(iv, u) for iv in ivs)
+                assert (prof.at(u) > 0) == inside, (r1, r2, u)
+        assert almost_full > 0 and left_open > 0
 
 
 GRID = [F(i, 48) for i in range(48)]
@@ -523,6 +550,25 @@ def _random_measure(rng, max_cells=5, max_atoms=2):
     return TorusMeasure(bps, dens, atoms.items())
 
 
+# a heavier first part of two and a heavier middle part of three, in each regime
+DISORDERED = {
+    "configs-pair": [cfg(0, 1, 3, n=4), cfg(0, n=4)],
+    "configs-triple": [cfg(0, n=4), cfg(0, 1, 2, n=4), cfg(1, 3, n=4)],
+    "points-pair": [PointConfig([F(1, 3), F(1, 2)]), PointConfig([0])],
+    "points-triple": [
+        PointConfig([F(1, 7)]),
+        PointConfig([F(1, 3), F(1, 2), F(3, 4)]),
+        PointConfig([0, F(1, 4)]),
+    ],
+    "measures-pair": [TorusMeasure.constant(1), TorusMeasure.constant(F(1, 2))],
+    "measures-triple": [
+        TorusMeasure.constant(F(1, 4)),
+        TorusMeasure.constant(1),
+        TorusMeasure.constant(F(1, 2)),
+    ],
+}
+
+
 class TestMultilayer:
     def test_identity_on_ordered(self):
         parts = [
@@ -532,9 +578,10 @@ class TestMultilayer:
         ]
         assert list(collapse_k(parts)) == parts
 
-    def test_mass_ordering_enforced(self):
-        with pytest.raises(CollapseError):
-            collapse_k([TorusMeasure.constant(1), TorusMeasure.constant(F(1, 2))])
+    @pytest.mark.parametrize("parts", DISORDERED.values(), ids=DISORDERED.keys())
+    def test_mass_ordering_enforced(self, parts):
+        with pytest.raises(CollapseError, match="^masses must be nondecreasing$"):
+            collapse_k(parts)
 
     def test_three_layer_worked_example(self):
         eps = F(1, 10)

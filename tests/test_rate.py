@@ -764,6 +764,13 @@ class TestLdpDecay:
         with pytest.raises(ValueError, match=message):
             ldp_decay_exact([F(1, 2), F(0)], sizes)
 
+    @pytest.mark.parametrize("dens", [[F(0), F(0)], [F(1)] * 3])
+    def test_mean_outside_the_open_unit_refused_before_any_binomial(self, monkeypatch, dens):
+        # the one-layer rate at the profile's mass exists only for 0 < m < 1
+        monkeypatch.setattr(rate.math, "comb", None)
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            ldp_decay_exact(dens, [30])
+
     def test_sizes_summing_to_the_cap_admitted(self, monkeypatch):
         monkeypatch.setattr(rate, "MAX_DECAY_SITES", 1100)
         assert [r["n"] for r in ldp_decay_exact([F(1, 2), F(0)], [100, 1000])] == [100, 1000]

@@ -148,7 +148,7 @@ class TestSuiteHarness:
 
     def test_failure_aggregation(self, monkeypatch):
         # a seed whose p-values are all 0 must fail the check without raising
-        monkeypatch.setattr(suites, "_had_unit", lambda seed, n1, n2, samples, gap, burn: (0.0, 0.0))
+        monkeypatch.setattr(suites, "_had_unit", lambda seed, spec, samples, gap, burn: (0.0, 0.0))
         cfg = SuiteConfig(suite="had-invariance", seed=0, overrides={"seeds": (1,)})
         report = run_suites([cfg])[0]
         assert not report.passed
@@ -159,7 +159,7 @@ class TestSuiteHarness:
         "suite,unit,overrides",
         [
             ("stationarity", "_stationarity_unit", {"ns": (3,), "ks": (2,)}),
-            ("had-invariance", "_had_unit", {"samples": 10, "seeds": (1,)}),
+            ("had-invariance", "_had_unit", {"samples": 50, "seeds": (1,)}),
         ],
     )
     def test_unit_exception_is_a_failed_check(self, monkeypatch, suite, unit, overrides):
