@@ -351,20 +351,30 @@ def collapse_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasu
     mass2 = sum([a2 + d2 * length for length, _, d2, _, a2, _ in cells])
     if mass1 > mass2:
         raise CollapseError("first measure has more mass")
+    # the clips are int comparisons, not max/min calls: this loop runs
+    # thousands of times per quantized oracle
     q = 0
     for length, _, _, a1, a2, slope in cells:
-        q = max(0, q + a1 - a2)
-        q = max(0, q + slope * length)
+        q += a1 - a2
+        if q < 0:
+            q = 0
+        q += slope * length
+        if q < 0:
+            q = 0
     flux, bps, dens, atoms, masses = [], [], [], [], []
     last, kept_mass, full = None, 0, True
     for j, (length, d1, d2, a1, a2, slope) in enumerate(cells):
-        kept = min(a2, q + a1)
+        kept = q + a1
+        if kept > a2:
+            kept = a2
         if kept < 0:
             raise RuntimeError("collapse produced a negative atom")
         if kept > 0:
             atoms.append(nums[j])
             masses.append(kept)
-        q = max(0, q + a1 - a2)
+        q += a1 - a2
+        if q < 0:
+            q = 0
         root, at_edge = _cell_end(q, slope, length, nums[j], grid_den)
         # rho2's density where J > 0, rho1's after its end: a root's cell
         # keeps q + d1 * length, since the queue drains q there
@@ -380,7 +390,9 @@ def collapse_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasu
             last = d1
         flux.append(q)
         full = full and q > 0 and at_edge
-        q = max(0, q + slope * length)
+        q += slope * length
+        if q < 0:
+            q = 0
     if full and mass1 < mass2:
         raise RuntimeError(
             "positive-flux set covers the torus despite strictly smaller "

@@ -32,8 +32,13 @@ measures: int comparisons and hashes only.  A collapse keeps psi's
 density where the flux is zero and under's elsewhere, so a preimage of a
 target equals it wherever target and under differ: each candidate cell
 where both are constant and differ is pinned to the target's quanta
-(through the middle layer, where the target differs from both), and only
-candidates that hold the pins are collapsed, in their order.
+(through the middle layer, where the target differs from both).  There J
+is zero on the whole cell, so the queue is empty at the cell's start and
+the candidate no heavier than under on it.  Where under is constant on
+every cell, J at the cell starts is the queue run on cell quanta
+(_queue_starts), one drift per cell, exactly.  Only candidates that hold
+the pins and this queue rule are collapsed, in their order; the collapse
+still decides membership, so the results are those of the unpruned search.
 
 All cell data stays rational; floating point enters through log only.
 The kernel takes its argument as an int ratio and divides ints, which
@@ -50,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .collapse import collapse_measure
+from .collapse import CollapseError, collapse_measure
 from .lattice import compositions
 from .measures import (
     ONE,
@@ -462,15 +467,15 @@ def lattice_measures(cells: int, units: int, quantum: Fraction, family: str):
         yield rho
 
 
-def _lattice(cells: int, units: int, quantum: Fraction, family: str, pins: dict):
+def _lattice(cells: int, units: int, quantum: Fraction, family: str, pins: dict, under=None):
     """The profiles of lattice_measures as (cell quanta, measure) pairs, in
-    its order, keeping only those that hold pins[c] quanta on each pinned
-    cell c; the measure is built for the kept ones only."""
+    its order, keeping only those that pass _admits(combo, pins, under); the
+    measure is built for the kept ones only."""
     qn, qd = frac(quantum).as_integer_ratio()
     # a cell holding c quanta has density c * qn * cells / qd
     cap = qd // (cells * qn) if family == "tasep" else None  # densities at most 1
     for combo in compositions(units, cells, cap):
-        if all(combo[c] == n for c, n in pins.items()):
+        if _admits(combo, pins, under):
             dens = [c * qn * cells for c in combo]
             yield combo, TorusMeasure.on_grid(cells, range(cells), qd, dens)
 
@@ -501,11 +506,45 @@ def _pins(target: list, under: list) -> dict:
     }
 
 
+def _queue_starts(psi: Sequence, under: Sequence) -> list:
+    """J at each uniform cell's start, in quanta, for the collapse of psi
+    onto under, both constant on every cell and given by their cell quanta,
+    psi no heavier than under: collapse_measure's two laps of the queue,
+    with one drift per cell."""
+    q = 0
+    for a, b in zip(psi, under):
+        q += a - b
+        if q < 0:
+            q = 0
+    starts = []
+    for a, b in zip(psi, under):
+        starts.append(q)
+        q += a - b
+        if q < 0:
+            q = 0
+    return starts
+
+
+def _admits(combo: tuple, pins: dict, under) -> bool:
+    """Whether a candidate's cell quanta hold the pins and, when the cell
+    quanta of the layer under it are given, the queue rule on every pinned
+    cell: the queue is empty at the cell's start and the candidate no
+    heavier than under there, since J > 0 anywhere on the cell would keep
+    under's density."""
+    if any(combo[c] != n for c, n in pins.items()):
+        return False
+    if under is None or not pins:
+        return True
+    starts = _queue_starts(combo, under)
+    return not any(starts[c] or combo[c] > under[c] for c in pins)
+
+
 def _quantized_masses(
     rhos: Sequence[TorusMeasure], quantum, cells: int
 ) -> tuple[list[Fraction], list[int]]:
     """Layer masses and their counts of the quantum, for the oracles that
-    enumerate quantized profiles on at most 12 uniform cells."""
+    enumerate quantized profiles on at most 12 uniform cells; the masses
+    must be nondecreasing, as every collapse and the queue rule need."""
     if cells < 1:
         raise ValueError(f"oracle grids need at least one cell, not {cells}")
     if cells > 12:
@@ -520,17 +559,23 @@ def _quantized_masses(
         if u.denominator != 1:
             raise ValueError("layer masses must be multiples of the quantum")
         units.append(int(u))
+    if any(a > b for a, b in zip(masses, masses[1:])):
+        raise CollapseError("masses must be nondecreasing")
     return masses, units
 
 
 def _preimages(target, under, cells: int, units: int, quantum, family: str) -> list:
     """The (cell quanta, measure) profiles of lattice_measures, in its
     order, that collapse onto `under` as `target`; the ones that break the
-    pin rule (module docstring) are skipped uncollapsed."""
-    pins = _pins(_cell_quanta(target, cells, quantum), _cell_quanta(under, cells, quantum))
+    pin rule, or the queue rule where under is constant and without atoms
+    on every cell (module docstring), are skipped uncollapsed."""
+    below = _cell_quanta(under, cells, quantum)
+    pins = _pins(_cell_quanta(target, cells, quantum), below)
+    if None in below or not under.is_absolutely_continuous:
+        below = None
     return [
         (combo, psi)
-        for combo, psi in _lattice(cells, units, quantum, family, pins)
+        for combo, psi in _lattice(cells, units, quantum, family, pins, below)
         if collapse_measure(psi, under)[0] == target
     ]
 
@@ -543,10 +588,11 @@ def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) ->
     the last comes from its pinned preimage pool, as in s3_recursive; the
     first of three layers is charged by brute force: a lattice profile is
     kept when pushing it through the chosen middle layer, then the last,
-    lands on rhos[0], and one that breaks the pin rule against both is
+    lands on rhos[0].  One that breaks the pin rule against both, or the
+    queue rule under the chosen middle layer on those pinned cells, is
     skipped uncollapsed.  Reports the best value and how many
     near-minimizers were seen (the preimage set need not be convex, so
-    uniqueness is never claimed).
+    uniqueness is never claimed).  Layer masses must be nondecreasing.
     """
     k = len(rhos)
     if k not in (2, 3):
@@ -570,9 +616,9 @@ def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) ->
         values = []
         for chosen, phi in middle:
             cost = base + _integrate_kernel(phi, kernels[1])
-            pins = [(c, n) for c, n in fixed.items() if chosen[c] != n]
+            pins = {c: n for c, n in fixed.items() if chosen[c] != n}
             for combo, psi in pool:
-                if any(combo[c] != n for c, n in pins):
+                if not _admits(combo, pins, chosen):
                     continue
                 key = collapse_measure(psi, phi)[0]
                 hit = hits.get(key)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from toruscollapse import measures, rate
-from toruscollapse.collapse import collapse_measure
+from toruscollapse.collapse import CollapseError, collapse_measure
 from toruscollapse.measures import (
     ClosedArc,
     TorusMeasure,
@@ -22,6 +22,7 @@ from toruscollapse.rate import (
     EntropyKernel,
     _envelope_integral,
     _plateau_dp_min,
+    _queue_starts,
     contraction_identity_check,
     lattice_measures,
     MAX_DECAY_SITES,
@@ -960,6 +961,75 @@ class TestDyadicLadder:
             assert values == sorted(values, reverse=True), values
 
 
+class TestJointLadder:
+    """Four cells at quantum 1/16 and eight at 1/32 both step densities by
+    1/4, so every candidate of the first rung is one of the second, at the
+    same cost: each route's value is non-increasing from rung to rung."""
+
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_each_route_is_non_increasing(self, index):
+        triple = _sixteenth_triples(index + 1)[index]
+        rungs = [(4, F(1, 16)), (8, F(1, 32))]
+        values = {
+            route.__name__: [route(triple, "tasep", q, cells)["value"] for cells, q in rungs]
+            for route in (sk_oracle, s3_recursive)
+        }
+        gaps = [abs(a - b) for a, b in zip(values["sk_oracle"], values["s3_recursive"])]
+        for name, (coarse, fine) in values.items():
+            assert fine <= coarse, f"{name}: {coarse} -> {fine}; gap per rung {gaps}"
+
+
+class TestQueueRule:
+    @pytest.mark.parametrize("family", ["tasep", "had"])
+    def test_cell_queue_equals_the_measure_queue(self, family):
+        # lattice pairs on 1 to 12 cells, a quarter of them of equal masses:
+        # the queue on cell quanta is J at every cell start
+        rng = random.Random(31)
+        for _ in range(300):
+            cells, per_cell = rng.randint(1, 12), rng.randint(1, 4)
+            quantum = F(1, cells * per_cell)
+            # the exclusion cap: a cell holds at most per_cell quanta
+            top = per_cell if family == "tasep" else 3 * per_cell
+            under = [rng.randint(0, top) for _ in range(cells)]
+            units = sum(under) if rng.random() < 0.25 else rng.randint(0, sum(under))
+            psi = [0] * cells
+            for _ in range(units):
+                psi[rng.choice([c for c in range(cells) if psi[c] < top])] += 1
+            psi_m, under_m = (
+                TorusMeasure([F(c, cells) for c in range(cells)], [n * quantum * cells for n in quanta])
+                for quanta in (psi, under)
+            )
+            profile = collapse_measure(psi_m, under_m)[1]
+            for c, start in enumerate(_queue_starts(psi, under)):
+                assert start * quantum == profile.at(F(c, cells)), (psi, under, c)
+
+    @pytest.mark.parametrize("route", [sk_oracle, s3_recursive])
+    def test_decreasing_masses_refused(self, route):
+        # the first layer is one quantum heavier than the middle layer
+        quarters = [F(i, 4) for i in range(4)]
+        triple = [
+            TorusMeasure(quarters, [F(u, 4) for u in units])
+            for units in ((2, 2, 1, 2), (1, 2, 1, 2), (2, 3, 1, 2))
+        ]
+        with pytest.raises(CollapseError, match="masses must be nondecreasing"):
+            route(triple, "tasep", F(1, 16), 4)
+        if route is sk_oracle:
+            with pytest.raises(CollapseError, match="masses must be nondecreasing"):
+                route(triple[:2], "tasep", F(1, 16), 4)
+
+    def test_equal_masses_admitted(self):
+        quarters = [F(i, 4) for i in range(4)]
+        first, last = (
+            TorusMeasure(quarters, [F(u, 4) for u in units]) for units in ((1, 2, 1, 2), (2, 3, 1, 2))
+        )
+        for rhos in ([first, first, last], [first, last, last], [last, last]):
+            want = reference_sk_oracle(rhos, "tasep", F(1, 16), 4)
+            assert _typed(sk_oracle(rhos, "tasep", F(1, 16), 4)) == _typed(want)
+        for rhos in ([first, first, last], [first, last, last]):
+            want = reference_s3_recursive(rhos, "tasep", F(1, 16), 4)
+            assert _typed(s3_recursive(rhos, "tasep", F(1, 16), 4)) == _typed(want)
+
+
 class TestMultilayerOracle:
     def test_constant_tuple_zero(self):
         cells, q = 4, F(1, 16)
@@ -1009,10 +1079,10 @@ class TestMultilayerOracle:
         assert (direct["near_minimizers"], direct["feasible_count"]) == (4, 1839)
 
     def test_collapses_are_compared_as_forms(self, monkeypatch):
-        # sk_oracle at 1/32 on the known triple runs the queue 4,723 times,
-        # once per unpinned candidate and distinct intermediate, and
-        # compares the collapses on their stored ints: no measure is built
-        # from Fractions
+        # sk_oracle at 1/32 on the known triple runs the queue 3,116 times,
+        # once per candidate that holds the pins and the queue rule and per
+        # distinct intermediate, and compares the collapses on their stored
+        # ints: no measure is built from Fractions
         counts = {"queue": 0, "measures": 0}
         queue, build = rate.collapse_measure, measures.TorusMeasure.__init__
 
@@ -1028,7 +1098,7 @@ class TestMultilayerOracle:
         monkeypatch.setattr(rate, "collapse_measure", counted_queue)
         monkeypatch.setattr(measures.TorusMeasure, "__init__", counted_build)
         sk_oracle(triple, "tasep", F(1, 32), 4)
-        assert counts["queue"] == 4723
+        assert counts["queue"] == 3116
         assert counts["measures"] == 0
 
     @pytest.mark.parametrize(
