@@ -6,38 +6,27 @@ half-open interval (a, b] with the original mass plus the net flux
 J(a) - J(b), where J(v) is the largest positive excess of first-layer mass
 over second-layer mass among closed intervals ending at v.
 
-In all three regimes the collapse is one cyclic queue: first-layer mass
-off the second layer arrives, free second-layer mass serves, and the queue
-length at a position is the flux J there.  With no more first-layer than
-second-layer mass, lap 1 from an empty queue ends at the queue's fixed
-point; lap 2 starts there and reads off what is kept and J.
+In all three regimes the collapse is one cyclic queue, queue_collapse, on
+int masses: each step brings first-layer mass in and serves second-layer
+mass, and the queue length after a step is the flux J there.  On a ring a
+step is a site.  Point sets step through the merged sorted order of both
+sets, on the int numerators each PointConfig stores over one common
+denominator.  A measure pair (measures.merge_pair: ints over one grid and
+one mass denominator) steps through the atoms at each grid point, then the
+masses of the cell right of it.  The restart-loop
+collapse_discrete_algorithmic and the O(N^2) supremum discrete_flux_direct
+are the ring's oracles; the O(B^2) enumeration flux_values_direct and
+collapse_measure_representation, which reads {J > 0} point by point off
+FluxProfile.at, are the measures'.
 
-On a ring the queue counts particles (queue_collapse): a site in the first
-layer only is an arrival, one in the second only a service, and the queue
-lengths are the integer flux.  Point sets run it on the merged sorted
-order of both sets: the int numerators each PointConfig stores, rescaled
-to one common denominator.  The restart-loop collapse_discrete_algorithmic
-and the O(N^2) supremum discrete_flux_direct are kept as its oracles.
-
-For measures the queue runs as a fluid over the pair's merged grid
-(measures.merge_pair): at a grid point q -> max(0, q + atom1 - atom2), and
-across a cell q -> max(0, q + (dens1 - dens2) * length).  Lap 2 keeps the
-atom min(atom2, q + atom1) at each grid point and rho2's density up to the
-end of {J > 0} in each cell, rho1's after it; J just before an interval's
-end is the atom the interval deposits there.  Like the points, it runs on
-ints: merge_pair puts grid points over one common denominator and masses
-over another, so both laps are int arithmetic.  The O(B^2) enumeration
-flux_values_direct, on the same ints, and collapse_measure_representation,
-which reads {J > 0} point by point off FluxProfile.at, are its oracles.
-
-collapse_measure is that queue, and the only measure collapse: one call
-runs both laps and every check.  Lap 2 writes the collapsed measure's
-ints as it walks the cells, and the measure stores them as they are
-(TorusMeasure.on_grid).  The FluxProfile stores the five int fields
-that define J and derives its intervals and full_torus on read, by the
-rule lap 2 uses for where {J > 0} ends in a cell (_cell_end).  collapse_k
-and the rate module's minimizers and quantized oracles take the measure
-and leave the profile unread.
+collapse_measure is the only measure collapse: after the queue, one pass
+over the cells places where {J > 0} ends in each (_cell_end), keeps rho2's
+density up to there and rho1's after it, and writes the result's ints,
+which the measure stores as they are (TorusMeasure.on_grid).  The
+FluxProfile stores the five int fields that define J and derives its
+intervals and full_torus on read, by the same rule.  collapse_k and the
+rate module's minimizers and quantized oracles take the measure and leave
+the profile unread.
 
 A FluxProfile always describes a measure pair.  Configurations and point
 sets get one through their unit-atom encodings, atomic_measure(p, 1):
@@ -121,33 +110,30 @@ def collapse_discrete_algorithmic(
 
 
 def queue_collapse(first: Sequence[int], second: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The collapse of `first` onto `second` as one cyclic queue over 0/1
-    sequences of equal length, with sum(first) <= sum(second).
-
-    A site in `first` only is an arrival, one in `second` only a service,
-    one in both keeps its particle.  Lap 1 runs from an empty queue and
-    ends at the queue's fixed point: with no more arrivals than services,
-    every later lap ends at the same length.  Lap 2 starts there and reads
-    off, per site, whether the second-layer site is kept
-    (b and (a or q > 0), q the length before the site) and the queue length
-    after the site, which is the flux J(x).
+    """The collapse of `first` onto `second`, sequences of nonnegative int
+    masses of equal length with sum(first) <= sum(second), as one cyclic
+    queue.  A step (a, b) keeps min(b, q + a) and leaves the queue at
+    max(0, q + a - b), q its length before the step.  Lap 1 runs from an
+    empty queue to the queue's fixed point: with no more arrivals than
+    services, every later lap ends at the same length.  Lap 2 starts there
+    and reads off each step's kept mass and the length after it, the flux
+    J there.  On 0/1 sites a second-layer particle is kept exactly when
+    b and (a or q > 0).
     """
     q = 0
     for a, b in zip(first, second):
-        if a > b:
-            q += 1
-        elif b > a and q:
-            q -= 1
+        q += a - b
+        if q < 0:
+            q = 0
     kept, lengths = [], []
     for a, b in zip(first, second):
-        if a > b:
-            q += 1
-            kept.append(0)
-        elif b > a and q:
-            q -= 1
-            kept.append(1)
+        q += a
+        if q > b:
+            kept.append(b)
+            q -= b
         else:
-            kept.append(a & b)
+            kept.append(q)
+            q = 0
         lengths.append(q)
     return kept, lengths
 
@@ -335,64 +321,49 @@ def collapse_measure(rho1: TorusMeasure, rho2: TorusMeasure) -> tuple[TorusMeasu
     start on the merged grid, left-closed exactly when J is positive there,
     and cover the torus only when the masses are equal.
 
-    Both laps of the queue run on the pair's ints (measures.PairGrid), in
-    units of 1/mass_den mass: a cell of n grid units changes the queue by
-    (dens1 - dens2) * n.  Lap 2 reads off the kept atom and J at each grid
-    point and where {J > 0} ends in each cell (at the root of the draining
-    queue, at its edge, or nowhere), and writes the result's cells as it
-    goes, merging equal-density neighbours and tallying their mass in ints,
-    so mass conservation is an int identity.
+    The queue runs on the pair's ints (measures.PairGrid), in units of
+    1/mass_den mass, stepping through the atoms at grid point j and then
+    the masses of cell j.  One pass over the cells then places where
+    {J > 0} ends in each (at the root of the draining queue, at its edge,
+    or nowhere) and writes the result's cells, merging equal-density
+    neighbours and tallying their mass in ints, so mass conservation is an
+    int identity.
     """
     pair = merge_pair(rho1, rho2)
-    nums, grid_den = pair.nums, pair.grid_den
-    drift = [d1 - d2 for d1, d2 in zip(pair.dens1, pair.dens2)]
-    cells = list(zip(pair.lens, pair.dens1, pair.dens2, pair.atom1, pair.atom2, drift))
-    mass1 = sum([a1 + d1 * length for length, d1, _, a1, _, _ in cells])
-    mass2 = sum([a2 + d2 * length for length, _, d2, _, a2, _ in cells])
+    nums, grid_den, lens = pair.nums, pair.grid_den, pair.lens
+    first, second = [0] * (2 * len(nums)), [0] * (2 * len(nums))
+    first[0::2], second[0::2] = pair.atom1, pair.atom2
+    first[1::2] = [d * n for d, n in zip(pair.dens1, lens)]
+    second[1::2] = [d * n for d, n in zip(pair.dens2, lens)]
+    mass1, mass2 = sum(first), sum(second)
     if mass1 > mass2:
         raise CollapseError("first measure has more mass")
-    # the clips are int comparisons, not max/min calls: this loop runs
-    # thousands of times per quantized oracle
-    q = 0
-    for length, _, _, a1, a2, slope in cells:
-        q += a1 - a2
-        if q < 0:
-            q = 0
-        q += slope * length
-        if q < 0:
-            q = 0
-    flux, bps, dens, atoms, masses = [], [], [], [], []
+    kept, lengths = queue_collapse(first, second)
+    flux = lengths[0::2]
+    drift = [d1 - d2 for d1, d2 in zip(pair.dens1, pair.dens2)]
+    bps, dens, atoms, masses = [], [], [], []
     last, kept_mass, full = None, 0, True
-    for j, (length, d1, d2, a1, a2, slope) in enumerate(cells):
-        kept = q + a1
-        if kept > a2:
-            kept = a2
-        if kept < 0:
+    cells = zip(nums, lens, pair.dens1, pair.dens2, drift, flux, kept[0::2])
+    for num, length, d1, d2, slope, q, atom in cells:
+        if atom < 0:
             raise RuntimeError("collapse produced a negative atom")
-        if kept > 0:
-            atoms.append(nums[j])
-            masses.append(kept)
-        q += a1 - a2
-        if q < 0:
-            q = 0
-        root, at_edge = _cell_end(q, slope, length, nums[j], grid_den)
+        if atom > 0:
+            atoms.append(num)
+            masses.append(atom)
+        root, at_edge = _cell_end(q, slope, length, num, grid_den)
         # rho2's density where J > 0, rho1's after its end: a root's cell
         # keeps q + d1 * length, since the queue drains q there
         d = d2 if root is not None or at_edge else d1
-        kept_mass += kept + (q + d1 * length if root is not None else d * length)
+        kept_mass += atom + (q + d1 * length if root is not None else d * length)
         if d != last:
-            bps.append((nums[j], grid_den))
+            bps.append((num, grid_den))
             dens.append(d)
             last = d
         if root is not None:
             bps.append(root)
             dens.append(d1)
             last = d1
-        flux.append(q)
         full = full and q > 0 and at_edge
-        q += slope * length
-        if q < 0:
-            q = 0
     if full and mass1 < mass2:
         raise RuntimeError(
             "positive-flux set covers the torus despite strictly smaller "

@@ -91,6 +91,8 @@ class ProcessSpec:
     def __post_init__(self):
         if self.model not in ("tasep", "had"):
             raise ValueError("model must be 'tasep' or 'had'")
+        if not self.class_counts:
+            raise ValueError("at least one class count is required")
         if any(c < 0 for c in self.class_counts):
             raise ValueError("class counts must be nonnegative")
         if self.model == "tasep":

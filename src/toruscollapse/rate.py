@@ -35,8 +35,8 @@ where both are constant and differ is pinned to the target's quanta
 (through the middle layer, where the target differs from both).  There J
 is zero on the whole cell, so the queue is empty at the cell's start and
 the candidate no heavier than under on it.  Where under is constant on
-every cell, J at the cell starts is the queue run on cell quanta
-(_queue_starts), one drift per cell, exactly.  Only candidates that hold
+every cell, J at a cell's start is the queue length after the cell
+before it, queue_collapse run on cell quanta.  Only candidates that hold
 the pins and this queue rule are collapsed, in their order; the collapse
 still decides membership, so the results are those of the unpruned search.
 
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .collapse import CollapseError, collapse_measure
+from .collapse import CollapseError, collapse_measure, queue_collapse
 from .lattice import compositions
 from .measures import (
     ONE,
@@ -506,25 +506,6 @@ def _pins(target: list, under: list) -> dict:
     }
 
 
-def _queue_starts(psi: Sequence, under: Sequence) -> list:
-    """J at each uniform cell's start, in quanta, for the collapse of psi
-    onto under, both constant on every cell and given by their cell quanta,
-    psi no heavier than under: collapse_measure's two laps of the queue,
-    with one drift per cell."""
-    q = 0
-    for a, b in zip(psi, under):
-        q += a - b
-        if q < 0:
-            q = 0
-    starts = []
-    for a, b in zip(psi, under):
-        starts.append(q)
-        q += a - b
-        if q < 0:
-            q = 0
-    return starts
-
-
 def _admits(combo: tuple, pins: dict, under) -> bool:
     """Whether a candidate's cell quanta hold the pins and, when the cell
     quanta of the layer under it are given, the queue rule on every pinned
@@ -535,16 +516,19 @@ def _admits(combo: tuple, pins: dict, under) -> bool:
         return False
     if under is None or not pins:
         return True
-    starts = _queue_starts(combo, under)
-    return not any(starts[c] or combo[c] > under[c] for c in pins)
+    # J at cell c's start is the queue length after cell c - 1
+    ends = queue_collapse(combo, under)[1]
+    return not any(ends[c - 1] or combo[c] > under[c] for c in pins)
 
 
 def _quantized_masses(
     rhos: Sequence[TorusMeasure], quantum, cells: int
 ) -> tuple[list[Fraction], list[int]]:
     """Layer masses and their counts of the quantum, for the oracles that
-    enumerate quantized profiles on at most 12 uniform cells; the masses
-    must be nondecreasing, as every collapse and the queue rule need."""
+    enumerate quantized profiles on at most 12 uniform cells.  A layer with
+    atoms has an infinite rate, which no quantized profile charges, so it
+    is refused; the masses must be nondecreasing, as every collapse and the
+    queue rule need."""
     if cells < 1:
         raise ValueError(f"oracle grids need at least one cell, not {cells}")
     if cells > 12:
@@ -552,6 +536,9 @@ def _quantized_masses(
     quantum = frac(quantum)
     if quantum <= 0:
         raise ValueError(f"the quantum must be positive, not {quantum}")
+    for i, r in enumerate(rhos):
+        if not r.is_absolutely_continuous:
+            raise ValueError(f"layer rhos[{i}] has atoms: the quantized oracles take densities only")
     masses = [r.total_mass for r in rhos]
     units = []
     for m in masses:
@@ -567,11 +554,11 @@ def _quantized_masses(
 def _preimages(target, under, cells: int, units: int, quantum, family: str) -> list:
     """The (cell quanta, measure) profiles of lattice_measures, in its
     order, that collapse onto `under` as `target`; the ones that break the
-    pin rule, or the queue rule where under is constant and without atoms
-    on every cell (module docstring), are skipped uncollapsed."""
+    pin rule, or the queue rule where under is constant on every cell
+    (module docstring), are skipped uncollapsed."""
     below = _cell_quanta(under, cells, quantum)
     pins = _pins(_cell_quanta(target, cells, quantum), below)
-    if None in below or not under.is_absolutely_continuous:
+    if None in below:
         below = None
     return [
         (combo, psi)

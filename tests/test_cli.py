@@ -472,6 +472,13 @@ class TestCli:
             # the point model has no ring, so a ring size is refused, not ignored
             (["simulate", "--model", "had", "--n", "5", "--classes", "1,1"], "the point model takes no ring size n"),
             (["sample-invariant", "--model", "had", "--n", "5", "--classes", "1"], "the point model takes no ring size n"),
+            # an empty class list: a traceback from simulate and sample-invariant,
+            # a one-state table from stationary, before it was refused
+            (["simulate", "--model", "tasep", "--n", "4", "--classes", ","], "at least one class count is required"),
+            (["simulate", "--model", "had", "--classes", ","], "at least one class count is required"),
+            (["sample-invariant", "--model", "tasep", "--n", "4", "--classes", ","], "at least one class count is required"),
+            (["sample-invariant", "--model", "had", "--classes", ","], "at least one class count is required"),
+            (["stationary", "--n", "4", "--classes", ","], "at least one class count is required"),
         ],
     )
     def test_domain_error_is_one_line_exit_two(self, capsys, argv, message):

@@ -1,4 +1,5 @@
 import bisect
+import itertools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -86,17 +87,35 @@ class TestDiscrete:
     @settings(max_examples=200, deadline=None)
     def test_queue_kernel_matches_oracles(self, data):
         n = data.draw(st.integers(1, 40))
-        bits2 = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-        bits1 = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-        # keep the first layer no larger than the second
-        extra = sum(bits1) - sum(bits2)
+        top = data.draw(st.sampled_from([1, 3]))
+        second = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+        first = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+        # keep the first layer no heavier than the second
+        extra = sum(first) - sum(second)
         for x in range(n):
-            if extra > 0 and bits1[x]:
-                bits1[x], extra = 0, extra - 1
+            cut = max(0, min(first[x], extra))
+            first[x], extra = first[x] - cut, extra - cut
+        kept, lengths = queue_collapse(first, second)
+        if top == 1:
+            # on 0/1 sites a step is one ring site
+            e1, e2 = TorusConfig(first), TorusConfig(second)
+            assert TorusConfig(kept) == collapse_discrete_algorithmic(e1, e2)
+            assert tuple(lengths) == discrete_flux_direct(e1, e2)
+        # the unit expansion: a step (a, b) is a first-only sites, then b
+        # second-only sites; it keeps what the ring collapse keeps on its
+        # block, and its length is the flux at the block's last site (an
+        # empty block's at the last site before it, read cyclically)
+        bits1 = [u for a, b in zip(first, second) for u in [1] * a + [0] * b]
+        bits2 = [u for a, b in zip(first, second) for u in [0] * a + [1] * b]
+        if not bits2:
+            assert kept == lengths == [0] * n
+            return
         e1, e2 = TorusConfig(bits1), TorusConfig(bits2)
-        kept, lengths = queue_collapse(bits1, bits2)
-        assert TorusConfig(kept) == collapse_discrete_algorithmic(e1, e2)
-        assert tuple(lengths) == discrete_flux_direct(e1, e2)
+        res, flux = collapse_discrete_algorithmic(e1, e2).occupied, discrete_flux_direct(e1, e2)
+        ends = list(itertools.accumulate(a + b for a, b in zip(first, second)))
+        blocks = [(end - a - b, end) for a, b, end in zip(first, second, ends)]
+        assert kept == [sum(res[lo:hi]) for lo, hi in blocks]
+        assert lengths == [flux[hi - 1] for _, hi in blocks]
 
     def test_order_independence(self):
         rng = random.Random(4)

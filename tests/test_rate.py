@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from toruscollapse import measures, rate
-from toruscollapse.collapse import CollapseError, collapse_measure
+from toruscollapse.collapse import CollapseError, collapse_measure, queue_collapse
 from toruscollapse.measures import (
     ClosedArc,
     TorusMeasure,
@@ -22,7 +22,6 @@ from toruscollapse.rate import (
     EntropyKernel,
     _envelope_integral,
     _plateau_dp_min,
-    _queue_starts,
     contraction_identity_check,
     lattice_measures,
     MAX_DECAY_SITES,
@@ -1000,8 +999,10 @@ class TestQueueRule:
                 for quanta in (psi, under)
             )
             profile = collapse_measure(psi_m, under_m)[1]
-            for c, start in enumerate(_queue_starts(psi, under)):
-                assert start * quantum == profile.at(F(c, cells)), (psi, under, c)
+            # J at cell c's start is the queue length after cell c - 1
+            lengths = queue_collapse(psi, under)[1]
+            for c in range(cells):
+                assert lengths[c - 1] * quantum == profile.at(F(c, cells)), (psi, under, c)
 
     @pytest.mark.parametrize("route", [sk_oracle, s3_recursive])
     def test_decreasing_masses_refused(self, route):
@@ -1016,6 +1017,26 @@ class TestQueueRule:
         if route is sk_oracle:
             with pytest.raises(CollapseError, match="masses must be nondecreasing"):
                 route(triple[:2], "tasep", F(1, 16), 4)
+
+    @pytest.mark.parametrize(
+        "route, layers, atomic",
+        [
+            (sk_oracle, "r2 r3", 1),
+            (sk_oracle, "r2 r2 r3", 2),
+            (sk_oracle, "r3 r3", 0),
+            (s3_recursive, "r2 r2 r3", 2),
+            (s3_recursive, "r3 r3 r3", 0),
+        ],
+    )
+    def test_layers_with_atoms_refused(self, route, layers, atomic):
+        # r3 is r2 plus an atom: its rate is infinite, which no quantized
+        # profile charges (unrefused, sk_oracle gave 0.1327 on r2 r3)
+        quarters = [F(i, 4) for i in range(4)]
+        dens = [F(1, 4), F(1, 4), 0, F(1, 4)]
+        r = {"r2": TorusMeasure(quarters, dens), "r3": TorusMeasure(quarters, dens, [(F(1, 2), F(1, 16))])}
+        assert not s2(r["r2"], r["r3"], F(3, 16), F(1, 4), "tasep").finite
+        with pytest.raises(ValueError, match=rf"layer rhos\[{atomic}\] has atoms"):
+            route([r[name] for name in layers.split()], "tasep", F(1, 16), 4)
 
     def test_equal_masses_admitted(self):
         quarters = [F(i, 4) for i in range(4)]
