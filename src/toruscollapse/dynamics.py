@@ -28,6 +28,7 @@ PointConfig.on_grid; Fractions are built only for the recorded marks.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -105,14 +106,10 @@ class ProcessSpec:
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
-        out = []
-        acc = 0
-        for c in self.class_counts:
-            acc += c
-            out.append(acc)
-        return tuple(out)
+        return tuple(itertools.accumulate(self.class_counts))
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class StationaryTable:
     """Exact distribution over multiclass states, keyed by label vector in
     lexicographic order.
@@ -122,7 +119,9 @@ class StationaryTable:
     Fractions.
     """
 
-    __slots__ = ("states", "weights", "denominator")
+    states: tuple[tuple[int, ...], ...]
+    weights: tuple[int, ...]
+    denominator: int
 
     def __init__(self, entries: Iterable[tuple[tuple[int, ...], int]], denominator: int):
         """Table of (state, weight) pairs: probability weight / denominator."""
@@ -136,9 +135,6 @@ class StationaryTable:
         object.__setattr__(self, "states", tuple(s for s, _ in items))
         object.__setattr__(self, "weights", tuple(w // g for w in weights))
         object.__setattr__(self, "denominator", denominator // g)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StationaryTable is immutable")
 
     def __len__(self) -> int:
         return len(self.states)
@@ -158,14 +154,6 @@ class StationaryTable:
             abs(mine.get(s, 0) * d2 - theirs.get(s, 0) * d1) for s in mine.keys() | theirs.keys()
         )
         return Fraction(diff, 2 * d1 * d2)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, StationaryTable)
-            and self.states == other.states
-            and self.weights == other.weights
-            and self.denominator == other.denominator
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -473,10 +461,12 @@ def had_simulate(
     """Continuous-time run of the coupled mark process up to the horizon.
 
     Marks arrive at rate one, uniform on the torus, and act on all layers
-    at once; marks colliding with an existing point are redrawn.  Returns
+    at once; marks colliding with an existing point are redrawn.  The
+    layers must be nested, as an OrderedTuple checks first.  Returns
     (final OrderedTuple, events) with events the (time, u) pairs when
     record is set, else their number.
     """
+    initial = OrderedTuple(initial)
     check_horizon(horizon, 1)
     grid, layers = rescale([(c.grid, c.nums) for c in initial], POINT_GRID)
     scale = grid // POINT_GRID

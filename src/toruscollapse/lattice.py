@@ -3,7 +3,8 @@
 Discrete side: occupation vectors on the ring of N sites and multiclass
 label encodings.  Continuous side: finite sets of exact-rational points on
 the unit torus.  Everything here is an immutable value and every function
-is pure.
+is pure.  A configuration is a frozen dataclass of the fields it stores,
+which give its equality and hash.
 
 Only single layers are enumerated; the exact solve in dynamics reaches
 multiclass states by walking the ring dynamics instead.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -29,11 +31,14 @@ class EnumerationLimitError(ValueError):
     """Raised when an exhaustive helper would enumerate too many states."""
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class TorusConfig:
     """Occupation vector on Z_N, one byte per site, with a cached particle
     count."""
 
-    __slots__ = ("n", "occupied", "count")
+    n: int
+    occupied: bytes
+    count: int
 
     def __init__(self, occupied: Sequence[int]):
         if type(occupied) is bytes:
@@ -51,9 +56,6 @@ class TorusConfig:
         object.__setattr__(self, "occupied", bits)
         object.__setattr__(self, "count", bits.count(1))
 
-    def __setattr__(self, name, value):  # immutability
-        raise AttributeError("TorusConfig is immutable")
-
     @classmethod
     def from_sites(cls, n: int, sites: Sequence[int]) -> "TorusConfig":
         bits = bytearray(n)
@@ -67,23 +69,19 @@ class TorusConfig:
     def __getitem__(self, x: int) -> int:
         return self.occupied[x % self.n]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TorusConfig) and self.occupied == other.occupied
-
-    def __hash__(self) -> int:
-        return hash(self.occupied)
-
     def __repr__(self) -> str:
         return f"TorusConfig({list(self.occupied)})"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class PointConfig:
     """Finite set of distinct rational points on the unit torus [0, 1),
     given as ints, "p/q" strings or Fractions (a float raises ValueError),
     stored as `grid`, the smallest common denominator of the points, and
     `nums`, their sorted numerators over it; `points` builds Fractions."""
 
-    __slots__ = ("grid", "nums")
+    grid: int
+    nums: tuple[int, ...]
 
     def __init__(self, points: Sequence[Fraction]):
         grid, nums = numerators([frac(p) for p in points])
@@ -108,9 +106,6 @@ class PointConfig:
         object.__setattr__(self, "grid", grid // g)
         object.__setattr__(self, "nums", tuple(n // g for n in nums))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PointConfig is immutable")
-
     @property
     def points(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self.grid) for n in self.nums)
@@ -121,12 +116,6 @@ class PointConfig:
     def __iter__(self):
         return iter(self.points)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PointConfig) and (self.grid, self.nums) == (other.grid, other.nums)
-
-    def __hash__(self) -> int:
-        return hash((self.grid, self.nums))
-
     def __repr__(self) -> str:
         return f"PointConfig({[str(p) for p in self.points]})"
 
@@ -135,21 +124,16 @@ def class_label_encode(parts: Sequence[TorusConfig]) -> tuple[int, ...]:
     """Encode an ordered k-tuple of configurations as a label vector.
 
     Label 0 marks a hole; label j marks a site whose first occupied layer is
-    layer j.  Requires eta_1 <= eta_2 <= ... <= eta_k componentwise.
+    layer j.  Requires eta_1 <= eta_2 <= ... <= eta_k componentwise, so a
+    site held by s of the k layers first appears in layer k + 1 - s.
     """
+    if not parts:
+        raise ValueError("need at least one configuration to encode")
     ok, violation = validate_ordered(parts)
     if not ok:
         raise ValueError(f"tuple is not ordered: {violation}")
-    n = parts[0].n
-    labels = []
-    for x in range(n):
-        lab = 0
-        for j, eta in enumerate(parts, start=1):
-            if eta[x]:
-                lab = j
-                break
-        labels.append(lab)
-    return tuple(labels)
+    k = len(parts)
+    return tuple(k + 1 - s if s else 0 for s in map(sum, zip(*[eta.occupied for eta in parts])))
 
 
 def validate_ordered(parts: Sequence) -> tuple[bool, str | None]:

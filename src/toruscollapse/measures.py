@@ -93,6 +93,7 @@ class ClosedArc:
     hi: Fraction
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class TorusMeasure:
     """Piecewise-constant density plus atoms, in canonical form.
 
@@ -105,12 +106,18 @@ class TorusMeasure:
     - `dens_den` and `dens_nums`, the densities over their least common
       denominator;
     - `mass_den` and `mass_nums`, the atom masses over theirs.
-    Equal measures are equal ints, so comparing and hashing read only
-    those.  `breakpoints`, `densities`, `atoms` and `total_mass` build
-    Fractions for readers outside the package.
+    Equal measures are equal ints, so the dataclass's equality and hash
+    read only those fields.  `breakpoints`, `densities`, `atoms` and
+    `total_mass` build Fractions for readers outside the package.
     """
 
-    __slots__ = ("grid", "bp_nums", "atom_nums", "dens_den", "dens_nums", "mass_den", "mass_nums")
+    grid: int
+    bp_nums: tuple[int, ...]
+    atom_nums: tuple[int, ...]
+    dens_den: int
+    dens_nums: tuple[int, ...]
+    mass_den: int
+    mass_nums: tuple[int, ...]
 
     def __init__(self, breakpoints: Sequence, densities: Sequence, atoms: Iterable = ()):
         bps = [frac(b) for b in breakpoints]
@@ -168,13 +175,6 @@ class TorusMeasure:
         for name, value in zip(self.__slots__, stored):
             object.__setattr__(self, name, tuple(value) if isinstance(value, list) else value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TorusMeasure is immutable")
-
-    def _key(self) -> tuple:
-        s = self
-        return (s.grid, s.bp_nums, s.atom_nums, s.dens_den, s.dens_nums, s.mass_den, s.mass_nums)
-
     # ---- constructors -------------------------------------------------
 
     @classmethod
@@ -188,8 +188,12 @@ class TorusMeasure:
 
         Pieces are half-open [lo, hi) and may wrap through 0; a piece with
         hi - lo == 1 covers the torus; overlapping pieces add their densities.
+        A piece with |hi - lo| > 1 raises ValueError.
         """
         pieces = [(frac(lo), frac(hi), frac(d)) for lo, hi, d in cells]
+        for lo, hi, d in pieces:
+            if abs(hi - lo) > 1:
+                raise ValueError(f"piece ({lo}, {hi}, {d}) is longer than the torus")
         # (start, length, density)
         pieces = [(lo % 1, ONE if hi - lo == 1 else cyc_len(lo, hi), d) for lo, hi, d in pieces]
         refined = refined_cells(x for lo, n, _ in pieces for x in (lo, (lo + n) % 1))
@@ -248,12 +252,6 @@ class TorusMeasure:
         # the last breakpoint b / grid <= n / d is the last b <= n * grid // d
         i = bisect.bisect_right(self.bp_nums, n * self.grid // d) - 1
         return Fraction(self.dens_nums[i], self.dens_den)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TorusMeasure) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         cells = ", ".join(
@@ -463,6 +461,7 @@ def measure_leq(a: TorusMeasure, b: TorusMeasure) -> bool:
 # ---- cumulative functions, plateaus and concave envelopes --------------------
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class CumulativeFunction:
     """Piecewise-linear cumulative mass along a closed arc of the torus.
 
@@ -474,7 +473,11 @@ class CumulativeFunction:
     readers outside the package.
     """
 
-    __slots__ = ("base", "len_den", "offs", "mass_den", "vals")
+    base: ClosedArc
+    len_den: int
+    offs: tuple[int, ...]
+    mass_den: int
+    vals: tuple[int, ...]
 
     def __init__(self, base: ClosedArc, len_den: int, offs: Sequence, mass_den: int, vals: Sequence):
         if len(offs) != len(vals) or len(offs) < 2:
@@ -489,19 +492,10 @@ class CumulativeFunction:
         for name, value in zip(self.__slots__, stored):
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CumulativeFunction is immutable")
-
     @property
     def knots(self) -> tuple[tuple[Fraction, Fraction], ...]:
         offset, mass = int_fractions(self.len_den), int_fractions(self.mass_den)
         return tuple([(offset(t), mass(v)) for t, v in zip(self.offs, self.vals)])
-
-    def _key(self) -> tuple:
-        return (self.base, self.len_den, self.offs, self.mass_den, self.vals)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CumulativeFunction) and self._key() == other._key()
 
     def __repr__(self) -> str:
         return f"CumulativeFunction({self.base}, {list(self.knots)})"

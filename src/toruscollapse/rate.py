@@ -463,21 +463,25 @@ def lattice_measures(cells: int, units: int, quantum: Fraction, family: str):
     """All piecewise-constant measures on `cells` uniform cells whose cell
     masses are multiples of the quantum summing to units * quantum; the
     exclusion family caps densities at one."""
-    for _, rho in _lattice(cells, units, quantum, family, {}):
-        yield rho
+    return (_lattice_measure(c, quantum) for c in _lattice(cells, units, quantum, family, {}))
 
 
 def _lattice(cells: int, units: int, quantum: Fraction, family: str, pins: dict, under=None):
-    """The profiles of lattice_measures as (cell quanta, measure) pairs, in
-    its order, keeping only those that pass _admits(combo, pins, under); the
-    measure is built for the kept ones only."""
+    """The cell quanta of lattice_measures' profiles, in its order, that
+    pass _admits(combo, pins, under)."""
     qn, qd = frac(quantum).as_integer_ratio()
-    # a cell holding c quanta has density c * qn * cells / qd
     cap = qd // (cells * qn) if family == "tasep" else None  # densities at most 1
     for combo in compositions(units, cells, cap):
         if _admits(combo, pins, under):
-            dens = [c * qn * cells for c in combo]
-            yield combo, TorusMeasure.on_grid(cells, range(cells), qd, dens)
+            yield combo
+
+
+def _lattice_measure(combo: tuple, quantum) -> TorusMeasure:
+    """The measure on len(combo) uniform cells holding combo's counts of the quantum."""
+    qn, qd = frac(quantum).as_integer_ratio()
+    cells = len(combo)
+    # a cell holding c quanta has density c * qn * cells / qd
+    return TorusMeasure.on_grid(cells, range(cells), qd, [c * qn * cells for c in combo])
 
 
 def _cell_quanta(rho: TorusMeasure, cells: int, quantum: Fraction) -> list:
@@ -560,11 +564,9 @@ def _preimages(target, under, cells: int, units: int, quantum, family: str) -> l
     pins = _pins(_cell_quanta(target, cells, quantum), below)
     if None in below:
         below = None
-    return [
-        (combo, psi)
-        for combo, psi in _lattice(cells, units, quantum, family, pins, below)
-        if collapse_measure(psi, under)[0] == target
-    ]
+    candidates = _lattice(cells, units, quantum, family, pins, below)
+    profiles = [(combo, _lattice_measure(combo, quantum)) for combo in candidates]
+    return [(combo, psi) for combo, psi in profiles if collapse_measure(psi, under)[0] == target]
 
 
 def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) -> dict:
@@ -596,6 +598,8 @@ def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) ->
         # where it differs from rhos[0] too
         fixed = _pins(_cell_quanta(rhos[0], cells, quantum), _cell_quanta(last, cells, quantum))
         pool = list(_lattice(cells, units[0], quantum, family, {}))
+        # a candidate's measure, built once, when some middle layer admits it
+        built: dict[tuple, TorusMeasure] = {}
         # whether an intermediate (psi pushed through the middle layer)
         # lands on rhos[0] under the last: many candidates share one, and
         # each distinct one is collapsed again once
@@ -604,9 +608,12 @@ def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) ->
         for chosen, phi in middle:
             cost = base + _integrate_kernel(phi, kernels[1])
             pins = {c: n for c, n in fixed.items() if chosen[c] != n}
-            for combo, psi in pool:
+            for combo in pool:
                 if not _admits(combo, pins, chosen):
                     continue
+                psi = built.get(combo)
+                if psi is None:
+                    psi = built[combo] = _lattice_measure(combo, quantum)
                 key = collapse_measure(psi, phi)[0]
                 hit = hits.get(key)
                 if hit is None:

@@ -528,6 +528,11 @@ class TestSimulation:
         assert tasep_simulate((1, 0, 2, 0), cap / 4, NeverTicks(0)) == ((1, 0, 2, 0), 0)
         assert had_simulate(start, float(cap), NeverTicks(0))[1] == 0
 
+    def test_had_refuses_layers_not_nested(self):
+        start = [PointConfig(["1/2"]), PointConfig(["1/4"])]
+        with pytest.raises(ValueError, match="ordering violated: parts 0,1: point 1/2 not included"):
+            had_simulate(start, 5.0, random.Random(1))
+
     @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
     def test_unreachable_horizon_refused(self, no_clock_random, horizon):
         rng = no_clock_random(0)

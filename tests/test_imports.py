@@ -1,7 +1,14 @@
 import ast
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from toruscollapse.dynamics import StationaryTable
+from toruscollapse.lattice import PointConfig, TorusConfig
+from toruscollapse.measures import ClosedArc, CumulativeFunction, TorusMeasure
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toruscollapse"
 
@@ -121,3 +128,48 @@ def test_package_root_binds_only_the_version():
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             bound += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
     assert bound == ["__version__"]
+
+
+def test_no_class_writes_its_own_equality_or_immutability():
+    """Equality, hashing and immutability come from one idiom: a value type
+    is a frozen dataclass, a NamedTuple or a tuple of its fields, so no
+    class defines __setattr__, __eq__, __hash__ or a _key for them."""
+    written = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                names = [sub.name for sub in node.body if isinstance(sub, ast.FunctionDef)]
+                names += [
+                    t.id
+                    for sub in node.body
+                    if isinstance(sub, ast.Assign)
+                    for t in sub.targets
+                    if isinstance(t, ast.Name)
+                ]
+                written += [
+                    f"{path.name}: {node.name}.{name}"
+                    for name in names
+                    if name in ("__setattr__", "__eq__", "__hash__", "_key")
+                ]
+    assert written == []
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: TorusConfig([1, 0, 1]), "occupied"),
+        (lambda: PointConfig(["1/4", "1/2"]), "nums"),
+        (lambda: TorusMeasure([0, "1/2"], [1, 0], [("3/4", "1/3")]), "grid"),
+        (lambda: CumulativeFunction(ClosedArc(Fraction(0), Fraction(1, 2)), 2, [0, 1], 3, [0, 2]), "vals"),
+        (lambda: StationaryTable([((0, 1), 1), ((1, 0), 1)], 2), "weights"),
+    ],
+)
+def test_value_types_are_immutable_and_hash_by_value(make, field):
+    value = make()
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    # a name that is no field is refused too: as TypeError on Python 3.11,
+    # whose slotted frozen dataclasses check it against the class before slots
+    with pytest.raises((AttributeError, TypeError)):
+        value.extra = 1
+    assert value == make() and hash(value) == hash(make())

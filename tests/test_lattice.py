@@ -44,6 +44,10 @@ class TestLabels:
         with pytest.raises(ValueError, match="site 1"):
             class_label_encode([TorusConfig([1, 1]), TorusConfig([1, 0])])
 
+    def test_rejects_empty_tuple(self):
+        with pytest.raises(ValueError, match="at least one configuration"):
+            class_label_encode(())
+
     @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (6, 3)])
     def test_roundtrip_exhaustive(self, n, k):
         for labels in itertools.product(range(k + 1), repeat=n):

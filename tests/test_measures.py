@@ -43,6 +43,14 @@ class TestConstruction:
     def test_whole_torus_piece(self):
         assert TorusMeasure.indicator(0, 1) == TorusMeasure.constant(1)
         assert TorusMeasure.from_cells([(F(1, 4), F(5, 4), 2)]) == TorusMeasure.constant(2)
+        wrapped = TorusMeasure([0, F(1, 4), F(3, 4)], [1, 0, 1])
+        assert TorusMeasure.from_cells([(F(3, 4), F(1, 4), 1)]) == wrapped
+
+    @pytest.mark.parametrize("piece", [(0, 2, 1), (0, F(3, 2), 1), (F(1, 2), F(-3, 4), 1)])
+    def test_piece_longer_than_torus_refused(self, piece):
+        lo, hi, d = piece
+        with pytest.raises(ValueError, match=f"piece \\({lo}, {hi}, {d}\\) is longer than the torus"):
+            TorusMeasure.from_cells([piece])
 
     def test_membership_flags(self):
         assert TorusMeasure.constant(2).is_absolutely_continuous
