@@ -120,6 +120,8 @@ def queue_collapse(first: Sequence[int], second: Sequence[int]) -> tuple[list[in
     J there.  On 0/1 sites a second-layer particle is kept exactly when
     b and (a or q > 0).
     """
+    if len(first) != len(second):
+        raise ValueError(f"sequences of unequal lengths {len(first)} and {len(second)}")
     q = 0
     for a, b in zip(first, second):
         q += a - b

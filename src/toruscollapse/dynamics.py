@@ -480,8 +480,8 @@ def had_simulate(
         while True:
             bits = rng.getrandbits(53)
             u = bits * scale
-            if not any(_holds(pts, u) for pts in layers):
-                break
+            if not (layers and _holds(layers[-1], u)):
+                break  # the last layer holds every point of the nested layers
         _had_apply_mark(layers, u)
         if record:
             events.append((t, Fraction(bits, POINT_GRID)))

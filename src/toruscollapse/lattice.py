@@ -3,8 +3,8 @@
 Discrete side: occupation vectors on the ring of N sites and multiclass
 label encodings.  Continuous side: finite sets of exact-rational points on
 the unit torus.  Everything here is an immutable value and every function
-is pure.  A configuration is a frozen dataclass of the fields it stores,
-which give its equality and hash.
+is pure.  A configuration is a frozen dataclass of its fields, which give
+its equality and hash.  OrderedTuple alone decides the order of layers.
 
 Only single layers are enumerated; the exact solve in dynamics reaches
 multiclass states by walking the ring dynamics instead.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .measures import TorusMeasure, frac, measure_leq_witness, numerators, rescale
+from .measures import TorusMeasure, frac, int_fractions, merge_pair, numerators, rescale
 
 # Largest ring that exhaustive helpers run on (oracles stay tractable).
 MAX_ENUM_N = 12
@@ -113,9 +113,6 @@ class PointConfig:
     def __len__(self) -> int:
         return len(self.nums)
 
-    def __iter__(self):
-        return iter(self.points)
-
     def __repr__(self) -> str:
         return f"PointConfig({[str(p) for p in self.points]})"
 
@@ -129,41 +126,36 @@ def class_label_encode(parts: Sequence[TorusConfig]) -> tuple[int, ...]:
     """
     if not parts:
         raise ValueError("need at least one configuration to encode")
-    ok, violation = validate_ordered(parts)
-    if not ok:
-        raise ValueError(f"tuple is not ordered: {violation}")
-    k = len(parts)
-    return tuple(k + 1 - s if s else 0 for s in map(sum, zip(*[eta.occupied for eta in parts])))
+    layers = [eta.occupied for eta in OrderedTuple(parts)]
+    return tuple(len(layers) + 1 - s if s else 0 for s in map(sum, zip(*layers)))
 
 
-def validate_ordered(parts: Sequence) -> tuple[bool, str | None]:
-    """Check that consecutive tuple entries satisfy the partial order.
-
-    Configurations are compared componentwise, point sets by inclusion and
-    torus measures by measure domination.  Returns (ok, first_violation).
-    """
-    if len(parts) == 0:
-        return True, None
-    for i in range(len(parts) - 1):
-        a, b = parts[i], parts[i + 1]
-        if isinstance(a, TorusConfig):
-            if a.n != b.n:
-                return False, f"parts {i},{i+1}: ring sizes differ"
-            for x, (p, q) in enumerate(zip(a.occupied, b.occupied)):
-                if p > q:
-                    return False, f"parts {i},{i+1}: site {x}"
-        elif isinstance(a, PointConfig):
-            grid, (inner, outer) = rescale([(a.grid, a.nums), (b.grid, b.nums)])
-            missing = set(inner).difference(outer)
-            if missing:
-                return False, f"parts {i},{i+1}: point {Fraction(min(missing), grid)} not included"
-        elif isinstance(a, TorusMeasure):
-            ok, where = measure_leq_witness(a, b)
-            if not ok:
-                return False, f"parts {i},{i+1}: {where}"
-        else:
-            raise TypeError(f"unsupported part type {type(a)!r}")
-    return True, None
+def _violation(a, b) -> str | None:
+    """Where the order a <= b first fails, or None where it holds."""
+    if isinstance(a, TorusConfig):  # componentwise
+        if a.n != b.n:
+            return "ring sizes differ"
+        for x, (p, q) in enumerate(zip(a.occupied, b.occupied)):
+            if p > q:
+                return f"site {x}"
+    elif isinstance(a, PointConfig):  # by inclusion
+        grid, (inner, outer) = rescale([(a.grid, a.nums), (b.grid, b.nums)])
+        missing = set(inner).difference(outer)
+        if missing:
+            return f"point {Fraction(min(missing), grid)} not included"
+    elif isinstance(a, TorusMeasure):
+        # domination: cellwise for densities, pointwise for atoms
+        pair = merge_pair(a, b)
+        for p, x, y in zip(pair.nums, pair.dens1, pair.dens2):
+            if x > y:
+                dens = int_fractions(pair.mass_den // pair.grid_den)
+                return f"density {dens(x)} > {dens(y)} on cell starting at {Fraction(p, pair.grid_den)}"
+        for p, x, y in zip(pair.nums, pair.atom1, pair.atom2):
+            if x > y:
+                mass = int_fractions(pair.mass_den)
+                return f"atom at {Fraction(p, pair.grid_den)}: {mass(x)} > {mass(y)}"
+    else:
+        raise TypeError(f"unsupported part type {type(a)!r}")
 
 
 class OrderedTuple(tuple):
@@ -173,9 +165,9 @@ class OrderedTuple(tuple):
 
     def __new__(cls, parts: Sequence):
         parts = tuple(parts)
-        ok, violation = validate_ordered(parts)
-        if not ok:
-            raise ValueError(f"ordering violated: {violation}")
+        for i, where in enumerate(map(_violation, parts, parts[1:])):
+            if where is not None:
+                raise ValueError(f"ordering violated: parts {i},{i+1}: {where}")
         return super().__new__(cls, parts)
 
     def __repr__(self) -> str:

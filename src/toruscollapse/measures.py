@@ -435,29 +435,6 @@ def cyclic_runs(mask: Sequence[bool]) -> list[tuple[int, int]]:
     return sorted(runs)
 
 
-def measure_leq_witness(a: TorusMeasure, b: TorusMeasure) -> tuple[bool, str | None]:
-    """Whether a(A) <= b(A) for every measurable A, with a witness if not.
-
-    For this representation that is cellwise density domination on the merged
-    grid plus pointwise atom domination.
-    """
-    pair = merge_pair(a, b)
-    for p, x, y in zip(pair.nums, pair.dens1, pair.dens2):
-        if x > y:
-            dens = int_fractions(pair.mass_den // pair.grid_den)
-            where = Fraction(p, pair.grid_den)
-            return False, f"density {dens(x)} > {dens(y)} on cell starting at {where}"
-    for p, x, y in zip(pair.nums, pair.atom1, pair.atom2):
-        if x > y:
-            mass = int_fractions(pair.mass_den)
-            return False, f"atom at {Fraction(p, pair.grid_den)}: {mass(x)} > {mass(y)}"
-    return True, None
-
-
-def measure_leq(a: TorusMeasure, b: TorusMeasure) -> bool:
-    return measure_leq_witness(a, b)[0]
-
-
 # ---- cumulative functions, plateaus and concave envelopes --------------------
 
 

@@ -234,8 +234,9 @@ def s2(
     if admissible is None:
         return RateResult(INF, False, None, (), 0.0, (), 0.0)
     pair, k1, k2, first = admissible
-    # the rate's unique zero is the constant pair
-    exact_zero = rho1 == TorusMeasure.constant(k1.m) and rho2 == TorusMeasure.constant(k2.m)
+    # the rate's unique zero is the constant pair: these atomless layers of
+    # masses m1, m2 are constant exactly when their merged grid is one point
+    exact_zero = len(pair.nums) == 1
     plateau = pair_plateaus(pair)
     if plateau.full_torus and k1.m != k2.m:
         raise RuntimeError("equal densities a.e. with distinct masses")

@@ -42,12 +42,10 @@ from .dynamics import (
     pushforward_distribution,
     sample_invariant,
 )
-from .lattice import compositions, random_config, random_points
+from .lattice import OrderedTuple, compositions, random_config, random_points
 from .measures import (
     TorusMeasure,
     json_rationals,
-    measure_leq,
-    measure_leq_witness,
     numerators,
     rescale,
 )
@@ -448,9 +446,10 @@ def suite_measure_collapse(cfg: SuiteConfig) -> list[Check]:
             if c.total_mass != r1.total_mass:
                 bad.append((t, "mass"))
                 continue
-            dom, wit = measure_leq_witness(c, r2)
-            if not dom:
-                bad.append((t, f"domination: {wit}"))
+            try:
+                OrderedTuple([c, r2])
+            except ValueError as exc:
+                bad.append((t, f"domination: {exc}"))
                 continue
             if any(x > y for x, y in zip(mass_c, mass_2)):
                 bad.append((t, "interval domination"))
@@ -540,8 +539,10 @@ def suite_minimizers(cfg: SuiteConfig) -> list[Check]:
         m2 = Fraction(1, 2)
         best = math.inf
         for rho2 in lattice_measures(cells, int(m2 / quantum), quantum, "tasep"):
-            if not (measure_leq(rho1, rho2) and measure_leq(rho2, rho3)):
-                continue
+            try:
+                OrderedTuple([rho1, rho2, rho3])
+            except ValueError:
+                continue  # not a middle layer between rho1 and rho3
             val = sk_oracle([rho1, rho2, rho3], "tasep", quantum, cells)["value"]
             best = min(best, val)
         target = s2(rho1, rho3, m1, m3, "tasep").value
@@ -663,7 +664,9 @@ def suite_had_invariance(cfg: SuiteConfig) -> list[Check]:
     samples = cfg.count("samples", 10**3, low=KS_MIN_SAMPLES)
     gap = cfg.duration("sample_gap", 40.0)
     burn = cfg.duration("burn_in", 100.0)
-    seeds = cfg.nonempty("seeds", tuple(range(1, 9)))
+    seeds = cfg.counts("seeds", tuple(range(1, 9)), low=0)
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"override 'seeds' must be a list of distinct seeds, not {seeds!r}")
     need = -(-7 * len(seeds) // 8)  # seven in eight, rounded up
     # each seed draws samples direct states and one to start the chain from
     spec = ProcessSpec("had", (n1, n2 - n1))

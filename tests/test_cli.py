@@ -438,6 +438,11 @@ class TestCli:
             ("had-invariance", '{"n1": 2000000, "n2": 4000000, "seeds": [1]}', "overrides 'n1', 'n2' and 'samples': a draw would walk 4000000 points in each of 3 walks, charged 12000030 with 10 more per walk, more than the cap of 3000000"),
             ("had-invariance", '{"burn_in": 2000000, "seeds": [1]}', "override 'burn_in': horizon 2000000 expects about 2e+06 events, more than the cap of 1000000"),
             ("had-invariance", '{"sample_gap": 2000000, "seeds": [1], "samples": 50, "burn_in": 0}', "override 'sample_gap': horizon 2000000 expects about 2e+06 events, more than the cap of 1000000"),
+            # a repeated seed would count twice toward the seven-in-eight rule
+            ("had-invariance", '{"seeds": [1, 1, 1, 1, 1, 1, 1, 2]}', "override 'seeds' must be a list of distinct seeds, not [1, 1, 1, 1, 1, 1, 1, 2]"),
+            ("had-invariance", '{"seeds": ["1", 1]}', "override 'seeds' must be a list of counts of at least 0, not ['1', 1]"),
+            ("had-invariance", '{"seeds": [-1]}', "override 'seeds' must be a list of counts of at least 0, not [-1]"),
+            ("had-invariance", '{"seeds": [1.0]}', "override 'seeds' must be a list of counts of at least 0, not [1.0]"),
         ],
     )
     def test_suite_override_testing_nothing_is_one_line_exit_two(self, capsys, name, overrides, message):

@@ -24,12 +24,12 @@ from toruscollapse.dynamics import (
 from toruscollapse.lattice import (
     POINT_GRID,
     EnumerationLimitError,
+    OrderedTuple,
     PointConfig,
     TorusConfig,
     compositions,
     enumerate_configs,
     random_points,
-    validate_ordered,
 )
 from toruscollapse.measures import TorusMeasure
 
@@ -551,7 +551,7 @@ class TestSimulation:
         samples = had_sample_chain(list(start), rng, 5, 3.0, burn_in=1.0)
         assert len(samples) == 5
         for s in samples:
-            assert validate_ordered(s)[0]
+            OrderedTuple(s)  # raises unless the layers are nested
 
 
 # points on and off the sampling grid: a denominator 3 or 7 makes the
@@ -594,7 +594,7 @@ class TestSampler:
         for _ in range(20):
             out = sample_invariant(spec, rng)
             assert [c.count for c in out] == [2, 3]
-            assert validate_ordered(out)[0]
+            OrderedTuple(out)  # raises unless the layers are nested
 
     def test_had_sample_inclusion(self):
         rng = random.Random(2)
@@ -602,7 +602,7 @@ class TestSampler:
         for _ in range(20):
             out = sample_invariant(spec, rng)
             assert len(out[0]) == 4 and len(out[1]) == 8
-            assert validate_ordered(out)[0]
+            OrderedTuple(out)  # raises unless the layers are nested
 
 
     @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from toruscollapse.dynamics import had_simulate
 from toruscollapse.lattice import (
     POINT_GRID,
     EnumerationLimitError,
@@ -14,7 +15,6 @@ from toruscollapse.lattice import (
     compositions,
     enumerate_configs,
     random_points,
-    validate_ordered,
 )
 
 from oracles import class_label_decode
@@ -67,47 +67,73 @@ class TestTorusConfig:
         assert c == TorusConfig(b"\x01\x00\x01") == cfg(0, 2, n=3)
 
 
-class TestValidateOrdered:
+class TestOrderedTuple:
     def test_configs(self):
-        ok, _ = validate_ordered([TorusConfig([1, 0]), TorusConfig([1, 1])])
-        assert ok
-        ok, why = validate_ordered([TorusConfig([1, 1]), TorusConfig([1, 0])])
-        assert not ok and "site 1" in why
+        OrderedTuple([TorusConfig([1, 0]), TorusConfig([1, 1])])
+        with pytest.raises(ValueError, match="^ordering violated: parts 0,1: site 1$"):
+            OrderedTuple([TorusConfig([1, 1]), TorusConfig([1, 0])])
+        with pytest.raises(ValueError, match="^ordering violated: parts 0,1: ring sizes differ$"):
+            OrderedTuple([TorusConfig([1, 0]), TorusConfig([1, 0, 0])])
 
     def test_points(self):
         a = PointConfig([Fraction(1, 4)])
         b = PointConfig([Fraction(1, 4), Fraction(1, 2)])
-        assert validate_ordered([a, b])[0]
-        ok, why = validate_ordered([b, a])
-        assert not ok and why == "parts 0,1: point 1/2 not included"
-        ok, why = validate_ordered([PointConfig([Fraction(1, 3)]), b])
-        assert not ok and why == "parts 0,1: point 1/3 not included"
+        OrderedTuple([a, b])
+        with pytest.raises(ValueError, match="^ordering violated: parts 0,1: point 1/2 not included$"):
+            OrderedTuple([b, a])
+        with pytest.raises(ValueError, match="^ordering violated: parts 0,1: point 1/3 not included$"):
+            OrderedTuple([PointConfig([Fraction(1, 3)]), b])
 
     def test_measures(self):
         from toruscollapse.measures import TorusMeasure
 
         half = TorusMeasure.constant(Fraction(1, 2))
         one = TorusMeasure.constant(1)
-        assert validate_ordered([half, one])[0]
-        assert not validate_ordered([one, half])[0]
+        OrderedTuple([half, one])
+        with pytest.raises(ValueError, match="^ordering violated: parts 0,1: density 1 > 1/2"):
+            OrderedTuple([one, half])
         # the witness names the first violation in exact terms, whatever
         # common denominators the pair is compared over
         thirds = TorusMeasure([0, Fraction(1, 3)], [Fraction(1, 5), Fraction(3, 4)])
         fifths = TorusMeasure(
             [0, Fraction(1, 5), Fraction(2, 3)], [Fraction(1, 4), Fraction(1, 2), 1]
         )
-        ok, why = validate_ordered([thirds, fifths])
-        assert not ok and why == "parts 0,1: density 3/4 > 1/2 on cell starting at 1/3"
         light = TorusMeasure([0], [0], [(Fraction(2, 7), Fraction(1, 7))])
         heavy = TorusMeasure([0], [0], [(Fraction(2, 7), Fraction(3, 7))])
-        ok, why = validate_ordered([light, heavy, one.add(light)])
-        assert not ok and why == "parts 1,2: atom at 2/7: 3/7 > 1/7"
-        ok, why = validate_ordered([TorusMeasure([0], [0], [(Fraction(5, 7), Fraction(1, 3))]), one])
-        assert not ok and why == "parts 0,1: atom at 5/7: 1/3 > 0"
+        cases = [
+            ([thirds, fifths], "parts 0,1: density 3/4 > 1/2 on cell starting at 1/3"),
+            ([light, heavy, one.add(light)], "parts 1,2: atom at 2/7: 3/7 > 1/7"),
+            ([TorusMeasure([0], [0], [(Fraction(5, 7), Fraction(1, 3))]), one], "parts 0,1: atom at 5/7: 1/3 > 0"),
+        ]
+        for parts, why in cases:
+            with pytest.raises(ValueError) as refused:
+                OrderedTuple(parts)
+            assert str(refused.value) == f"ordering violated: {why}"
 
-    def test_ordered_tuple_rejects(self):
-        with pytest.raises(ValueError):
-            OrderedTuple([TorusConfig([1, 1]), TorusConfig([1, 0])])
+    def test_unsupported_part_type(self):
+        with pytest.raises(TypeError, match="unsupported part type"):
+            OrderedTuple([(0, 1), (1, 1)])
+
+    # each entry point that takes an ordered tuple refuses a disordered one
+    # with the message of OrderedTuple itself
+    @pytest.mark.parametrize(
+        "refuse, parts, why",
+        [
+            (OrderedTuple, [TorusConfig([1, 1]), TorusConfig([1, 0])], "site 1"),
+            (class_label_encode, [TorusConfig([1, 1]), TorusConfig([1, 0])], "site 1"),
+            (OrderedTuple, [PointConfig(["1/2"]), PointConfig(["1/4"])], "point 1/2 not included"),
+            (
+                lambda parts: had_simulate(parts, 5.0, random.Random(1)),
+                [PointConfig(["1/2"]), PointConfig(["1/4"])],
+                "point 1/2 not included",
+            ),
+        ],
+        ids=["OrderedTuple-configs", "class_label_encode", "OrderedTuple-points", "had_simulate"],
+    )
+    def test_every_entry_point_refuses_with_one_message(self, refuse, parts, why):
+        with pytest.raises(ValueError) as refused:
+            refuse(parts)
+        assert str(refused.value) == f"ordering violated: parts 0,1: {why}"
 
 
 class TestEnumeration:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from toruscollapse.lattice import OrderedTuple
 from toruscollapse.measures import (
     ClosedArc,
     TorusMeasure,
@@ -12,7 +13,6 @@ from toruscollapse.measures import (
     cyclic_runs,
     envelope_density,
     frac,
-    measure_leq,
     merge_pair,
     pair_plateaus,
     refined_cells,
@@ -289,15 +289,17 @@ class TestIntervalMass:
 
 class TestOrder:
     def test_constant_ordering(self):
-        assert measure_leq(TorusMeasure.constant(F(1, 2)), TorusMeasure.constant(1))
-        assert not measure_leq(TorusMeasure.constant(1), TorusMeasure.constant(F(1, 2)))
+        OrderedTuple([TorusMeasure.constant(F(1, 2)), TorusMeasure.constant(1)])
+        with pytest.raises(ValueError, match="ordering violated: parts 0,1: density 1 > 1/2"):
+            OrderedTuple([TorusMeasure.constant(1), TorusMeasure.constant(F(1, 2))])
 
     def test_atom_ordering(self):
         small = TorusMeasure.from_atoms([F(1, 2)], 1)
         big = TorusMeasure.from_atoms([F(1, 2), F(3, 4)], 1)
-        assert measure_leq(small, big)
+        OrderedTuple([small, big])  # raises unless small <= big
         shifted = TorusMeasure.from_atoms([F(1, 3)], 1)
-        assert not measure_leq(shifted, big)
+        with pytest.raises(ValueError, match="ordering violated: parts 0,1: atom at 1/3: 1 > 0"):
+            OrderedTuple([shifted, big])  # raises unless shifted <= big
 
 
 class TestPlateau:
