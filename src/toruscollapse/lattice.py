@@ -164,6 +164,8 @@ class OrderedTuple(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Sequence):
+        if type(parts) is cls:  # built checked
+            return parts
         parts = tuple(parts)
         for i, where in enumerate(map(_violation, parts, parts[1:])):
             if where is not None:

@@ -27,8 +27,7 @@ collapse.collapse_measure returns, never its flux profile.
 The quantized three-layer routes draw the layer under the last from one
 pool, its pinned preimages (_preimages), and differ only in how they
 charge the first layer: sk_oracle by brute force through the chosen
-middle layer, s3_recursive through s2.  They compare and hash collapsed
-measures: int comparisons and hashes only.  A collapse keeps psi's
+middle layer, s3_recursive through s2.  A collapse keeps psi's
 density where the flux is zero and under's elsewhere, so a preimage of a
 target equals it wherever target and under differ: each candidate cell
 where both are constant and differ is pinned to the target's quanta
@@ -39,6 +38,10 @@ every cell, J at a cell's start is the queue length after the cell
 before it, queue_collapse run on cell quanta.  Only candidates that hold
 the pins and this queue rule are collapsed, in their order; the collapse
 still decides membership, so the results are those of the unpruned search.
+The same queue names sk_oracle's intermediates by int cell codes
+(_cell_code): a cell keeping k of psi's a quanta onto the middle layer's
+b has density k throughout when k is a or b, else b up to the root at
+(k - a) / (b - a) and a after; each distinct code is collapsed once.
 
 All cell data stays rational; floating point enters through log only.
 The kernel takes its argument as an int ratio and divides ints, which
@@ -473,7 +476,7 @@ def _lattice(cells: int, units: int, quantum: Fraction, family: str, pins: dict,
     qn, qd = frac(quantum).as_integer_ratio()
     cap = qd // (cells * qn) if family == "tasep" else None  # densities at most 1
     for combo in compositions(units, cells, cap):
-        if _admits(combo, pins, under):
+        if _admits(combo, pins, under) is not None:
             yield combo
 
 
@@ -511,19 +514,24 @@ def _pins(target: list, under: list) -> dict:
     }
 
 
-def _admits(combo: tuple, pins: dict, under) -> bool:
-    """Whether a candidate's cell quanta hold the pins and, when the cell
-    quanta of the layer under it are given, the queue rule on every pinned
-    cell: the queue is empty at the cell's start and the candidate no
-    heavier than under there, since J > 0 anywhere on the cell would keep
-    under's density."""
+def _admits(combo: tuple, pins: dict, under) -> tuple | None:
+    """The queue run queue_collapse(combo, under), or () without under, if
+    a candidate's cell quanta hold the pins and, when under is given, the
+    queue rule on every pinned cell: the queue is empty at the cell's
+    start and the candidate no heavier than under there, since J > 0
+    anywhere on the cell would keep under's density.  Else None."""
     if any(combo[c] != n for c, n in pins.items()):
-        return False
-    if under is None or not pins:
-        return True
+        return None
+    if under is None:
+        return ()
     # J at cell c's start is the queue length after cell c - 1
-    ends = queue_collapse(combo, under)[1]
-    return not any(ends[c - 1] or combo[c] > under[c] for c in pins)
+    run = queue_collapse(combo, under)
+    return None if any(run[1][c - 1] or combo[c] > under[c] for c in pins) else run
+
+
+def _cell_code(psi: tuple, under: tuple, kept: list) -> tuple:
+    """The cell code of psi collapsed onto under, both cell quanta."""
+    return tuple([k if k == a or k == b else (a, b, k) for a, b, k in zip(psi, under, kept)])
 
 
 def _quantized_masses(
@@ -563,7 +571,7 @@ def _preimages(target, under, cells: int, units: int, quantum, family: str) -> l
     (module docstring), are skipped uncollapsed."""
     below = _cell_quanta(under, cells, quantum)
     pins = _pins(_cell_quanta(target, cells, quantum), below)
-    if None in below:
+    if None in below or not pins:
         below = None
     candidates = _lattice(cells, units, quantum, family, pins, below)
     profiles = [(combo, _lattice_measure(combo, quantum)) for combo in candidates]
@@ -599,28 +607,30 @@ def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) ->
         # where it differs from rhos[0] too
         fixed = _pins(_cell_quanta(rhos[0], cells, quantum), _cell_quanta(last, cells, quantum))
         pool = list(_lattice(cells, units[0], quantum, family, {}))
-        # a candidate's measure, built once, when some middle layer admits it
-        built: dict[tuple, TorusMeasure] = {}
-        # whether an intermediate (psi pushed through the middle layer)
-        # lands on rhos[0] under the last: many candidates share one, and
-        # each distinct one is collapsed again once
-        hits: dict[TorusMeasure, bool] = {}
+        # a candidate's charge, made once, when some middle layer keeps it
+        charges: dict[tuple, float] = {}
+        # whether an intermediate (psi pushed through the middle layer),
+        # named by its cell code, lands on rhos[0] under the last: many
+        # candidates share one, and each distinct one is collapsed once
+        hits: dict[tuple, bool] = {}
         values = []
         for chosen, phi in middle:
             cost = base + _integrate_kernel(phi, kernels[1])
             pins = {c: n for c, n in fixed.items() if chosen[c] != n}
             for combo in pool:
-                if not _admits(combo, pins, chosen):
+                run = _admits(combo, pins, chosen)
+                if run is None:
                     continue
-                psi = built.get(combo)
-                if psi is None:
-                    psi = built[combo] = _lattice_measure(combo, quantum)
-                key = collapse_measure(psi, phi)[0]
-                hit = hits.get(key)
+                code = _cell_code(combo, chosen, run[0])
+                hit = hits.get(code)
                 if hit is None:
-                    hit = hits[key] = collapse_measure(key, last)[0] == rhos[0]
+                    key = collapse_measure(_lattice_measure(combo, quantum), phi)[0]
+                    hit = hits[code] = collapse_measure(key, last)[0] == rhos[0]
                 if hit:
-                    values.append(cost + _integrate_kernel(psi, kernels[0]))
+                    if combo not in charges:
+                        psi = _lattice_measure(combo, quantum)
+                        charges[combo] = _integrate_kernel(psi, kernels[0])
+                    values.append(cost + charges[combo])
     best, near = INF, 0
     for val in values:
         if val < best - TIE_TOL:

@@ -553,6 +553,34 @@ class TestSimulation:
         for s in samples:
             OrderedTuple(s)  # raises unless the layers are nested
 
+    def test_seeded_chain_keeps_its_samples(self):
+        # the chain passes each sample, an OrderedTuple, back in unchecked:
+        # it draws what chaining had_simulate on plain lists draws, and the
+        # samples it drew when every sample was checked again
+        rng = random.Random(5)
+        start = sample_invariant(ProcessSpec("had", (3, 4)), rng)
+        ref = random.Random()
+        ref.setstate(rng.getstate())
+        samples = had_sample_chain(start, rng, 6, 2.0, burn_in=1.0)
+        state, chained = had_simulate(list(start), 1.0, ref)[0], []
+        for _ in range(6):
+            state = had_simulate(list(state), 2.0, ref)[0]
+            chained.append(state)
+        assert samples == chained
+        assert rng.random() == ref.random() == 0.9665643123171954
+        assert [[str(x) for x in p.points] for p in samples[-1]] == [
+            ["895719641822713/4503599627370496", "1409019510100753/2251799813685248", "8723984562769303/9007199254740992"],
+            [
+                "895719641822713/4503599627370496",
+                "4006726102769227/9007199254740992",
+                "1409019510100753/2251799813685248",
+                "3431406481828143/4503599627370496",
+                "6989215165516763/9007199254740992",
+                "8723984562769303/9007199254740992",
+                "547377207788819/562949953421312",
+            ],
+        ]
+
 
 # points on and off the sampling grid: a denominator 3 or 7 makes the
 # common denominator of had_simulate a proper multiple of POINT_GRID

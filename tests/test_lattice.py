@@ -110,6 +110,12 @@ class TestOrderedTuple:
                 OrderedTuple(parts)
             assert str(refused.value) == f"ordering violated: {why}"
 
+    def test_an_ordered_tuple_is_taken_as_it_is(self):
+        # it can only be built checked, so it is not checked again
+        t = OrderedTuple([TorusConfig([1, 0]), TorusConfig([1, 1])])
+        assert OrderedTuple(t) is t
+        assert OrderedTuple(tuple(t)) == t and OrderedTuple(tuple(t)) is not t
+
     def test_unsupported_part_type(self):
         with pytest.raises(TypeError, match="unsupported part type"):
             OrderedTuple([(0, 1), (1, 1)])

@@ -20,6 +20,7 @@ from toruscollapse.rate import (
     DP_EXTRA_LEVELS,
     TIE_TOL,
     EntropyKernel,
+    _cell_code,
     _envelope_integral,
     _plateau_dp_min,
     contraction_identity_check,
@@ -987,8 +988,12 @@ class TestQueueRule:
     @pytest.mark.parametrize("family", ["tasep", "had"])
     def test_cell_queue_equals_the_measure_queue(self, family):
         # lattice pairs on 1 to 12 cells, a quarter of them of equal masses:
-        # the queue on cell quanta is J at every cell start
-        rng = random.Random(31)
+        # the queue on cell quanta is J at every cell start, and its cell
+        # code names the collapse (equal codes, equal measures, and
+        # different codes, different measures) over psi and up to six
+        # neighbours one moved quantum away
+        rng, moves = random.Random(31), random.Random(32)
+        shared = 0
         for _ in range(300):
             cells, per_cell = rng.randint(1, 12), rng.randint(1, 4)
             quantum = F(1, cells * per_cell)
@@ -999,15 +1004,32 @@ class TestQueueRule:
             psi = [0] * cells
             for _ in range(units):
                 psi[rng.choice([c for c in range(cells) if psi[c] < top])] += 1
-            psi_m, under_m = (
-                TorusMeasure([F(c, cells) for c in range(cells)], [n * quantum * cells for n in quanta])
-                for quanta in (psi, under)
-            )
-            profile = collapse_measure(psi_m, under_m)[1]
+
+            def measure(quanta):
+                return TorusMeasure([F(c, cells) for c in range(cells)], [n * quantum * cells for n in quanta])
+
+            under_m = measure(under)
+            profile = collapse_measure(measure(psi), under_m)[1]
             # J at cell c's start is the queue length after cell c - 1
             lengths = queue_collapse(psi, under)[1]
             for c in range(cells):
                 assert lengths[c - 1] * quantum == profile.at(F(c, cells)), (psi, under, c)
+            steps = [(i, j) for i in range(cells) for j in range(cells) if psi[i] and psi[j] < top and i != j]
+            others = [psi]
+            for i, j in moves.sample(steps, min(6, len(steps))):
+                other = list(psi)
+                other[i] -= 1
+                other[j] += 1
+                others.append(other)
+            named = {}
+            for other in others:
+                code = _cell_code(other, under, queue_collapse(other, under)[0])
+                named.setdefault(code, set()).add(collapse_measure(measure(other), under_m)[0])
+            assert all(len(kept) == 1 for kept in named.values()), (psi, under)
+            assert len(set().union(*named.values())) == len(named), (psi, under)
+            shared += len(others) - len(named)
+        # the codes are not merely the candidates: some collapses are shared
+        assert shared > 0
 
     @pytest.mark.parametrize("route", [sk_oracle, s3_recursive])
     def test_decreasing_masses_refused(self, route):
@@ -1105,10 +1127,10 @@ class TestMultilayerOracle:
         assert (direct["near_minimizers"], direct["feasible_count"]) == (4, 1839)
 
     def test_collapses_are_compared_as_forms(self, monkeypatch):
-        # sk_oracle at 1/32 on the known triple runs the queue 3,116 times,
-        # once per candidate that holds the pins and the queue rule and per
-        # distinct intermediate, and compares the collapses on their stored
-        # ints: no measure is built from Fractions
+        # sk_oracle at 1/32 on the known triple runs the measure queue 576
+        # times, once per middle-layer candidate that holds the pins and
+        # twice per distinct cell code of an intermediate, and compares the
+        # collapses on their stored ints: no measure is built from Fractions
         counts = {"queue": 0, "measures": 0}
         queue, build = rate.collapse_measure, measures.TorusMeasure.__init__
 
@@ -1124,8 +1146,32 @@ class TestMultilayerOracle:
         monkeypatch.setattr(rate, "collapse_measure", counted_queue)
         monkeypatch.setattr(measures.TorusMeasure, "__init__", counted_build)
         sk_oracle(triple, "tasep", F(1, 32), 4)
-        assert counts["queue"] == 3116
+        assert counts["queue"] == 576
         assert counts["measures"] == 0
+
+    def test_one_measure_collapse_per_distinct_intermediate(self, monkeypatch):
+        # the first layer's candidates are named by the cell code of their
+        # one cell queue under the middle layer: 61 measure collapses at
+        # 1/16 on the known triple, where one per candidate made 325, and
+        # no candidate runs the cell queue twice
+        collapses, queues = [], []
+        collapse, queue = rate.collapse_measure, rate.queue_collapse
+
+        def counted_collapse(*args):
+            collapses.append(args)
+            return collapse(*args)
+
+        def counted_queue(first, second):
+            queues.append((tuple(first), tuple(second)))
+            return queue(first, second)
+
+        triple = BENCH_TRIPLES[0]  # the known triple
+        want = reference_sk_oracle(triple, "tasep", F(1, 16), 4)
+        monkeypatch.setattr(rate, "collapse_measure", counted_collapse)
+        monkeypatch.setattr(rate, "queue_collapse", counted_queue)
+        assert _typed(sk_oracle(triple, "tasep", F(1, 16), 4)) == _typed(want)
+        assert len(collapses) == 61
+        assert len(queues) == len(set(queues)) > 0
 
     @pytest.mark.parametrize(
         "first",
