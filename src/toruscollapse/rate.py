@@ -24,24 +24,19 @@ onto a constant.  The rate's unique zero is the constant pair.  They,
 like the quantized routes below, read only the measure that
 collapse.collapse_measure returns, never its flux profile.
 
-The quantized three-layer routes draw the layer under the last from one
-pool, its pinned preimages (_preimages), and differ only in how they
-charge the first layer: sk_oracle by brute force through the chosen
-middle layer, s3_recursive through s2.  A collapse keeps psi's
-density where the flux is zero and under's elsewhere, so a preimage of a
-target equals it wherever target and under differ: each candidate cell
-where both are constant and differ is pinned to the target's quanta
-(through the middle layer, where the target differs from both).  There J
-is zero on the whole cell, so the queue is empty at the cell's start and
-the candidate no heavier than under on it.  Where under is constant on
-every cell, J at a cell's start is the queue length after the cell
-before it, queue_collapse run on cell quanta.  Only candidates that hold
-the pins and this queue rule are collapsed, in their order; the collapse
-still decides membership, so the results are those of the unpruned search.
-The same queue names sk_oracle's intermediates by int cell codes
-(_cell_code): a cell keeping k of psi's a quanta onto the middle layer's
-b has density k throughout when k is a or b, else b up to the root at
-(k - a) / (b - a) and a after; each distinct code is collapsed once.
+The quantized three-layer routes draw every layer under the last from one
+search, _preimages, and differ only in how they charge the first layer:
+sk_oracle through the chosen middle layer, s3_recursive through s2.  A
+collapse keeps psi's density where the flux J is zero, so a candidate is
+pinned to the target's quanta on each cell where the target and every
+layer under it are constant and differ.  There J is zero, so the queue is
+empty at the cell's start and the candidate no heavier than the first
+layer under.  Where that layer is constant on every cell, the queue is
+queue_collapse on cell quanta, and its kept quanta name the collapse by
+an int cell code (_cell_code): a cell keeping k of psi's a quanta onto b
+has density k throughout when k is a or b, else b up to (k - a) / (b - a)
+and a after.  Each distinct code is collapsed once, which still decides
+membership, so the results are those of the unpruned search.
 
 All cell data stays rational; floating point enters through log only.
 The kernel takes its argument as an int ratio and divides ints, which
@@ -56,7 +51,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .collapse import CollapseError, collapse_measure, queue_collapse
 from .lattice import compositions
@@ -467,17 +462,15 @@ def lattice_measures(cells: int, units: int, quantum: Fraction, family: str):
     """All piecewise-constant measures on `cells` uniform cells whose cell
     masses are multiples of the quantum summing to units * quantum; the
     exclusion family caps densities at one."""
-    return (_lattice_measure(c, quantum) for c in _lattice(cells, units, quantum, family, {}))
+    return (_lattice_measure(c, quantum) for c in _lattice(cells, units, quantum, family))
 
 
-def _lattice(cells: int, units: int, quantum: Fraction, family: str, pins: dict, under=None):
-    """The cell quanta of lattice_measures' profiles, in its order, that
-    pass _admits(combo, pins, under)."""
+def _lattice(cells: int, units: int, quantum: Fraction, family: str) -> Iterator[tuple]:
+    """The cell quanta of lattice_measures' profiles, in its order, made
+    one at a time: a pool searched once is never held whole."""
     qn, qd = frac(quantum).as_integer_ratio()
     cap = qd // (cells * qn) if family == "tasep" else None  # densities at most 1
-    for combo in compositions(units, cells, cap):
-        if _admits(combo, pins, under) is not None:
-            yield combo
+    return compositions(units, cells, cap)
 
 
 def _lattice_measure(combo: tuple, quantum) -> TorusMeasure:
@@ -504,29 +497,6 @@ def _cell_quanta(rho: TorusMeasure, cells: int, quantum: Fraction) -> list:
         q = Fraction(rho.dens_nums[i] * qd, rho.dens_den * qn * cells)
         out.append(q.numerator if q.denominator == 1 else q)
     return out
-
-
-def _pins(target: list, under: list) -> dict:
-    """The cells on which a candidate collapsed onto `under` must hold the
-    target's quanta: those where both are constant and differ."""
-    return {
-        c: t for c, (t, u) in enumerate(zip(target, under)) if None not in (t, u) and t != u
-    }
-
-
-def _admits(combo: tuple, pins: dict, under) -> tuple | None:
-    """The queue run queue_collapse(combo, under), or () without under, if
-    a candidate's cell quanta hold the pins and, when under is given, the
-    queue rule on every pinned cell: the queue is empty at the cell's
-    start and the candidate no heavier than under there, since J > 0
-    anywhere on the cell would keep under's density.  Else None."""
-    if any(combo[c] != n for c, n in pins.items()):
-        return None
-    if under is None:
-        return ()
-    # J at cell c's start is the queue length after cell c - 1
-    run = queue_collapse(combo, under)
-    return None if any(run[1][c - 1] or combo[c] > under[c] for c in pins) else run
 
 
 def _cell_code(psi: tuple, under: tuple, kept: list) -> tuple:
@@ -564,18 +534,41 @@ def _quantized_masses(
     return masses, units
 
 
-def _preimages(target, under, cells: int, units: int, quantum, family: str) -> list:
-    """The (cell quanta, measure) profiles of lattice_measures, in its
-    order, that collapse onto `under` as `target`; the ones that break the
-    pin rule, or the queue rule where under is constant on every cell
-    (module docstring), are skipped uncollapsed."""
-    below = _cell_quanta(under, cells, quantum)
-    pins = _pins(_cell_quanta(target, cells, quantum), below)
-    if None in below or not pins:
-        below = None
-    candidates = _lattice(cells, units, quantum, family, pins, below)
-    profiles = [(combo, _lattice_measure(combo, quantum)) for combo in candidates]
-    return [(combo, psi) for combo, psi in profiles if collapse_measure(psi, under)[0] == target]
+def _preimages(target, unders: Sequence[TorusMeasure], pool, cells: int, quantum, hits: dict) -> list:
+    """The cell quanta of `pool`, in its order, whose profiles land on
+    `target` when collapsed through each layer of `unders` in turn.
+
+    Candidates that break the pins, or the queue rule where unders[0] is
+    constant on every cell (module docstring), are skipped uncollapsed.
+    `hits` records, per cell code of the collapse onto unders[0] (per
+    candidate where there is no code), whether it lands on the target; a
+    code fixes that collapse whatever unders[0] is, so calls with the same
+    target and later layers may share one `hits`."""
+    want, *quanta = [_cell_quanta(r, cells, quantum) for r in (target, *unders)]
+    # a cell where the target and every layer under it are constant and differ
+    cols = enumerate(zip(want, *quanta))
+    pins = [(c, t) for c, (t, *us) in cols if None not in us and t not in (None, *us)]
+    below = quanta[0]
+    out = []
+    for combo in pool:
+        if any(combo[c] != t for c, t in pins):
+            continue
+        key = combo
+        if None not in below:
+            # J at cell c's start is the queue length after cell c - 1
+            kept, lengths = queue_collapse(combo, below)
+            if any(lengths[c - 1] or combo[c] > below[c] for c, _ in pins):
+                continue
+            key = _cell_code(combo, below, kept)
+        hit = hits.get(key)
+        if hit is None:
+            psi = _lattice_measure(combo, quantum)
+            for under in unders:
+                psi = collapse_measure(psi, under)[0]
+            hit = hits[key] = psi == target
+        if hit:
+            out.append(combo)
+    return out
 
 
 def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) -> dict:
@@ -583,12 +576,9 @@ def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) ->
     quantized tuples whose k-fold collapse reproduces the target tuple.
 
     Exhaustive for two or three layers on coarse grids.  The layer under
-    the last comes from its pinned preimage pool, as in s3_recursive; the
-    first of three layers is charged by brute force: a lattice profile is
-    kept when pushing it through the chosen middle layer, then the last,
-    lands on rhos[0].  One that breaks the pin rule against both, or the
-    queue rule under the chosen middle layer on those pinned cells, is
-    skipped uncollapsed.  Reports the best value and how many
+    the last comes from its pinned preimages, as in s3_recursive; the
+    first of three layers from its pinned preimages through the chosen
+    middle layer, then the last.  Reports the best value and how many
     near-minimizers were seen (the preimage set need not be convex, so
     uniqueness is never claimed).  Layer masses must be nondecreasing.
     """
@@ -599,38 +589,25 @@ def sk_oracle(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int) ->
     kernels = [EntropyKernel(family, m) for m in masses]
     last = rhos[-1]
     base = _integrate_kernel(last, kernels[-1])
-    middle = _preimages(rhos[-2], last, cells, units[-2], quantum, family)
+    lattice = _lattice(cells, units[-2], quantum, family)
+    middle = _preimages(rhos[-2], [last], lattice, cells, quantum, {})
     if k == 2:
-        values = [base + _integrate_kernel(psi, kernels[0]) for _, psi in middle]
+        values = [base + _integrate_kernel(_lattice_measure(c, quantum), kernels[0]) for c in middle]
     else:
-        # the pins against the last layer; each middle layer keeps those
-        # where it differs from rhos[0] too
-        fixed = _pins(_cell_quanta(rhos[0], cells, quantum), _cell_quanta(last, cells, quantum))
-        pool = list(_lattice(cells, units[0], quantum, family, {}))
+        pool = list(_lattice(cells, units[0], quantum, family))
         # a candidate's charge, made once, when some middle layer keeps it
         charges: dict[tuple, float] = {}
-        # whether an intermediate (psi pushed through the middle layer),
-        # named by its cell code, lands on rhos[0] under the last: many
-        # candidates share one, and each distinct one is collapsed once
+        # one memo for every middle layer: many candidates share an
+        # intermediate, and each distinct one is collapsed once
         hits: dict[tuple, bool] = {}
         values = []
-        for chosen, phi in middle:
+        for chosen in middle:
+            phi = _lattice_measure(chosen, quantum)
             cost = base + _integrate_kernel(phi, kernels[1])
-            pins = {c: n for c, n in fixed.items() if chosen[c] != n}
-            for combo in pool:
-                run = _admits(combo, pins, chosen)
-                if run is None:
-                    continue
-                code = _cell_code(combo, chosen, run[0])
-                hit = hits.get(code)
-                if hit is None:
-                    key = collapse_measure(_lattice_measure(combo, quantum), phi)[0]
-                    hit = hits[code] = collapse_measure(key, last)[0] == rhos[0]
-                if hit:
-                    if combo not in charges:
-                        psi = _lattice_measure(combo, quantum)
-                        charges[combo] = _integrate_kernel(psi, kernels[0])
-                    values.append(cost + charges[combo])
+            for combo in _preimages(rhos[0], [phi, last], pool, cells, quantum, hits):
+                if combo not in charges:
+                    charges[combo] = _integrate_kernel(_lattice_measure(combo, quantum), kernels[0])
+                values.append(cost + charges[combo])
     best, near = INF, 0
     for val in values:
         if val < best - TIE_TOL:
@@ -649,18 +626,20 @@ def s3_recursive(rhos: Sequence[TorusMeasure], family: str, quantum, cells: int)
         raise ValueError("recursion route needs exactly three layers")
     masses, units = _quantized_masses(rhos, quantum, cells)
     base = _integrate_kernel(rhos[2], EntropyKernel(family, masses[2]))
-    phi1_pool = _preimages(rhos[0], rhos[2], cells, units[0], quantum, family)
-    best = INF
-    feasible = 0
-    for _, phi2 in _preimages(rhos[1], rhos[2], cells, units[1], quantum, family):
-        for _, phi1 in phi1_pool:
+
+    def pool(i: int) -> list:
+        lattice = _lattice(cells, units[i], quantum, family)
+        combos = _preimages(rhos[i], [rhos[2]], lattice, cells, quantum, {})
+        return [_lattice_measure(c, quantum) for c in combos]
+
+    phi1_pool = pool(0)
+    best, feasible = INF, 0
+    for phi2 in pool(1):
+        for phi1 in phi1_pool:
             res = s2(phi1, phi2, masses[0], masses[1], family)
-            if not res.finite:
-                continue
-            feasible += 1
-            val = base + res.value
-            if val < best:
-                best = val
+            if res.finite:
+                feasible += 1
+                best = min(best, base + res.value)
     return {"value": best, "feasible_count": feasible}
 
 

@@ -4,10 +4,11 @@ package because no package code needs them."""
 from __future__ import annotations
 
 import bisect
+import math
 from fractions import Fraction
 from typing import Sequence
 
-from toruscollapse.collapse import FluxProfile, JInterval
+from toruscollapse.collapse import FluxProfile, JInterval, collapse_measure
 from toruscollapse.dynamics import bond_update
 from toruscollapse.lattice import TorusConfig
 from toruscollapse.measures import (
@@ -24,6 +25,7 @@ from toruscollapse.measures import (
     pair_plateaus,
     refined_cells,
 )
+from toruscollapse.rate import TIE_TOL, EntropyKernel, lattice_measures, s1, s2
 
 
 def tasep_state_frequencies(
@@ -213,3 +215,63 @@ def preimage_conditions(psi1: TorusMeasure, rho1: TorusMeasure, rho2: TorusMeasu
         if any(value_at(F_psi, t) < value_at(F_rho2, t) for t in offs):
             return False
     return True
+
+
+def reference_sk_oracle(rhos, family, quantum, cells):
+    """The brute-force multilayer oracle with every collapse taken through
+    collapse_measure and none shared: the reference for sk_oracle."""
+    masses = [r.total_mass for r in rhos]
+    units = [int(m / quantum) for m in masses]
+    kernels = [EntropyKernel(family, m) for m in masses]
+    best, near, feasible = math.inf, 0, 0
+
+    def track(val):
+        nonlocal best, near
+        if val < best - TIE_TOL:
+            best, near = val, 1
+        elif abs(val - best) <= TIE_TOL:
+            best, near = min(best, val), near + 1
+
+    if len(rhos) == 2:
+        for psi1 in lattice_measures(cells, units[0], quantum, family):
+            if collapse_measure(psi1, rhos[1])[0] != rhos[0]:
+                continue
+            feasible += 1
+            track(s1(psi1, kernels[0]) + s1(rhos[1], kernels[1]))
+    else:
+        base = s1(rhos[2], kernels[2])
+        psi1_pool = list(lattice_measures(cells, units[0], quantum, family))
+        for psi2 in lattice_measures(cells, units[1], quantum, family):
+            if collapse_measure(psi2, rhos[2])[0] != rhos[1]:
+                continue
+            mid_cost = s1(psi2, kernels[1])
+            for psi1 in psi1_pool:
+                inner = collapse_measure(psi1, psi2)[0]
+                if collapse_measure(inner, rhos[2])[0] != rhos[0]:
+                    continue
+                feasible += 1
+                track(base + mid_cost + s1(psi1, kernels[0]))
+    return {"value": best, "near_minimizers": near, "feasible_count": feasible}
+
+
+def reference_s3_recursive(rhos, family, quantum, cells):
+    """The recursion route with every collapse taken through
+    collapse_measure: the reference for s3_recursive."""
+    masses = [r.total_mass for r in rhos]
+    units = [int(m / quantum) for m in masses]
+    base = s1(rhos[2], EntropyKernel(family, masses[2]))
+    phi1_pool = [
+        p
+        for p in lattice_measures(cells, units[0], quantum, family)
+        if collapse_measure(p, rhos[2])[0] == rhos[0]
+    ]
+    best, feasible = math.inf, 0
+    for phi2 in lattice_measures(cells, units[1], quantum, family):
+        if collapse_measure(phi2, rhos[2])[0] != rhos[1]:
+            continue
+        for phi1 in phi1_pool:
+            res = s2(phi1, phi2, masses[0], masses[1], family)
+            if res.finite:
+                feasible += 1
+                best = min(best, base + res.value)
+    return {"value": best, "feasible_count": feasible}

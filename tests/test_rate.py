@@ -18,7 +18,6 @@ from toruscollapse.measures import (
 )
 from toruscollapse.rate import (
     DP_EXTRA_LEVELS,
-    TIE_TOL,
     EntropyKernel,
     _cell_code,
     _envelope_integral,
@@ -38,7 +37,15 @@ from toruscollapse.rate import (
 )
 from toruscollapse.suites import random_lattice_triple, random_ordered_pair
 
-from oracles import covers, cumulative, knotted, on_arc, preimage_conditions
+from oracles import (
+    covers,
+    cumulative,
+    knotted,
+    on_arc,
+    preimage_conditions,
+    reference_s3_recursive,
+    reference_sk_oracle,
+)
 
 F = Fraction
 
@@ -784,66 +791,6 @@ class TestLdpDecay:
             ldp_decay_exact([F(1, 2), F(0)], [100, 1002])
 
 
-def reference_sk_oracle(rhos, family, quantum, cells):
-    """The brute-force multilayer oracle with every collapse taken through
-    collapse_measure and none shared: the reference for sk_oracle."""
-    masses = [r.total_mass for r in rhos]
-    units = [int(m / quantum) for m in masses]
-    kernels = [EntropyKernel(family, m) for m in masses]
-    best, near, feasible = math.inf, 0, 0
-
-    def track(val):
-        nonlocal best, near
-        if val < best - TIE_TOL:
-            best, near = val, 1
-        elif abs(val - best) <= TIE_TOL:
-            best, near = min(best, val), near + 1
-
-    if len(rhos) == 2:
-        for psi1 in lattice_measures(cells, units[0], quantum, family):
-            if collapse_measure(psi1, rhos[1])[0] != rhos[0]:
-                continue
-            feasible += 1
-            track(s1(psi1, kernels[0]) + s1(rhos[1], kernels[1]))
-    else:
-        base = s1(rhos[2], kernels[2])
-        psi1_pool = list(lattice_measures(cells, units[0], quantum, family))
-        for psi2 in lattice_measures(cells, units[1], quantum, family):
-            if collapse_measure(psi2, rhos[2])[0] != rhos[1]:
-                continue
-            mid_cost = s1(psi2, kernels[1])
-            for psi1 in psi1_pool:
-                inner = collapse_measure(psi1, psi2)[0]
-                if collapse_measure(inner, rhos[2])[0] != rhos[0]:
-                    continue
-                feasible += 1
-                track(base + mid_cost + s1(psi1, kernels[0]))
-    return {"value": best, "near_minimizers": near, "feasible_count": feasible}
-
-
-def reference_s3_recursive(rhos, family, quantum, cells):
-    """The recursion route with every collapse taken through
-    collapse_measure: the reference for s3_recursive."""
-    masses = [r.total_mass for r in rhos]
-    units = [int(m / quantum) for m in masses]
-    base = s1(rhos[2], EntropyKernel(family, masses[2]))
-    phi1_pool = [
-        p
-        for p in lattice_measures(cells, units[0], quantum, family)
-        if collapse_measure(p, rhos[2])[0] == rhos[0]
-    ]
-    best, feasible = math.inf, 0
-    for phi2 in lattice_measures(cells, units[1], quantum, family):
-        if collapse_measure(phi2, rhos[2])[0] != rhos[1]:
-            continue
-        for phi1 in phi1_pool:
-            res = s2(phi1, phi2, masses[0], masses[1], family)
-            if res.finite:
-                feasible += 1
-                best = min(best, base + res.value)
-    return {"value": best, "feasible_count": feasible}
-
-
 def _typed(result):
     """An oracle's result with its value as the float's repr."""
     return {**result, "value": repr(result["value"])}
@@ -968,20 +915,22 @@ class TestDyadicLadder:
 
 class TestJointLadder:
     """Four cells at quantum 1/16 and eight at 1/32 both step densities by
-    1/4, so every candidate of the first rung is one of the second, at the
-    same cost: each route's value is non-increasing from rung to rung."""
+    1/4, and eight at 1/64 by 1/8, so every candidate of a rung is one of
+    the next, at the same cost: each route's value is non-increasing from
+    rung to rung."""
 
-    @pytest.mark.parametrize("index", [0, 3])
-    def test_each_route_is_non_increasing(self, index):
+    # the third rung takes about 2 s on triple 3 and 30 s on triple 0
+    @pytest.mark.parametrize("index, depth", [pytest.param(0, 2, id="0"), pytest.param(3, 3, id="3")])
+    def test_each_route_is_non_increasing(self, index, depth):
         triple = _sixteenth_triples(index + 1)[index]
-        rungs = [(4, F(1, 16)), (8, F(1, 32))]
+        rungs = [(4, F(1, 16)), (8, F(1, 32)), (8, F(1, 64))][:depth]
         values = {
             route.__name__: [route(triple, "tasep", q, cells)["value"] for cells, q in rungs]
             for route in (sk_oracle, s3_recursive)
         }
         gaps = [abs(a - b) for a, b in zip(values["sk_oracle"], values["s3_recursive"])]
-        for name, (coarse, fine) in values.items():
-            assert fine <= coarse, f"{name}: {coarse} -> {fine}; gap per rung {gaps}"
+        for name, ladder in values.items():
+            assert ladder == sorted(ladder, reverse=True), f"{name}: {ladder}; gap per rung {gaps}"
 
 
 class TestQueueRule:
@@ -1127,10 +1076,11 @@ class TestMultilayerOracle:
         assert (direct["near_minimizers"], direct["feasible_count"]) == (4, 1839)
 
     def test_collapses_are_compared_as_forms(self, monkeypatch):
-        # sk_oracle at 1/32 on the known triple runs the measure queue 576
-        # times, once per middle-layer candidate that holds the pins and
-        # twice per distinct cell code of an intermediate, and compares the
-        # collapses on their stored ints: no measure is built from Fractions
+        # sk_oracle at 1/32 on the known triple runs the measure queue 545
+        # times, once per distinct cell code of a middle-layer candidate's
+        # collapse onto the last layer and twice per distinct cell code of
+        # an intermediate, and compares the collapses on their stored ints:
+        # no measure is built from Fractions
         counts = {"queue": 0, "measures": 0}
         queue, build = rate.collapse_measure, measures.TorusMeasure.__init__
 
@@ -1146,14 +1096,20 @@ class TestMultilayerOracle:
         monkeypatch.setattr(rate, "collapse_measure", counted_queue)
         monkeypatch.setattr(measures.TorusMeasure, "__init__", counted_build)
         sk_oracle(triple, "tasep", F(1, 32), 4)
-        assert counts["queue"] == 576
+        assert counts["queue"] == 545
         assert counts["measures"] == 0
 
-    def test_one_measure_collapse_per_distinct_intermediate(self, monkeypatch):
-        # the first layer's candidates are named by the cell code of their
-        # one cell queue under the middle layer: 61 measure collapses at
-        # 1/16 on the known triple, where one per candidate made 325, and
-        # no candidate runs the cell queue twice
+    @pytest.mark.parametrize(
+        "route, reference, count",
+        [(sk_oracle, reference_sk_oracle, 51), (s3_recursive, reference_s3_recursive, 2)],
+        ids=["sk_oracle", "s3_recursive"],
+    )
+    def test_one_measure_collapse_per_distinct_intermediate(self, monkeypatch, route, reference, count):
+        # each candidate is named by the cell code of its one cell queue
+        # under the layer below it: at 1/16 on the known triple sk_oracle
+        # makes 51 measure collapses, where one per candidate made 325, and
+        # s3_recursive 2, one per preimage pool; no candidate runs the cell
+        # queue twice
         collapses, queues = [], []
         collapse, queue = rate.collapse_measure, rate.queue_collapse
 
@@ -1166,11 +1122,11 @@ class TestMultilayerOracle:
             return queue(first, second)
 
         triple = BENCH_TRIPLES[0]  # the known triple
-        want = reference_sk_oracle(triple, "tasep", F(1, 16), 4)
+        want = reference(triple, "tasep", F(1, 16), 4)
         monkeypatch.setattr(rate, "collapse_measure", counted_collapse)
         monkeypatch.setattr(rate, "queue_collapse", counted_queue)
-        assert _typed(sk_oracle(triple, "tasep", F(1, 16), 4)) == _typed(want)
-        assert len(collapses) == 61
+        assert _typed(route(triple, "tasep", F(1, 16), 4)) == _typed(want)
+        assert len(collapses) == count
         assert len(queues) == len(set(queues)) > 0
 
     @pytest.mark.parametrize(
